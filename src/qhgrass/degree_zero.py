@@ -35,7 +35,7 @@ from .exactfield import (
     prime_field,
     rational_poly_mod_p,
 )
-from .numberth import is_prime, primes_up_to
+from .numberth import euler_phi, is_prime, multiplicative_order, primes_up_to
 from .qh_core import QhElement, pieri_multiply, q_shift, quantum_product
 
 
@@ -159,29 +159,20 @@ def recursion_polynomial(ell: int) -> Poly:
 # unit-group number theory and Frobenius orbits
 
 
-def _units_closure(generators: list[int], n: int) -> set[int]:
-    closure = {1 % n}
-    frontier = [1 % n]
-    gens = [g % n for g in generators]
-    while frontier:
-        a = frontier.pop()
-        for g in gens:
-            b = a * g % n
-            if b not in closure:
-                closure.add(b)
-                frontier.append(b)
-    return closure
-
-
 def generates_units(p: int, n: int) -> bool:
-    """Whether {p, -1} generates (Z/nZ)^x, by explicit closure."""
+    """Whether {p, -1} generates (Z/nZ)^x.
+
+    With m the order of p, the subgroup <p, -1> has m elements when -1 is a
+    power of p (m even and p^(m/2) = -1, the only element of order 2 in the
+    cyclic group <p>) and 2m otherwise; compare that with phi(n).
+    """
     if n < 1 or gcd(p, n) != 1:
         raise ValueError(f"gcd({p}, {n}) must be 1")
     if n <= 2:
         return True
-    closure = _units_closure([p, n - 1], n)
-    units = {a for a in range(1, n) if gcd(a, n) == 1}
-    return closure == units
+    m = multiplicative_order(p, n)
+    minus_one_is_power = m % 2 == 0 and pow(p, m // 2, n) == n - 1
+    return (m if minus_one_is_power else 2 * m) == euler_phi(n)
 
 
 @dataclass(frozen=True)

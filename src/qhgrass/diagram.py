@@ -95,15 +95,6 @@ def column_diagram(j: int) -> YoungDiagram:
     return YoungDiagram((1,) * j)
 
 
-def row_diagram(j: int) -> YoungDiagram:
-    """Single row of j boxes."""
-    return YoungDiagram((j,) if j else ())
-
-
-def two_row_diagram(a: int, b: int = 0) -> YoungDiagram:
-    return YoungDiagram((a, b))
-
-
 class GradedBasisElement(NamedTuple):
     """Basis symbol q^m * sigma_D; complex degree size(D) + n*m."""
 

@@ -1,14 +1,18 @@
 """The small quantum cohomology ring of Gr(k, n).
 
 Elements are finite sums of monomials q^m * sigma_D with coefficients in a
-working exact field. Multiplication by the special classes x_j follows the
-quantum Pieri rule; products of general classes go through the Giambelli
-determinant in the x_j followed by iterated Pieri steps. Structure
-constants are integers independent of the coefficient field and are cached
-per context, so repeated products are cheap.
+working exact field. Multiplication by a special class follows a quantum
+Pieri rule: the column rule for x_j (j boxes in a column) and Bertram's row
+rule for h_p (p boxes in a row). A product of two general classes expands
+one factor by a quantum Giambelli determinant and applies the other factor
+to each monomial by iterated Pieri steps. Each factor has two determinants:
+the column one in x_1..x_k, of order D_1 (the width of D), and the row one
+in h_1..h_{n-k}, of order len(D). The product takes the factor and
+determinant of smallest order, ties broken by the smaller |D|.
 
-All values are immutable after construction; the structure-constant cache
-only ever inserts (single-writer semantics), so concurrent readers are safe.
+Structure constants are integers independent of the coefficient field and
+are cached per context, keyed on the unordered pair of diagrams, so
+repeated products are cheap.
 """
 
 from __future__ import annotations
@@ -140,70 +144,109 @@ def point_class(ctx: GrContext, field: FieldCtx) -> QhElement:
 
 
 # ---------------------------------------------------------------------------
-# quantum Pieri rule
+# quantum Pieri rules: one step maps sigma_D to (classical terms, q-terms)
 
 
 @lru_cache(maxsize=None)
-def _pieri_additions(k: int, cols: int, rows: YoungDiagram, j: int) -> tuple[YoungDiagram, ...]:
+def _column_pieri(
+    k: int, cols: int, rows: YoungDiagram, j: int
+) -> tuple[tuple[YoungDiagram, ...], tuple[YoungDiagram, ...]]:
+    """x_j * sigma_rows: the vertical j-strips added, then the q-terms."""
     padded = tuple(rows) + (0,) * (k - len(rows))
-    out = []
+    added = []
     for subset in itertools.combinations(range(k), j):
         new = list(padded)
         for i in subset:
             new[i] += 1
         if new[0] <= cols and all(new[i] >= new[i + 1] for i in range(k - 1)):
-            out.append(YoungDiagram(new))
+            added.append(YoungDiagram(new))
+    # quantum part: needs a full top row; remove it plus k-j boxes, at most one
+    # per lower row (each the last box of its row), then shift rows up; only
+    # removals whose shifted complement is a valid diagram count.
+    removed = []
+    if rows and rows[0] == cols:
+        rest = padded[1:]
+        candidates = [i for i in range(k - 1) if rest[i] >= 1]
+        for subset in itertools.combinations(candidates, k - j):
+            new = [rest[i] - (1 if i in subset else 0) for i in range(k - 1)]
+            if all(new[i] >= new[i + 1] for i in range(k - 2)):
+                removed.append(YoungDiagram(new))
+    return tuple(added), tuple(removed)
+
+
+def _interlacing(lo: tuple[int, ...], hi: tuple[int, ...], total: int) -> tuple[YoungDiagram, ...]:
+    """Every row tuple with lo[i] <= rows[i] <= hi[i] and sum total.
+
+    The bounds interlace, so every such tuple is weakly decreasing. Each row's
+    range is cut by what the rows below it can still absorb, so no branch is
+    a dead end and the cost is linear in the output.
+    """
+    k = len(lo)
+    lo_below, hi_below = [0] * (k + 1), [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        lo_below[i] = lo_below[i + 1] + lo[i]
+        hi_below[i] = hi_below[i + 1] + hi[i]
+    out: list[YoungDiagram] = []
+
+    def fill(i: int, left: int, prefix: tuple[int, ...]) -> None:
+        if i == k:
+            out.append(YoungDiagram(prefix))
+            return
+        top = min(hi[i], left - lo_below[i + 1])
+        bottom = max(lo[i], left - hi_below[i + 1])
+        for value in range(top, bottom - 1, -1):
+            fill(i + 1, left - value, prefix + (value,))
+
+    if lo_below[0] <= total <= hi_below[0]:
+        fill(0, total, ())
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _pieri_removals(k: int, cols: int, rows: YoungDiagram, j: int) -> tuple[YoungDiagram, ...]:
-    # quantum part: needs a full top row; remove it plus k-j boxes, at most one
-    # per lower row (each the last box of its row), then shift rows up; only
-    # removals whose shifted complement is a valid diagram count.
-    if not rows or rows[0] != cols:
-        return ()
-    rest = tuple(rows[1:]) + (0,) * (k - len(rows))
-    candidates = [i for i in range(k - 1) if rest[i] >= 1]
-    out = []
-    for subset in itertools.combinations(candidates, k - j):
-        new = [rest[i] - (1 if i in subset else 0) for i in range(k - 1)]
-        if all(new[i] >= new[i + 1] for i in range(k - 2)):
-            out.append(YoungDiagram(new))
-    return tuple(out)
+def _row_pieri(
+    k: int, cols: int, rows: YoungDiagram, p: int
+) -> tuple[tuple[YoungDiagram, ...], tuple[YoungDiagram, ...]]:
+    """h_p * sigma_rows by Bertram's quantum Pieri rule: classical terms, then q-terms.
+
+    With rows padded to lam_1..lam_k: the classical mu are the horizontal strips
+    lam_i <= mu_i <= lam_{i-1} (lam_0 = n-k) with |mu| = |lam| + p; the q-terms
+    nu satisfy lam_i - 1 >= nu_i >= lam_{i+1} - 1, nu_k >= 0, |nu| = |lam| + p - n,
+    and exist only when lam_k >= 1.
+    """
+    lam = tuple(rows) + (0,) * (k - len(rows))
+    size = sum(lam)
+    classical = _interlacing(lam, (cols,) + lam[:-1], size + p)
+    quantum: tuple[YoungDiagram, ...] = ()
+    if lam[-1] >= 1:
+        lo = tuple(r - 1 for r in lam[1:]) + (0,)
+        quantum = _interlacing(lo, tuple(r - 1 for r in lam), size + p - k - cols)
+    return classical, quantum
 
 
-def pieri_multiply(element: QhElement, j: int) -> QhElement:
-    """x_j * element by the quantum Pieri rule."""
+def _field_pieri(step, element: QhElement, j: int) -> QhElement:
     ctx, F = element.ctx, element.field
-    if not 1 <= j <= ctx.k:
-        raise ValueError(f"Pieri index {j} out of range 1..{ctx.k}")
     acc: dict[TermKey, object] = {}
     for (diagram, m), c in element.terms.items():
-        for added in _pieri_additions(ctx.k, ctx.cols, diagram, j):
+        classical, quantum = step(ctx.k, ctx.cols, diagram, j)
+        for added in classical:
             _bump(acc, (added, m), c, F)
-        for removed in _pieri_removals(ctx.k, ctx.cols, diagram, j):
+        for removed in quantum:
             _bump(acc, (removed, m + 1), c, F)
     return QhElement(ctx, F, acc)
 
 
+def pieri_multiply(element: QhElement, j: int) -> QhElement:
+    """x_j * element by the quantum Pieri rule."""
+    if not 1 <= j <= element.ctx.k:
+        raise ValueError(f"Pieri index {j} out of range 1..{element.ctx.k}")
+    return _field_pieri(_column_pieri, element, j)
+
+
 def transposed_pieri_multiply(element: QhElement, j: int) -> QhElement:
-    """V_{j,0} * element (single row of j boxes), via the transposition isomorphism."""
-    ctx = element.ctx
-    if not 1 <= j <= ctx.cols:
-        raise ValueError(f"transposed Pieri index {j} out of range 1..{ctx.cols}")
-    dual = ctx.dual()
-    flipped = QhElement(
-        dual,
-        element.field,
-        {(diagram.conjugate(), m): c for (diagram, m), c in element.terms.items()},
-    )
-    product = pieri_multiply(flipped, j)
-    return QhElement(
-        ctx,
-        element.field,
-        {(diagram.conjugate(), m): c for (diagram, m), c in product.terms.items()},
-    )
+    """V_{j,0} * element (single row of j boxes) by the row quantum Pieri rule."""
+    if not 1 <= j <= element.ctx.cols:
+        raise ValueError(f"transposed Pieri index {j} out of range 1..{element.ctx.cols}")
+    return _field_pieri(_row_pieri, element, j)
 
 
 def q_shift(element: QhElement, m: int) -> QhElement:
@@ -259,12 +302,13 @@ def giambelli_expand(ctx: GrContext, diagram: YoungDiagram) -> dict[tuple[int, .
     return dict(_giambelli_cached(ctx.k, YoungDiagram(diagram)))
 
 
-def _int_pieri(k: int, cols: int, terms: dict[TermKey, int], j: int) -> dict[TermKey, int]:
+def _int_pieri(step, k: int, cols: int, terms: dict[TermKey, int], j: int) -> dict[TermKey, int]:
     acc: dict[TermKey, int] = {}
     for (diagram, m), c in terms.items():
-        for added in _pieri_additions(k, cols, diagram, j):
+        classical, quantum = step(k, cols, diagram, j)
+        for added in classical:
             acc[(added, m)] = acc.get((added, m), 0) + c
-        for removed in _pieri_removals(k, cols, diagram, j):
+        for removed in quantum:
             acc[(removed, m + 1)] = acc.get((removed, m + 1), 0) + c
     return {key: c for key, c in acc.items() if c}
 
@@ -273,22 +317,33 @@ def _int_pieri(k: int, cols: int, terms: dict[TermKey, int], j: int) -> dict[Ter
 def _schubert_constants(
     k: int, n: int, first: YoungDiagram, second: YoungDiagram
 ) -> tuple[tuple[TermKey, int], ...]:
-    """Integer structure constants of sigma_first * sigma_second."""
+    """Integer structure constants of sigma_first * sigma_second.
+
+    The product is commutative, so callers pass first <= second and the
+    cache holds each unordered pair once.
+    """
     cols = n - k
     if not first:
         return (((second, 0), 1),)
-    if not second:
-        return (((first, 0), 1),)
-    # expand the narrower diagram; its Giambelli determinant is smaller
-    a, b = first, second
-    if (a.width, a.size) > (b.width, b.size):
-        a, b = b, a
+    # Four expansions: either factor, by its column determinant in x_1..x_k
+    # (order D_1) or by its row determinant in h_1..h_{n-k} (order len(D)).
+    # Take the smallest order, then the smallest |D|; columns win a full tie.
+    _, a, b, by_rows = min(
+        ((order, d.size, by_rows), d, other, by_rows)
+        for d, other in ((first, second), (second, first))
+        for order, by_rows in ((d.width, False), (len(d), True))
+    )
+    if by_rows:
+        # the row determinant of D in Gr(k,n) is the column one of D' in Gr(n-k,n)
+        monomials, step = _giambelli_cached(cols, a.conjugate()), _row_pieri
+    else:
+        monomials, step = _giambelli_cached(k, a), _column_pieri
     acc: dict[TermKey, int] = {}
-    for exps, coeff in _giambelli_cached(k, a):
+    for exps, coeff in monomials:
         element: dict[TermKey, int] = {(b, 0): 1}
-        for i in range(k, 0, -1):
+        for i in range(len(exps), 0, -1):
             for _ in range(exps[i - 1]):
-                element = _int_pieri(k, cols, element, i)
+                element = _int_pieri(step, k, cols, element, i)
         for key, value in element.items():
             acc[key] = acc.get(key, 0) + coeff * value
     return tuple(sorted(((key, c) for key, c in acc.items() if c), key=lambda t: (t[0][1], t[0][0].sort_key())))
@@ -296,7 +351,8 @@ def _schubert_constants(
 
 def schubert_product(ctx: GrContext, first: YoungDiagram, second: YoungDiagram) -> dict[TermKey, int]:
     """sigma_first * sigma_second with integer coefficients."""
-    return dict(_schubert_constants(ctx.k, ctx.n, YoungDiagram(first), YoungDiagram(second)))
+    a, b = sorted((YoungDiagram(first), YoungDiagram(second)))
+    return dict(_schubert_constants(ctx.k, ctx.n, a, b))
 
 
 def quantum_product(a: QhElement, b: QhElement) -> QhElement:
@@ -309,7 +365,8 @@ def quantum_product(a: QhElement, b: QhElement) -> QhElement:
             c12 = F.mul(c1, c2)
             if F.is_zero(c12):
                 continue
-            for (diagram, dm), coeff in _schubert_constants(ctx.k, ctx.n, d1, d2):
+            pair = (d1, d2) if d1 <= d2 else (d2, d1)
+            for (diagram, dm), coeff in _schubert_constants(ctx.k, ctx.n, *pair):
                 _bump(acc, (diagram, m1 + m2 + dm), F.mul(c12, F.from_int(coeff)), F)
     return QhElement(ctx, F, acc)
 

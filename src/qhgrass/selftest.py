@@ -10,7 +10,7 @@ from . import degree_zero as dz
 from . import gelfand_cetlin as gc
 from . import presentation as pres
 from . import qh_core as qc
-from .diagram import GrContext, YoungDiagram
+from .diagram import GrContext, YoungDiagram, enumerate_diagrams
 from .exactfield import QQ, SquareMatrix, distinct_degree_profile, prime_field
 
 
@@ -20,6 +20,18 @@ def _check_pieri_golden():
     b = qc.QhElement.schubert(ctx, QQ, YoungDiagram((3, 1)))
     got = qc.format_element(qc.quantum_product(a, b))
     return got == "σ[3,2,1] + q*σ[-]", got
+
+
+def _check_row_pieri():
+    ctx = GrContext(2, 5)
+    dual = ctx.dual()
+    for diagram in enumerate_diagrams(ctx):
+        for j in range(1, ctx.cols + 1):
+            row = qc.transposed_pieri_multiply(qc.QhElement.schubert(ctx, QQ, diagram), j)
+            column = qc.pieri_multiply(qc.QhElement.schubert(dual, QQ, diagram.conjugate()), j)
+            if row.terms != {(d.conjugate(), m): c for (d, m), c in column.terms.items()}:
+                return False, f"h_{j} * σ[{diagram.to_text()}] in Gr(2,5) differs from the column rule in Gr(3,5)"
+    return True, "row Pieri rule on Gr(2,5) matches the conjugated column rule on Gr(3,5)"
 
 
 def _check_power_identity():
@@ -99,6 +111,7 @@ def _check_quaternionic():
 
 CHECKS = [
     ("pieri golden case", _check_pieri_golden),
+    ("row Pieri rule vs transposed column rule", _check_row_pieri),
     ("power identity x_k^n = q^k", _check_power_identity),
     ("degree-zero multiplication matrices", _check_matrices),
     ("characteristic polynomial identity", _check_charpoly_identity),

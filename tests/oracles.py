@@ -6,6 +6,7 @@ expansions, sympy) and never calls back into the code paths it checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -111,3 +112,114 @@ def sympy_symmetric_determinant(entries, size, symbols):
 
     M = sympy.Matrix(size, size, entries)
     return sympy.expand(M.det())
+
+
+def transposed_pieri_by_conjugation(element, j):
+    """V_{j,0} * element through Gr(k,n) ~ Gr(n-k,n): conjugate every diagram,
+    multiply by the column class x_j in the dual context, conjugate back.
+
+    This is the column Pieri rule of qhgrass, not its row rule.
+    """
+    from qhgrass.qh_core import QhElement, pieri_multiply
+
+    ctx = element.ctx
+    flipped = QhElement(
+        ctx.dual(),
+        element.field,
+        {(diagram.conjugate(), m): c for (diagram, m), c in element.terms.items()},
+    )
+    product = pieri_multiply(flipped, j)
+    return QhElement(
+        ctx,
+        element.field,
+        {(diagram.conjugate(), m): c for (diagram, m), c in product.terms.items()},
+    )
+
+
+def _padded(rows, k):
+    return tuple(rows) + (0,) * (k - len(rows))
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_box(k: int, cols: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(box_partitions(k, cols)))
+
+
+@functools.lru_cache(maxsize=None)
+def column_pieri_terms(k: int, cols: int, rows: tuple[int, ...], j: int):
+    """x_j * sigma_rows in Gr(k, k+cols) as ((mu, q-power), ...), by testing
+    every diagram of the box.
+
+    Classical terms: mu / rows is a vertical strip of j boxes. q-terms: rows
+    has a full top row, and nu_i = rows_{i+1} or rows_{i+1} - 1 with nu_k = 0
+    and |nu| = |rows| + j - n.
+    """
+    n = k + cols
+    lam = _padded(rows, k)
+    size = sum(lam) + j
+    out = []
+    for mu in _sorted_box(k, cols):
+        m = _padded(mu, k)
+        if sum(m) == size and all(0 <= a - b <= 1 for a, b in zip(m, lam)):
+            out.append((mu, 0))
+        if (
+            lam[0] == cols
+            and sum(m) == size - n
+            and m[-1] == 0
+            and all(0 <= a - b <= 1 for a, b in zip(lam[1:], m))
+        ):
+            out.append((mu, 1))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def column_giambelli(k: int, rows: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """det(e_{rows'_i - i + j}) expanded over its permutations, as exponent
+    tuples over x_1..x_k with coefficients; e_0 = 1 and e_v = 0 off 0..k."""
+    conj = transpose_rows(rows)
+    m = len(conj)
+    out: dict[tuple[int, ...], int] = {}
+
+    def walk(i, used, perm):
+        if i == m:
+            inversions = sum(1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b])
+            exps = [0] * k
+            for row, col in enumerate(perm):
+                v = conj[row] - row + col
+                if v:
+                    exps[v - 1] += 1
+            key = tuple(exps)
+            out[key] = out.get(key, 0) + (-1) ** inversions
+            return
+        for col in range(m):
+            if col not in used and 0 <= conj[i] - i + col <= k:
+                walk(i + 1, used | {col}, perm + (col,))
+
+    walk(0, frozenset(), ())
+    return tuple((e, c) for e, c in sorted(out.items()) if c)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_times(k: int, cols: int, rows: tuple[int, ...], exps: tuple[int, ...]):
+    """x^exps * sigma_rows as ((mu, q-power), coeff) pairs: one Pieri step by the
+    first variable present, then the rest of the monomial on each term."""
+    if not any(exps):
+        return (((rows, 0), 1),)
+    i = next(idx for idx, e in enumerate(exps) if e)
+    rest = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+    acc: dict = {}
+    for mu, dq in column_pieri_terms(k, cols, rows, i + 1):
+        for (nu, m), c in _monomial_times(k, cols, mu, rest):
+            acc[(nu, m + dq)] = acc.get((nu, m + dq), 0) + c
+    return tuple(acc.items())
+
+
+def column_expansion_product(k: int, n: int, first, second) -> dict:
+    """sigma_first * sigma_second by the column Giambelli determinant of
+    `first` (always the first factor) and iterated column Pieri steps on
+    `second`: {(rows, q-power): coeff}."""
+    acc: dict = {}
+    for exps, coeff in column_giambelli(k, tuple(first)):
+        for key, c in _monomial_times(k, n - k, tuple(second), exps):
+            acc[key] = acc.get(key, 0) + coeff * c
+    return {key: c for key, c in acc.items() if c}

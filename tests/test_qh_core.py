@@ -21,6 +21,8 @@ from qhgrass.qh_core import (
     transposed_pieri_multiply,
 )
 
+from oracles import column_expansion_product, transposed_pieri_by_conjugation
+
 
 def sigma(ctx, field, rows, m=0):
     return QhElement.schubert(ctx, field, YoungDiagram(rows), m)
@@ -77,14 +79,28 @@ def test_transposed_pieri_on_unit():
 
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 7)])
 def test_transposed_pieri_agrees_with_row_class_product(k, n):
-    """Two independent routes: conjugation + Pieri vs Giambelli + Pieri."""
+    """Two independent routes: the row Pieri rule vs conjugation + column Pieri."""
     ctx = GrContext(k, n)
     rng = random.Random(n)
     for j in range(1, ctx.cols + 1):
-        row_class = sigma(ctx, QQ, (j,))
         for _ in range(8):
             e = _random_homogeneous(ctx, QQ, rng)
-            assert transposed_pieri_multiply(e, j) == quantum_product(row_class, e)
+            assert transposed_pieri_multiply(e, j) == transposed_pieri_by_conjugation(e, j)
+
+
+@pytest.mark.parametrize("k,n", [(1, 6), (2, 9), (3, 7), (4, 8), (5, 7), (6, 8)])
+def test_schubert_product_matches_column_expansion_oracle(k, n):
+    """Every ordered pair against the column-only expansion of the first factor.
+
+    The contexts take both Giambelli determinants, k > n-k and q-terms. The
+    oracle computes the two orders of a pair separately, so this also checks
+    commutativity without the engine's unordered cache.
+    """
+    ctx = GrContext(k, n)
+    diagrams = enumerate_diagrams(ctx)
+    for a in diagrams:
+        for b in diagrams:
+            assert schubert_product(ctx, a, b) == column_expansion_product(k, n, a, b), (a, b)
 
 
 def test_x2_v1_squared_paper_identity():
