@@ -51,7 +51,6 @@ from .qh_core import (
 from .presentation import (
     AdmissibleMultiset,
     EvContext,
-    SymContext,
     admissible_multisets,
     complete_sym,
     elementary_sym,

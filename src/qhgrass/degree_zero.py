@@ -10,9 +10,6 @@ of x -> p*x on the inverse pairs of n-th roots of unity. The classifier
 combines these routes with an exhaustive zero-divisor search on small
 examples and reports a finite bound, infiniteness, or "unknown" for the
 spectral diameter.
-
-All operations are pure; classifying a grid of (k, n, char) tuples
-parallelizes with one task per tuple.
 """
 
 from __future__ import annotations
@@ -252,25 +249,6 @@ def _qh0_mult_tables(ctx: GrContext, F: FieldCtx) -> list[list[list]]:
     return mats
 
 
-def _det_mod_p(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col] % p
-        inv = pow(rows[col][col], -1, p)
-        for r in range(col + 1, n):
-            if rows[r][col] % p:
-                t = rows[r][col] * inv % p
-                rows[r] = [(a - t * b) % p for a, b in zip(rows[r], rows[col])]
-    return det % p
-
-
 def zero_divisor_search(ctx: GrContext, F: FieldCtx, limit: int = 10**6):
     """Exhaustively test every nonzero degree-0 class for zero divisors.
 
@@ -287,32 +265,17 @@ def zero_divisor_search(ctx: GrContext, F: FieldCtx, limit: int = 10**6):
         )
     mats = _qh0_mult_tables(ctx, F)
     scalars = list(F.elements())
-    prime_fast = isinstance(F, PrimeField)
     for lead in range(dim):
         tail = dim - lead - 1
         for rest in itertools.product(scalars, repeat=tail):
             coeffs = [F.zero()] * lead + [F.one()] + list(rest)
-            if prime_fast:
-                p = F.order
-                acc = [[0] * dim for _ in range(dim)]
-                for t, c in enumerate(coeffs):
-                    if c:
-                        mt = mats[t]
-                        for i in range(dim):
-                            row = acc[i]
-                            mrow = mt[i]
-                            for j in range(dim):
-                                row[j] = (row[j] + c * mrow[j]) % p
-                singular = _det_mod_p(acc, p) == 0
-            else:
-                acc = [[F.zero()] * dim for _ in range(dim)]
-                for t, c in enumerate(coeffs):
-                    if not F.is_zero(c):
-                        for i in range(dim):
-                            for j in range(dim):
-                                acc[i][j] = F.add(acc[i][j], F.mul(c, mats[t][i][j]))
-                singular = SquareMatrix(F, acc).is_singular()
-            if singular:
+            acc = [[F.zero()] * dim for _ in range(dim)]
+            for t, c in enumerate(coeffs):
+                if not F.is_zero(c):
+                    for i in range(dim):
+                        for j in range(dim):
+                            acc[i][j] = F.add(acc[i][j], F.mul(c, mats[t][i][j]))
+            if SquareMatrix(F, acc).is_singular():
                 return True, coeffs
     return False, None
 

@@ -5,9 +5,6 @@ rectangle. The canonical ordering used everywhere downstream is (size,
 descending-lexicographic rows), so that within each graded piece the
 diagrams are listed by increasing second-row length; all matrices built on
 these bases are reproducible bit for bit.
-
-Everything here is immutable after construction and safe to share between
-threads.
 """
 
 from __future__ import annotations

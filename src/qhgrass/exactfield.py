@@ -7,9 +7,7 @@ extensions Q[x]/(Phi_N). Field elements are plain immutable values
 through the field-context object, so the generic algorithms here
 (characteristic polynomials, gcds, irreducibility tests) are written once.
 
-Everything is exact; no floating point appears in this module. Field
-contexts and element values are immutable and the operations are pure
-functions, so everything is safe to share across threads.
+Everything is exact; no floating point appears in this module.
 """
 
 from __future__ import annotations

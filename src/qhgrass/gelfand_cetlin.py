@@ -8,9 +8,6 @@ Laurent polynomial in positive coordinates z_{i,j}; in logarithmic
 coordinates it is a finite sum of exponentials of affine forms, hence
 smooth and strictly convex on the relevant subspace, and Newton iteration
 with backtracking finds its unique critical point.
-
-Pure numerical functions throughout; batch sampling is parallel over
-seeds.
 """
 
 from __future__ import annotations

@@ -6,9 +6,6 @@ written in the elementary ones. Evaluating x_i at xi^i * e_i(zeta_1..zeta_k)
 for an admissible multiset of n-th roots of unity and q at 1 kills the ideal
 generators and produces a ring homomorphism into a splitting field; these
 maps are the workhorse behind the degree-zero analysis.
-
-All functions are pure over immutable contexts; work over the admissible
-multisets is embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from typing import Callable, Sequence
 from . import _xpoly
 from .diagram import GrContext, YoungDiagram
 from .exactfield import (
-    QQ,
     ExtensionField,
     FieldCtx,
     PrimeField,
@@ -32,18 +28,6 @@ from .exactfield import (
     splitting_degree,
 )
 from .qh_core import QhElement, giambelli_expand
-
-
-@dataclass(frozen=True)
-class SymContext:
-    """k symmetric variables z_1..z_k targeting Gr(k, n)."""
-
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError("need 1 <= k <= n")
 
 
 def elementary_sym(F: FieldCtx, values: Sequence, i: int):
@@ -260,31 +244,7 @@ def in_zeta_subfield(ev: EvContext, value) -> bool:
     if big_n is None or big_n == ev.ctx.n or ev.ctx.n % 2 == 1:
         # for odd n, Q(zeta_2n) = Q(zeta_n); nothing to check
         return True
-    # span test: reduce against the Q-basis zeta_n^0 .. zeta_n^(phi(n)-1)
-    from .numberth import euler_phi
-
-    zeta = nth_roots_of_unity(K, ev.ctx.n)[1]
-    basis = []
-    power = K.one()
-    for _ in range(euler_phi(ev.ctx.n)):
-        basis.append(list(power))
-        power = K.mul(power, zeta)
-    target = list(value)
-    pivots: list[tuple[int, list]] = []
-    for vec in basis:
-        vec = list(vec)
-        for piv, row in pivots:
-            c = vec[piv]
-            if not QQ.is_zero(c):
-                vec = [a - c * b for a, b in zip(vec, row)]
-        piv = next((i for i, c in enumerate(vec) if c != 0), None)
-        if piv is None:
-            continue
-        inv = 1 / vec[piv]
-        vec = [c * inv for c in vec]
-        pivots.append((piv, vec))
-    for piv, row in pivots:
-        c = target[piv]
-        if c != 0:
-            target = [a - c * b for a, b in zip(target, row)]
-    return all(c == 0 for c in target)
+    # K = Q(zeta_2n) for even n: zeta -> zeta^(n+1) = -zeta generates
+    # Gal(K/Q(zeta_n)) and negates the odd power-basis coefficients, so the
+    # fixed values are those whose odd coefficients vanish
+    return all(c == 0 for c in value[1::2])

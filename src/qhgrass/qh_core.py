@@ -1,9 +1,10 @@
 """The small quantum cohomology ring of Gr(k, n).
 
 Elements are finite sums of monomials q^m * sigma_D with coefficients in a
-working exact field. Multiplication by a special class follows a quantum
-Pieri rule: the column rule for x_j (j boxes in a column) and Bertram's row
-rule for h_p (p boxes in a row). A product of two general classes expands
+working exact field. Multiplication by a special class follows Bertram's
+quantum Pieri rule for h_p (p boxes in a row). The column rule for x_j (j
+boxes in a column) is that row rule for h_j in Gr(n-k, n), transposed back
+through Gr(k, n) = Gr(n-k, n). A product of two general classes expands
 one factor by a quantum Giambelli determinant and applies the other factor
 to each monomial by iterated Pieri steps. Each factor has two determinants:
 the column one in x_1..x_k, of order D_1 (the width of D), and the row one
@@ -17,7 +18,6 @@ repeated products are cheap.
 
 from __future__ import annotations
 
-import itertools
 import re
 from functools import lru_cache
 from typing import Mapping
@@ -147,33 +147,6 @@ def point_class(ctx: GrContext, field: FieldCtx) -> QhElement:
 # quantum Pieri rules: one step maps sigma_D to (classical terms, q-terms)
 
 
-@lru_cache(maxsize=None)
-def _column_pieri(
-    k: int, cols: int, rows: YoungDiagram, j: int
-) -> tuple[tuple[YoungDiagram, ...], tuple[YoungDiagram, ...]]:
-    """x_j * sigma_rows: the vertical j-strips added, then the q-terms."""
-    padded = tuple(rows) + (0,) * (k - len(rows))
-    added = []
-    for subset in itertools.combinations(range(k), j):
-        new = list(padded)
-        for i in subset:
-            new[i] += 1
-        if new[0] <= cols and all(new[i] >= new[i + 1] for i in range(k - 1)):
-            added.append(YoungDiagram(new))
-    # quantum part: needs a full top row; remove it plus k-j boxes, at most one
-    # per lower row (each the last box of its row), then shift rows up; only
-    # removals whose shifted complement is a valid diagram count.
-    removed = []
-    if rows and rows[0] == cols:
-        rest = padded[1:]
-        candidates = [i for i in range(k - 1) if rest[i] >= 1]
-        for subset in itertools.combinations(candidates, k - j):
-            new = [rest[i] - (1 if i in subset else 0) for i in range(k - 1)]
-            if all(new[i] >= new[i + 1] for i in range(k - 2)):
-                removed.append(YoungDiagram(new))
-    return tuple(added), tuple(removed)
-
-
 def _interlacing(lo: tuple[int, ...], hi: tuple[int, ...], total: int) -> tuple[YoungDiagram, ...]:
     """Every row tuple with lo[i] <= rows[i] <= hi[i] and sum total.
 
@@ -217,10 +190,19 @@ def _row_pieri(
     size = sum(lam)
     classical = _interlacing(lam, (cols,) + lam[:-1], size + p)
     quantum: tuple[YoungDiagram, ...] = ()
-    if lam[-1] >= 1:
+    if lam and lam[-1] >= 1:  # k = 0 only as the dual of Gr(n, n)
         lo = tuple(r - 1 for r in lam[1:]) + (0,)
         quantum = _interlacing(lo, tuple(r - 1 for r in lam), size + p - k - cols)
     return classical, quantum
+
+
+@lru_cache(maxsize=None)
+def _column_pieri(
+    k: int, cols: int, rows: YoungDiagram, j: int
+) -> tuple[tuple[YoungDiagram, ...], tuple[YoungDiagram, ...]]:
+    """x_j * sigma_rows: the row rule for h_j in Gr(n-k, n), transposed back."""
+    classical, quantum = _row_pieri(cols, k, rows.conjugate(), j)
+    return tuple(d.conjugate() for d in classical), tuple(d.conjugate() for d in quantum)
 
 
 def _field_pieri(step, element: QhElement, j: int) -> QhElement:
@@ -323,6 +305,9 @@ def _schubert_constants(
     cache holds each unordered pair once.
     """
     cols = n - k
+    for d in (first, second):
+        if not d.fits(k, cols):
+            raise ValueError(f"{d!r} does not fit in {GrContext(k, n)}")
     if not first:
         return (((second, 0), 1),)
     # Four expansions: either factor, by its column determinant in x_1..x_k

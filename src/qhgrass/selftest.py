@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-import numpy as np
-
 from . import degree_zero as dz
 from . import gelfand_cetlin as gc
 from . import presentation as pres
 from . import qh_core as qc
 from .diagram import GrContext, YoungDiagram, enumerate_diagrams
-from .exactfield import QQ, SquareMatrix, distinct_degree_profile, prime_field
+from .exactfield import QQ, distinct_degree_profile, prime_field
 
 
 def _check_pieri_golden():
@@ -22,16 +18,35 @@ def _check_pieri_golden():
     return got == "σ[3,2,1] + q*σ[-]", got
 
 
+def _horizontal_strip(outer, inner) -> bool:
+    """outer/inner is a horizontal strip: outer_{i+1} <= inner_i <= outer_i."""
+    return all(b <= a for a, b in zip(outer, inner)) and all(a <= b for a, b in zip(outer[1:], inner))
+
+
 def _check_row_pieri():
     ctx = GrContext(2, 5)
-    dual = ctx.dual()
-    for diagram in enumerate_diagrams(ctx):
-        for j in range(1, ctx.cols + 1):
-            row = qc.transposed_pieri_multiply(qc.QhElement.schubert(ctx, QQ, diagram), j)
-            column = qc.pieri_multiply(qc.QhElement.schubert(dual, QQ, diagram.conjugate()), j)
-            if row.terms != {(d.conjugate(), m): c for (d, m), c in column.terms.items()}:
-                return False, f"h_{j} * σ[{diagram.to_text()}] in Gr(2,5) differs from the column rule in Gr(3,5)"
-    return True, "row Pieri rule on Gr(2,5) matches the conjugated column rule on Gr(3,5)"
+    box = enumerate_diagrams(ctx)
+    padded = {d: tuple(d) + (0,) * (ctx.k - len(d)) for d in box}
+    for lam, rows in padded.items():
+        for p in range(1, ctx.cols + 1):
+            # classical mu: mu/lam is a horizontal p-strip; q-terms nu: lam_k >= 1
+            # and (lam_1 - 1, ..., lam_k - 1)/nu is a horizontal (n-k-p)-strip
+            want = {
+                (mu, 0): 1
+                for mu in box
+                if mu.size == lam.size + p and _horizontal_strip(padded[mu], rows)
+            }
+            if rows[-1]:
+                shifted = tuple(r - 1 for r in rows)
+                want.update(
+                    ((nu, 1), 1)
+                    for nu in box
+                    if nu.size == lam.size + p - ctx.n and _horizontal_strip(shifted, padded[nu])
+                )
+            got = qc.transposed_pieri_multiply(qc.QhElement.schubert(ctx, QQ, lam), p)
+            if got.terms != want:
+                return False, f"h_{p} * σ[{lam.to_text()}] in Gr(2,5) differs from the horizontal-strip filter"
+    return True, "row Pieri rule on Gr(2,5) matches a whole-box horizontal-strip filter"
 
 
 def _check_power_identity():
@@ -111,7 +126,7 @@ def _check_quaternionic():
 
 CHECKS = [
     ("pieri golden case", _check_pieri_golden),
-    ("row Pieri rule vs transposed column rule", _check_row_pieri),
+    ("row Pieri rule vs horizontal-strip filter", _check_row_pieri),
     ("power identity x_k^n = q^k", _check_power_identity),
     ("degree-zero multiplication matrices", _check_matrices),
     ("characteristic polynomial identity", _check_charpoly_identity),

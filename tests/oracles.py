@@ -114,28 +114,6 @@ def sympy_symmetric_determinant(entries, size, symbols):
     return sympy.expand(M.det())
 
 
-def transposed_pieri_by_conjugation(element, j):
-    """V_{j,0} * element through Gr(k,n) ~ Gr(n-k,n): conjugate every diagram,
-    multiply by the column class x_j in the dual context, conjugate back.
-
-    This is the column Pieri rule of qhgrass, not its row rule.
-    """
-    from qhgrass.qh_core import QhElement, pieri_multiply
-
-    ctx = element.ctx
-    flipped = QhElement(
-        ctx.dual(),
-        element.field,
-        {(diagram.conjugate(), m): c for (diagram, m), c in element.terms.items()},
-    )
-    product = pieri_multiply(flipped, j)
-    return QhElement(
-        ctx,
-        element.field,
-        {(diagram.conjugate(), m): c for (diagram, m), c in product.terms.items()},
-    )
-
-
 def _padded(rows, k):
     return tuple(rows) + (0,) * (k - len(rows))
 

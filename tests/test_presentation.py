@@ -9,7 +9,6 @@ from qhgrass.exactfield import QQ, cyclotomic_field, make_extension, prime_field
 from qhgrass.presentation import (
     AdmissibleMultiset,
     EvContext,
-    SymContext,
     admissible_multisets,
     complete_sym,
     elementary_sym,
@@ -230,6 +229,30 @@ def test_degree_zero_realness():
         assert in_zeta_subfield(ev, ev_map(ev, J, element))
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_degree_zero_classes_over_q_lie_in_zeta_n_subfield(n):
+    """Over Q, Gr(2, n) evaluates into Q(zeta_2n); degree-0 classes land in Q(zeta_n)."""
+    from qhgrass.degree_zero import qh0_basis
+
+    ctx = GrContext(2, n)
+    ev = EvContext(ctx, QQ)
+    assert ev.field.cyclotomic_order == 2 * n
+    rng = random.Random(n)
+    multisets = admissible_multisets(ev.field, 2, n)
+    for _ in range(5):
+        terms = {(diagram, m): Fraction(rng.randint(-3, 3)) for diagram, m in qh0_basis(ctx)}
+        J = multisets[rng.randrange(len(multisets))]
+        assert in_zeta_subfield(ev, ev_map(ev, J, QhElement(ctx, QQ, terms)))
+
+
+def test_zeta_16_is_not_in_the_zeta_8_subfield():
+    ev = EvContext(GrContext(2, 8), QQ)
+    K = ev.field
+    zeta16 = K.gen()
+    assert not in_zeta_subfield(ev, zeta16)
+    assert in_zeta_subfield(ev, K.mul(zeta16, zeta16))
+
+
 def test_full_product_table_separated_by_evaluations():
     """Complete certification of the structure constants for Gr(2,5).
 
@@ -265,9 +288,3 @@ def test_ev_map_context_mismatch():
     J = admissible_multisets(ev.field, 2, 5)[0]
     with pytest.raises(ValueError):
         ev_map(ev, J, QhElement.unit(GrContext(2, 6), prime_field(11)))
-
-
-def test_sym_context_validation():
-    with pytest.raises(ValueError):
-        SymContext(4, 3)
-    assert SymContext(2, 5).k == 2

@@ -21,7 +21,7 @@ from qhgrass.qh_core import (
     transposed_pieri_multiply,
 )
 
-from oracles import column_expansion_product, transposed_pieri_by_conjugation
+from oracles import column_expansion_product, column_pieri_terms
 
 
 def sigma(ctx, field, rows, m=0):
@@ -77,15 +77,36 @@ def test_transposed_pieri_on_unit():
     assert transposed_pieri_multiply(QhElement.unit(ctx, QQ), 3) == sigma(ctx, QQ, (3,))
 
 
-@pytest.mark.parametrize("k,n", [(2, 6), (3, 7)])
-def test_transposed_pieri_agrees_with_row_class_product(k, n):
-    """Two independent routes: the row Pieri rule vs conjugation + column Pieri."""
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 7), (4, 8)])
+def test_pieri_multiply_matches_whole_box_filter(k, n):
+    """x_j * sigma_D for every D and j against the vertical-strip filter that
+    tests every diagram of the box."""
     ctx = GrContext(k, n)
-    rng = random.Random(n)
-    for j in range(1, ctx.cols + 1):
-        for _ in range(8):
-            e = _random_homogeneous(ctx, QQ, rng)
-            assert transposed_pieri_multiply(e, j) == transposed_pieri_by_conjugation(e, j)
+    for d in enumerate_diagrams(ctx):
+        for j in range(1, k + 1):
+            want = {(YoungDiagram(mu), m): 1 for mu, m in column_pieri_terms(k, ctx.cols, tuple(d), j)}
+            assert pieri_multiply(sigma(ctx, QQ, d), j).terms == want, (d, j)
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 7), (4, 8)])
+def test_transposed_pieri_agrees_with_row_class_product(k, n):
+    """h_j * sigma_D for every D and j against the whole-box filter for
+    x_j * sigma_D' in Gr(n-k, n), transposed back."""
+    ctx = GrContext(k, n)
+    for d in enumerate_diagrams(ctx):
+        for j in range(1, ctx.cols + 1):
+            dual_terms = column_pieri_terms(ctx.cols, k, tuple(d.conjugate()), j)
+            want = {(YoungDiagram(mu).conjugate(), m): 1 for mu, m in dual_terms}
+            assert transposed_pieri_multiply(sigma(ctx, QQ, d), j).terms == want, (d, j)
+
+
+def test_schubert_product_rejects_diagrams_outside_the_box():
+    ctx = GrContext(2, 5)
+    for outside in (YoungDiagram((1, 1, 1)), YoungDiagram((5,))):
+        with pytest.raises(ValueError):
+            schubert_product(ctx, outside, YoungDiagram((1,)))
+        with pytest.raises(ValueError):
+            schubert_product(ctx, YoungDiagram((1,)), outside)
 
 
 @pytest.mark.parametrize("k,n", [(1, 6), (2, 9), (3, 7), (4, 8), (5, 7), (6, 8)])
