@@ -7,6 +7,14 @@ extensions Q[x]/(Phi_N). Field elements are plain immutable values
 through the field-context object, so the generic algorithms here
 (characteristic polynomials, gcds, irreducibility tests) are written once.
 
+ExtensionField accepts only GF(p) or Q as its base and a monic modulus with
+integer coefficients, which is all that make_extension and cyclotomic_field
+build; anything else raises FieldError. Its product is one integer kernel:
+coefficient lists are convolved as Python ints and reduced by the integer
+modulus, then reduced mod p once per coefficient over GF(p), or, over Q,
+with each factor's denominators cleared first, turned into one Fraction per
+coefficient. Addition and negation over GF(p) work on the ints directly.
+
 Everything is exact; no floating point appears in this module.
 """
 
@@ -16,7 +24,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Any, Iterator, Sequence
 
 from .numberth import cyclotomic_polynomial, factorize, is_prime, prime_iter
@@ -227,20 +235,42 @@ def prime_field(p: int) -> PrimeField:
 
 
 class ExtensionField(FieldCtx):
-    """base[x]/(modulus) for a monic irreducible modulus; elements are tuples."""
+    """base[x]/(modulus) for GF(p) or Q and a monic irreducible integer
+    modulus; elements are tuples of base elements. The product's integer
+    kernel reduces by precomputed rows x^d mod modulus (see the module
+    docstring)."""
 
     def __init__(self, base: FieldCtx, modulus: Sequence[Element], label: str | None = None):
-        modulus = tuple(modulus)
+        if isinstance(base, PrimeField):
+            p = base.p
+        elif isinstance(base, RationalField):
+            p = 0
+        else:
+            raise FieldError(f"extension fields are built over GF(p) or Q, not {base.label}")
+        given = tuple(modulus)
+        try:
+            ints = tuple(int(c) for c in given)
+        except (TypeError, ValueError):
+            ints = None
+        if ints != given:
+            raise FieldError("modulus must have integer coefficients")
+        modulus = tuple(base.from_int(c) for c in ints)
         if len(modulus) < 3 or modulus[-1] != base.one():
             raise FieldError("modulus must be monic of degree >= 2")
         self.base = base
         self.modulus = modulus
-        self.degree = len(modulus) - 1
-        self._mod_low = modulus[:-1]
-        self.order = None if base.order is None else base.order**self.degree
+        self.degree = m = len(modulus) - 1
+        self.order = None if base.order is None else base.order**m
         self.label = label or f"{base.label}[t]/({_poly_text(base, modulus, 't')})"
         self.cyclotomic_order: int | None = None
         self._generator_cache: Element | None = None
+        self._p = p
+        # _reduce[t] holds the coefficients of x^(m+t) mod modulus over Z
+        row = [-c for c in ints[:-1]]
+        self._reduce: list[list[int]] = []
+        for _ in range(m - 1):
+            self._reduce.append([c % p for c in row] if p else row)
+            row = [c - row[-1] * d for c, d in zip([0] + row[:-1], ints)]
 
     @property
     def characteristic(self) -> int:
@@ -258,35 +288,45 @@ class ExtensionField(FieldCtx):
         return tuple(self.base.one() if i == 1 else z for i in range(self.degree))
 
     def add(self, a, b):
-        base = self.base
-        return tuple(base.add(x, y) for x, y in zip(a, b))
+        p = self._p
+        if p:
+            return tuple([(x + y) % p for x, y in zip(a, b)])
+        return tuple([x + y for x, y in zip(a, b)])
 
     def neg(self, a):
-        base = self.base
-        return tuple(base.neg(x) for x in a)
+        p = self._p
+        if p:
+            return tuple([-x % p for x in a])
+        return tuple([-x for x in a])
 
     def sub(self, a, b):
-        base = self.base
-        return tuple(base.sub(x, y) for x, y in zip(a, b))
+        p = self._p
+        if p:
+            return tuple([(x - y) % p for x, y in zip(a, b)])
+        return tuple([x - y for x, y in zip(a, b)])
 
     def mul(self, a, b):
-        base = self.base
+        p = self._p
+        if not p:
+            da = lcm(*[c.denominator for c in a])
+            db = lcm(*[c.denominator for c in b])
+            a = [c.numerator * (da // c.denominator) for c in a]
+            b = [c.numerator * (db // c.denominator) for c in b]
         m = self.degree
-        prod = [base.zero()] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if base.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-        for d in range(2 * m - 2, m - 1, -1):
-            c = prod[d]
-            if base.is_zero(c):
-                continue
-            prod[d] = base.zero()
-            low = self._mod_low
-            for j in range(m):
-                prod[d - m + j] = base.sub(prod[d - m + j], base.mul(c, low[j]))
-        return tuple(prod[:m])
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        for high, row in zip(prod[m:], self._reduce):
+            if high:
+                for j, r in enumerate(row):
+                    prod[j] += high * r
+        del prod[m:]
+        if p:
+            return tuple([c % p for c in prod])
+        d = da * db
+        return tuple([Fraction(c, d) for c in prod])
 
     def inv(self, a):
         if self.is_zero(a):
@@ -301,8 +341,7 @@ class ExtensionField(FieldCtx):
         return tuple(coeffs[: self.degree])
 
     def is_zero(self, a):
-        base = self.base
-        return all(base.is_zero(x) for x in a)
+        return not any(a)
 
     def from_int(self, value):
         z = self.base.zero()

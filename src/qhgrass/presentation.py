@@ -11,6 +11,7 @@ maps are the workhorse behind the degree-zero analysis.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -30,34 +31,42 @@ from .exactfield import (
 from .qh_core import QhElement, giambelli_expand
 
 
+def _elementary_upto(F: FieldCtx, values: Sequence, i: int) -> list:
+    """[e_0, ..., e_i] at the values, by one row DP over the values."""
+    # table[j] = e_j of the prefix processed so far
+    table = [F.one()] + [F.zero()] * i
+    for v in values:
+        for j in range(i, 0, -1):
+            table[j] = F.add(table[j], F.mul(v, table[j - 1]))
+    return table
+
+
+def _complete_upto(F: FieldCtx, es: Sequence, i: int) -> list:
+    """[h_0, ..., h_i] from [e_0, ..., e_k], by h_r = h_{r-1}e_1 - h_{r-2}e_2 + ...
+    (E(-t)H(t) = 1)."""
+    k = len(es) - 1
+    hs = [F.one()]
+    for r in range(1, i + 1):
+        acc = F.zero()
+        for j in range(1, min(r, k) + 1):
+            term = F.mul(hs[r - j], es[j])
+            acc = F.add(acc, term) if j % 2 else F.sub(acc, term)
+        hs.append(acc)
+    return hs
+
+
 def elementary_sym(F: FieldCtx, values: Sequence, i: int):
     """e_i evaluated at the given field elements; e_0 = 1."""
     if not 0 <= i <= len(values):
         raise ValueError(f"e_{i} undefined for {len(values)} values")
-    # row DP: table[j] = e_j of the prefix processed so far
-    table = [F.one()] + [F.zero()] * i
-    for v in values:
-        for j in range(min(i, len(table) - 1), 0, -1):
-            table[j] = F.add(table[j], F.mul(v, table[j - 1]))
-    return table[i]
+    return _elementary_upto(F, values, i)[i]
 
 
 def complete_sym(F: FieldCtx, values: Sequence, i: int):
     """h_i at the values, through h_r = h_{r-1}e_1 - h_{r-2}e_2 + ... (E(-t)H(t) = 1)."""
     if i < 0:
         raise ValueError("h_i needs i >= 0")
-    k = len(values)
-    es = [elementary_sym(F, values, j) for j in range(k + 1)]
-    hs = [F.one()]
-    for r in range(1, i + 1):
-        acc = F.zero()
-        sign = 1
-        for j in range(1, min(r, k) + 1):
-            term = F.mul(hs[r - j], es[j])
-            acc = F.add(acc, term) if sign > 0 else F.sub(acc, term)
-            sign = -sign
-        hs.append(acc)
-    return hs[i]
+    return _complete_upto(F, _elementary_upto(F, values, len(values)), i)[i]
 
 
 def y_polynomial(r: int, k: int) -> dict[tuple[int, ...], int]:
@@ -94,7 +103,13 @@ class AdmissibleMultiset:
 
 class EvContext:
     """Evaluation data: splitting field K, the scalar xi with xi^n = -(-1)^k,
-    and the distinct n-th roots of unity."""
+    and the distinct n-th roots of unity.
+
+    On first use of a multiset J the context computes x_i = xi^i e_i(J) for
+    i = 1..k with the powers x_i^0..x_i^(n-k), and keeps them keyed on
+    J.roots: O(#multisets * k * (n-k)) field elements, dropped with the
+    context.
+    """
 
     def __init__(self, ctx: GrContext, base: FieldCtx):
         self.ctx = ctx
@@ -134,6 +149,28 @@ class EvContext:
                 break
         if self.xi is None:  # pragma: no cover - big_n always suffices
             raise ValueError("no xi with xi^n = -(-1)^k found")
+        self._powers: dict[tuple, tuple[tuple, ...]] = {}
+
+    def _power_table(self, J: AdmissibleMultiset) -> tuple[tuple, ...]:
+        """Rows (x_i^0, ..., x_i^max(n-k, 1)) for i = 1..k, with x_i = xi^i e_i(J).
+
+        Giambelli monomials of the k x (n-k) box have exponents at most n-k;
+        row[1] = x_i is kept on Gr(n, n) too, for the ideal generators.
+        """
+        table = self._powers.get(J.roots)
+        if table is None:
+            K = self.field
+            rows = []
+            xi_power = K.one()
+            for e in _elementary_upto(K, J.roots, self.ctx.k)[1:]:
+                xi_power = K.mul(xi_power, self.xi)
+                x = K.mul(xi_power, e)
+                row = [K.one()]
+                for _ in range(max(self.ctx.cols, 1)):
+                    row.append(K.mul(row[-1], x))
+                rows.append(tuple(row))
+            table = self._powers[J.roots] = tuple(rows)
+        return table
 
     def embed(self, value):
         """Embed a base-field element into the splitting field."""
@@ -184,18 +221,19 @@ def ev_map(ev: EvContext, J: AdmissibleMultiset, element: QhElement):
     if element.field.characteristic != ev.base.characteristic:
         raise ValueError("field characteristic mismatch")
     K = ev.field
-    k = ev.ctx.k
-    xvals = [None] + [
-        K.mul(K.pow(ev.xi, i), elementary_sym(K, J.roots, i)) for i in range(1, k + 1)
-    ]
+    powers = ev._power_table(J)
     total = K.zero()
     for (diagram, _m), coeff in element.terms.items():
+        value = K.zero()
         for exps, c in giambelli_expand(ev.ctx, diagram).items():
-            mono = K.from_int(c)
-            for i in range(1, k + 1):
-                for _ in range(exps[i - 1]):
-                    mono = K.mul(mono, xvals[i])
-            total = K.add(total, K.mul(ev.embed(coeff), mono))
+            factors = [row[e] for row, e in zip(powers, exps) if e]
+            mono = reduce(K.mul, factors) if factors else K.one()
+            if c == -1:
+                mono = K.neg(mono)
+            elif c != 1:
+                mono = K.mul(K.from_int(c), mono)
+            value = K.add(value, mono)
+        total = K.add(total, K.mul(ev.embed(coeff), value))
     return total
 
 
@@ -207,15 +245,16 @@ def verify_ideal_vanishing(ev: EvContext, J: AdmissibleMultiset) -> dict:
     """
     K = ev.field
     k, n = ev.ctx.k, ev.ctx.n
-    scaled = tuple(K.mul(ev.xi, z) for z in J.roots)
+    # e_i(xi*zeta_J) = xi^i e_i(zeta_J) = x_i
+    hs = _complete_upto(K, [K.one()] + [row[1] for row in ev._power_table(J)], n)
     checks = []
     for r in range(n - k + 1, n):
-        value = complete_sym(K, scaled, r)
+        value = hs[r]
         checks.append(
             {"generator": f"h_{r}", "value": K.element_to_str(value), "ok": K.is_zero(value)}
         )
     sign = K.one() if k % 2 == 0 else K.neg(K.one())
-    value = K.add(complete_sym(K, scaled, n), sign)
+    value = K.add(hs[n], sign)
     checks.append(
         {
             "generator": f"h_{n} + (-1)^{k}",

@@ -188,10 +188,12 @@ def _row_pieri(
     """
     lam = tuple(rows) + (0,) * (k - len(rows))
     size = sum(lam)
-    classical = _interlacing(lam, (cols,) + lam[:-1], size + p)
+    classical = _interlacing(lam, ((cols,) + lam)[:k], size + p)
     quantum: tuple[YoungDiagram, ...] = ()
-    if lam and lam[-1] >= 1:  # k = 0 only as the dual of Gr(n, n)
-        lo = tuple(r - 1 for r in lam[1:]) + (0,)
+    # k = 0 arises only as the dual of Gr(n, n); there lam_k >= 1 holds
+    # vacuously, and h_n * 1 = q
+    if k == 0 or lam[-1] >= 1:
+        lo = tuple(r - 1 for r in (lam + (1,))[1:])
         quantum = _interlacing(lo, tuple(r - 1 for r in lam), size + p - k - cols)
     return classical, quantum
 

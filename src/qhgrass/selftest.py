@@ -2,12 +2,40 @@
 
 from __future__ import annotations
 
+import random
+
 from . import degree_zero as dz
 from . import gelfand_cetlin as gc
 from . import presentation as pres
 from . import qh_core as qc
 from .diagram import GrContext, YoungDiagram, enumerate_diagrams
-from .exactfield import QQ, distinct_degree_profile, prime_field
+from .exactfield import (
+    QQ,
+    ExtensionField,
+    Poly,
+    distinct_degree_profile,
+    make_extension,
+    prime_field,
+)
+from .numberth import cyclotomic_polynomial
+
+
+def _check_extension_kernel():
+    rng = random.Random(8)
+    # built directly: cyclotomic_field(N) would add a 10 ms irreducibility proof.
+    # Phi_12 = t^4 - t^2 + 1 is there because t^4 + 1 and the GF(3^4) modulus
+    # t^4 + t + 2 have no t^3 or t^2 term, so no reduction row past t^4 is
+    # corrected by the modulus on them
+    fields = [ExtensionField(QQ, cyclotomic_polynomial(N), label=f"Q(zeta{N})") for N in (8, 12)]
+    for F in fields + [make_extension(3, 4)]:
+        modulus = Poly(F.base, F.modulus)
+        for _ in range(6):
+            a, b = F.random_element(rng), F.random_element(rng)
+            rem = (Poly(F.base, a) * Poly(F.base, b)) % modulus
+            want = rem.coeffs + (F.base.zero(),) * (F.degree - len(rem.coeffs))
+            if F.mul(a, b) != want:
+                return False, f"{F.label}: {a} * {b} differs from the Poly product reduced by divmod"
+    return True, "Q(zeta8), Q(zeta12) and GF(3^4) products match Poly products reduced by divmod"
 
 
 def _check_pieri_golden():
@@ -125,6 +153,7 @@ def _check_quaternionic():
 
 
 CHECKS = [
+    ("extension-field products", _check_extension_kernel),
     ("pieri golden case", _check_pieri_golden),
     ("row Pieri rule vs horizontal-strip filter", _check_row_pieri),
     ("power identity x_k^n = q^k", _check_power_identity),

@@ -114,6 +114,28 @@ def sympy_symmetric_determinant(entries, size, symbols):
     return sympy.expand(M.det())
 
 
+def sympy_reduced_ops(a, b, modulus, p: int):
+    """(a*b, a+b, a-b) of two coefficient lists, each reduced modulo the
+    polynomial `modulus` by sympy's remainder over GF(p), or over Q when
+    p = 0; coefficients low degree first, as ints in [0, p) or Fractions."""
+    import sympy
+
+    x = sympy.symbols("x")
+    domain = sympy.GF(p, symmetric=False) if p else sympy.QQ
+
+    def poly(coeffs):
+        return sympy.Poly.from_list([sympy.Rational(str(c)) for c in reversed(coeffs)], x, domain=domain)
+
+    fa, fb, fm = poly(a), poly(b), poly(modulus)
+    out = []
+    for combined in (fa * fb, fa + fb, fa - fb):
+        coeffs = [0] * (len(modulus) - 1)
+        for (e,), c in combined.rem(fm).terms():
+            coeffs[e] = int(c) % p if p else Fraction(int(c.p), int(c.q))
+        out.append(coeffs)
+    return tuple(out)
+
+
 def _padded(rows, k):
     return tuple(rows) + (0,) * (k - len(rows))
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qhgrass.exactfield import (
     QQ,
     DegreeLimitError,
+    ExtensionField,
     FieldError,
     Poly,
     SquareMatrix,
@@ -32,6 +33,7 @@ from oracles import (
     gf_irreducible_by_trial_division,
     sympy_charpoly_coeffs,
     sympy_is_irreducible_q,
+    sympy_reduced_ops,
 )
 
 FIELDS_UNDER_TEST = [
@@ -58,6 +60,66 @@ def test_field_axioms_on_samples(F):
         assert F.add(a, F.neg(a)) == zero
         if not F.is_zero(a):
             assert F.mul(a, F.inv(a)) == one
+
+
+KERNEL_FIELDS = [
+    make_extension(2, 2),
+    make_extension(2, 3),
+    make_extension(3, 3),
+    make_extension(3, 4),
+    make_extension(7, 2),
+    cyclotomic_field(8),
+    cyclotomic_field(9),
+    cyclotomic_field(12),
+    cyclotomic_field(14),
+]
+
+
+def _kernel_pairs(F, rng, count=300):
+    """Seeded pairs that include zero, one, a base scalar and, over Q, mixed denominators."""
+
+    def element():
+        if F.characteristic:
+            return F.random_element(rng)
+        return tuple(
+            Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 7, 9, 12, 25]))
+            if rng.random() < 0.8 else Fraction(0)
+            for _ in range(F.degree)
+        )
+
+    special = [F.zero(), F.one(), F.lift(F.base.from_int(2)), F.gen()]
+    pairs = [(s, t) for s in special for t in special]
+    pairs += [(s, element()) for s in special] + [(element(), s) for s in special]
+    while len(pairs) < count:
+        pairs.append((element(), element()))
+    return pairs
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=lambda f: f.label)
+def test_extension_kernel_against_sympy_remainder(F):
+    """mul, add and sub against sympy's polynomial remainder modulo the field's
+    modulus; results are canonical ints in [0, p) or normalized Fractions."""
+    p = F.characteristic
+    for a, b in _kernel_pairs(F, random.Random(F.label)):
+        want = sympy_reduced_ops(a, b, F.modulus, p)
+        for got, expected in zip((F.mul(a, b), F.add(a, b), F.sub(a, b)), want):
+            assert list(got) == expected, (a, b)
+            if p:
+                assert all(type(c) is int and 0 <= c < p for c in got)
+            else:
+                assert all(type(c) is Fraction for c in got)
+
+
+def test_extension_field_rejects_unsupported_base_or_modulus():
+    ExtensionField(prime_field(3), (1, 0, 1))  # t^2 + 1 over GF(3) is accepted
+    with pytest.raises(FieldError):
+        ExtensionField(make_extension(2, 2), make_extension(2, 2).modulus)
+    with pytest.raises(FieldError):
+        ExtensionField(QQ, (Fraction(1, 2), Fraction(0), Fraction(1)))
+    with pytest.raises(FieldError):
+        ExtensionField(prime_field(3), (0.5, 0, 1))
+    with pytest.raises(FieldError):
+        ExtensionField(QQ, (Fraction(1), Fraction(0), Fraction(2)))  # not monic
 
 
 def test_make_extension_examples():

@@ -17,7 +17,7 @@ from qhgrass.presentation import (
     verify_ideal_vanishing,
     y_polynomial,
 )
-from qhgrass.qh_core import QhElement, q_shift, quantum_product, special_class
+from qhgrass.qh_core import QhElement, giambelli_expand, q_shift, quantum_product, special_class
 
 from oracles import naive_complete, naive_elementary
 
@@ -288,3 +288,73 @@ def test_ev_map_context_mismatch():
     J = admissible_multisets(ev.field, 2, 5)[0]
     with pytest.raises(ValueError):
         ev_map(ev, J, QhElement.unit(GrContext(2, 6), prime_field(11)))
+
+
+def _direct_ev(ev, roots, diagram):
+    """sigma_D at x_i = xi^i e_i(roots), from naive e_i and plain powers."""
+    K, k = ev.field, ev.ctx.k
+    xs = [K.mul(K.pow(ev.xi, i), naive_elementary(K, roots, i)) for i in range(1, k + 1)]
+    total = K.zero()
+    for exps, c in giambelli_expand(ev.ctx, diagram).items():
+        mono = K.from_int(c)
+        for x, e in zip(xs, exps):
+            mono = K.mul(mono, K.pow(x, e))
+        total = K.add(total, mono)
+    return total
+
+
+@pytest.mark.parametrize("k,n,bases", [(3, 8, (QQ, prime_field(3))), (4, 8, (prime_field(3), QQ))])
+def test_ev_map_matches_direct_evaluation_across_contexts(k, n, bases):
+    """Every Schubert class at several multisets, against naive e_i and plain
+    powers; calls alternate between two contexts of Gr(k, n) over different
+    bases and repeat, so one context's tables never answer for the other."""
+    ctx = GrContext(k, n)
+    evs = [EvContext(ctx, base) for base in bases]
+    rng = random.Random(k * 100 + n)
+    picks = [rng.sample(admissible_multisets(ev.field, k, n), 3) for ev in evs]
+    diagrams = enumerate_diagrams(ctx)
+    want = {
+        (which, J.indices, d): _direct_ev(evs[which], J.roots, d)
+        for which in (0, 1)
+        for J in picks[which]
+        for d in diagrams
+    }
+    for _ in range(2):
+        for d in diagrams:
+            for which, ev in enumerate(evs):
+                for J in picks[which]:
+                    got = ev_map(ev, J, QhElement.schubert(ctx, ev.base, d))
+                    assert got == want[(which, J.indices, d)], (bases[which], J.to_text(), d)
+
+
+def test_ev_map_tables_follow_the_roots_not_the_indices():
+    """A caller-built multiset that reuses the indices of one already seen,
+    with other roots, is evaluated at its own roots."""
+    ctx = GrContext(3, 8)
+    ev = EvContext(ctx, QQ)
+    first, second = admissible_multisets(ev.field, 3, 8)[:2]
+    element = QhElement.schubert(ctx, QQ, YoungDiagram((2, 1)))
+    ev_map(ev, first, element)
+    impostor = AdmissibleMultiset(first.indices, second.roots)
+    assert ev_map(ev, impostor, element) == _direct_ev(ev, second.roots, YoungDiagram((2, 1)))
+    assert ev_map(ev, impostor, element) != ev_map(ev, first, element)
+
+
+@pytest.mark.parametrize("k,n,base", [(3, 8, QQ), (4, 8, prime_field(3))])
+def test_ideal_vanishing_values_against_naive_complete(k, n, base):
+    """Each reported value against naive h_r at xi*zeta_J, on admissible
+    multisets and on a repeated-root one whose values do not vanish."""
+    ev = EvContext(GrContext(k, n), base)
+    K = ev.field
+    multisets = list(admissible_multisets(K, k, n)[:3])
+    repeated = (ev.roots[0],) * (k - 1) + (ev.roots[1],)
+    multisets.append(AdmissibleMultiset((0,) * (k - 1) + (1,), repeated))
+    sign = K.one() if k % 2 == 0 else K.neg(K.one())
+    for J in multisets:
+        scaled = [K.mul(ev.xi, z) for z in J.roots]
+        want = [naive_complete(K, scaled, r) for r in range(n - k + 1, n)]
+        want.append(K.add(naive_complete(K, scaled, n), sign))
+        report = verify_ideal_vanishing(ev, J)
+        assert [c["value"] for c in report["checks"]] == [K.element_to_str(v) for v in want]
+        assert report["all_ok"] == all(K.is_zero(v) for v in want)
+    assert not verify_ideal_vanishing(ev, multisets[-1])["all_ok"]

@@ -77,7 +77,7 @@ def test_transposed_pieri_on_unit():
     assert transposed_pieri_multiply(QhElement.unit(ctx, QQ), 3) == sigma(ctx, QQ, (3,))
 
 
-@pytest.mark.parametrize("k,n", [(2, 5), (3, 7), (4, 8)])
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 7), (4, 8), (1, 1), (2, 2), (3, 3)])
 def test_pieri_multiply_matches_whole_box_filter(k, n):
     """x_j * sigma_D for every D and j against the vertical-strip filter that
     tests every diagram of the box."""
