@@ -70,6 +70,7 @@ from .degree_zero import (
     is_graded_field,
     mult_matrix,
     orbit_decomposition,
+    orbit_sizes,
     qh0_basis,
     standard_degree_zero_element,
     witness_prime,

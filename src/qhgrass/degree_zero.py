@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from math import gcd
+from math import gcd, lcm
 
 from .diagram import GradedBasisElement, GrContext, YoungDiagram, graded_basis
 from .exactfield import (
@@ -32,7 +32,14 @@ from .exactfield import (
     prime_field,
     rational_poly_mod_p,
 )
-from .numberth import euler_phi, is_prime, multiplicative_order, primes_up_to
+from .numberth import (
+    euler_phi,
+    factorize,
+    is_prime,
+    multiplicative_order,
+    order_dividing,
+    primes_up_to,
+)
 from .qh_core import QhElement, pieri_multiply, q_shift, quantum_product
 
 
@@ -185,9 +192,8 @@ class OrbitDecomposition:
         return len(self.orbits)
 
     def sizes(self) -> list[int]:
-        """Orbit sizes sorted by (size, smallest representative)."""
-        keyed = sorted((len(o), min(a for a, _ in o)) for o in self.orbits)
-        return [size for size, _ in keyed]
+        """Orbit sizes, in the order of the orbits: by (size, smallest representative)."""
+        return [len(o) for o in self.orbits]
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,6 +224,42 @@ def orbit_decomposition(n: int, p: int) -> OrbitDecomposition:
         orbits.append(tuple(sorted(orbit)))
     orbits.sort(key=lambda o: (len(o), o[0][0]))
     return OrbitDecomposition(n, p, tuple(orbits))
+
+
+def orbit_sizes(n: int, p: int) -> list[int]:
+    """orbit_decomposition(n, p).sizes() in closed form, from the divisors of n.
+
+    For a divisor m > 1 of n, the pairs {a, -a} with gcd(a, n) = n/m are the
+    group (Z/m)^x/{+-1}: phi(m)/2 elements, or one ({n/2, n/2}) for m = 2.
+    <p> acts on it by translation, so all its orbits have the size s_m of the
+    image of <p>: ord_m(p), halved when -1 = p^(ord/2) mod m. That gives
+    phi(m)/(2 s_m) orbits of size s_m. n is factored once; the order mod each
+    prime power q^e grows from ord_q(p) by a factor 1 or q per step, and
+    ord_m(p) is the lcm over the prime powers of m.
+    """
+    if gcd(n, p) != 1:
+        raise ValueError(f"gcd({n}, {p}) must be 1")
+    divisors = [(1, 1, 1)]  # (m, phi(m), ord_m(p))
+    for q, exponent in factorize(n).items():
+        grown = []
+        qe = order = 1
+        for e in range(1, exponent + 1):
+            qe *= q
+            if e == 1:
+                order = order_dividing(p % q, q, q - 1)
+            elif pow(p, order, qe) != 1:
+                order *= q
+            grown += [(m * qe, phi * (qe - qe // q), lcm(o, order)) for m, phi, o in divisors]
+        divisors += grown
+    counts: dict[int, int] = {}
+    for m, phi, order in divisors[1:]:  # divisors[0] is m = 1, the excluded a = 0
+        if m == 2:
+            size, count = 1, 1  # the self-paired {n/2, n/2}
+        else:
+            size = order // 2 if order % 2 == 0 and pow(p, order // 2, m) == m - 1 else order
+            count = phi // (2 * size)
+        counts[size] = counts.get(size, 0) + count
+    return [size for size in sorted(counts) for _ in range(counts[size])]
 
 
 def witness_prime(n: int, bound: int = 10_000) -> int:
@@ -442,7 +484,14 @@ class ClassifierVerdict:
 
 
 def classify(k: int, n: int, char_spec: int) -> ClassifierVerdict:
-    """Graded-field / spectral-diameter verdict for (Gr(k, n), characteristic)."""
+    """Graded-field / spectral-diameter verdict for (Gr(k, n), characteristic).
+
+    For k = 2 (or its dual) and a characteristic p coprime to n, the verdict
+    also carries the field summands of QH^0: orbit_count orbits of
+    x -> p*x on the inverse pairs mod n, with field_dims their sizes in
+    increasing order, as orbit_sizes(n, p) computes them from the divisors
+    of n without listing the orbits.
+    """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if char_spec != 0 and not is_prime(char_spec):
@@ -493,9 +542,8 @@ def classify(k: int, n: int, char_spec: int) -> ClassifierVerdict:
         k=k, n=n, char=char_spec, is_graded_field=is_field, diameter=diameter, reasons=reasons
     )
     if kk == 2 and char_spec and gcd(n, char_spec) == 1:
-        orbits = orbit_decomposition(n, char_spec)
-        verdict.orbit_count = orbits.count
-        verdict.field_dims = orbits.sizes()
+        verdict.field_dims = orbit_sizes(n, char_spec)
+        verdict.orbit_count = len(verdict.field_dims)
     elif kk == 2 and char_spec and n % char_spec == 0:
         reasons.append("p | n: the orbit method does not apply (no field-summand count)")
     return verdict

@@ -87,7 +87,12 @@ def multiplicative_order(a: int, n: int) -> int:
     a %= n
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
-    order = euler_phi(n)
+    return order_dividing(a, n, euler_phi(n))
+
+
+def order_dividing(a: int, n: int, multiple: int) -> int:
+    """Order of the unit a mod n, given a multiple of it (a^multiple = 1 mod n)."""
+    order = multiple
     for p in factorize(order):
         while order % p == 0 and pow(a, order // p, n) == 1:
             order //= p

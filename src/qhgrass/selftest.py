@@ -112,6 +112,15 @@ def _check_orbits():
     return prof == [1, 2, 2], f"factor degrees over GF(7): {prof}"
 
 
+def _check_orbit_sizes():
+    for n in (10, 60):
+        want = dz.orbit_decomposition(n, 7).sizes()
+        got = dz.orbit_sizes(n, 7)
+        if got != want:
+            return False, f"orbit_sizes({n}, 7) = {got}, enumerated orbits give {want}"
+    return True, "closed-form orbit sizes match the enumerated orbits (n = 10, 60; p = 7)"
+
+
 def _check_classifier():
     cases = [
         ((1, 5, 0), True, "finite"),
@@ -160,6 +169,7 @@ CHECKS = [
     ("degree-zero multiplication matrices", _check_matrices),
     ("characteristic polynomial identity", _check_charpoly_identity),
     ("orbit decomposition and factor degrees", _check_orbits),
+    ("closed-form orbit sizes", _check_orbit_sizes),
     ("classifier table", _check_classifier),
     ("evaluation ideal vanishing", _check_ev_vanishing),
     ("disk potential critical points", _check_critical_point),

@@ -95,6 +95,39 @@ def sympy_charpoly_coeffs(rows):
     return [Fraction(str(c)) for c in coeffs]
 
 
+def sympy_charpoly_reduced(entries, p: int = 0, modulus=None):
+    """det(x*I - M) coefficients, low degree first, over Q (p = 0), GF(p), or
+    GF(p)[t]/(modulus) when modulus (coefficients low degree first) is given.
+
+    Each entry of M is a coefficient list in t, low degree first (length 1
+    outside the extension). sympy computes the characteristic polynomial
+    over Q[t]; reducing its coefficients afterwards is a ring map, so it
+    commutes with the determinant. Coefficients come back as Fractions,
+    ints in [0, p), or lists of ints padded to deg(modulus).
+    """
+    import sympy
+
+    t, x = sympy.symbols("t x")
+    M = sympy.Matrix(
+        [[sum(sympy.Rational(str(c)) * t**i for i, c in enumerate(e)) for e in row] for row in entries]
+    )
+    poly = sympy.Poly(M.charpoly(x).as_expr(), x)
+    out = []
+    for c in reversed(poly.all_coeffs()):
+        if modulus is not None:
+            m = sympy.Poly(list(reversed(modulus)), t, modulus=p)
+            rem = sympy.Poly(c, t, modulus=p).rem(m)
+            coeffs = [0] * (len(modulus) - 1)
+            for (e,), v in rem.terms():
+                coeffs[e] = int(v) % p
+            out.append(coeffs)
+        elif p:
+            out.append(int(c) % p)
+        else:
+            out.append(Fraction(str(c)))
+    return out
+
+
 def sympy_is_irreducible_q(coeffs) -> bool:
     import sympy
 

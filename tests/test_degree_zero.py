@@ -29,6 +29,7 @@ from qhgrass.degree_zero import (
     is_graded_field,
     mult_matrix,
     orbit_decomposition,
+    orbit_sizes,
     qh0_basis,
     recursion_polynomial,
     standard_degree_zero_element,
@@ -154,6 +155,42 @@ def test_orbits_partition_pairs():
         od = orbit_decomposition(n, p)
         seen = [pair for orbit in od.orbits for pair in orbit]
         assert sorted(seen) == [(a, n - a) for a in range(1, n // 2 + 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101])
+def test_orbit_sizes_match_enumerated_orbits(p):
+    for n in range(2, 401):
+        if gcd(n, p) == 1:
+            assert orbit_sizes(n, p) == orbit_decomposition(n, p).sizes(), (n, p)
+
+
+@pytest.mark.parametrize("n", [12, 36, 60, 360])
+def test_orbit_sizes_on_many_divisors(n):
+    """Every prime below 2n coprime to n: p = 1 and p = -1 mod some divisor
+    m > 2 both occur (orbits of size 1; the halving rule) next to larger orders."""
+    primes = [p for p in range(2, 2 * n) if all(p % d for d in range(2, p)) and gcd(n, p) == 1]
+    divisors = [m for m in range(3, n + 1) if n % m == 0]
+    residues = set()
+    for p in primes:
+        sizes = orbit_sizes(n, p)
+        assert sizes == orbit_decomposition(n, p).sizes(), (n, p)
+        assert sum(sizes) == n // 2  # every pair {a, -a}, {n/2, n/2} included
+        residues |= {1 if p % m == 1 else -1 for m in divisors if p % m in (1, m - 1)}
+    assert residues == {1, -1}
+
+
+def test_orbit_sizes_examples():
+    assert orbit_sizes(10, 7) == [1, 2, 2]
+    assert orbit_sizes(1, 3) == [] and orbit_sizes(2, 3) == [1]
+    with pytest.raises(ValueError):
+        orbit_sizes(10, 5)
+
+
+def test_classify_large_n_against_enumerated_orbits():
+    verdict = classify(2, 100003, 3)
+    od = orbit_decomposition(100003, 3)
+    assert verdict.field_dims == od.sizes()
+    assert verdict.orbit_count == od.count
 
 
 @pytest.mark.parametrize("n", range(3, 25))

@@ -11,6 +11,7 @@ from qhgrass.exactfield import (
     ExtensionField,
     FieldError,
     Poly,
+    RationalField,
     SquareMatrix,
     UnsupportedCharacteristicError,
     char_poly,
@@ -29,9 +30,12 @@ from qhgrass.exactfield import (
     rational_poly_mod_p,
 )
 
+from qhgrass.degree_zero import closed_form_matrix
+
 from oracles import (
     gf_irreducible_by_trial_division,
     sympy_charpoly_coeffs,
+    sympy_charpoly_reduced,
     sympy_is_irreducible_q,
     sympy_reduced_ops,
 )
@@ -277,6 +281,98 @@ def test_char_poly_against_sympy_and_cayley_hamilton(size):
     mine7 = char_poly(F7, M7)
     assert list(mine7.coeffs) == [F7.from_int(int(sign * c)) for c in expected]
     assert all(F7.is_zero(v) for v in matrix_poly_eval(mine7, M7).entries)
+
+
+def _charpoly_rows(F, shape, rng):
+    """A test matrix over F: the closed-form degree-zero matrix of Gr(2, 14),
+    a random tridiagonal or dense one, or a block upper-triangular one whose
+    zero lower-left block leaves the Hessenberg reduction without a pivot."""
+
+    def draw():
+        if F == QQ:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return F.random_element(rng)
+
+    if shape == "closed-form":
+        return [list(row) for row in closed_form_matrix(14, F).rows]
+    size = 5 if shape == "dense" else 7
+    rows = [[draw() for _ in range(size)] for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if (shape == "tridiagonal" and abs(i - j) > 1) or (shape == "block" and i >= 3 > j):
+                rows[i][j] = F.zero()
+    return rows
+
+
+@pytest.mark.parametrize("shape", ["closed-form", "tridiagonal", "dense", "block"])
+@pytest.mark.parametrize("F", [QQ, prime_field(3), make_extension(2, 2)], ids=lambda f: f.label)
+def test_char_poly_against_sympy_oracle(F, shape):
+    rows = _charpoly_rows(F, shape, random.Random(f"{F.label}-{shape}"))
+    mine = char_poly(F, SquareMatrix(F, rows))
+    if F == QQ:
+        expected = sympy_charpoly_reduced([[[c] for c in row] for row in rows])
+    elif F.order == F.characteristic:
+        expected = sympy_charpoly_reduced([[[c] for c in row] for row in rows], F.order)
+    else:
+        entries = [[list(c) for c in row] for row in rows]
+        expected = [tuple(c) for c in sympy_charpoly_reduced(entries, F.characteristic, F.modulus)]
+    # the oracle gives det(xI - M); char_poly is det(M - xI) = (-1)^size times that
+    if len(rows) % 2:
+        expected = [F.neg(c) for c in expected]
+    assert list(mine.coeffs) == expected
+    assert all(type(c) is type(F.one()) for c in mine.coeffs)
+
+
+def test_char_poly_work_on_tridiagonal_matrices_is_quadratic():
+    class CountingQ(RationalField):
+        muls = 0
+
+        def mul(self, a, b):
+            CountingQ.muls += 1
+            return a * b
+
+    F = CountingQ()
+    work = []
+    for n in (41, 81):  # sizes 20 and 40
+        M = closed_form_matrix(n, F)
+        CountingQ.muls = 0
+        assert char_poly(F, M) == char_poly(QQ, closed_form_matrix(n, QQ))
+        work.append(CountingQ.muls)
+    assert work[1] < 5 * work[0]  # doubling the size: 4x for O(size^2), 8x for O(size^3)
+
+
+def test_is_irreducible_over_gf4_against_distinct_degree_profile():
+    F = make_extension(2, 2)
+    rng = random.Random(44)
+    seen = set()
+    for _ in range(60):
+        deg = rng.randint(2, 9)
+        f = Poly(F, [F.random_element(rng) for _ in range(deg)] + [F.one()])
+        if poly_gcd(f, f.derivative()).degree != 0:
+            continue
+        irreducible = distinct_degree_profile(F, f) == [deg]
+        seen.add(irreducible)
+        assert is_irreducible(F, f) is irreducible, f
+    assert seen == {True, False}
+    # degrees 2 + 3: no factor of degree 5/5 = 1, so only the final x^(q^5) = x test rejects it
+    quadratic = next(
+        g for g in (Poly(F, [a, b, F.one()]) for a in F.elements() for b in F.elements())
+        if is_irreducible(F, g)
+    )
+    cubic = next(
+        g for g in (Poly(F, [a, b, c, F.one()]) for a in F.elements() for b in F.elements() for c in F.elements())
+        if is_irreducible(F, g)
+    )
+    assert distinct_degree_profile(F, quadratic * cubic) == [2, 3]
+    assert is_irreducible(F, quadratic * cubic) is False
+
+
+def test_rational_inverse_and_quotient_are_fractions():
+    for value, want in ((QQ.inv(2), Fraction(1, 2)), (QQ.div(1, 2), Fraction(1, 2)), (QQ.div(6, -4), Fraction(-3, 2))):
+        assert value == want and type(value) is Fraction
+    monic = Poly(QQ, [1, 0, 2]).monic()
+    assert monic.coeffs == (Fraction(1, 2), Fraction(0), Fraction(1))
+    assert all(type(c) is Fraction for c in monic.coeffs)
 
 
 def test_min_poly_examples():
