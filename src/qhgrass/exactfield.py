@@ -15,6 +15,13 @@ modulus, then reduced mod p once per coefficient over GF(p), or, over Q,
 with each factor's denominators cleared first, turned into one Fraction per
 coefficient. Addition and negation over GF(p) work on the ints directly.
 
+Over a finite field, distinct_degree_profile and factor_squarefree_finite
+share one distinct-degree split; the factorization splits each part further
+by Cantor-Zassenhaus. Irreducibility is Rabin's test over a finite field;
+over Q it screens up to 10 primes by their degree profiles and factors only
+the first prime with the fewest modular factors, for Hensel lifting and
+factor recombination.
+
 Everything is exact; no floating point appears in this module.
 """
 
@@ -27,7 +34,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Any, Iterator, Sequence
 
-from .numberth import cyclotomic_polynomial, factorize, is_prime, prime_iter
+from .numberth import cyclotomic_polynomial, factorize, int_poly_divmod_monic, is_prime, prime_iter
 
 Element = Any
 
@@ -525,13 +532,6 @@ class Poly:
             F, [F.mul(F.from_int(i), c) for i, c in enumerate(self.coeffs)][1:]
         )
 
-    def evaluate(self, value) -> Element:
-        F = self.field
-        acc = F.zero()
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, value), c)
-        return acc
-
     def pow_mod(self, exponent: int, modulus: "Poly") -> "Poly":
         if exponent < 0:
             raise FieldError("negative exponent in pow_mod")
@@ -540,8 +540,9 @@ class Poly:
         while exponent:
             if exponent & 1:
                 result = (result * base) % modulus
-            base = (base * base) % modulus
             exponent >>= 1
+            if exponent:
+                base = (base * base) % modulus
         return result
 
     def to_text(self) -> str:
@@ -606,16 +607,17 @@ def make_extension(p: int, m: int) -> FieldCtx:
 
 @lru_cache(maxsize=None)
 def cyclotomic_field(n: int) -> FieldCtx:
-    """Q(zeta_n) as Q[x]/(Phi_n); the generator is a primitive n-th root of unity."""
+    """Q(zeta_n) as Q[x]/(Phi_n); the generator is a primitive n-th root of unity.
+
+    Phi_n is irreducible over Q (a theorem, so it is not re-proved here; the
+    tests compare Phi_n with sympy's and check its irreducibility for n <= 40).
+    """
     if n < 1:
         raise FieldError("n must be positive")
     coeffs = cyclotomic_polynomial(n)
     if len(coeffs) == 2:  # n in {1, 2}: Phi_n linear, the field is Q itself
         return QQ
-    modulus = Poly.from_ints(QQ, coeffs)
-    if not is_irreducible(QQ, modulus):  # pragma: no cover - cyclotomics are irreducible
-        raise FieldError(f"Phi_{n} unexpectedly reducible")
-    field = ExtensionField(QQ, modulus.coeffs, label=f"Q(zeta{n})")
+    field = ExtensionField(QQ, coeffs, label=f"Q(zeta{n})")
     field.cyclotomic_order = n
     return field
 
@@ -821,9 +823,6 @@ class SquareMatrix:
     def is_singular(self) -> bool:
         return self.field.is_zero(self.determinant())
 
-    def convert(self, target: FieldCtx, fn) -> "SquareMatrix":
-        return SquareMatrix(target, [[fn(v) for v in row] for row in self.rows])
-
     def __repr__(self):
         body = "; ".join(
             " ".join(self.field.element_to_str(v) for v in row) for row in self.rows
@@ -962,37 +961,47 @@ def _finite_irreducible(F: FieldCtx, f: Poly) -> bool:
     return t == x
 
 
-def distinct_degree_profile(F: FieldCtx, f: Poly) -> list[int]:
-    """Degrees (with multiplicity) of the irreducible factors of squarefree f."""
-    f = f.monic()
-    if poly_gcd(f, f.derivative()).degree != 0:
-        raise FieldError("distinct-degree profile requires a squarefree polynomial")
-    degrees: list[int] = []
+def _distinct_degree_parts(F: FieldCtx, f: Poly) -> Iterator[tuple[int, Poly]]:
+    """Distinct-degree split of a monic squarefree f over GF(q): yields (d, the
+    product of the degree-d irreducible factors of f) for each d that has
+    factors, d ascending. x^(q^d) is carried mod the part not yet split off;
+    once 2d exceeds its degree, that part is one irreducible factor."""
+    x = Poly.x(F)
     g = f
-    w = Poly.x(F) % g
+    w = x % g
     d = 0
     while g.degree > 0:
         d += 1
         if 2 * d > g.degree:
-            degrees.append(int(g.degree))
-            break
+            yield int(g.degree), g
+            return
         w = w.pow_mod(F.order, g)
-        h = poly_gcd(g, w - Poly.x(F))
+        h = poly_gcd(g, w - x)
         if h.degree > 0:
-            degrees.extend([d] * (int(h.degree) // d))
+            yield d, h
             g = g // h
             w = w % g
-    return sorted(degrees)
+
+
+def distinct_degree_profile(F: FieldCtx, f: Poly) -> list[int]:
+    """Degrees (with multiplicity) of the irreducible factors of squarefree f,
+    ascending."""
+    f = f.monic()
+    if poly_gcd(f, f.derivative()).degree != 0:
+        raise FieldError("distinct-degree profile requires a squarefree polynomial")
+    return [d for d, h in _distinct_degree_parts(F, f) for _ in range(int(h.degree) // d)]
 
 
 def _equal_degree_split(F: FieldCtx, g: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Cantor-Zassenhaus splitting of a product of degree-d irreducibles."""
+    """Cantor-Zassenhaus splitting of a product of degree-d irreducibles: a
+    random h of degree < deg g splits g by gcd(g, h^((q^d - 1)/2) - 1) for odd
+    q, and for q = 2^m by gcd(g, h + h^2 + ... + h^(2^(md - 1))), the trace of
+    h down to GF(2)."""
     if g.degree == d:
         return [g.monic()]
     q = F.order
-    x = Poly.x(F)
     while True:
-        h = Poly(F, [F.from_int(rng.randrange(q)) for _ in range(int(g.degree))])
+        h = Poly(F, [F.random_element(rng) for _ in range(int(g.degree))])
         if h.degree < 1:
             continue
         if q % 2 == 1:
@@ -1000,9 +1009,9 @@ def _equal_degree_split(F: FieldCtx, g: Poly, d: int, rng: random.Random) -> lis
         else:
             t = Poly.zero(F)
             w = h % g
-            for _ in range(d):
+            for _ in range(d * (q.bit_length() - 1)):
                 t = (t + w) % g
-                w = w.pow_mod(q, g)
+                w = w.pow_mod(2, g)
         u = poly_gcd(g, t)
         if 0 < u.degree < g.degree:
             return _equal_degree_split(F, u, d, rng) + _equal_degree_split(
@@ -1011,24 +1020,12 @@ def _equal_degree_split(F: FieldCtx, g: Poly, d: int, rng: random.Random) -> lis
 
 
 def factor_squarefree_finite(F: FieldCtx, f: Poly) -> list[Poly]:
-    """Monic irreducible factors of a squarefree polynomial over a finite field."""
+    """Monic irreducible factors of a squarefree polynomial over a finite field:
+    each distinct-degree part is split by Cantor-Zassenhaus."""
     rng = random.Random(0x5EED)
-    f = f.monic()
-    factors: list[Poly] = []
-    g = f
-    w = Poly.x(F) % g
-    d = 0
-    while g.degree > 0:
-        d += 1
-        if 2 * d > g.degree:
-            factors.append(g)
-            break
-        w = w.pow_mod(F.order, g)
-        h = poly_gcd(g, w - Poly.x(F))
-        if h.degree > 0:
-            factors.extend(_equal_degree_split(F, h, d, rng))
-            g = g // h
-            w = w % g
+    factors = [
+        u for d, h in _distinct_degree_parts(F, f.monic()) for u in _equal_degree_split(F, h, d, rng)
+    ]
     return sorted(factors, key=lambda p: (p.degree, p.coeffs))
 
 
@@ -1058,23 +1055,6 @@ def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-def _int_poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # den monic
-    num = list(num)
-    if len(num) < len(den):
-        return [], num
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
 
 
 def _divisors(n: int) -> list[int]:
@@ -1188,7 +1168,7 @@ def _zassenhaus_reducible(F_int: list[int], p: int, factors: list[Poly]) -> bool
             cand = [_balanced(c, modulus) for c in cand]
             if len(cand) - 1 != sum(degs[i] for i in subset):
                 continue
-            _, rem = _int_poly_divmod_monic(F_int, cand)
+            _, rem = int_poly_divmod_monic(F_int, cand)
             if not rem:
                 return True
     return False
@@ -1214,7 +1194,9 @@ def _rational_irreducible(coeffs: list[Fraction]) -> bool:
     lc = ints[-1]
     F_int = [c * lc ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
     allowed = (1 << (n + 1)) - 1
-    screening: list[tuple[int, list[Poly]]] = []
+    # recombination runs at the first prime with the fewest modular factors
+    best: Poly | None = None
+    fewest = n + 1
     usable = 0
     for p in prime_iter():
         if p > 1000:  # pragma: no cover - plenty of usable primes exist
@@ -1229,22 +1211,15 @@ def _rational_irreducible(coeffs: list[Fraction]) -> bool:
         allowed &= _subset_sum_mask(profile)
         if not any((allowed >> d) & 1 for d in range(1, n)):
             return True
-        screening.append((p, [fp]))
+        if len(profile) < fewest:
+            best, fewest = fp, len(profile)
         usable += 1
         if usable >= 10:
             break
-    # recombination at the prime with the fewest modular factors
-    best_p = None
-    best_factors: list[Poly] | None = None
-    for p, _ in screening:
-        Fp = prime_field(p)
-        fp = Poly.from_ints(Fp, F_int).monic()
-        factors = factor_squarefree_finite(Fp, fp)
-        if best_factors is None or len(factors) < len(best_factors):
-            best_p, best_factors = p, factors
-    if best_factors is None:  # pragma: no cover
+    if best is None:  # pragma: no cover
         raise FieldError("no usable screening prime found")
-    return not _zassenhaus_reducible(F_int, best_p, best_factors)
+    Fp = best.field
+    return not _zassenhaus_reducible(F_int, Fp.p, factor_squarefree_finite(Fp, best))
 
 
 def is_irreducible(F: FieldCtx, f: Poly) -> bool:

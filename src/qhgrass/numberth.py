@@ -122,17 +122,17 @@ def prime_iter():
         c += 2
 
 
-def _intpoly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # exact division of integer polynomials, den monic-ish with lc dividing steps
+def int_poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of integer polynomials, low degree first, for a
+    monic den; the remainder has no trailing zero coefficients."""
     num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
+    q = [0] * max(len(num) - len(den) + 1, 0)
     for i in range(len(q) - 1, -1, -1):
-        c, r = divmod(num[i + len(den) - 1], den[-1])
-        if r:
-            raise ArithmeticError("non-exact integer polynomial division")
+        c = num[i + len(den) - 1]
         q[i] = c
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
+        if c:
+            for j, d in enumerate(den):
+                num[i + j] -= c * d
     while num and num[-1] == 0:
         num.pop()
     return q, num
@@ -148,6 +148,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _intpoly_divmod(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = int_poly_divmod_monic(poly, list(cyclotomic_polynomial(d)))
             assert not rem
     return tuple(poly)

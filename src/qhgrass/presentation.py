@@ -28,7 +28,7 @@ from .exactfield import (
     nth_roots_of_unity,
     splitting_degree,
 )
-from .qh_core import QhElement, giambelli_expand
+from .qh_core import QhElement, _giambelli_cached
 
 
 def _elementary_upto(F: FieldCtx, values: Sequence, i: int) -> list:
@@ -225,7 +225,8 @@ def ev_map(ev: EvContext, J: AdmissibleMultiset, element: QhElement):
     total = K.zero()
     for (diagram, _m), coeff in element.terms.items():
         value = K.zero()
-        for exps, c in giambelli_expand(ev.ctx, diagram).items():
+        # the terms are box-checked by QhElement, so the cached table is read as is
+        for exps, c in _giambelli_cached(ev.ctx.k, diagram):
             factors = [row[e] for row, e in zip(powers, exps) if e]
             mono = reduce(K.mul, factors) if factors else K.one()
             if c == -1:

@@ -11,23 +11,20 @@ from . import qh_core as qc
 from .diagram import GrContext, YoungDiagram, enumerate_diagrams
 from .exactfield import (
     QQ,
-    ExtensionField,
     Poly,
+    cyclotomic_field,
     distinct_degree_profile,
     make_extension,
     prime_field,
 )
-from .numberth import cyclotomic_polynomial
 
 
 def _check_extension_kernel():
     rng = random.Random(8)
-    # built directly: cyclotomic_field(N) would add a 10 ms irreducibility proof.
     # Phi_12 = t^4 - t^2 + 1 is there because t^4 + 1 and the GF(3^4) modulus
     # t^4 + t + 2 have no t^3 or t^2 term, so no reduction row past t^4 is
     # corrected by the modulus on them
-    fields = [ExtensionField(QQ, cyclotomic_polynomial(N), label=f"Q(zeta{N})") for N in (8, 12)]
-    for F in fields + [make_extension(3, 4)]:
+    for F in (cyclotomic_field(8), cyclotomic_field(12), make_extension(3, 4)):
         modulus = Poly(F.base, F.modulus)
         for _ in range(6):
             a, b = F.random_element(rng), F.random_element(rng)

@@ -139,6 +139,44 @@ def sympy_is_irreducible_q(coeffs) -> bool:
     return len(nontrivial) == 1 and total_mult == 1
 
 
+def sympy_factors_mod_p(coeffs, p: int) -> list[tuple[int, ...]]:
+    """Monic irreducible factors over GF(p) of the polynomial with these
+    coefficients (low degree first), each with its multiplicity, as coefficient
+    tuples (ints in [0, p), low degree first), sorted by (degree, coefficients)."""
+    import sympy
+
+    x = sympy.symbols("x")
+    _, factored = sympy.Poly(list(reversed(coeffs)), x, modulus=p).factor_list()
+    out = []
+    for f, mult in factored:
+        c = [int(v) % p for v in reversed(f.all_coeffs())]
+        inv = pow(c[-1], -1, p)
+        out.extend([tuple(v * inv % p for v in c)] * mult)
+    return sorted(out, key=lambda c: (len(c), c))
+
+
+def sympy_int_divmod(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (low degree first) by
+    sympy's div over Q, with empty lists for zero."""
+    import sympy
+
+    x = sympy.symbols("x")
+    q, r = sympy.div(sympy.Poly(list(reversed(num)), x), sympy.Poly(list(reversed(den)), x))
+
+    def ints(poly):
+        return [] if poly.is_zero else [int(v) for v in reversed(poly.all_coeffs())]
+
+    return ints(q), ints(r)
+
+
+def sympy_cyclotomic(n: int) -> list[int]:
+    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
+    import sympy
+
+    x = sympy.symbols("x")
+    return [int(v) for v in reversed(sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs())]
+
+
 def sympy_symmetric_determinant(entries, size, symbols):
     """Determinant of an explicit symbolic matrix, expanded."""
     import sympy

@@ -30,12 +30,17 @@ from qhgrass.exactfield import (
     rational_poly_mod_p,
 )
 
-from qhgrass.degree_zero import closed_form_matrix
+from qhgrass import exactfield
+from qhgrass.degree_zero import closed_form_charpoly, closed_form_matrix
+from qhgrass.numberth import cyclotomic_polynomial, int_poly_divmod_monic, multiplicative_order
 
 from oracles import (
     gf_irreducible_by_trial_division,
     sympy_charpoly_coeffs,
     sympy_charpoly_reduced,
+    sympy_cyclotomic,
+    sympy_factors_mod_p,
+    sympy_int_divmod,
     sympy_is_irreducible_q,
     sympy_reduced_ops,
 )
@@ -426,6 +431,132 @@ def test_distinct_degree_profile_and_factors():
     for f in factors:
         prod = prod * f
     assert prod == Poly.from_ints(F2, [1, 0, 0, 0, 0, 1])
+
+
+# degrees drawn for each product: three of one degree, so that the
+# distinct-degree part of that degree needs Cantor-Zassenhaus to split
+_FACTOR_DEGREES = {2: (4, 4, 4, 1, 3), 3: (2, 2, 2, 1, 3), 5: (1, 1, 1, 2, 3)}
+
+
+def _distinct_irreducibles(p, degrees, rng):
+    chosen: list[tuple[int, ...]] = []
+    for d in degrees:
+        while True:
+            coeffs = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+            if coeffs not in chosen and gf_irreducible_by_trial_division(p, list(coeffs)):
+                chosen.append(coeffs)
+                break
+    return chosen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_finite_factoring_against_sympy(p):
+    F = prime_field(p)
+    rng = random.Random(600 + p)
+    for case in range(6):
+        degrees = _FACTOR_DEGREES[p][: 3 + case % 3]
+        pieces = _distinct_irreducibles(p, degrees, rng)
+        f = Poly.one(F)
+        for c in pieces:
+            f = f * Poly.from_ints(F, c)
+        f = f.scale(F.from_int(rng.randrange(1, p)))  # neither routine needs a monic input
+        want = sympy_factors_mod_p([int(c) for c in f.coeffs], p)
+        assert sorted(pieces, key=lambda c: (len(c), c)) == want
+        got = factor_squarefree_finite(F, f)
+        assert [tuple(g.coeffs) for g in got] == want
+        assert distinct_degree_profile(F, f) == [len(c) - 1 for c in want]
+    irreducible = _distinct_irreducibles(p, (7,), rng)[0]
+    f = Poly.from_ints(F, irreducible)
+    assert sympy_factors_mod_p(list(irreducible), p) == [irreducible]
+    assert [tuple(g.coeffs) for g in factor_squarefree_finite(F, f)] == [irreducible]
+    assert distinct_degree_profile(F, f) == [7]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 15, 21])
+def test_factor_squarefree_over_gf4_splits_conjugate_factors(n):
+    # Phi_n splits over GF(4) into factors of degree ord_n(4) whose roots are
+    # Galois conjugate over GF(2), so a split drawing h from GF(2)[x] never ends
+    F = make_extension(2, 2)
+    f = Poly.from_ints(F, cyclotomic_polynomial(n))
+    factors = factor_squarefree_finite(F, f)
+    d = multiplicative_order(4, n)
+    assert [int(g.degree) for g in factors] == [d] * (int(f.degree) // d)
+    assert len(set(factors)) == len(factors)
+    assert all(is_irreducible(F, g) for g in factors)
+    prod = Poly.one(F)
+    for g in factors:
+        prod = prod * g
+    assert prod == f
+
+
+def test_int_poly_divmod_monic_against_sympy():
+    rng = random.Random(77)
+    # len(num) < len(den), with and without a zero top coefficient; zero numerator
+    cases = [([1, 2], [3, 0, 1]), ([-6, 3, 0], [-2, 5, -4, 1, 1]), ([], [1, 1]), ([5, 0, 0, 0, 0, 0, 1], [-1, 0, 1])]
+    for _ in range(40):
+        den = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))] + [1]
+        num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))] + [rng.choice([-3, -1, 1, 2, 7])]
+        cases.append((num, den))
+    remainders = 0
+    for num, den in cases:
+        got = int_poly_divmod_monic(num, den)
+        assert got == sympy_int_divmod(num, den), (num, den)
+        remainders += bool(got[1])
+    assert int_poly_divmod_monic([1, 2], [3, 0, 1]) == ([], [1, 2])  # len(num) < len(den)
+    assert remainders > 20
+
+
+@pytest.mark.parametrize(
+    "poly", [closed_form_charpoly(25), Poly.from_ints(QQ, [1, 0, 0, 0, 1])], ids=["closed-form-25", "t^4+1"]
+)
+def test_rational_irreducibility_factors_one_prime(poly, monkeypatch):
+    calls = []
+    factor = exactfield.factor_squarefree_finite
+
+    def counting(F, f):
+        calls.append(F.p)
+        return factor(F, f)
+
+    monkeypatch.setattr(exactfield, "factor_squarefree_finite", counting)
+    irreducible = is_irreducible(QQ, poly)
+    assert len(calls) == 1
+    assert irreducible is sympy_is_irreducible_q(poly.coeffs)
+
+
+def test_cyclotomic_moduli_against_sympy():
+    for n in range(3, 41):
+        want = sympy_cyclotomic(n)
+        assert cyclotomic_field(n).modulus == tuple(want), n
+        assert sympy_is_irreducible_q(want), n
+
+
+def test_pow_mod_squares_only_while_bits_remain(monkeypatch):
+    F = prime_field(3)
+    f = Poly.from_ints(F, [1, 2, 0, 1, 1])
+    x = Poly.x(F)
+    calls = []
+    mul = Poly.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    for e in range(1, 41):
+        calls.clear()
+        x.pow_mod(e, f)
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1"), e
+
+
+@pytest.mark.parametrize("F", [prime_field(2), make_extension(2, 2), QQ], ids=lambda f: f.label)
+def test_pow_mod_against_repeated_multiplication(F):
+    rng = random.Random(31)
+    f = Poly(F, [F.random_element(rng) for _ in range(5)] + [F.one()])
+    g = Poly(F, [F.random_element(rng) for _ in range(7)])
+    power = Poly.one(F) % f
+    for e in range(41):
+        assert g.pow_mod(e, f) == power, e
+        power = (power * g) % f
 
 
 def test_rational_poly_mod_p():
