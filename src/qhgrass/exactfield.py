@@ -609,8 +609,8 @@ def make_extension(p: int, m: int) -> FieldCtx:
 def cyclotomic_field(n: int) -> FieldCtx:
     """Q(zeta_n) as Q[x]/(Phi_n); the generator is a primitive n-th root of unity.
 
-    Phi_n is irreducible over Q (a theorem, so it is not re-proved here; the
-    tests compare Phi_n with sympy's and check its irreducibility for n <= 40).
+    Phi_n is irreducible over Q, a theorem that is not re-proved at run time;
+    the tests check Phi_n and its irreducibility against sympy for n <= 40.
     """
     if n < 1:
         raise FieldError("n must be positive")
@@ -993,10 +993,10 @@ def distinct_degree_profile(F: FieldCtx, f: Poly) -> list[int]:
 
 
 def _equal_degree_split(F: FieldCtx, g: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Cantor-Zassenhaus splitting of a product of degree-d irreducibles: a
-    random h of degree < deg g splits g by gcd(g, h^((q^d - 1)/2) - 1) for odd
-    q, and for q = 2^m by gcd(g, h + h^2 + ... + h^(2^(md - 1))), the trace of
-    h down to GF(2)."""
+    """Cantor-Zassenhaus splitting of a product of degree-d irreducibles. Each
+    try draws h of degree < deg g from the whole field and takes the gcd of g
+    with h^((q^d - 1)/2) - 1 for odd q, or, for q = 2^m, with the trace
+    h + h^2 + ... + h^(2^(md - 1)) of h down to GF(2)."""
     if g.degree == d:
         return [g.monic()]
     q = F.order
