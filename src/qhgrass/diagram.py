@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index, lt
 from typing import Iterator, NamedTuple
 
 
@@ -44,14 +45,16 @@ class YoungDiagram(tuple):
     """Row lengths, weakly decreasing, trailing zeros stripped."""
 
     def __new__(cls, rows=()):
-        rows = tuple(int(r) for r in rows)
+        # operator.index, not int: a float or str row raises TypeError
+        # instead of being truncated to another diagram
+        rows = tuple(map(index, rows))
         while rows and rows[-1] == 0:
             rows = rows[:-1]
         if rows and rows[-1] < 0:
             raise ValueError(f"negative row length in {rows}")
-        if any(a < b for a, b in zip(rows, rows[1:])):
+        if any(map(lt, rows, rows[1:])):
             raise ValueError(f"rows not weakly decreasing: {rows}")
-        return super().__new__(cls, rows)
+        return tuple.__new__(cls, rows)
 
     @property
     def size(self) -> int:

@@ -15,6 +15,14 @@ modulus, then reduced mod p once per coefficient over GF(p), or, over Q,
 with each factor's denominators cleared first, turned into one Fraction per
 coefficient. Addition and negation over GF(p) work on the ints directly.
 
+Every field lifts a list of elements to integer coordinates over one common
+denominator (_lift_ints) and maps integer combinations of them back, one
+conversion per result (_drop_ints): the int itself over GF(p), numerators
+over the lcm of the denominators over Q, coefficient lists over an
+extension. The extension product clears denominators through the same lift,
+and qh_core.quantum_product sums structure constants times these
+coordinates before it builds any element.
+
 Over a finite field, distinct_degree_profile and factor_squarefree_finite
 share one distinct-degree split; the factorization splits each part further
 by Cantor-Zassenhaus. Irreducibility is Rabin's test over a finite field;
@@ -93,6 +101,17 @@ class FieldCtx:
     def from_int(self, value: int) -> Element:
         raise NotImplementedError
 
+    def _lift_ints(self, values: Sequence[Element]) -> tuple[list, int]:
+        """(coords, d): the values as integer coordinates over one common
+        denominator d: an int per value, a sequence of ints over an extension.
+        Integer combinations of the coords, then _drop_ints, give the same
+        combinations of the values."""
+        raise NotImplementedError
+
+    def _drop_ints(self, coords: dict, d: int) -> dict:
+        """The same keys mapped to the field elements coords[key] / d, zeros left out."""
+        raise NotImplementedError
+
     def pow(self, a, exponent: int) -> Element:
         if exponent < 0:
             return self.pow(self.inv(a), -exponent)
@@ -162,6 +181,13 @@ class RationalField(FieldCtx):
     def from_int(self, value):
         return Fraction(value)
 
+    def _lift_ints(self, values):
+        d = lcm(*[c.denominator for c in values])
+        return [c.numerator * (d // c.denominator) for c in values], d
+
+    def _drop_ints(self, coords, d):
+        return {key: Fraction(v, d) for key, v in coords.items() if v}
+
     def random_element(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
@@ -217,6 +243,13 @@ class PrimeField(FieldCtx):
 
     def from_int(self, value):
         return value % self.p
+
+    def _lift_ints(self, values):
+        return values, 1
+
+    def _drop_ints(self, coords, d):
+        p = self.p
+        return {key: r for key, v in coords.items() if (r := v % p)}
 
     def pow(self, a, exponent):
         if exponent < 0:
@@ -315,10 +348,8 @@ class ExtensionField(FieldCtx):
     def mul(self, a, b):
         p = self._p
         if not p:
-            da = lcm(*[c.denominator for c in a])
-            db = lcm(*[c.denominator for c in b])
-            a = [c.numerator * (da // c.denominator) for c in a]
-            b = [c.numerator * (db // c.denominator) for c in b]
+            (a,), da = self._lift_ints((a,))
+            (b,), db = self._lift_ints((b,))
         m = self.degree
         prod = [0] * (2 * m - 1)
         for i, x in enumerate(a):
@@ -353,6 +384,18 @@ class ExtensionField(FieldCtx):
     def from_int(self, value):
         z = self.base.zero()
         return (self.base.from_int(value),) + (z,) * (self.degree - 1)
+
+    def _lift_ints(self, values):
+        if self._p:
+            return values, 1
+        d = lcm(*[c.denominator for v in values for c in v])
+        return [[c.numerator * (d // c.denominator) for c in v] for v in values], d
+
+    def _drop_ints(self, coords, d):
+        p = self._p
+        if p:
+            return {key: t for key, v in coords.items() if any(t := tuple([c % p for c in v]))}
+        return {key: tuple([Fraction(c, d) for c in v]) for key, v in coords.items() if any(v)}
 
     def lift(self, a) -> Element:
         """Embed a base-field element."""

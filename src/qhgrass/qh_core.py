@@ -13,7 +13,15 @@ determinant of smallest order, ties broken by the smaller |D|.
 
 Structure constants are integers independent of the coefficient field and
 are cached per context, keyed on the unordered pair of diagrams, so
-repeated products are cheap.
+repeated products are cheap. quantum_product works on integers first: it
+multiplies the coefficients of each pair of terms once, lifts these products
+to integer coordinates over one common denominator, sums structure constant
+times coordinates per output term with plain int arithmetic, and converts
+each sum back to a field element once (FieldCtx._lift_ints/_drop_ints). The
+engine's results, like those of the Pieri rules, q_shift, sums and
+negation, are built by QhElement._trusted, which skips the box and zero
+checks: their keys lie in the box by construction and their coefficients
+are nonzero.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from typing import Mapping
 
 from . import _xpoly
 from .diagram import EMPTY, GrContext, YoungDiagram, column_diagram
-from .exactfield import FieldCtx
+from .exactfield import ExtensionField, FieldCtx
 
 TermKey = tuple[YoungDiagram, int]
 
@@ -35,16 +43,26 @@ class QhElement:
     __slots__ = ("ctx", "field", "terms")
 
     def __init__(self, ctx: GrContext, field: FieldCtx, terms: Mapping[TermKey, object] | None = None):
+        k, cols = ctx.k, ctx.n - ctx.k
         clean: dict[TermKey, object] = {}
         for (diagram, m), coeff in (terms or {}).items():
+            if not isinstance(diagram, YoungDiagram):
+                raise TypeError(f"term diagram must be a YoungDiagram, not {type(diagram).__name__}")
             if field.is_zero(coeff):
                 continue
-            if not diagram.fits(ctx.k, ctx.cols):
+            if len(diagram) > k or diagram and diagram[0] > cols:
                 raise ValueError(f"{diagram!r} does not fit in {ctx}")
             clean[(diagram, m)] = coeff
         self.ctx = ctx
         self.field = field
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, ctx: GrContext, field: FieldCtx, terms: dict[TermKey, object]) -> "QhElement":
+        """An element on terms as given: every diagram fits the box, no coefficient is zero."""
+        element = object.__new__(cls)
+        element.ctx, element.field, element.terms = ctx, field, terms
+        return element
 
     # -- constructors ------------------------------------------------------
 
@@ -73,11 +91,11 @@ class QhElement:
         acc = dict(self.terms)
         for key, c in other.terms.items():
             _bump(acc, key, c, F)
-        return QhElement(self.ctx, F, acc)
+        return QhElement._trusted(self.ctx, F, acc)
 
     def __neg__(self):
         F = self.field
-        return QhElement(self.ctx, F, {k: F.neg(c) for k, c in self.terms.items()})
+        return QhElement._trusted(self.ctx, F, {k: F.neg(c) for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -216,7 +234,7 @@ def _field_pieri(step, element: QhElement, j: int) -> QhElement:
             _bump(acc, (added, m), c, F)
         for removed in quantum:
             _bump(acc, (removed, m + 1), c, F)
-    return QhElement(ctx, F, acc)
+    return QhElement._trusted(ctx, F, acc)
 
 
 def pieri_multiply(element: QhElement, j: int) -> QhElement:
@@ -235,7 +253,7 @@ def transposed_pieri_multiply(element: QhElement, j: int) -> QhElement:
 
 def q_shift(element: QhElement, m: int) -> QhElement:
     """Multiply by q^m."""
-    return QhElement(
+    return QhElement._trusted(
         element.ctx,
         element.field,
         {(diagram, power + m): c for (diagram, power), c in element.terms.items()},
@@ -346,16 +364,36 @@ def quantum_product(a: QhElement, b: QhElement) -> QhElement:
     """Bilinear extension of the Schubert-class product."""
     a._check_compatible(b)
     ctx, F = a.ctx, a.field
-    acc: dict[TermKey, object] = {}
+    k, n = ctx.k, ctx.n
+    # per pair of terms: its structure constants, the q-power they are
+    # shifted by, and (in c12s) the product of the two coefficients
+    blocks = []
+    c12s = []
     for (d1, m1), c1 in a.terms.items():
         for (d2, m2), c2 in b.terms.items():
-            c12 = F.mul(c1, c2)
-            if F.is_zero(c12):
-                continue
             pair = (d1, d2) if d1 <= d2 else (d2, d1)
-            for (diagram, dm), coeff in _schubert_constants(ctx.k, ctx.n, *pair):
-                _bump(acc, (diagram, m1 + m2 + dm), F.mul(c12, F.from_int(coeff)), F)
-    return QhElement(ctx, F, acc)
+            blocks.append((_schubert_constants(k, n, *pair), m1 + m2))
+            c12s.append(F.mul(c1, c2))
+    coords, den = F._lift_ints(c12s)
+    acc: dict[TermKey, object] = {}
+    get = acc.get
+    if isinstance(F, ExtensionField):  # coordinate lists
+        for (constants, m), v in zip(blocks, coords):
+            for key, N in constants:
+                if m:
+                    key = (key[0], key[1] + m)
+                old = get(key)
+                if old is None:
+                    acc[key] = v if N == 1 else [N * x for x in v]
+                else:
+                    acc[key] = [s + N * x for s, x in zip(old, v)]
+    else:
+        for (constants, m), v in zip(blocks, coords):
+            for key, N in constants:
+                if m:
+                    key = (key[0], key[1] + m)
+                acc[key] = get(key, 0) + N * v
+    return QhElement._trusted(ctx, F, F._drop_ints(acc, den))
 
 
 # ---------------------------------------------------------------------------

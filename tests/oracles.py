@@ -294,3 +294,25 @@ def column_expansion_product(k: int, n: int, first, second) -> dict:
         for key, c in _monomial_times(k, n - k, tuple(second), exps):
             acc[key] = acc.get(key, 0) + coeff * c
     return {key: c for key, c in acc.items() if c}
+
+
+def naive_quantum_product(a, b) -> dict:
+    """a * b term by term, as {(diagram, q-power): coefficient}: every
+    structure constant N of every pair of terms adds the field product
+    c1 * c2 * N to its output term at once, and a sum that reaches zero is
+    deleted. The integer structure constants come from schubert_product."""
+    from qhgrass.qh_core import schubert_product
+
+    ctx, F = a.ctx, a.field
+    acc: dict = {}
+    for (d1, m1), c1 in a.terms.items():
+        for (d2, m2), c2 in b.terms.items():
+            c12 = F.mul(c1, c2)
+            for (diagram, dm), coeff in schubert_product(ctx, d1, d2).items():
+                key, c = (diagram, m1 + m2 + dm), F.mul(c12, F.from_int(coeff))
+                new = F.add(acc[key], c) if key in acc else c
+                if F.is_zero(new):
+                    acc.pop(key, None)
+                else:
+                    acc[key] = new
+    return acc

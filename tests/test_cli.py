@@ -26,6 +26,22 @@ def test_product_ascii_and_fields(capsys):
     assert out.strip() == "3*σ[2] + 3*σ[1,1]"
 
 
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (("3", "6", "GF(2)", "σ[2]+σ[1,1]", "σ[1]"), "σ[3] + σ[1,1,1]"),
+        (("3", "6", "Q", "σ[2]+-1*σ[1,1]", "σ[1]"), "σ[3] + -1*σ[1,1,1]"),
+        (("3", "6", "GF(2^3)", "σ[2]+σ[1,1]", "σ[1]"), "σ[3] + σ[1,1,1]"),
+        (("2", "5", "GF(3^2)", "1/2*σ[2,1]+q^-1*σ[2,2]", "σ[2,1]"), "σ[2] + 2*σ[3,3] + 2*q*σ[1]"),
+    ],
+    ids=["GF(2)", "Q", "GF(2^3)", "GF(3^2)"],
+)
+def test_product_with_cancellation_golden(capsys, argv, want):
+    code, out, _ = run(capsys, "product", *argv)
+    assert code == 0
+    assert out == want + "\n"
+
+
 def test_pieri_command(capsys):
     code, out, _ = run(capsys, "pieri", "2", "5", "Q", "2", "σ[3,2]")
     assert code == 0

@@ -35,6 +35,12 @@ def test_diagram_normalization_and_validation():
         YoungDiagram((2, -1))
 
 
+def test_diagram_rejects_non_integral_rows():
+    for rows in ([1.5, 0.9], [2.0], "21"):
+        with pytest.raises(TypeError):
+            YoungDiagram(rows)
+
+
 def test_enumerate_counts():
     assert len(enumerate_diagrams(GrContext(2, 5))) == 10  # C(5,2)
     assert len(enumerate_diagrams(GrContext(1, 2))) == 2

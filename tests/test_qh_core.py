@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhgrass.diagram import EMPTY, GrContext, YoungDiagram, enumerate_diagrams
-from qhgrass.exactfield import QQ, prime_field
+from qhgrass.exactfield import QQ, cyclotomic_field, make_extension, prime_field
 from qhgrass.qh_core import (
     QhElement,
     format_element,
@@ -21,7 +21,7 @@ from qhgrass.qh_core import (
     transposed_pieri_multiply,
 )
 
-from oracles import column_expansion_product, column_pieri_terms
+from oracles import column_expansion_product, column_pieri_terms, naive_quantum_product
 
 
 def sigma(ctx, field, rows, m=0):
@@ -190,6 +190,76 @@ def test_giambelli_recovers_schubert_classes(k, n):
                     term = pieri_multiply(term, i)
             acc = acc + term.scale(Fraction(coeff))
         assert acc == QhElement.schubert(ctx, QQ, diagram), diagram
+
+
+def _coeff_types(c):
+    return type(c), tuple(map(type, c)) if isinstance(c, tuple) else ()
+
+
+def _assert_matches_naive(a, b):
+    got = quantum_product(a, b)
+    want = naive_quantum_product(a, b)
+    assert got.terms == want, (a, b)
+    ctx, F = a.ctx, a.field
+    for key, c in got.terms.items():
+        assert _coeff_types(c) == _coeff_types(want[key])
+        assert not F.is_zero(c)
+        assert key[0].fits(ctx.k, ctx.cols)
+    return got
+
+
+PRODUCT_FIELDS = {
+    "Q": QQ,
+    "GF(2)": prime_field(2),
+    "GF(7)": prime_field(7),
+    "GF(2^3)": make_extension(2, 3),
+    "GF(3^2)": make_extension(3, 2),
+    "Q(zeta8)": cyclotomic_field(8),
+}
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (2, 7), (4, 8)])
+@pytest.mark.parametrize("label", list(PRODUCT_FIELDS))
+def test_quantum_product_matches_naive_per_term_expansion(label, k, n):
+    """Integer accumulation against one field product per (pair, term), on
+    1-4-term elements with q-powers -1..1; over Q the coefficients have
+    mixed denominators."""
+    ctx, F = GrContext(k, n), PRODUCT_FIELDS[label]
+    diagrams = enumerate_diagrams(ctx)
+    rng = random.Random(f"{label} {k} {n}")
+
+    def element():
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            c = F.zero()
+            while F.is_zero(c):
+                c = F.random_element(rng)
+            terms[(rng.choice(diagrams), rng.randint(-1, 1))] = c
+        return QhElement(ctx, F, terms)
+
+    for _ in range(12):
+        _assert_matches_naive(element(), element())
+
+
+@pytest.mark.parametrize("label,sign", [("Q", -1), ("GF(2)", 1), ("GF(2^3)", 1), ("Q(zeta8)", -1)])
+def test_quantum_product_cancellation(label, sign):
+    """(sigma[2] + sign * sigma[1,1]) * sigma[1] in Gr(3,6): both products
+    contain sigma[2,1] once, so it cancels and leaves sigma[3] + sign * sigma[1,1,1]."""
+    ctx, F = GrContext(3, 6), PRODUCT_FIELDS[label]
+    c = F.from_int(sign)
+    a = QhElement(ctx, F, {(YoungDiagram((2,)), 0): F.one(), (YoungDiagram((1, 1)), 0): c})
+    got = _assert_matches_naive(a, sigma(ctx, F, (1,)))
+    assert got.terms == {(YoungDiagram((3,)), 0): F.one(), (YoungDiagram((1, 1, 1)), 0): c}
+
+
+def test_element_rejects_plain_tuple_and_outside_diagrams():
+    ctx = GrContext(2, 5)
+    for rows in ((2, 1), (1, 2)):
+        with pytest.raises(TypeError):
+            QhElement(ctx, QQ, {(rows, 0): Fraction(1)})
+    for outside in (YoungDiagram((1, 1, 1)), YoungDiagram((4,))):
+        with pytest.raises(ValueError):
+            QhElement(ctx, QQ, {(outside, 0): Fraction(1)})
 
 
 def test_unit_and_context_mismatch():
