@@ -6,10 +6,11 @@ element invertible) exactly when QH^0 is a field. For k = 2 and odd n this
 reduces to irreducibility of the characteristic polynomial of an explicit
 tridiagonal matrix, which in turn is equivalent to a unit-group condition
 in (Z/nZ)^x; for even n the ring splits into one field summand per orbit
-of x -> p*x on the inverse pairs of n-th roots of unity. The classifier
-combines these routes with an exhaustive zero-divisor search on small
-examples and reports a finite bound, infiniteness, or "unknown" for the
-spectral diameter.
+of x -> p*x on the inverse pairs of n-th roots of unity. classify holds
+the graded-field rule and reports a finite bound, infiniteness, or
+"unknown" for the spectral diameter; is_graded_field cross-checks that
+rule against the charpoly and unit-group routes and, on small examples,
+an exhaustive zero-divisor search.
 """
 
 from __future__ import annotations
@@ -276,21 +277,6 @@ def witness_prime(n: int, bound: int = 10_000) -> int:
 # exhaustive zero-divisor oracle
 
 
-def _qh0_mult_tables(ctx: GrContext, F: FieldCtx) -> list[list[list]]:
-    """mats[t][i][j] = coefficient of basis_i in basis_t * basis_j."""
-    basis = qh0_basis(ctx)
-    index = {tuple(entry): i for i, entry in enumerate(basis)}
-    dim = len(basis)
-    mats = [[[F.zero()] * dim for _ in range(dim)] for _ in range(dim)]
-    for t, (dt, mt) in enumerate(basis):
-        et = QhElement.schubert(ctx, F, dt, mt)
-        for j, (dj, mj) in enumerate(basis):
-            product = quantum_product(et, QhElement.schubert(ctx, F, dj, mj))
-            for key, coeff in product.terms.items():
-                mats[t][index[key]][j] = coeff
-    return mats
-
-
 def zero_divisor_search(ctx: GrContext, F: FieldCtx, limit: int = 10**6):
     """Exhaustively test every nonzero degree-0 class for zero divisors.
 
@@ -305,7 +291,8 @@ def zero_divisor_search(ctx: GrContext, F: FieldCtx, limit: int = 10**6):
         raise SearchBudgetError(
             f"|F|^dim = {F.order}^{dim} exceeds the search limit {limit}"
         )
-    mats = _qh0_mult_tables(ctx, F)
+    # mats[t][i][j] = coefficient of basis_i in basis_t * basis_j
+    mats = [mult_matrix(QhElement.schubert(ctx, F, d, m), 0).rows for d, m in qh0_basis(ctx)]
     scalars = list(F.elements())
     for lead in range(dim):
         tail = dim - lead - 1
@@ -338,65 +325,41 @@ class GradedFieldCheck:
         return self.is_field
 
 
-def _rule_verdict(k: int, n: int, char: int) -> bool:
-    """Graded-field criterion: k = 1, or k = 2 with n prime, char != n, and
-    (char = 0 or {char, -1} generating the units mod n)."""
-    kk = min(k, n - k)
-    if kk <= 1:
-        return True
-    if kk == 2:
-        return (
-            is_prime(n)
-            and char != n
-            and (char == 0 or generates_units(char, n))
-        )
-    return False
-
-
-def is_graded_field(
-    ctx: GrContext,
-    F: FieldCtx,
-    brute_limit: int = 10**6,
-    run_brute_force: bool | None = None,
-) -> GradedFieldCheck:
+def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> GradedFieldCheck:
     """Decide whether QH^*(Gr(k,n); F) is a graded field, with evidence.
 
-    For k = 2 and odd n the decision is irreducibility of the closed-form
-    characteristic polynomial over F, cross-checked against the unit-group
-    criterion; small cases additionally run the exhaustive zero-divisor
-    oracle. Outside those regimes the rule verdict is reported (evidence
-    "rule-only") unless the exhaustive search is feasible.
+    The "rule" route is classify(k, n, char F).is_graded_field, recorded
+    over Q and GF(p). For k = 2 and odd n the routes add irreducibility of
+    the closed-form characteristic polynomial over F and, over GF(p^m), the
+    unit-group criterion for |F|; the exhaustive zero-divisor oracle runs
+    when |F|^dim QH^0 <= brute_limit. The verdict is the charpoly route,
+    else the search, else the rule (noted "rule-only"); routes that
+    disagree raise RuntimeError.
     """
     k, n = ctx.k, ctx.n
     kk = min(k, n - k)
     p = F.characteristic
-    check = GradedFieldCheck(is_field=False)
+    rule = classify(k, n, p).is_graded_field
+    check = GradedFieldCheck(is_field=rule)
 
     if kk <= 1:
-        check.is_field = True
-        check.routes["rule"] = True
+        check.routes["rule"] = rule
         check.notes.append("rank-one degree pieces: k = 1 (or its dual)")
         return check
 
     if isinstance(F, (PrimeField, RationalField)):
-        check.routes["rule"] = _rule_verdict(k, n, p)
+        check.routes["rule"] = rule
 
-    charpoly_route = None
     if kk == 2 and n % 2 == 1:
         if p and n % p == 0:
             if n == p:
                 check.notes.append("n = p excluded: x^n - 1 = (x-1)^n collapses the roots")
-                check.routes["rule"] = False
+                check.routes["rule"] = rule
             else:
                 check.notes.append("p | n composite: charpoly route skipped, oracle only")
         else:
-            pi = closed_form_charpoly(n)
-            if p:
-                pi = rational_poly_mod_p(pi, prime_field(p))
-                if F.order != p:
-                    pi = Poly(F, [F.from_int(c) for c in pi.coeffs])
-            charpoly_route = is_irreducible(F, pi)
-            check.routes["charpoly_irreducible"] = charpoly_route
+            pi = char_poly(F, closed_form_matrix(n, F))
+            check.routes["charpoly_irreducible"] = is_irreducible(F, pi)
             if F.order is not None and F.order != p:
                 # extension field: the Frobenius is x -> x^|F|, so the unit-group
                 # cross-check uses |F| mod n instead of p
@@ -405,25 +368,17 @@ def is_graded_field(
                         F.order % n, n
                     )
 
-    brute_route = None
-    want_brute = run_brute_force if run_brute_force is not None else True
-    if want_brute and F.order is not None and F.order ** len(qh0_basis(ctx)) <= brute_limit:
+    if F.order is not None and F.order ** len(qh0_basis(ctx)) <= brute_limit:
         found, _ = zero_divisor_search(ctx, F, limit=brute_limit)
-        brute_route = not found
-        check.routes["zero_divisor_search"] = brute_route
+        check.routes["zero_divisor_search"] = not found
 
-    votes = [v for v in check.routes.values()]
-    if charpoly_route is not None:
-        check.is_field = charpoly_route
-    elif brute_route is not None:
-        check.is_field = brute_route
-    elif "rule" in check.routes:
-        check.is_field = check.routes["rule"]
-        check.notes.append("rule-only")
+    for route in ("charpoly_irreducible", "zero_divisor_search"):
+        if route in check.routes:
+            check.is_field = check.routes[route]
+            break
     else:
-        check.is_field = _rule_verdict(k, n, p)
         check.notes.append("rule-only")
-    if votes and any(v != votes[0] for v in votes):
+    if len(set(check.routes.values())) > 1:
         raise RuntimeError(f"graded-field routes disagree for Gr({k},{n})/{F.label}: {check.routes}")
     return check
 
@@ -501,21 +456,24 @@ def classify(k: int, n: int, char_spec: int) -> ClassifierVerdict:
     if kk != k:
         reasons.append(f"replaced k={k} by n-k={kk} via the duality Gr(k,n) = Gr(n-k,n)")
 
-    is_field = _rule_verdict(k, n, char_spec)
+    # the graded-field rule: k = 1, or k = 2 with n prime, char != n, and
+    # char = 0 or {char, -1} generating the units mod n
+    is_field = kk <= 1
     if kk <= 1:
         reasons.append("k = 1: every graded piece has rank one, so QH^0 = F")
     elif kk == 2:
-        if is_field:
-            if char_spec == 0:
-                reasons.append(f"k = 2 with n = {n} prime over characteristic 0")
-            else:
-                reasons.append(
-                    f"k = 2, n = {n} prime, and {{{char_spec}, -1}} generates (Z/{n}Z)^x"
-                )
-        elif not is_prime(n):
+        if not is_prime(n):
             reasons.append(f"k = 2 but n = {n} is not prime")
         elif char_spec == n:
             reasons.append("n = p excluded: the characteristic divides n")
+        elif char_spec == 0:
+            is_field = True
+            reasons.append(f"k = 2 with n = {n} prime over characteristic 0")
+        elif generates_units(char_spec, n):
+            is_field = True
+            reasons.append(
+                f"k = 2, n = {n} prime, and {{{char_spec}, -1}} generates (Z/{n}Z)^x"
+            )
         else:
             reasons.append(
                 f"{{{char_spec}, -1}} does not generate (Z/{n}Z)^x"

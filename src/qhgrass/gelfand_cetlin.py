@@ -59,6 +59,8 @@ class GcValues:
     def interlacing_violation(self) -> float:
         """Worst violation of z_{i,j+1} >= z_{i,j} >= z_{i+1,j} (0 when clean)."""
         g = self.grid
+        if g.size == 0:  # Gr(n, n): no values, nothing to interlace
+            return 0.0
         worst = 0.0
         if g.shape[1] > 1:
             worst = max(worst, float(np.max(g[:, :-1] - g[:, 1:])))
@@ -219,6 +221,8 @@ def find_critical_point(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if ctx.cols == 0:
+        raise ValueError(f"{ctx} is a point: the disk potential has no variables")
     t = _terms(ctx)
     dim = t.shape[1]
     u = np.zeros(dim)

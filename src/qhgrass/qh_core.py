@@ -48,11 +48,10 @@ class QhElement:
         for (diagram, m), coeff in (terms or {}).items():
             if not isinstance(diagram, YoungDiagram):
                 raise TypeError(f"term diagram must be a YoungDiagram, not {type(diagram).__name__}")
-            if field.is_zero(coeff):
-                continue
             if len(diagram) > k or diagram and diagram[0] > cols:
                 raise ValueError(f"{diagram!r} does not fit in {ctx}")
-            clean[(diagram, m)] = coeff
+            if not field.is_zero(coeff):
+                clean[(diagram, m)] = coeff
         self.ctx = ctx
         self.field = field
         self.terms = clean
@@ -453,5 +452,8 @@ def parse_element(ctx: GrContext, field: FieldCtx, text: str) -> QhElement:
             coeff = field.neg(coeff)
         qpow = 0 if match.group("q") is None else int(match.group("qpow") or 1)
         diagram = YoungDiagram.from_text(match.group("rows"))
+        # checked here: _bump drops zero and cancelled terms before QhElement sees them
+        if not diagram.fits(ctx.k, ctx.cols):
+            raise ValueError(f"{diagram!r} does not fit in {ctx}")
         _bump(acc, (diagram, qpow), coeff, field)
     return QhElement(ctx, field, acc)

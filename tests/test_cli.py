@@ -101,6 +101,15 @@ def test_gc_commands(capsys):
     assert data["gradInf"] < 1e-10
 
 
+def test_gc_commands_on_a_point(capsys):
+    code, out, _ = run(capsys, "gc", "map", "2", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["values"] == {} and data["interlacingViolation"] == 0.0
+    code, out, err = run(capsys, "gc", "critical", "2", "2")
+    assert code == 2 and out == "" and "no variables" in err
+
+
 def test_selftest_command(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -120,3 +129,18 @@ def test_computation_error_exit_code(capsys):
     assert code == 2
     code, _, err = run(capsys, "product", "3", "6", "Q", "σ[9]", "σ[1]")
     assert code == 2  # diagram does not fit the rectangle
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("product", "3", "6", "Q", "0*σ[9]", "σ[1]"),
+        ("product", "3", "6", "Q", "σ[9]+-1*σ[9]", "σ[1]"),
+        ("pieri", "3", "6", "Q", "1", "0*σ[9]"),
+        ("pieri", "3", "6", "GF(2)", "1", "σ[1,1,1,1]+σ[1,1,1,1]"),
+    ],
+    ids=["product-zero", "product-cancelled", "pieri-zero", "pieri-cancelled"],
+)
+def test_zero_or_cancelled_term_outside_the_box(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "does not fit" in err

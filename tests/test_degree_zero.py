@@ -15,6 +15,7 @@ from qhgrass.exactfield import (
     is_irreducible,
     make_extension,
     min_poly,
+    parse_field,
     poly_gcd,
     prime_field,
 )
@@ -269,6 +270,42 @@ def test_is_graded_field_dual_context():
     assert is_graded_field(GrContext(3, 5), prime_field(2)).is_field == is_graded_field(
         GrContext(2, 5), prime_field(2)
     ).is_field
+
+
+N_EQUALS_P = "n = p excluded: x^n - 1 = (x-1)^n collapses the roots"
+P_DIVIDES_N = "p | n composite: charpoly route skipped, oracle only"
+
+
+GRADED_FIELD_BRANCHES = [
+    (1, 6, "GF(3)", 10**6, True, [("rule", True)], ["rank-one degree pieces: k = 1 (or its dual)"]),
+    (2, 7, "GF(2^2)", 10**6, True,
+     [("charpoly_irreducible", True), ("units_closure", True), ("zero_divisor_search", True)], []),
+    (2, 13, "GF(2)", 10**6, True,
+     [("rule", True), ("charpoly_irreducible", True), ("zero_divisor_search", True)], []),
+    (2, 5, "GF(5)", 10**6, False, [("rule", False), ("zero_divisor_search", False)], [N_EQUALS_P]),
+    (2, 9, "GF(3)", 10**6, False, [("rule", False), ("zero_divisor_search", False)], [P_DIVIDES_N]),
+    (2, 10, "GF(7)", 10**6, False, [("rule", False), ("zero_divisor_search", False)], []),
+    (2, 61, "GF(2^2)", 10**6, False, [("charpoly_irreducible", False), ("units_closure", False)], []),
+    (2, 12, "GF(2^2)", 4000, False, [], ["rule-only"]),
+    (3, 7, "Q", 10**6, False, [("rule", False)], ["rule-only"]),
+    (2, 9, "Q", 10**6, False, [("rule", False), ("charpoly_irreducible", False)], []),
+    (5, 7, "GF(2)", 10**6, True,
+     [("rule", True), ("charpoly_irreducible", True), ("zero_divisor_search", True)], []),
+    (2, 25, "GF(5^2)", 10**6, False, [], [P_DIVIDES_N, "rule-only"]),
+    (3, 6, "GF(2)", 10**6, False, [("rule", False), ("zero_divisor_search", False)], []),
+]
+
+
+@pytest.mark.parametrize(
+    "k,n,spec,limit,is_field,routes,notes",
+    GRADED_FIELD_BRANCHES,
+    ids=[f"Gr({k},{n})-{spec}" for k, n, spec, *_ in GRADED_FIELD_BRANCHES],
+)
+def test_is_graded_field_every_branch(k, n, spec, limit, is_field, routes, notes):
+    """Verdict, routes in insertion order, and notes; perfbench/digests.json
+    pins the routes of is_graded_field, key order included."""
+    check = is_graded_field(GrContext(k, n), parse_field(spec), brute_limit=limit)
+    assert (check.is_field, list(check.routes.items()), check.notes) == (is_field, routes, notes)
 
 
 def test_zero_divisor_search_small():

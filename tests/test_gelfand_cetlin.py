@@ -169,6 +169,13 @@ def test_critical_point_validation():
         find_critical_point(GrContext(2, 5), tol=1e-8, max_iter=1)
 
 
+def test_gr_n_n_has_no_values_and_no_potential():
+    ctx = GrContext(2, 2)
+    assert gc_map(random_frame(ctx, 0)).interlacing_violation() == 0.0
+    with pytest.raises(ValueError):
+        find_critical_point(ctx)
+
+
 def test_csv_rows():
     ctx = GrContext(2, 4)
     rows = gc_csv_rows(ctx, [0, 1])

@@ -262,6 +262,11 @@ def test_element_rejects_plain_tuple_and_outside_diagrams():
             QhElement(ctx, QQ, {(outside, 0): Fraction(1)})
 
 
+def test_element_rejects_outside_diagram_with_zero_coefficient():
+    with pytest.raises(ValueError, match="does not fit"):
+        QhElement(GrContext(3, 6), QQ, {(YoungDiagram((9,)), 0): Fraction(0)})
+
+
 def test_unit_and_context_mismatch():
     ctx = GrContext(2, 5)
     a = sigma(ctx, QQ, (2, 1))
