@@ -30,8 +30,6 @@ from .exactfield import (
     SquareMatrix,
     char_poly,
     is_irreducible,
-    prime_field,
-    rational_poly_mod_p,
 )
 from .numberth import (
     euler_phi,
@@ -57,21 +55,12 @@ def qh0_basis(ctx: GrContext) -> tuple[GradedBasisElement, ...]:
     return graded_basis(ctx, 0)
 
 
-def standard_degree_zero_element(
-    ctx: GrContext, field: FieldCtx, include_unit: bool = True
-) -> QhElement:
-    """The degree-zero element sigma_empty - q^(-1) x_2 * sigma_(n-3,1) (k = 2).
-
-    With include_unit=False returns the bare q^(-1) x_2 * sigma_(n-3,1)
-    variant, whose spectrum is the affine image of the primary one.
-    """
+def standard_degree_zero_element(ctx: GrContext, field: FieldCtx) -> QhElement:
+    """The degree-zero element sigma_empty - q^(-1) x_2 * sigma_(n-3,1) (k = 2)."""
     if ctx.k != 2 or ctx.n < 4:
         raise ValueError("the distinguished element lives in Gr(2, n), n >= 4")
     v1 = QhElement.schubert(ctx, field, YoungDiagram((ctx.n - 3, 1)))
-    core = q_shift(pieri_multiply(v1, 2), -1)
-    if not include_unit:
-        return core
-    return QhElement.unit(ctx, field) - core
+    return QhElement.unit(ctx, field) - q_shift(pieri_multiply(v1, 2), -1)
 
 
 def mult_matrix(element: QhElement, degree: int) -> SquareMatrix:
@@ -116,10 +105,6 @@ def closed_form_charpoly(n: int) -> Poly:
     return char_poly(QQ, closed_form_matrix(n, QQ))
 
 
-def charpoly_mod_p(n: int, p: int) -> Poly:
-    return rational_poly_mod_p(closed_form_charpoly(n), prime_field(p))
-
-
 def charpoly_identity_holds(n: int) -> bool:
     """Exact Laurent check: x^ell pi(-x - 1/x) equals x^(n-1) + ... + x + 1
     for odd n = 2 ell + 1, and (x + 1)(x^(n-1) + ... + 1) for even n = 2 ell + 2."""
@@ -142,22 +127,6 @@ def charpoly_identity_holds(n: int) -> bool:
             want[i + 1] = want.get(i + 1, Fraction(0)) + 1
         want = {e: v for e, v in want.items() if v}
     return shifted == want
-
-
-def recursion_polynomial(ell: int) -> Poly:
-    """R_ell over Q from R_ell = (x^2 + 1) R_(ell-1) - x^2 R_(ell-2),
-    R_0 = 1, R_1 = 1 + x + x^2."""
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    r_prev = Poly.from_ints(QQ, [1])
-    if ell == 0:
-        return r_prev
-    r_cur = Poly.from_ints(QQ, [1, 1, 1])
-    x2 = Poly.from_ints(QQ, [0, 0, 1])
-    x2p1 = Poly.from_ints(QQ, [1, 0, 1])
-    for _ in range(ell - 1):
-        r_prev, r_cur = r_cur, x2p1 * r_cur - x2 * r_prev
-    return r_cur
 
 
 # ---------------------------------------------------------------------------

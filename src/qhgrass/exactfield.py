@@ -26,9 +26,12 @@ coordinates before it builds any element.
 Over a finite field, distinct_degree_profile and factor_squarefree_finite
 share one distinct-degree split; the factorization splits each part further
 by Cantor-Zassenhaus. Irreducibility is Rabin's test over a finite field;
-over Q it screens up to 10 primes by their degree profiles and factors only
-the first prime with the fewest modular factors, for Hensel lifting and
-factor recombination.
+over Q it screens up to 10 primes below 1000 by their degree profiles and
+factors only the first prime with the fewest modular factors, for Hensel
+lifting and factor recombination. Recombination tries subsets of the lifted
+factors smallest first, so a rational root shows up as a subset of size one;
+its budget of 200,000 subsets is counted size by size, and the first size
+that would exceed it raises DegreeLimitError.
 
 Everything is exact; no floating point appears in this module.
 """
@@ -39,10 +42,10 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import Any, Iterator, Sequence
 
-from .numberth import cyclotomic_polynomial, factorize, int_poly_divmod_monic, is_prime, prime_iter
+from .numberth import cyclotomic_polynomial, factorize, int_poly_divmod_monic, is_prime, primes_up_to
 
 Element = Any
 
@@ -772,11 +775,6 @@ class SquareMatrix:
         return cls(field, [[o if i == j else z for j in range(size)] for i in range(size)])
 
     @classmethod
-    def zeros(cls, field, size):
-        z = field.zero()
-        return cls(field, [[z] * size for _ in range(size)])
-
-    @classmethod
     def from_int_rows(cls, field, rows):
         return cls(field, [[field.from_int(v) for v in row] for row in rows])
 
@@ -790,46 +788,6 @@ class SquareMatrix:
             and other.field == self.field
             and other.rows == self.rows
         )
-
-    def __add__(self, other):
-        F = self.field
-        return SquareMatrix(
-            F,
-            [
-                [F.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
-
-    def __sub__(self, other):
-        F = self.field
-        return SquareMatrix(
-            F,
-            [
-                [F.sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
-
-    def scale(self, c):
-        F = self.field
-        return SquareMatrix(F, [[F.mul(c, a) for a in row] for row in self.rows])
-
-    def __matmul__(self, other):
-        F = self.field
-        n = self.size
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = F.zero()
-                for a, b in zip(row, col):
-                    if not F.is_zero(a):
-                        acc = F.add(acc, F.mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return SquareMatrix(F, out)
 
     def apply(self, vector: Sequence[Element]) -> list[Element]:
         F = self.field
@@ -914,42 +872,34 @@ def char_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
 
 
 def matrix_poly_eval(poly: Poly, M: SquareMatrix) -> SquareMatrix:
-    """Horner evaluation of a polynomial at a matrix."""
+    """poly(M), column by column: Horner's rule on each unit vector e_j,
+    v -> M v + c e_j, gives column j."""
     F = M.field
-    acc = SquareMatrix.zeros(F, M.size)
-    ident = SquareMatrix.identity(F, M.size)
-    for c in reversed(poly.coeffs):
-        acc = (acc @ M) + ident.scale(c)
-    return acc
+    n = M.size
+    columns = []
+    for j in range(n):
+        v = [F.zero()] * n
+        for c in reversed(poly.coeffs):
+            v = M.apply(v)
+            v[j] = F.add(v[j], c)
+        columns.append(v)
+    return SquareMatrix(F, list(zip(*columns)))
 
 
 def min_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
-    """Monic minimal polynomial: lcm of exact per-seed Krylov relations.
+    """Monic minimal polynomial: the lcm over the unit vectors e of the
+    minimal polynomial of M at e, which is the minimal polynomial of M.
 
-    Each seed's chain e, Me, M^2 e, ... is reduced only against its own
-    rows, so the first dependence gives the exact local minimal polynomial;
-    the global echelon (the union of explored Krylov spaces, M-invariant)
-    is used only to skip seeds whose local polynomial already divides f.
+    Each chain e, Me, M^2 e, ... is reduced against its own rows only, so
+    its first dependence gives the exact minimal polynomial at e. The seeds
+    stop early once the lcm has degree size.
     """
     n = M.size
     f = Poly.one(F)
-    echelon: list[tuple[int, list[Element]]] = []
-
-    def echelon_residue(vec):
-        vec = list(vec)
-        for piv, row in echelon:
-            c = vec[piv]
-            if not F.is_zero(c):
-                vec = [F.sub(a, F.mul(c, b)) for a, b in zip(vec, row)]
-        return vec
-
     for seed in range(n):
-        start = [F.zero()] * n
-        start[seed] = F.one()
-        if all(F.is_zero(c) for c in echelon_residue(start)):
-            continue
         local: list[tuple[int, list[Element], Poly]] = []
-        vec = start
+        vec = [F.zero()] * n
+        vec[seed] = F.one()
         weight = Poly.one(F)
         while True:
             reduced = list(vec)
@@ -969,12 +919,6 @@ def min_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
             local.append((pivot, reduced, rel))
             vec = M.apply(reduced)
             weight = Poly.x(F) * rel
-        for _piv, row, _poly in local:
-            residue = echelon_residue(row)
-            pivot = next((i for i, c in enumerate(residue) if not F.is_zero(c)), None)
-            if pivot is not None:
-                inv = F.inv(residue[pivot])
-                echelon.append((pivot, [F.mul(inv, c) for c in residue]))
         if f.degree == n:
             break
     return f
@@ -1073,10 +1017,11 @@ def factor_squarefree_finite(F: FieldCtx, f: Poly) -> list[Poly]:
 
 
 # ---------------------------------------------------------------------------
-# irreducibility over Q (rational-root screen, modular degree patterns,
-# then Hensel lifting with factor recombination)
+# irreducibility over Q (modular degree patterns, then Hensel lifting with
+# factor recombination)
 
 RATIONAL_DEGREE_LIMIT = 64
+_RECOMBINATION_BUDGET = 200_000  # subsets of lifted factors tried at most
 
 
 def _int_content_primitive(coeffs: list[int]) -> list[int]:
@@ -1098,36 +1043,6 @@ def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            large.append(n // d)
-    return small + large[::-1]
-
-
-def _rational_root_exists(coeffs: list[int]) -> bool:
-    # candidates +-p/q with p | constant term, q | leading coefficient
-    if coeffs[0] == 0:
-        return True
-    for p in _divisors(coeffs[0]):
-        for q in _divisors(coeffs[-1]):
-            if gcd(p, q) != 1:
-                continue
-            for num in (p, -p):
-                # f(num/q) * q^deg, evaluated exactly by Horner
-                acc = 0
-                qi = 1
-                for c in coeffs[::-1]:
-                    acc = acc * num + c * qi
-                    qi *= q
-                if acc == 0:
-                    return True
-    return False
 
 
 def _subset_sum_mask(degrees: list[int]) -> int:
@@ -1189,7 +1104,13 @@ def _hensel_chain(F_int: list[int], factors: list[Poly], p: int, target: int) ->
 
 
 def _zassenhaus_reducible(F_int: list[int], p: int, factors: list[Poly]) -> bool:
-    """True iff monic integer polynomial F_int factors over Z (Zassenhaus search)."""
+    """True iff monic integer polynomial F_int factors over Z (Zassenhaus search).
+
+    Subsets of the lifted factors are tried by size, smallest first, so a
+    linear factor is found among the single factors. Before each size its
+    subsets are added to the count; past _RECOMBINATION_BUDGET it raises
+    DegreeLimitError.
+    """
     n = len(F_int) - 1
     norm2 = isqrt(sum(c * c for c in F_int)) + 1
     bound = 2 * (norm2 << n) + 1
@@ -1198,12 +1119,12 @@ def _zassenhaus_reducible(F_int: list[int], p: int, factors: list[Poly]) -> bool
         modulus *= p
     lifted = _hensel_chain(F_int, factors, p, modulus)
     r = len(lifted)
-    from math import comb
-
-    if sum(comb(r, size) for size in range(1, r // 2 + 1)) > 200_000:
-        raise DegreeLimitError("factor recombination search too large")
     degs = [len(f) - 1 for f in lifted]
+    tried = 0
     for size in range(1, r // 2 + 1):
+        tried += comb(r, size)
+        if tried > _RECOMBINATION_BUDGET:
+            raise DegreeLimitError("factor recombination search too large")
         for subset in itertools.combinations(range(r), size):
             cand = [1]
             for i in subset:
@@ -1231,8 +1152,6 @@ def _rational_irreducible(coeffs: list[Fraction]) -> bool:
     fq = Poly(QQ, [Fraction(c) for c in ints])
     if poly_gcd(fq, fq.derivative()).degree != 0:
         return False  # repeated factor
-    if _rational_root_exists(ints):
-        return False
     # monicize: F(y) = lc^(n-1) * f(y / lc), which is monic with integer coefficients
     lc = ints[-1]
     F_int = [c * lc ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
@@ -1241,9 +1160,7 @@ def _rational_irreducible(coeffs: list[Fraction]) -> bool:
     best: Poly | None = None
     fewest = n + 1
     usable = 0
-    for p in prime_iter():
-        if p > 1000:  # pragma: no cover - plenty of usable primes exist
-            break
+    for p in primes_up_to(1000):
         Fp = prime_field(p)
         fp = Poly.from_ints(Fp, F_int).monic()
         if poly_gcd(fp, fp.derivative()).degree != 0:
@@ -1266,7 +1183,14 @@ def _rational_irreducible(coeffs: list[Fraction]) -> bool:
 
 
 def is_irreducible(F: FieldCtx, f: Poly) -> bool:
-    """Exact irreducibility over a finite field or over Q (degree <= 64)."""
+    """Exact irreducibility over a finite field, by Rabin's test, or over Q.
+
+    Over Q the degree is at most RATIONAL_DEGREE_LIMIT (64), else
+    DegreeLimitError. Degree profiles mod small primes answer most inputs;
+    the rest go to Zassenhaus recombination at one prime, which finds a
+    rational root as a single lifted factor. A recombination past 200,000
+    subsets raises DegreeLimitError.
+    """
     if f.degree < 1:
         raise FieldError("irreducibility is only defined for nonconstant polynomials")
     if F.characteristic == 0:
@@ -1280,15 +1204,3 @@ def is_irreducible(F: FieldCtx, f: Poly) -> bool:
     if F.order is None:  # pragma: no cover
         raise FieldError("infinite fields of positive characteristic unsupported")
     return _finite_irreducible(F, f)
-
-
-def rational_poly_mod_p(poly: Poly, Fp: FieldCtx) -> Poly:
-    """Reduce a rational polynomial mod p (denominators must be coprime to p)."""
-    p = Fp.characteristic
-    out = []
-    for c in poly.coeffs:
-        c = Fraction(c)
-        if c.denominator % p == 0:
-            raise FieldError(f"denominator of {c} not invertible mod {p}")
-        out.append(Fp.mul(Fp.from_int(c.numerator), Fp.inv(Fp.from_int(c.denominator))))
-    return Poly(Fp, out)

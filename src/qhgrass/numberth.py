@@ -110,18 +110,6 @@ def primes_up_to(limit: int) -> list[int]:
     return [i for i, f in enumerate(sieve) if f]
 
 
-def prime_iter():
-    """Unbounded prime generator (trial division against known primes)."""
-    known = [2, 3]
-    yield from known
-    c = 5
-    while True:
-        if all(c % p for p in known if p * p <= c):
-            known.append(c)
-            yield c
-        c += 2
-
-
 def int_poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """(quotient, remainder) of integer polynomials, low degree first, for a
     monic den; the remainder has no trailing zero coefficients."""

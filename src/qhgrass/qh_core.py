@@ -321,7 +321,7 @@ def _schubert_constants(
     """Integer structure constants of sigma_first * sigma_second.
 
     The product is commutative, so callers pass first <= second and the
-    cache holds each unordered pair once.
+    cache holds each unordered pair once. The terms come in no set order.
     """
     cols = n - k
     for d in (first, second):
@@ -350,7 +350,7 @@ def _schubert_constants(
                 element = _int_pieri(step, k, cols, element, i)
         for key, value in element.items():
             acc[key] = acc.get(key, 0) + coeff * value
-    return tuple(sorted(((key, c) for key, c in acc.items() if c), key=lambda t: (t[0][1], t[0][0].sort_key())))
+    return tuple((key, c) for key, c in acc.items() if c)
 
 
 def schubert_product(ctx: GrContext, first: YoungDiagram, second: YoungDiagram) -> dict[TermKey, int]:

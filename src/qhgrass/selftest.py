@@ -12,6 +12,7 @@ from .diagram import GrContext, YoungDiagram, enumerate_diagrams
 from .exactfield import (
     QQ,
     Poly,
+    char_poly,
     cyclotomic_field,
     distinct_degree_profile,
     make_extension,
@@ -133,7 +134,8 @@ def _check_orbits():
     od = dz.orbit_decomposition(10, 7)
     if od.count != 3 or od.sizes() != [1, 2, 2]:
         return False, f"orbits(10,7) -> {od.count}, sizes {od.sizes()}"
-    prof = distinct_degree_profile(prime_field(7), dz.charpoly_mod_p(10, 7))
+    F7 = prime_field(7)
+    prof = distinct_degree_profile(F7, char_poly(F7, dz.closed_form_matrix(10, F7)))
     return prof == [1, 2, 2], f"factor degrees over GF(7): {prof}"
 
 

@@ -139,6 +139,29 @@ def sympy_is_irreducible_q(coeffs) -> bool:
     return len(nontrivial) == 1 and total_mult == 1
 
 
+def sympy_min_poly_is_minimal(rows, coeffs) -> bool:
+    """Whether the rational polynomial with these coefficients (low degree
+    first) is the minimal polynomial of the integer matrix rows, up to a
+    scalar: mp(M) = 0, and (mp/g)(M) != 0 for every irreducible factor g of
+    mp from sympy's factor_list. Matrices are evaluated by sympy."""
+    import sympy
+
+    x = sympy.symbols("x")
+    M = sympy.Matrix(rows)
+    mp = sympy.Poly(list(reversed([sympy.Rational(str(c)) for c in coeffs])), x)
+
+    def at_matrix(poly):
+        acc = sympy.zeros(M.rows, M.cols)
+        for c in poly.all_coeffs():
+            acc = acc * M + c * sympy.eye(M.rows)
+        return acc
+
+    if not at_matrix(mp).is_zero_matrix:
+        return False
+    _, factors = sympy.factor_list(mp.as_expr())
+    return all(not at_matrix(sympy.div(mp, sympy.Poly(g, x))[0]).is_zero_matrix for g, _ in factors)
+
+
 def sympy_factors_mod_p(coeffs, p: int) -> list[tuple[int, ...]]:
     """Monic irreducible factors over GF(p) of the polynomial with these
     coefficients (low degree first), each with its multiplicity, as coefficient

@@ -16,6 +16,7 @@ import pytest
 from qhgrass.diagram import GrContext, YoungDiagram, enumerate_diagrams
 from qhgrass.exactfield import (
     QQ,
+    Poly,
     char_poly,
     distinct_degree_profile,
     is_irreducible,
@@ -23,8 +24,8 @@ from qhgrass.exactfield import (
 )
 from qhgrass.degree_zero import (
     charpoly_identity_holds,
-    charpoly_mod_p,
     classify,
+    closed_form_charpoly,
     closed_form_matrix,
     generates_units,
     is_graded_field,
@@ -118,7 +119,9 @@ def test_criterion_05_equivalence_battery():
                 continue
             F = prime_field(p)
             field_test = is_graded_field(ctx, F, brute_limit=3000)
-            irreducible = is_irreducible(F, charpoly_mod_p(n, p))
+            # pi over Q reduced mod p, not the charpoly over F that is_graded_field takes
+            pi = Poly.from_ints(F, [int(c) for c in closed_form_charpoly(n).coeffs])
+            irreducible = is_irreducible(F, pi)
             units = generates_units(p, n)
             assert field_test.is_field == irreducible == units, (n, p, field_test.routes)
             cells += 1
@@ -135,7 +138,8 @@ def test_criterion_06_semisimplicity():
         for p in (2, 3, 5, 7, 11, 13):
             if gcd(n, p) != 1:
                 continue
-            profile = distinct_degree_profile(prime_field(p), charpoly_mod_p(n, p))
+            F = prime_field(p)
+            profile = distinct_degree_profile(F, char_poly(F, closed_form_matrix(n, F)))
             assert sorted(profile) == sorted(orbit_decomposition(n, p).sizes()), (n, p)
             cells += 1
     report(6, "orbits(10,7) = [1,2,2]; factor degrees = orbit sizes, n <= 24, p <= 13", f"{cells} cells")

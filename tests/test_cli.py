@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -144,3 +145,27 @@ def test_computation_error_exit_code(capsys):
 def test_zero_or_cancelled_term_outside_the_box(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "does not fit" in err
+
+
+# sha256 of the stdout of each command, recorded with the earlier exact layers
+# (rational-root screen, echelon min_poly, pi reduced from Q to GF(p)); a change
+# inside those layers must keep every one of these outputs byte for byte
+_STDOUT_SHA256 = {
+    ("classify", "2", "13", "3"): "9062bd82c46b8f19eb7cd0beecc7db056c6e551b76310fa6e741bed06b01ef99",
+    ("classify", "4", "8", "0"): "ee864923bc0ff2d4e2dab04a97db92d58cbf8e72afe1c5a5351e2ee46304196b",
+    ("classify", "2", "1000003", "3"): "e9af4dc59407c6fa09741ed8c008b1395928ed308852d297b48d4f16af0ad297",
+    ("matrix", "13", "GF(2^2)", "--json"): "17ab42a57bf066f9d2552e885a4f7c5a17cbad4bc2696c20a67721338886c9fa",
+    ("matrix", "12", "Q"): "43b135473ddc659d49239a249fdbb7400639ed4f30e3931709f822b18ea2ea50",
+    ("orbits", "10", "7"): "ce8a5ebf60f068b9b74c6d6bd9c4873a8d4d238153aeb0654109fd30b19ca5fe",
+    ("evcheck", "3", "8", "Q"): "3c2a45874bdf537401ad466d3c35bd5bdcc0e4c6ab73b2beeb8664e4bb4195dc",
+    ("evcheck", "2", "7", "Q", "--verbose"): "a3ce98359b9821cce0b26884d5b43b85b533d796d11872beb6395e6c36796a6e",
+    ("evcheck", "2", "13", "GF(3)"): "34d49921a64e328bc8fff5718cd5030de356ea37df5770eef6d799b729cb303e",
+    ("pieri", "2", "5", "GF(2^3)", "2", "σ[3,2]+σ[2,1]"): "11fcde8afdb4fb8df93d668b8a5e838bb7f79fc05333a31aa1bbe07c6b5e73fe",
+}
+
+
+@pytest.mark.parametrize("argv", list(_STDOUT_SHA256), ids=" ".join)
+def test_cli_stdout_digest(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _STDOUT_SHA256[argv]

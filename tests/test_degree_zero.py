@@ -22,7 +22,6 @@ from qhgrass.exactfield import (
 from qhgrass.degree_zero import (
     SearchBudgetError,
     charpoly_identity_holds,
-    charpoly_mod_p,
     classify,
     closed_form_charpoly,
     closed_form_matrix,
@@ -32,7 +31,6 @@ from qhgrass.degree_zero import (
     orbit_decomposition,
     orbit_sizes,
     qh0_basis,
-    recursion_polynomial,
     standard_degree_zero_element,
     witness_prime,
     zero_divisor_search,
@@ -75,11 +73,13 @@ def test_paper_matrices_entry_exact():
 
 
 def test_variant_element_matrix():
-    """The no-unit variant acts by I - M."""
+    """The no-unit variant q^(-1) x_2 * sigma_(n-3,1) acts by I - M."""
     ctx = GrContext(2, 13)
     primary = mult_matrix(standard_degree_zero_element(ctx, QQ), 11)
-    variant = mult_matrix(standard_degree_zero_element(ctx, QQ, include_unit=False), 11)
-    assert primary + variant == SquareMatrix.identity(QQ, 6)
+    variant = mult_matrix(QhElement.unit(ctx, QQ) - standard_degree_zero_element(ctx, QQ), 11)
+    identity = SquareMatrix.identity(QQ, 6)
+    for row, other, want in zip(primary.rows, variant.rows, identity.rows, strict=True):
+        assert [a + b for a, b in zip(row, other, strict=True)] == list(want)
 
 
 @pytest.mark.parametrize("n", list(range(5, 22, 2)))
@@ -106,17 +106,34 @@ def test_closed_form_charpoly_examples():
 
 @pytest.mark.parametrize("ell", list(range(0, 31)))
 def test_recursion_gives_all_ones(ell):
-    assert recursion_polynomial(ell).coeffs == tuple(Fraction(1) for _ in range(2 * ell + 1))
+    """R_ell = x^ell pi(-x - 1/x) = 1 + x + ... + x^(2 ell) for n = 2 ell + 1.
+
+    pi is char_poly of the size-ell tridiagonal matrix (+1 in the corner, -1
+    off the diagonal), built here rather than by closed_form_matrix. Its
+    leading minors obey a three-term recursion, which the substitution turns
+    into R_ell = (x^2 + 1) R_(ell-1) - x^2 R_(ell-2); char_poly must agree
+    with the all-ones solution. The substitution is done term by term, not
+    by charpoly_identity_holds.
+    """
+    rows = [[0] * ell for _ in range(ell)]
+    for i in range(ell - 1):
+        rows[i][i + 1] = rows[i + 1][i] = -1
+    if ell:
+        rows[0][0] = 1
+    pi = char_poly(QQ, SquareMatrix.from_int_rows(QQ, rows))
+    # x^ell pi(-x - 1/x) = sum_i c_i (-1)^i (x^2 + 1)^i x^(ell - i)
+    r = Poly.zero(QQ)
+    power = Poly.one(QQ)
+    for i, c in enumerate(pi.coeffs):
+        r = r + (power * Poly.constant(QQ, c * (-1) ** i)).shift(ell - i)
+        power = power * Poly.from_ints(QQ, [1, 0, 1])
+    assert r == Poly.from_ints(QQ, [1] * (2 * ell + 1))
 
 
 def test_even_charpoly_via_recursion_sum():
-    """x^(l+1) pi(-x - 1/x) = R_(l+1) + x R_l for even n = 2l + 2."""
+    """x^(l+1) pi(-x - 1/x) = R_(l+1) + x R_l = (x + 1)(1 + x + ... + x^(n-1))
+    for even n = 2l + 2, where R_l = 1 + x + ... + x^(2l)."""
     for n in (6, 10, 12):
-        ell = (n - 2) // 2
-        lhs = recursion_polynomial(ell + 1) + recursion_polynomial(ell).shift(1)
-        ones = Poly.from_ints(QQ, [1] * n)
-        xp1 = Poly.from_ints(QQ, [1, 1])
-        assert lhs == xp1 * ones
         assert charpoly_identity_holds(n)
 
 
@@ -200,8 +217,8 @@ def test_orbit_factor_agreement(n):
     for p in (2, 3, 5, 7, 11, 13):
         if gcd(n, p) != 1:
             continue
-        pi = charpoly_mod_p(n, p)
-        profile = distinct_degree_profile(prime_field(p), pi)
+        F = prime_field(p)
+        profile = distinct_degree_profile(F, char_poly(F, closed_form_matrix(n, F)))
         od = orbit_decomposition(n, p)
         assert sorted(profile) == sorted(od.sizes()), (n, p)
 
@@ -212,7 +229,8 @@ def test_distinct_roots_guard(n):
     for p in (2, 3, 5, 7):
         if gcd(n, p) != 1:
             continue
-        pi = charpoly_mod_p(n, p)
+        F = prime_field(p)
+        pi = char_poly(F, closed_form_matrix(n, F))
         assert poly_gcd(pi, pi.derivative()).degree == 0, (n, p)
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,6 @@ from qhgrass.exactfield import (
     parse_field,
     poly_gcd,
     prime_field,
-    rational_poly_mod_p,
 )
 
 from qhgrass import exactfield
@@ -42,6 +42,7 @@ from oracles import (
     sympy_factors_mod_p,
     sympy_int_divmod,
     sympy_is_irreducible_q,
+    sympy_min_poly_is_minimal,
     sympy_reduced_ops,
 )
 
@@ -252,6 +253,40 @@ def test_is_irreducible_rational_against_sympy():
         assert is_irreducible(QQ, poly) == sympy_is_irreducible_q(coeffs)
 
 
+@pytest.mark.parametrize(
+    "factors, expected",
+    [
+        ([[10**30 + 57, 0, 1]], True),
+        ([[-i, 1] for i in range(1, 21)], False),
+        ([[-(10**20), 1], [1, 0, 1]], False),
+    ],
+    ids=["x^2+10^30+57", "(x-1)...(x-20)", "(x-10^20)(x^2+1)"],
+)
+def test_rational_irreducibility_with_huge_constant_terms(factors, expected):
+    """Rational roots come from factor recombination, whose cost does not grow
+    with the size of the constant term."""
+    f = Poly.one(QQ)
+    for c in factors:
+        f = f * Poly.from_ints(QQ, c)
+    start = time.perf_counter()
+    assert is_irreducible(QQ, f) is expected
+    assert time.perf_counter() - start < 5.0
+
+
+def test_recombination_budget_is_spent_one_subset_size_at_a_time(monkeypatch):
+    """With a budget of 10 subsets: the Swinnerton-Dyer polynomial of
+    sqrt(2), sqrt(3), sqrt(5), sqrt(7) (irreducible, 8 quadratic factors mod
+    the chosen prime) passes the 8 single factors and stops before the 28
+    pairs; times (x - 3) it has 9 single factors, one of them x - 3, and is
+    answered although the 9 + 36 + 84 + 126 subsets up to size 4 exceed 10."""
+    even = [46225, -5596840, 13950764, -7453176, 1513334, -141912, 6476, -136, 1]
+    sd = Poly.from_ints(QQ, [c for e in even for c in (e, 0)][:-1])
+    monkeypatch.setattr(exactfield, "_RECOMBINATION_BUDGET", 10)
+    with pytest.raises(DegreeLimitError):
+        is_irreducible(QQ, sd)
+    assert is_irreducible(QQ, sd * Poly.from_ints(QQ, [-3, 1])) is False
+
+
 def test_degree_limit():
     big = Poly.from_ints(QQ, [1] * 66)  # degree 65
     with pytest.raises(DegreeLimitError):
@@ -395,6 +430,46 @@ def test_min_poly_jordan_blocks():
     rows = [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 2, 1], [0, 0, 0, 0, 2]]
     mp = min_poly(QQ, SquareMatrix.from_int_rows(QQ, rows))
     assert mp.coeffs == (Fraction(4), Fraction(-12), Fraction(13), Fraction(-6), Fraction(1))
+
+
+def _jordan_rows(blocks, rng):
+    """Integer matrix similar to the direct sum of Jordan blocks J_size(value):
+    the block-diagonal matrix conjugated by a product of integer shears."""
+    size = sum(s for s, _ in blocks)
+    rows = [[0] * size for _ in range(size)]
+    start = 0
+    for s, value in blocks:
+        for i in range(start, start + s):
+            rows[i][i] = value
+            if i + 1 < start + s:
+                rows[i][i + 1] = 1
+        start += s
+    for _ in range(2 * size):
+        i, j = rng.sample(range(size), 2)
+        c = rng.choice([-1, 1])
+        # M -> E M E^-1 with E = I + c e_ij: row i += c row j, then column j -= c column i
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        for row in rows:
+            row[j] -= c * row[i]
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_min_poly_is_minimal_against_sympy(seed):
+    """min_poly over Q on dense integer matrices and on conjugated Jordan forms
+    with repeated blocks (derogatory ones), checked for minimality by sympy."""
+    rng = random.Random(4100 + seed)
+    if seed % 3 == 0:
+        size = rng.randint(2, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+    else:
+        values = rng.sample(range(-2, 3), rng.randint(1, 2))
+        blocks = [(rng.randint(1, 3), rng.choice(values)) for _ in range(rng.randint(2, 4))]
+        blocks.append(blocks[0])  # a repeated Jordan block
+        rows = _jordan_rows(blocks, rng)
+    mp = min_poly(QQ, SquareMatrix.from_int_rows(QQ, rows))
+    assert mp.lc() == 1
+    assert sympy_min_poly_is_minimal(rows, mp.coeffs), (rows, mp)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -556,14 +631,6 @@ def test_pow_mod_against_repeated_multiplication(F):
     for e in range(41):
         assert g.pow_mod(e, f) == power, e
         power = (power * g) % f
-
-
-def test_rational_poly_mod_p():
-    f = Poly(QQ, [Fraction(1, 2), Fraction(3)])
-    g = rational_poly_mod_p(f, prime_field(5))
-    assert g.coeffs == (3, 3)  # 1/2 = 3 mod 5
-    with pytest.raises(FieldError):
-        rational_poly_mod_p(Poly(QQ, [Fraction(1, 5)]), prime_field(5))
 
 
 @settings(max_examples=50, deadline=None)
