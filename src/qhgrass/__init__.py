@@ -12,7 +12,6 @@ from .diagram import (
     GrContext,
     YoungDiagram,
     column_diagram,
-    conjugate,
     enumerate_diagrams,
     graded_basis,
 )
@@ -41,7 +40,6 @@ from .qh_core import (
     giambelli_expand,
     parse_element,
     pieri_multiply,
-    point_class,
     q_shift,
     quantum_product,
     schubert_product,
@@ -56,7 +54,6 @@ from .presentation import (
     elementary_sym,
     ev_map,
     verify_ideal_vanishing,
-    y_polynomial,
 )
 from .degree_zero import (
     ClassifierVerdict,
@@ -73,7 +70,6 @@ from .degree_zero import (
     orbit_sizes,
     qh0_basis,
     standard_degree_zero_element,
-    witness_prime,
     zero_divisor_search,
 )
 from .gelfand_cetlin import (

@@ -115,11 +115,11 @@ def _cmd_evcheck(args) -> int:
         a = _random_element(ctx, base, diagrams, rng)
         b = _random_element(ctx, base, diagrams, rng)
         product = qc.quantum_product(a, b)
-        for J in (multisets[rng.randrange(len(multisets))],):
-            lhs = pres.ev_map(ev, J, product)
-            rhs = ev.field.mul(pres.ev_map(ev, J, a), pres.ev_map(ev, J, b))
-            if lhs != rhs:
-                failures += 1
+        J = multisets[rng.randrange(len(multisets))]
+        lhs = pres.ev_map(ev, J, product)
+        rhs = ev.field.mul(pres.ev_map(ev, J, a), pres.ev_map(ev, J, b))
+        if lhs != rhs:
+            failures += 1
     report = {
         "k": ctx.k,
         "n": ctx.n,
@@ -147,16 +147,16 @@ def _random_element(ctx, field, diagrams, rng):
 
 def _cmd_gc_map(args) -> int:
     ctx = _context(args)
-    frame = (
-        gc.quaternionic_frame(ctx, args.seed)
-        if args.quaternionic
-        else gc.random_frame(ctx, args.seed)
-    )
-    values = gc.gc_map(frame)
     if args.csv:
         for row in gc.gc_csv_rows(ctx, [args.seed], quaternionic=args.quaternionic):
             print(row)
     else:
+        frame = (
+            gc.quaternionic_frame(ctx, args.seed)
+            if args.quaternionic
+            else gc.random_frame(ctx, args.seed)
+        )
+        values = gc.gc_map(frame)
         payload = {
             "k": ctx.k,
             "n": ctx.n,

@@ -37,7 +37,6 @@ from .numberth import (
     is_prime,
     multiplicative_order,
     order_dividing,
-    primes_up_to,
 )
 from .qh_core import QhElement, pieri_multiply, q_shift, quantum_product
 
@@ -230,16 +229,6 @@ def orbit_sizes(n: int, p: int) -> list[int]:
             count = phi // (2 * size)
         counts[size] = counts.get(size, 0) + count
     return [size for size in sorted(counts) for _ in range(counts[size])]
-
-
-def witness_prime(n: int, bound: int = 10_000) -> int:
-    """Smallest prime p coprime to n with {p, -1} generating (Z/nZ)^x."""
-    if not is_prime(n):
-        raise ValueError(f"{n} is not prime")
-    for p in primes_up_to(bound):
-        if p % n and generates_units(p, n):
-            return p
-    raise SearchBudgetError(f"no witness prime below {bound} for n={n}")
 
 
 # ---------------------------------------------------------------------------

@@ -122,13 +122,6 @@ def enumerate_diagrams(ctx: GrContext) -> tuple[YoungDiagram, ...]:
     return tuple(diagrams)
 
 
-def conjugate(ctx: GrContext, diagram: YoungDiagram) -> YoungDiagram:
-    """Transpose; the result lives in the dual context Gr(n-k, n)."""
-    if not diagram.fits(ctx.k, ctx.cols):
-        raise ValueError(f"{diagram!r} does not fit in {ctx}")
-    return diagram.conjugate()
-
-
 def graded_basis(ctx: GrContext, degree: int) -> tuple[GradedBasisElement, ...]:
     """Basis of the complex-degree-d graded piece: pairs (D, m), |D| + n*m = d."""
     out = []

@@ -700,10 +700,7 @@ def multiplicative_generator(F: FieldCtx) -> Element:
         if F.is_zero(g):
             continue
         if all(F.pow(g, q1 // r) != one for r in prime_divs):
-            try:
-                F._generator_cache = g
-            except AttributeError:
-                pass
+            F._generator_cache = g
             return g
     raise FieldError("no generator found")  # pragma: no cover
 
@@ -1086,8 +1083,6 @@ def _hensel_pair(
             U[i] = (U[i] + m * c) % (m * p)
         for i, c in enumerate(bcoef):
             V[i] = (V[i] + m * c) % (m * p)
-        U = [c % (m * p) for c in U]
-        V = [c % (m * p) for c in V]
         m *= p
     return U, V
 

@@ -1,8 +1,9 @@
 """Symmetric-function presentation of the quantum ring and its evaluation maps.
 
 The ring is F[x_1..x_k, q] modulo the ideal generated by Y_{n-k+1}, ...,
-Y_{n-1}, Y_n + (-1)^k q, where Y_r is the r-th complete symmetric function
-written in the elementary ones. Evaluating x_i at xi^i * e_i(zeta_1..zeta_k)
+Y_{n-1}, Y_n + (-1)^k q, where Y_r is the Giambelli expansion of the one-row
+class sigma_(r): the r-th complete symmetric function written in the
+elementary ones x_i = e_i. Evaluating x_i at xi^i * e_i(zeta_1..zeta_k)
 for an admissible multiset of n-th roots of unity and q at 1 kills the ideal
 generators and produces a ring homomorphism into a splitting field; these
 maps are the workhorse behind the degree-zero analysis.
@@ -15,7 +16,6 @@ from functools import reduce
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
-from . import _xpoly
 from .diagram import GrContext, YoungDiagram
 from .exactfield import (
     ExtensionField,
@@ -69,20 +69,13 @@ def complete_sym(F: FieldCtx, values: Sequence, i: int):
     return _complete_upto(F, _elementary_upto(F, values, len(values)), i)[i]
 
 
-def y_polynomial(r: int, k: int) -> dict[tuple[int, ...], int]:
-    """Y_r as an integer polynomial in x_1..x_k (x_j = 0 for j > k), via the
-    Laplace recursion Y_r = x_1 Y_{r-1} - x_2 Y_{r-2} + ... """
-    if r < 0:
-        raise ValueError("Y_r needs r >= 0")
-    ys: list[dict] = [_xpoly.one(k)]
-    for m in range(1, r + 1):
-        acc: dict = {}
-        sign = 1
-        for j in range(1, min(m, k) + 1):
-            _xpoly.add_into(acc, _xpoly.mul_variable(ys[m - j], j), sign)
-            sign = -sign
-        ys.append(acc)
-    return ys[r]
+def _p_split(n: int, p: int) -> tuple[int, int]:
+    """(p^d, m) with n = p^d * m and p not dividing m; (1, n) when p = 0."""
+    power = 1
+    while p and n % p == 0:
+        n //= p
+        power *= p
+    return power, n
 
 
 @dataclass(frozen=True)
@@ -116,25 +109,17 @@ class EvContext:
         self.base = base
         k, n = ctx.k, ctx.n
         p = base.characteristic
+        self.root_multiplicity, distinct = _p_split(n, p)
+        # xi^n = -(-1)^k: for even k that is -1, found among the roots of order
+        # 2 * distinct unless -1 = 1
+        big_n = distinct if k % 2 == 1 or p == 2 else 2 * distinct
         if p == 0:
             if not isinstance(base, RationalField):
                 raise ValueError("characteristic-0 evaluation starts from Q")
-            big_n = n if k % 2 == 1 else 2 * n
             self.field = cyclotomic_field(big_n)
-            self.root_multiplicity = 1
-            distinct = n
         else:
             if not isinstance(base, PrimeField):
                 raise ValueError("positive-characteristic evaluation starts from GF(p)")
-            power = 1
-            reduced = n
-            while reduced % p == 0:
-                reduced //= p
-                power *= p
-            self.root_multiplicity = power
-            distinct = reduced
-            want_sign = -1 if (k % 2 == 0 and p != 2) else 1
-            big_n = distinct if want_sign == 1 else 2 * distinct
             self.field = make_extension(p, splitting_degree(p, big_n))
         K = self.field
         self.distinct_root_count = distinct
@@ -197,18 +182,11 @@ def admissible_multisets(F: FieldCtx, k: int, n: int) -> tuple[AdmissibleMultise
     roots, each admitted with multiplicity at most p^d; in characteristic 0
     (or gcd(n, p) = 1) multiplicities are at most 1 and the count is C(n, k).
     """
-    p = F.characteristic
-    cap = 1
-    reduced = n
-    while p and reduced % p == 0:
-        reduced //= p
-        cap *= p
+    cap, reduced = _p_split(n, F.characteristic)
     roots = nth_roots_of_unity(F, reduced)
     out = []
     for combo in itertools.combinations_with_replacement(range(reduced), k):
-        if cap == 1 and len(set(combo)) != k:
-            continue
-        if cap > 1 and any(combo.count(i) > cap for i in set(combo)):
+        if any(combo.count(i) > cap for i in set(combo)):
             continue
         out.append(AdmissibleMultiset(combo, tuple(roots[i] for i in combo)))
     return tuple(out)

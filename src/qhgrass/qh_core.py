@@ -30,7 +30,6 @@ import re
 from functools import lru_cache
 from typing import Mapping
 
-from . import _xpoly
 from .diagram import EMPTY, GrContext, YoungDiagram, column_diagram
 from .exactfield import ExtensionField, FieldCtx
 
@@ -155,11 +154,6 @@ def special_class(ctx: GrContext, field: FieldCtx, j: int) -> QhElement:
     return QhElement.schubert(ctx, field, column_diagram(j))
 
 
-def point_class(ctx: GrContext, field: FieldCtx) -> QhElement:
-    """PD(pt): the full k x (n-k) rectangle."""
-    return QhElement.schubert(ctx, field, YoungDiagram((ctx.cols,) * ctx.k))
-
-
 # ---------------------------------------------------------------------------
 # quantum Pieri rules: one step maps sigma_D to (classical terms, q-terms)
 
@@ -267,28 +261,33 @@ def q_shift(element: QhElement, m: int) -> QhElement:
 def _giambelli_cached(k: int, diagram: YoungDiagram) -> tuple[tuple[tuple[int, ...], int], ...]:
     conj = diagram.conjugate()
     m = diagram.width
-    if m == 0:
-        return ((tuple([0] * k), 1),)
-    full_mask = (1 << m) - 1
 
+    # Laplace expansion of det(x_{conj[i]-i+j}) along its rows; minor(i, mask)
+    # is the minor on rows i.. and the columns in mask, as {exponents: coeff}
     @lru_cache(maxsize=None)
-    def minor(i: int, mask: int):
+    def minor(i: int, mask: int) -> dict[tuple[int, ...], int]:
         if i == m:
-            return _xpoly.one(k)
-        acc: dict = {}
+            return {(0,) * k: 1}
+        acc: dict[tuple[int, ...], int] = {}
         sign = 1
         for j in range(m):
             if not mask & (1 << j):
                 continue
             v = conj[i] - i + j
             if 0 <= v <= k:
-                sub = minor(i + 1, mask & ~(1 << j))
-                term = _xpoly.mul_variable(sub, v)
-                _xpoly.add_into(acc, term, sign)
+                # add sign * x_v * minor, where x_0 = 1
+                for exps, c in minor(i + 1, mask & ~(1 << j)).items():
+                    if v:
+                        exps = exps[: v - 1] + (exps[v - 1] + 1,) + exps[v:]
+                    new = acc.get(exps, 0) + sign * c
+                    if new:
+                        acc[exps] = new
+                    else:
+                        del acc[exps]
             sign = -sign
         return acc
 
-    result = minor(0, full_mask)
+    result = minor(0, (1 << m) - 1)
     minor.cache_clear()
     return tuple(sorted(result.items()))
 
@@ -451,9 +450,7 @@ def parse_element(ctx: GrContext, field: FieldCtx, text: str) -> QhElement:
         if negate:
             coeff = field.neg(coeff)
         qpow = 0 if match.group("q") is None else int(match.group("qpow") or 1)
-        diagram = YoungDiagram.from_text(match.group("rows"))
-        # checked here: _bump drops zero and cancelled terms before QhElement sees them
-        if not diagram.fits(ctx.k, ctx.cols):
-            raise ValueError(f"{diagram!r} does not fit in {ctx}")
-        _bump(acc, (diagram, qpow), coeff, field)
+        key = (YoungDiagram.from_text(match.group("rows")), qpow)
+        # zero sums are kept, so QhElement box-checks every term before dropping them
+        acc[key] = field.add(acc[key], coeff) if key in acc else coeff
     return QhElement(ctx, field, acc)

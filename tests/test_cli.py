@@ -102,6 +102,17 @@ def test_gc_commands(capsys):
     assert data["gradInf"] < 1e-10
 
 
+def test_gc_map_csv_row_matches_json_values(capsys):
+    code, out, _ = run(capsys, "gc", "map", "2", "4", "--seed", "3")
+    assert code == 0
+    values = json.loads(out)["values"]
+    code, out, _ = run(capsys, "gc", "map", "2", "4", "--seed", "3", "--csv")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    assert header.split(",") == ["seed"] + ["z" + key.replace(",", "_") for key in values]
+    assert row.split(",") == ["3"] + [f"{v:.12f}" for v in values.values()]
+
+
 def test_gc_commands_on_a_point(capsys):
     code, out, _ = run(capsys, "gc", "map", "2", "2")
     assert code == 0

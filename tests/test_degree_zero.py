@@ -32,7 +32,6 @@ from qhgrass.degree_zero import (
     orbit_sizes,
     qh0_basis,
     standard_degree_zero_element,
-    witness_prime,
     zero_divisor_search,
 )
 from qhgrass.qh_core import QhElement, q_shift, special_class
@@ -386,15 +385,6 @@ def test_classify_json_schema():
     assert data["diameter"]["kind"] in ("finite", "infinite", "unknown")
     assert data["orbitCount"] == 3
     assert data["fieldDims"] == [1, 2, 2]
-
-
-def test_witness_prime_examples():
-    assert witness_prime(3) == 2
-    assert witness_prime(13) == 2
-    assert witness_prime(7) == 2
-    assert witness_prime(5) == 2
-    with pytest.raises(ValueError):
-        witness_prime(10)
 
 
 def test_rule_consistency_routes_never_disagree():

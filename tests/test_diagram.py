@@ -9,7 +9,6 @@ from qhgrass.diagram import (
     GrContext,
     YoungDiagram,
     column_diagram,
-    conjugate,
     enumerate_diagrams,
     graded_basis,
 )
@@ -59,22 +58,22 @@ def test_enumerate_matches_binomial_and_oracle(k, n):
 
 
 def test_conjugate_examples():
-    assert tuple(conjugate(GrContext(2, 5), YoungDiagram((3, 1)))) == (2, 1, 1)
-    assert conjugate(GrContext(3, 6), EMPTY) == EMPTY
-    assert tuple(conjugate(GrContext(2, 5), YoungDiagram((3, 2)))) == (2, 2, 1)
+    assert tuple(YoungDiagram((3, 1)).conjugate()) == (2, 1, 1)
+    assert EMPTY.conjugate() == EMPTY
+    assert tuple(YoungDiagram((3, 2)).conjugate()) == (2, 2, 1)
 
 
 @pytest.mark.parametrize("k,n", [(k, n) for n in range(1, 11) for k in range(1, n + 1)])
 def test_conjugate_involutive(k, n):
     ctx = GrContext(k, n)
-    for diagram in enumerate_diagrams(ctx):
-        flipped = conjugate(ctx, diagram)
+    diagrams = enumerate_diagrams(ctx)
+    for diagram in diagrams:
+        flipped = diagram.conjugate()
         assert tuple(flipped) == transpose_rows(tuple(diagram))
         assert flipped.fits(ctx.cols, ctx.k)
-        if k < n:  # the dual context Gr(n-k, n) exists
-            assert conjugate(ctx.dual(), flipped) == diagram
-        else:
-            assert flipped.conjugate() == diagram
+        assert flipped.conjugate() == diagram
+    if k < n:  # the dual context Gr(n-k, n) exists and holds exactly the conjugates
+        assert {d.conjugate() for d in diagrams} == set(enumerate_diagrams(ctx.dual()))
 
 
 def test_graded_basis_paper_cases():

@@ -15,7 +15,6 @@ from qhgrass.presentation import (
     ev_map,
     in_zeta_subfield,
     verify_ideal_vanishing,
-    y_polynomial,
 )
 from qhgrass.qh_core import QhElement, giambelli_expand, q_shift, quantum_product, special_class
 
@@ -65,24 +64,10 @@ def test_generating_identity_eh(k):
             assert total == 0, (values, d)
 
 
-def test_y_polynomial_examples():
-    assert y_polynomial(1, 3) == {(1, 0, 0): 1}
-    assert y_polynomial(2, 3) == {(2, 0, 0): 1, (0, 1, 0): -1}
-    # Y_4 = x_1 Y_3 - x_2 Y_2 + x_3 Y_1 - x_4
-    from qhgrass import _xpoly
-
-    k = 5
-    want = {}
-    _xpoly.add_into(want, _xpoly.mul(_xpoly.variable(k, 1), y_polynomial(3, k)), 1)
-    _xpoly.add_into(want, _xpoly.mul(_xpoly.variable(k, 2), y_polynomial(2, k)), -1)
-    _xpoly.add_into(want, _xpoly.mul(_xpoly.variable(k, 3), y_polynomial(1, k)), 1)
-    _xpoly.add_into(want, _xpoly.variable(k, 4), -1)
-    assert y_polynomial(4, k) == want
-
-
-@pytest.mark.parametrize("r,k", [(2, 2), (3, 3), (4, 4), (5, 3)])
+@pytest.mark.parametrize("r,k", [(2, 2), (3, 3), (4, 4), (5, 3), (4, 5)])
 def test_y_polynomial_against_sympy_determinant(r, k):
-    """Y_r = det(x_{1+j-i}) with x_0 = 1 and x_m = 0 for m > k or m < 0."""
+    """Y_r = det(x_{1+j-i}) with x_0 = 1 and x_m = 0 for m > k or m < 0, the
+    Giambelli expansion of the one-row class sigma_(r) in Gr(k, k + r)."""
     import sympy
 
     xs = sympy.symbols(f"x1:{k + 1}")
@@ -98,7 +83,7 @@ def test_y_polynomial_against_sympy_determinant(r, k):
     M = sympy.Matrix(r, r, lambda i, j: entry(i, j))
     expected = sympy.expand(M.det())
     mine = sympy.Integer(0)
-    for exps, c in y_polynomial(r, k).items():
+    for exps, c in giambelli_expand(GrContext(k, k + r), YoungDiagram((r,))).items():
         term = sympy.Integer(c)
         for i, e in enumerate(exps):
             term *= xs[i] ** e

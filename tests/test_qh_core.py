@@ -13,7 +13,6 @@ from qhgrass.qh_core import (
     giambelli_expand,
     parse_element,
     pieri_multiply,
-    point_class,
     q_shift,
     quantum_product,
     schubert_product,
@@ -21,7 +20,7 @@ from qhgrass.qh_core import (
     transposed_pieri_multiply,
 )
 
-from oracles import column_expansion_product, column_pieri_terms, naive_quantum_product
+from oracles import column_expansion_product, column_giambelli, column_pieri_terms, naive_quantum_product
 
 
 def sigma(ctx, field, rows, m=0):
@@ -162,7 +161,7 @@ def test_point_class_invertibility_witness():
         pd = QhElement.unit(ctx, QQ)
         for _ in range(n - k):
             pd = pieri_multiply(pd, k)
-        assert pd == point_class(ctx, QQ)
+        assert pd == sigma(ctx, QQ, (n - k,) * k)
         rest = QhElement.unit(ctx, QQ)
         for _ in range(k):
             rest = pieri_multiply(rest, k)
@@ -175,6 +174,22 @@ def test_giambelli_examples():
     assert giambelli_expand(ctx, YoungDiagram((2, 1))) == {(1, 1): 1}
     ctx4 = GrContext(4, 9)
     assert giambelli_expand(ctx4, YoungDiagram((1, 1, 1))) == {(0, 0, 1, 0): 1}
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(1, 10) for k in range(1, n + 1)])
+def test_giambelli_expand_matches_permutation_oracle(k, n):
+    """Both determinants of every class against the sum over permutations.
+
+    The row determinant of D in Gr(k, n) is the column one of its conjugate in
+    the dual Gr(n-k, n); Gr(n, n) has no dual, so there only the column one.
+    """
+    ctx = GrContext(k, n)
+    for diagram in enumerate_diagrams(ctx):
+        assert giambelli_expand(ctx, diagram) == dict(column_giambelli(k, diagram)), diagram
+        if k < n:
+            flipped = diagram.conjugate()
+            want = dict(column_giambelli(n - k, flipped))
+            assert giambelli_expand(ctx.dual(), flipped) == want, diagram
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
