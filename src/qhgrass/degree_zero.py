@@ -15,7 +15,6 @@ an exhaustive zero-divisor search.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from math import gcd, lcm
 
@@ -106,26 +105,29 @@ def closed_form_charpoly(n: int) -> Poly:
 
 def charpoly_identity_holds(n: int) -> bool:
     """Exact Laurent check: x^ell pi(-x - 1/x) equals x^(n-1) + ... + x + 1
-    for odd n = 2 ell + 1, and (x + 1)(x^(n-1) + ... + 1) for even n = 2 ell + 2."""
-    from fractions import Fraction
+    for odd n = 2 ell + 1, and (x + 1)(x^(n-1) + ... + 1) for even n = 2 ell + 2.
 
-    pi = closed_form_charpoly(n)
-    shift = (n - 1) // 2 if n % 2 == 1 else n // 2
-    expansion: dict[int, Fraction] = {}
-    for c in reversed(pi.coeffs):
-        new: dict[int, Fraction] = {}
-        for e, v in expansion.items():  # multiply by (-x - 1/x)
-            new[e + 1] = new.get(e + 1, Fraction(0)) - v
-            new[e - 1] = new.get(e - 1, Fraction(0)) - v
-        new[0] = new.get(0, Fraction(0)) + c
-        expansion = {e: v for e, v in new.items() if v}
-    shifted = {e + shift: v for e, v in expansion.items()}
-    want = {i: Fraction(1) for i in range(n)}
-    if n % 2 == 0:
-        for i in range(n):
-            want[i + 1] = want.get(i + 1, Fraction(0)) + 1
-        want = {e: v for e, v in want.items() if v}
-    return shifted == want
+    Both sides have integer coefficients, and pi -> x^ell pi(-x - 1/x) is
+    triangular with leading coefficients +-1, so the identity fails as soon
+    as a coefficient of pi is not an integer; otherwise Horner's rule runs on
+    ints. The Laurent polynomial is a list indexed by exponent + ell, with
+    ell = deg pi, which is the shift to the right-hand side.
+    """
+    coeffs = closed_form_charpoly(n).coeffs
+    if any(c.denominator != 1 for c in coeffs):
+        return False
+    ell = len(coeffs) - 1
+    expansion = [0] * (2 * ell + 1)
+    for c in reversed(coeffs):
+        new = [0] * (2 * ell + 1)
+        for i, v in enumerate(expansion):  # multiply by (-x - 1/x)
+            if v:
+                new[i + 1] -= v
+                new[i - 1] -= v
+        new[ell] += c.numerator
+        expansion = new
+    want = [1] * n if n % 2 == 1 else [1] + [2] * (n - 1) + [1]
+    return expansion == want
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,10 @@ def zero_divisor_search(ctx: GrContext, F: FieldCtx, limit: int = 10**6):
 
     Returns (found, witness_coefficients). Scaling a class does not change
     whether it is a zero divisor, so only vectors with first nonzero
-    coordinate 1 are enumerated.
+    coordinate 1 are enumerated, in itertools.product order after that 1.
+    Each basis matrix times each scalar is computed once, and each
+    candidate's matrix is its prefix's matrix plus one of those, so a
+    candidate costs one matrix addition and one is_singular.
     """
     if F.order is None:
         raise FieldError("exhaustive zero-divisor search needs a finite field")
@@ -249,21 +254,33 @@ def zero_divisor_search(ctx: GrContext, F: FieldCtx, limit: int = 10**6):
         raise SearchBudgetError(
             f"|F|^dim = {F.order}^{dim} exceeds the search limit {limit}"
         )
-    # mats[t][i][j] = coefficient of basis_i in basis_t * basis_j
-    mats = [mult_matrix(QhElement.schubert(ctx, F, d, m), 0).rows for d, m in qh0_basis(ctx)]
+    # scaled[t][s][i][j] = scalars[s] * (coefficient of basis_i in basis_t * basis_j)
     scalars = list(F.elements())
+    basis_rows = [mult_matrix(QhElement.schubert(ctx, F, d, m), 0).rows for d, m in qh0_basis(ctx)]
+    scaled = [
+        [[[F.mul(c, v) for v in row] for row in rows] for c in scalars] for rows in basis_rows
+    ]
+    one = scalars.index(F.one())
+
+    def add(x, y):
+        return [[F.add(a, b) for a, b in zip(r, t)] for r, t in zip(x, y)]
+
+    # depth-first in itertools.product order over the coordinates after the
+    # leading 1; each node adds one scaled basis matrix to its prefix sum
+    def walk(t, acc, coeffs):
+        if t == dim:
+            return SquareMatrix(F, acc).is_singular()
+        for s, c in enumerate(scalars):
+            coeffs.append(c)
+            if walk(t + 1, acc if F.is_zero(c) else add(acc, scaled[t][s]), coeffs):
+                return True
+            coeffs.pop()
+        return False
+
     for lead in range(dim):
-        tail = dim - lead - 1
-        for rest in itertools.product(scalars, repeat=tail):
-            coeffs = [F.zero()] * lead + [F.one()] + list(rest)
-            acc = [[F.zero()] * dim for _ in range(dim)]
-            for t, c in enumerate(coeffs):
-                if not F.is_zero(c):
-                    for i in range(dim):
-                        for j in range(dim):
-                            acc[i][j] = F.add(acc[i][j], F.mul(c, mats[t][i][j]))
-            if SquareMatrix(F, acc).is_singular():
-                return True, coeffs
+        coeffs = [F.zero()] * lead + [F.one()]
+        if walk(lead + 1, scaled[lead][one], coeffs):
+            return True, coeffs
     return False, None
 
 
@@ -288,11 +305,17 @@ def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> Gr
 
     The "rule" route is classify(k, n, char F).is_graded_field, recorded
     over Q and GF(p). For k = 2 and odd n the routes add irreducibility of
-    the closed-form characteristic polynomial over F and, over GF(p^m), the
-    unit-group criterion for |F|; the exhaustive zero-divisor oracle runs
-    when |F|^dim QH^0 <= brute_limit. The verdict is the charpoly route,
-    else the search, else the rule (noted "rule-only"); routes that
+    the closed-form characteristic polynomial pi over F and, over GF(p^m),
+    the unit-group criterion for |F|; the exhaustive zero-divisor oracle
+    runs when |F|^dim QH^0 <= brute_limit. The verdict is the charpoly
+    route, else the search, else the rule (noted "rule-only"); routes that
     disagree raise RuntimeError.
+
+    Over GF(p^m), pi has integer coefficients, so it is built and tested by
+    Rabin over GF(p): an irreducible f of degree d over GF(q) splits over
+    GF(q^m) into gcd(d, m) irreducible factors of degree d / gcd(d, m)
+    (Lidl and Niederreiter, Finite Fields, Thm 3.46), so pi is irreducible
+    over GF(p^m) exactly when it is over GF(p) and gcd(deg pi, m) = 1.
     """
     k, n = ctx.k, ctx.n
     kk = min(k, n - k)
@@ -315,16 +338,20 @@ def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> Gr
                 check.routes["rule"] = rule
             else:
                 check.notes.append("p | n composite: charpoly route skipped, oracle only")
-        else:
+        elif F.order is None:
             pi = char_poly(F, closed_form_matrix(n, F))
             check.routes["charpoly_irreducible"] = is_irreducible(F, pi)
-            if F.order is not None and F.order != p:
-                # extension field: the Frobenius is x -> x^|F|, so the unit-group
-                # cross-check uses |F| mod n instead of p
-                if gcd(F.order, n) == 1:
-                    check.routes["units_closure"] = is_prime(n) and generates_units(
-                        F.order % n, n
-                    )
+        else:
+            # GF(p^m), m >= 1: pi over GF(p) and the gcd rule of the docstring
+            base, m = (F, 1) if F.order == p else (F.base, F.degree)
+            pi = char_poly(base, closed_form_matrix(n, base))
+            check.routes["charpoly_irreducible"] = (
+                is_irreducible(base, pi) and gcd(int(pi.degree), m) == 1
+            )
+            # the Frobenius is x -> x^|F|, so the unit-group cross-check uses
+            # |F| mod n instead of p
+            if F.order != p and gcd(F.order, n) == 1:
+                check.routes["units_closure"] = is_prime(n) and generates_units(F.order % n, n)
 
     if F.order is not None and F.order ** len(qh0_basis(ctx)) <= brute_limit:
         found, _ = zero_divisor_search(ctx, F, limit=brute_limit)

@@ -23,6 +23,13 @@ extension. The extension product clears denominators through the same lift,
 and qh_core.quantum_product sums structure constants times these
 coordinates before it builds any element.
 
+char_poly reduces a matrix to upper Hessenberg form once and runs the
+determinant recurrence on it. min_poly reuses that reduction: a Hessenberg
+matrix with no zero on its subdiagonal is nonderogatory, so its minimal
+polynomial is its monic characteristic polynomial, and only a matrix whose
+reduced form has a zero there goes to the Krylov lcm. SquareMatrix.is_singular
+eliminates by cross-multiplying rows and inverts no element of a finite field.
+
 Over a finite field, distinct_degree_profile and factor_squarefree_finite
 share one distinct-degree split; the factorization splits each part further
 by Cantor-Zassenhaus. Irreducibility is Rabin's test over a finite field;
@@ -797,29 +804,30 @@ class SquareMatrix:
             out.append(acc)
         return out
 
-    def determinant(self) -> Element:
-        F = self.field
-        n = self.size
-        m = [list(r) for r in self.rows]
-        det = F.one()
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not F.is_zero(m[r][col])), None)
-            if pivot is None:
-                return F.zero()
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = F.neg(det)
-            det = F.mul(det, m[col][col])
-            inv = F.inv(m[col][col])
-            for r in range(col + 1, n):
-                if F.is_zero(m[r][col]):
-                    continue
-                t = F.mul(m[r][col], inv)
-                m[r] = [F.sub(a, F.mul(t, b)) for a, b in zip(m[r], m[col])]
-        return det
-
     def is_singular(self) -> bool:
-        return self.field.is_zero(self.determinant())
+        """Whether det = 0, by elimination that cross-multiplies rows.
+
+        The first row with a nonzero leading entry p is the pivot row; every
+        other row r with a nonzero leading entry becomes
+        p * r - r[0] * pivot_row with its first column dropped, which scales
+        the determinant by p and inverts nothing. A row that already leads
+        with zero just loses its first column.
+        """
+        F = self.field
+        m = [list(r) for r in self.rows]
+        while m:
+            pivot = next((i for i, row in enumerate(m) if not F.is_zero(row[0])), None)
+            if pivot is None:
+                return True
+            top = m.pop(pivot)
+            p, tail = top[0], top[1:]
+            for i, row in enumerate(m):
+                c = row[0]
+                if F.is_zero(c):
+                    m[i] = row[1:]
+                    continue
+                m[i] = [F.sub(F.mul(p, a), F.mul(c, b)) for a, b in zip(row[1:], tail)]
+        return False
 
     def __repr__(self):
         body = "; ".join(
@@ -828,13 +836,14 @@ class SquareMatrix:
         return f"SquareMatrix({self.field.label} {self.size}x{self.size}: {body})"
 
 
-def char_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
-    """det(M - xI), computed by exact Hessenberg reduction over the field.
+def _hessenberg(F: FieldCtx, M: SquareMatrix) -> list[list[Element]]:
+    """Upper Hessenberg matrix similar to M, as mutable rows.
 
-    Leading coefficient is (-1)^size (the det(M - xI) sign convention). The
-    recurrence p_r = (x - h_rr) p_(r-1) - sum_i h_(i,r) (h_(i+1,i)...h_(r,r-1)) p_(i-1)
-    skips the terms whose h_(i,r) is zero, so on a tridiagonal matrix it
-    costs O(size^2) field operations instead of O(size^3).
+    Column j is cleared below row j + 1 by the first nonzero entry at or
+    below j + 1, swapped into place; a column with no such entry is left
+    with a zero on the subdiagonal. The pivot is inverted only when a row
+    below it needs clearing, so an already tridiagonal matrix costs
+    O(size^2) comparisons and no field operation.
     """
     n = M.size
     h = [list(row) for row in M.rows]
@@ -846,17 +855,27 @@ def char_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
             h[j + 1], h[pivot] = h[pivot], h[j + 1]
             for row in h:
                 row[j + 1], row[pivot] = row[pivot], row[j + 1]
-        inv = F.inv(h[j + 1][j])
+        inv = None
         for r in range(j + 2, n):
             if F.is_zero(h[r][j]):
                 continue
+            if inv is None:
+                inv = F.inv(h[j + 1][j])
             t = F.mul(h[r][j], inv)
             h[r] = [F.sub(a, F.mul(t, b)) for a, b in zip(h[r], h[j + 1])]
             for row in h:
                 row[j + 1] = F.add(row[j + 1], F.mul(t, row[r]))
+    return h
+
+
+def _hessenberg_charpoly(F: FieldCtx, h: list[list[Element]]) -> Poly:
+    """det(xI - H) for an upper Hessenberg H, monic, by the recurrence
+    p_r = (x - h_rr) p_(r-1) - sum_i h_(i,r) (h_(i+1,i)...h_(r,r-1)) p_(i-1),
+    which skips the terms whose h_(i,r) is zero: on a tridiagonal matrix it
+    costs O(size^2) field operations instead of O(size^3)."""
     x = Poly.x(F)
     polys = [Poly.one(F)]
-    for r in range(1, n + 1):
+    for r in range(1, len(h) + 1):
         p = (x - Poly.constant(F, h[r - 1][r - 1])) * polys[r - 1]
         prod = F.one()
         for i in range(r - 1, 0, -1):
@@ -864,8 +883,18 @@ def char_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
             if not F.is_zero(h[i - 1][r - 1]):
                 p = p - polys[i - 1].scale(F.mul(h[i - 1][r - 1], prod))
         polys.append(p)
-    monic = polys[n]  # det(xI - M)
-    return monic if n % 2 == 0 else -monic
+    return polys[-1]
+
+
+def char_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
+    """det(M - xI), computed by exact Hessenberg reduction over the field.
+
+    Leading coefficient is (-1)^size (the det(M - xI) sign convention). The
+    reduction is _hessenberg and the determinant of the reduced matrix is
+    _hessenberg_charpoly's recurrence.
+    """
+    monic = _hessenberg_charpoly(F, _hessenberg(F, M))  # det(xI - M)
+    return monic if M.size % 2 == 0 else -monic
 
 
 def matrix_poly_eval(poly: Poly, M: SquareMatrix) -> SquareMatrix:
@@ -884,6 +913,21 @@ def matrix_poly_eval(poly: Poly, M: SquareMatrix) -> SquareMatrix:
 
 
 def min_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
+    """Monic minimal polynomial of M.
+
+    M is reduced to Hessenberg form H once. When no subdiagonal entry of H
+    is zero, H is unreduced, hence nonderogatory (e_1, He_1, ...,
+    H^(size-1) e_1 are independent), and its minimal polynomial is its
+    monic characteristic polynomial, read off the same H. Otherwise the
+    result is _krylov_min_poly(F, M).
+    """
+    h = _hessenberg(F, M)
+    if all(not F.is_zero(h[i][i - 1]) for i in range(1, M.size)):
+        return _hessenberg_charpoly(F, h)
+    return _krylov_min_poly(F, M)
+
+
+def _krylov_min_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
     """Monic minimal polynomial: the lcm over the unit vectors e of the
     minimal polynomial of M at e, which is the minimal polynomial of M.
 

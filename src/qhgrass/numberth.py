@@ -5,11 +5,24 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The smallest strong pseudoprime to all 13 bases in _SMALL_PRIMES.
+PSI_13 = 3317044064679887385961981
+
+
+class PrimalityUnprovenError(ArithmeticError):
+    """n >= PSI_13 passed every strong test, which does not prove it prime."""
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24 with these bases)."""
+    """Strong (Miller-Rabin) tests to the 13 prime bases 2..41.
+
+    Exact for n < PSI_13 = 3317044064679887385961981, the smallest strong
+    pseudoprime to all of these bases (Sorenson and Webster, Math. Comp.
+    2017). A failed test proves n composite at any size; an n >= PSI_13
+    that passes all 13 raises PrimalityUnprovenError instead of an answer.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -29,6 +42,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PSI_13:
+        raise PrimalityUnprovenError(
+            f"{n} passes the strong tests to bases 2..41 but is not proven prime"
+        )
     return True
 
 

@@ -99,8 +99,9 @@ class EvContext:
     and the distinct n-th roots of unity.
 
     On first use of a multiset J the context computes x_i = xi^i e_i(J) for
-    i = 1..k with the powers x_i^0..x_i^(n-k), and keeps them keyed on
-    J.roots: O(#multisets * k * (n-k)) field elements, dropped with the
+    i = 1..k and keeps them keyed on J.roots; the powers x_i^2..x_i^(n-k)
+    are added only when ev_map first evaluates at J. That is
+    O(#multisets * k * (n-k)) field elements at most, dropped with the
     context.
     """
 
@@ -136,26 +137,30 @@ class EvContext:
             raise ValueError("no xi with xi^n = -(-1)^k found")
         self._powers: dict[tuple, tuple[tuple, ...]] = {}
 
-    def _power_table(self, J: AdmissibleMultiset) -> tuple[tuple, ...]:
-        """Rows (x_i^0, ..., x_i^max(n-k, 1)) for i = 1..k, with x_i = xi^i e_i(J).
-
-        Giambelli monomials of the k x (n-k) box have exponents at most n-k;
-        row[1] = x_i is kept on Gr(n, n) too, for the ideal generators.
-        """
-        table = self._powers.get(J.roots)
-        if table is None:
-            K = self.field
+    def _power_rows(self, J: AdmissibleMultiset, top: int) -> tuple[tuple, ...]:
+        """Rows (x_i^0, ..., x_i^t) for i = 1..k, with x_i = xi^i e_i(J) and
+        t = max(top, 1), kept per J.roots. verify_ideal_vanishing reads x_i
+        alone (top 1); ev_map asks for top n-k, the largest exponent of a
+        Giambelli monomial in the k x (n-k) box, and the rows are extended
+        then."""
+        rows = self._powers.get(J.roots)
+        K = self.field
+        if rows is None:
             rows = []
             xi_power = K.one()
             for e in _elementary_upto(K, J.roots, self.ctx.k)[1:]:
                 xi_power = K.mul(xi_power, self.xi)
-                x = K.mul(xi_power, e)
-                row = [K.one()]
-                for _ in range(max(self.ctx.cols, 1)):
-                    row.append(K.mul(row[-1], x))
-                rows.append(tuple(row))
-            table = self._powers[J.roots] = tuple(rows)
-        return table
+                rows.append((K.one(), K.mul(xi_power, e)))
+            rows = self._powers[J.roots] = tuple(rows)
+        if len(rows[0]) <= top:
+            grown = []
+            for row in rows:
+                row = list(row)
+                while len(row) <= top:
+                    row.append(K.mul(row[-1], row[1]))
+                grown.append(tuple(row))
+            rows = self._powers[J.roots] = tuple(grown)
+        return rows
 
     def embed(self, value):
         """Embed a base-field element into the splitting field."""
@@ -184,12 +189,15 @@ def admissible_multisets(F: FieldCtx, k: int, n: int) -> tuple[AdmissibleMultise
     """
     cap, reduced = _p_split(n, F.characteristic)
     roots = nth_roots_of_unity(F, reduced)
-    out = []
-    for combo in itertools.combinations_with_replacement(range(reduced), k):
-        if any(combo.count(i) > cap for i in set(combo)):
-            continue
-        out.append(AdmissibleMultiset(combo, tuple(roots[i] for i in combo)))
-    return tuple(out)
+    if cap == 1:  # the same tuples in the same (lexicographic) order
+        combos = itertools.combinations(range(reduced), k)
+    else:
+        combos = (
+            combo
+            for combo in itertools.combinations_with_replacement(range(reduced), k)
+            if all(combo.count(i) <= cap for i in set(combo))
+        )
+    return tuple(AdmissibleMultiset(combo, tuple(roots[i] for i in combo)) for combo in combos)
 
 
 def ev_map(ev: EvContext, J: AdmissibleMultiset, element: QhElement):
@@ -199,7 +207,7 @@ def ev_map(ev: EvContext, J: AdmissibleMultiset, element: QhElement):
     if element.field.characteristic != ev.base.characteristic:
         raise ValueError("field characteristic mismatch")
     K = ev.field
-    powers = ev._power_table(J)
+    powers = ev._power_rows(J, ev.ctx.cols)
     total = K.zero()
     for (diagram, _m), coeff in element.terms.items():
         value = K.zero()
@@ -225,7 +233,7 @@ def verify_ideal_vanishing(ev: EvContext, J: AdmissibleMultiset) -> dict:
     K = ev.field
     k, n = ev.ctx.k, ev.ctx.n
     # e_i(xi*zeta_J) = xi^i e_i(zeta_J) = x_i
-    hs = _complete_upto(K, [K.one()] + [row[1] for row in ev._power_table(J)], n)
+    hs = _complete_upto(K, [K.one()] + [row[1] for row in ev._power_rows(J, 1)], n)
     checks = []
     for r in range(n - k + 1, n):
         value = hs[r]

@@ -139,13 +139,20 @@ def sympy_is_irreducible_q(coeffs) -> bool:
     return len(nontrivial) == 1 and total_mult == 1
 
 
-def sympy_min_poly_is_minimal(rows, coeffs) -> bool:
-    """Whether the rational polynomial with these coefficients (low degree
-    first) is the minimal polynomial of the integer matrix rows, up to a
-    scalar: mp(M) = 0, and (mp/g)(M) != 0 for every irreducible factor g of
-    mp from sympy's factor_list. Matrices are evaluated by sympy."""
+def sympy_min_poly_is_minimal(rows, coeffs, p: int = 0, modulus=None) -> bool:
+    """Whether the polynomial with these coefficients (low degree first) is
+    the minimal polynomial of the matrix rows.
+
+    Over Q (p = 0) rows are integers and mp is taken up to a scalar:
+    mp(M) = 0, and (mp/g)(M) != 0 for every irreducible factor g of mp from
+    sympy's factor_list. Matrices are evaluated by sympy. Over GF(p), or
+    GF(p)[t]/(modulus) when modulus (low degree first) is given, see
+    _min_poly_is_minimal_mod_p.
+    """
     import sympy
 
+    if p:
+        return _min_poly_is_minimal_mod_p(rows, coeffs, p, modulus)
     x = sympy.symbols("x")
     M = sympy.Matrix(rows)
     mp = sympy.Poly(list(reversed([sympy.Rational(str(c)) for c in coeffs])), x)
@@ -160,6 +167,60 @@ def sympy_min_poly_is_minimal(rows, coeffs) -> bool:
         return False
     _, factors = sympy.factor_list(mp.as_expr())
     return all(not at_matrix(sympy.div(mp, sympy.Poly(g, x))[0]).is_zero_matrix for g, _ in factors)
+
+
+def _min_poly_is_minimal_mod_p(rows, coeffs, p: int, modulus) -> bool:
+    """The finite-field case of sympy_min_poly_is_minimal. Entries and
+    coefficients are ints, or coefficient lists in t over the extension.
+    mp is minimal when it is monic, mp(M) = 0, and I, M, ..., M^(d-1) are
+    independent over the field, d = deg mp. Over GF(p^m) that independence
+    is rank m * d over GF(p) of the vectors t^j M^i, j < m, i < d, which
+    sympy's DomainMatrix computes. Entries are sympy polynomials in t over
+    GF(p), reduced by the modulus (by t over GF(p) itself)."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.symbols("t")
+    mod = sympy.Poly(list(reversed(modulus if modulus is not None else (0, 1))), t, modulus=p)
+    m = mod.degree()
+
+    def elem(c):
+        c = list(c) if isinstance(c, (list, tuple)) else [c]
+        return sympy.Poly(list(reversed(c)), t, modulus=p).rem(mod)
+
+    def coords(e):
+        return [int(e.coeff_monomial(t**i)) % p for i in range(m)]
+
+    M = [[elem(c) for c in row] for row in rows]
+    size = len(M)
+    zero, one = elem(0), elem(1)
+    powers = [[[one if i == j else zero for j in range(size)] for i in range(size)]]
+    for _ in range(len(coeffs) - 1):
+        A = powers[-1]
+        powers.append(
+            [
+                [sum((A[i][l] * M[l][j] for l in range(size)), zero).rem(mod) for j in range(size)]
+                for i in range(size)
+            ]
+        )
+    cs = [elem(c) for c in coeffs]
+    if cs[-1] != one:
+        return False
+    for i in range(size):
+        for j in range(size):
+            if not sum((c * P[i][j] for c, P in zip(cs, powers)), zero).rem(mod).is_zero:
+                return False
+    d = len(coeffs) - 1
+    vectors = [
+        [v for row in P for e in row for v in coords((elem([0] * s + [1]) * e).rem(mod))]
+        for P in powers[:d]
+        for s in range(m)
+    ]
+    if not vectors:
+        return True
+    K = sympy.GF(p)
+    shape = (len(vectors), len(vectors[0]))
+    return DomainMatrix([[K(v) for v in vec] for vec in vectors], shape, K).rank() == m * d
 
 
 def sympy_factors_mod_p(coeffs, p: int) -> list[tuple[int, ...]]:
@@ -339,3 +400,27 @@ def naive_quantum_product(a, b) -> dict:
                 else:
                     acc[key] = new
     return acc
+
+
+def determinant(M):
+    """det of an exactfield SquareMatrix by Gaussian elimination with field
+    inverses: the elimination that is_singular replaced, kept as its oracle."""
+    F = M.field
+    n = M.size
+    m = [list(r) for r in M.rows]
+    det = F.one()
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not F.is_zero(m[r][col])), None)
+        if pivot is None:
+            return F.zero()
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = F.neg(det)
+        det = F.mul(det, m[col][col])
+        inv = F.inv(m[col][col])
+        for r in range(col + 1, n):
+            if F.is_zero(m[r][col]):
+                continue
+            t = F.mul(m[r][col], inv)
+            m[r] = [F.sub(a, F.mul(t, b)) for a, b in zip(m[r], m[col])]
+    return det

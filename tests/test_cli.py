@@ -70,6 +70,26 @@ def test_classify_command(capsys):
     assert data["orbitCount"] == 3 and data["fieldDims"] == [1, 2, 2]
 
 
+def test_classify_strong_pseudoprime_n(capsys):
+    """psi_12, a strong pseudoprime to the bases 2..37, is not taken for a
+    prime; psi_13 passes all 13 bases and gets no verdict."""
+    code, out, _ = run(capsys, "classify", "2", "318665857834031151167461", "0")
+    data = json.loads(out)
+    assert code == 0 and data["isGradedField"] is False
+    assert data["diameter"] == {"kind": "unknown"}
+    code, out, err = run(capsys, "classify", "2", "3317044064679887385961981", "0")
+    assert code == 2 and out == "" and "not proven prime" in err
+
+
+def test_classify_unproven_cofactor(capsys):
+    """n = 2 * (2^89 - 1) is even, so not prime, but the orbit sizes and
+    field dimensions need its factorization, whose cofactor 2^89 - 1 lies
+    above psi_13: classify gets no answer rather than unproven field
+    dimensions."""
+    code, out, err = run(capsys, "classify", "2", str(2 * (2**89 - 1)), "3")
+    assert code == 2 and out == "" and "not proven prime" in err
+
+
 def test_orbits_command(capsys):
     code, out, _ = run(capsys, "orbits", "10", "7")
     assert code == 0

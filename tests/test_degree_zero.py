@@ -394,3 +394,102 @@ def test_rule_consistency_routes_never_disagree():
         k = rng.randint(1, n)
         p = rng.choice([2, 3, 5, 7])
         is_graded_field(GrContext(k, n), prime_field(p), brute_limit=4000)
+
+
+# (field, n) -> the witness zero_divisor_search returned for Gr(2, n) before
+# its candidates were built from prefix sums (None: no zero divisor); the
+# search must still find the same first witness in the same order
+_ZERO_DIVISOR_WITNESSES = {
+    ("GF(2)", 5): None,
+    ("GF(2)", 6): [1, 0, 1],
+    ("GF(2)", 7): None,
+    ("GF(2)", 8): [1, 0, 0, 1],
+    ("GF(2)", 9): [1, 0, 0, 1],
+    ("GF(2)", 10): [1, 0, 0, 0, 1],
+    ("GF(2)", 11): None,
+    ("GF(2)", 12): [1, 0, 0, 0, 0, 1],
+    ("GF(2)", 13): None,
+    ("GF(3)", 5): None,
+    ("GF(3)", 6): [1, 0, 1],
+    ("GF(3)", 7): None,
+    ("GF(3)", 8): [1, 0, 0, 1],
+    ("GF(3)", 9): [1, 0, 0, 2],
+    ("GF(3)", 10): [1, 0, 0, 0, 1],
+    ("GF(3)", 11): None,
+    ("GF(3)", 12): [1, 0, 0, 0, 0, 1],
+    ("GF(3)", 13): [1, 0, 0, 0, 1, 1],
+    ("GF(5)", 5): [1, 3],
+    ("GF(5)", 6): [1, 0, 1],
+    ("GF(5)", 7): None,
+    ("GF(5)", 8): [1, 0, 0, 1],
+    ("GF(5)", 9): [1, 0, 0, 4],
+    ("GF(5)", 10): [1, 0, 0, 0, 1],
+    ("GF(5)", 11): None,
+    ("GF(5)", 12): [1, 0, 0, 0, 0, 1],
+    ("GF(5)", 13): [1, 0, 0, 0, 2, 4],
+    ("GF(7)", 5): None,
+    ("GF(7)", 6): [1, 0, 1],
+    ("GF(7)", 7): [1, 0, 4],
+    ("GF(7)", 8): [1, 0, 0, 1],
+    ("GF(7)", 9): [1, 0, 0, 6],
+    ("GF(7)", 10): [1, 0, 0, 0, 1],
+    ("GF(7)", 11): None,
+    ("GF(7)", 12): [1, 0, 0, 0, 0, 1],
+    ("GF(7)", 13): None,
+    ("GF(2^2)", 5): [(1, 0), (0, 1)],
+    ("GF(2^2)", 6): [(1, 0), (0, 0), (1, 0)],
+    ("GF(2^2)", 7): None,
+    ("GF(2^2)", 8): [(1, 0), (0, 0), (0, 0), (1, 0)],
+    ("GF(2^2)", 9): [(1, 0), (0, 0), (0, 0), (1, 0)],
+    ("GF(2^2)", 10): [(1, 0), (0, 0), (0, 0), (0, 0), (1, 0)],
+    ("GF(2^2)", 11): None,
+    ("GF(2^2)", 12): [(1, 0), (0, 0), (0, 0), (0, 0), (0, 0), (1, 0)],
+    ("GF(2^2)", 13): [(1, 0), (0, 0), (0, 0), (0, 1), (0, 1), (1, 1)],
+    ("GF(3^2)", 5): [(1, 0), (2, 1)],
+    ("GF(3^2)", 6): [(1, 0), (0, 0), (1, 0)],
+    ("GF(3^2)", 7): None,
+    ("GF(3^2)", 8): [(1, 0), (0, 0), (0, 0), (1, 0)],
+    ("GF(3^2)", 9): [(1, 0), (0, 0), (0, 0), (2, 0)],
+    ("GF(3^2)", 10): [(1, 0), (0, 0), (0, 0), (0, 0), (1, 0)],
+    ("GF(3^2)", 11): None,
+    ("GF(3^2)", 12): [(1, 0), (0, 0), (0, 0), (0, 0), (0, 0), (1, 0)],
+    ("GF(3^2)", 13): [(1, 0), (0, 0), (0, 0), (0, 0), (1, 0), (1, 0)],
+}
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(5)", "GF(7)", "GF(2^2)", "GF(3^2)"])
+def test_zero_divisor_search_witnesses_recorded(spec):
+    F = parse_field(spec)
+    for n in range(5, 14):
+        found, witness = zero_divisor_search(GrContext(2, n), F)
+        want = _ZERO_DIVISOR_WITNESSES[(spec, n)]
+        assert (found, witness) == (want is not None, want), (spec, n)
+
+
+@pytest.mark.parametrize("spec", ["GF(2^2)", "GF(2^3)", "GF(3^2)", "GF(5^2)"])
+def test_extension_charpoly_route_against_rabin_over_the_extension(spec):
+    """Over GF(p^m) the route tests pi over GF(p) and the gcd of its degree
+    with m; the oracle builds pi over GF(p^m) and runs Rabin's test there."""
+    F = parse_field(spec)
+    seen = set()
+    for n in range(5, 32, 2):
+        if n % F.characteristic == 0:
+            continue
+        check = is_graded_field(GrContext(2, n), F, brute_limit=0)
+        want = is_irreducible(F, char_poly(F, closed_form_matrix(n, F)))
+        assert check.routes["charpoly_irreducible"] == want, (spec, n)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_charpoly_identity_fails_for_a_perturbed_pi(monkeypatch):
+    """A non-integer or a changed integer coefficient of pi breaks the identity."""
+    import qhgrass.degree_zero as dz
+
+    pi = closed_form_charpoly(13)
+    for delta in (Fraction(1, 2), Fraction(1)):
+        bent = Poly(QQ, (pi.coeffs[0] + delta,) + pi.coeffs[1:])
+        monkeypatch.setattr(dz, "closed_form_charpoly", lambda n, bent=bent: bent)
+        assert not charpoly_identity_holds(13)
+    monkeypatch.undo()
+    assert charpoly_identity_holds(13)

@@ -35,6 +35,7 @@ from qhgrass.degree_zero import closed_form_charpoly, closed_form_matrix
 from qhgrass.numberth import cyclotomic_polynomial, int_poly_divmod_monic, multiplicative_order
 
 from oracles import (
+    determinant,
     gf_irreducible_by_trial_division,
     sympy_charpoly_coeffs,
     sympy_charpoly_reduced,
@@ -484,6 +485,123 @@ def test_min_poly_divides_char_poly(seed):
     assert (cp % mp).is_zero
     assert all(F.is_zero(v) for v in matrix_poly_eval(mp, M).entries)
     assert mp.lc() == F.one()
+
+
+MIN_POLY_FIELDS = [QQ, prime_field(2), prime_field(3), make_extension(2, 2)]
+
+
+def _sample(F, rng):
+    if F.order is None:
+        return Fraction(rng.randint(-3, 3))
+    return rng.choice(list(F.elements()))
+
+
+def _oracle_args(F, rows, coeffs):
+    """rows and coefficients in the form of sympy_min_poly_is_minimal, with its p and modulus."""
+    if F.order is None:
+        return [[int(c) for c in row] for row in rows], coeffs, 0, None
+    if isinstance(F, ExtensionField):
+        as_lists = [[list(c) for c in row] for row in rows]
+        return as_lists, [list(c) for c in coeffs], F.characteristic, F.modulus
+    return rows, coeffs, F.characteristic, None
+
+
+def _derogatory_rows(F, rng):
+    """A + A + B (direct sum, A and B random) conjugated by shears
+    I + c e_ij with c = +-1: its minimal polynomial has degree at most
+    deg A + deg B, below the size."""
+    blocks = []
+    for size in (rng.randint(1, 2), rng.randint(1, 2)):
+        blocks.append([[_sample(F, rng) for _ in range(size)] for _ in range(size)])
+    blocks.insert(1, blocks[0])
+    size = sum(len(b) for b in blocks)
+    rows = [[F.zero()] * size for _ in range(size)]
+    start = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[start + i][start : start + len(b)] = row
+        start += len(b)
+    for _ in range(2 * size):
+        i, j = rng.sample(range(size), 2)
+        c = rng.choice([F.one(), F.neg(F.one())])
+        # M -> E M E^-1 with E = I + c e_ij: row i += c row j, then column j -= c column i
+        rows[i] = [F.add(a, F.mul(c, b)) for a, b in zip(rows[i], rows[j])]
+        for row in rows:
+            row[j] = F.sub(row[j], F.mul(c, row[i]))
+    return rows
+
+
+@pytest.mark.parametrize("F", MIN_POLY_FIELDS, ids=lambda f: f.label)
+@pytest.mark.parametrize("seed", range(8))
+def test_min_poly_minimal_on_nonderogatory_and_derogatory_matrices(F, seed):
+    """Dense random matrices (even seeds) and derogatory direct sums (odd
+    seeds): min_poly is minimal by the sympy oracle, and equals the Krylov
+    lcm in value and coefficient type."""
+    rng = random.Random(5300 + seed)
+    if seed % 2 == 0:
+        size = rng.randint(1, 5)
+        rows = [[_sample(F, rng) for _ in range(size)] for _ in range(size)]
+    else:
+        rows = _derogatory_rows(F, rng)
+    M = SquareMatrix(F, rows)
+    mp = min_poly(F, M)
+    if seed % 2:
+        assert mp.degree < M.size
+    assert sympy_min_poly_is_minimal(*_oracle_args(F, rows, mp.coeffs)), (rows, mp)
+    krylov = exactfield._krylov_min_poly(F, M)
+    assert mp == krylov
+    assert [type(c) for c in mp.coeffs] == [type(c) for c in krylov.coeffs]
+
+
+@pytest.mark.parametrize("F", MIN_POLY_FIELDS, ids=lambda f: f.label)
+def test_min_poly_with_a_zero_subdiagonal(F):
+    """J_2(1) + J_1(1) + J_2(0), conjugated: the Hessenberg form has a zero
+    on its subdiagonal, and the minimal polynomial (x - 1)^2 x^2, of degree
+    4, is not the characteristic one, (x - 1)^3 x^2."""
+    rows = _jordan_rows([(2, 1), (1, 1), (2, 0)], random.Random(11))
+    M = SquareMatrix.from_int_rows(F, rows)
+    h = exactfield._hessenberg(F, M)
+    assert any(F.is_zero(h[i][i - 1]) for i in range(1, M.size))
+    mp = min_poly(F, M)
+    assert mp.degree == 4 and mp != char_poly(F, M).monic()
+    assert mp == Poly.from_ints(F, [0, 0, 1, -2, 1])
+    entries = [[F.from_int(v) for v in row] for row in rows]
+    assert sympy_min_poly_is_minimal(*_oracle_args(F, entries, mp.coeffs))
+
+
+def test_min_poly_of_the_closed_form_matrices_is_the_char_poly():
+    for F in MIN_POLY_FIELDS:
+        for n in (5, 8, 13, 30, 31):
+            M = closed_form_matrix(n, F)
+            assert min_poly(F, M) == char_poly(F, M).monic() == exactfield._krylov_min_poly(F, M)
+
+
+@pytest.mark.parametrize("F", FIELDS_UNDER_TEST, ids=lambda f: f.label)
+def test_is_singular_against_determinant(F, monkeypatch):
+    """Seeded matrices, every third made singular (the last row a combination
+    of the others, or zero when it is the only one); is_singular inverts
+    nothing."""
+    rng = random.Random(6100)
+    matrices = []
+    for trial in range(40):
+        size = rng.randint(1, 5)
+        rows = [[F.random_element(rng) for _ in range(size)] for _ in range(size)]
+        if trial % 3 == 0 and size == 1:
+            rows = [[F.zero()]]
+        elif trial % 3 == 0:
+            a, b = F.random_element(rng), F.random_element(rng)
+            rows[-1] = [F.add(F.mul(a, x), F.mul(b, y)) for x, y in zip(rows[0], rows[-2])]
+        matrices.append(SquareMatrix(F, rows))
+    want = [F.is_zero(determinant(M)) for M in matrices]
+    assert all(want[::3])
+
+    def no_inverse(self, a):
+        raise AssertionError("is_singular inverted a field element")
+
+    monkeypatch.setattr(type(F), "inv", no_inverse)
+    verdicts = [M.is_singular() for M in matrices]
+    assert verdicts == want
+    assert True in verdicts and False in verdicts
 
 
 def test_poly_text_format():

@@ -134,6 +134,59 @@ def test_admissible_multisets_counts():
     assert {m.indices for m in got} == {(0, 0), (0, 1), (1, 1)}
 
 
+@pytest.mark.parametrize(
+    "spec,k,n",
+    [
+        ("Q", 3, 7),
+        ("Q", 4, 8),
+        ("GF(7)", 2, 6),
+        ("GF(2)", 3, 8),
+        ("GF(3)", 3, 9),
+        ("GF(2)", 2, 6),
+        ("GF(3)", 4, 6),
+    ],
+)
+def test_admissible_multisets_against_filtered_multisets(spec, k, n):
+    """The multisets are those of combinations_with_replacement over the
+    m = n / p^d distinct roots whose multiplicities stay at most p^d, in
+    that order; for p not dividing n that is combinations itself."""
+    import itertools
+
+    F = QQ if spec == "Q" else prime_field(int(spec[3:-1]))
+    K = EvContext(GrContext(k, n), F).field
+    p = F.characteristic
+    cap, m = 1, n
+    while p and m % p == 0:
+        cap, m = cap * p, m // p
+    want = [
+        c
+        for c in itertools.combinations_with_replacement(range(m), k)
+        if max(c.count(i) for i in c) <= cap
+    ]
+    got = admissible_multisets(K, k, n)
+    assert [J.indices for J in got] == want
+    assert all(len(set(J.roots)) == len(set(J.indices)) for J in got)
+
+
+def test_ideal_vanishing_builds_no_powers_beyond_x():
+    """verify_ideal_vanishing keeps x_i^0, x_i per multiset; the first ev_map
+    at J extends J's rows to x_i^(n-k)."""
+    ctx = GrContext(3, 7)
+    ev = EvContext(ctx, prime_field(29))
+    multisets = admissible_multisets(ev.field, 3, 7)
+    for J in multisets:
+        assert verify_ideal_vanishing(ev, J)["all_ok"]
+    assert {len(row) for rows in ev._powers.values() for row in rows} == {2}
+    J = multisets[0]
+    x2 = special_class(ctx, prime_field(29), 2)
+    value = ev_map(ev, J, x2)
+    rows = ev._powers[J.roots]
+    assert [len(row) for row in rows] == [ctx.cols + 1] * 3
+    assert value == rows[1][1]
+    assert all(row[e] == ev.field.pow(row[1], e) for row in rows for e in range(ctx.cols + 1))
+    assert verify_ideal_vanishing(ev, J)["all_ok"]
+
+
 def test_ev_context_examples():
     ev = EvContext(GrContext(2, 5), prime_field(11))
     assert ev.field.order == 11
