@@ -50,8 +50,6 @@ from .presentation import (
     AdmissibleMultiset,
     EvContext,
     admissible_multisets,
-    complete_sym,
-    elementary_sym,
     ev_map,
     verify_ideal_vanishing,
 )

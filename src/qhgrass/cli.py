@@ -22,7 +22,7 @@ from . import gelfand_cetlin as gc
 from . import presentation as pres
 from . import qh_core as qc
 from .diagram import GrContext, enumerate_diagrams
-from .exactfield import QQ, FieldError, char_poly, parse_field
+from .exactfield import FieldError, char_poly, parse_field
 from .selftest import run_selftest
 
 

@@ -311,11 +311,12 @@ def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> Gr
     route, else the search, else the rule (noted "rule-only"); routes that
     disagree raise RuntimeError.
 
-    Over GF(p^m), pi has integer coefficients, so it is built and tested by
-    Rabin over GF(p): an irreducible f of degree d over GF(q) splits over
-    GF(q^m) into gcd(d, m) irreducible factors of degree d / gcd(d, m)
-    (Lidl and Niederreiter, Finite Fields, Thm 3.46), so pi is irreducible
-    over GF(p^m) exactly when it is over GF(p) and gcd(deg pi, m) = 1.
+    Over GF(p^m), pi has integer coefficients, so it is built over GF(p) and
+    tested there by the distinct-degree split: an irreducible f of degree d
+    over GF(q) splits over GF(q^m) into gcd(d, m) irreducible factors of
+    degree d / gcd(d, m) (Lidl and Niederreiter, Finite Fields, Thm 3.46), so
+    pi is irreducible over GF(p^m) exactly when it is over GF(p) and
+    gcd(deg pi, m) = 1.
     """
     k, n = ctx.k, ctx.n
     kk = min(k, n - k)

@@ -31,15 +31,6 @@ class GrContext:
         """Width n-k of the diagram rectangle."""
         return self.n - self.k
 
-    @property
-    def chern_number(self) -> int:
-        """Minimal Chern number; also the complex degree of q."""
-        return self.n
-
-    def dual(self) -> "GrContext":
-        """Context of the transposition isomorphism Gr(k,n) -> Gr(n-k,n)."""
-        return GrContext(self.n - self.k, self.n)
-
 
 class YoungDiagram(tuple):
     """Row lengths, weakly decreasing, trailing zeros stripped."""

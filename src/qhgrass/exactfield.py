@@ -30,10 +30,11 @@ polynomial is its monic characteristic polynomial, and only a matrix whose
 reduced form has a zero there goes to the Krylov lcm. SquareMatrix.is_singular
 eliminates by cross-multiplying rows and inverts no element of a finite field.
 
-Over a finite field, distinct_degree_profile and factor_squarefree_finite
-share one distinct-degree split; the factorization splits each part further
-by Cantor-Zassenhaus. Irreducibility is Rabin's test over a finite field;
-over Q it screens up to 10 primes below 1000 by their degree profiles and
+Over a finite field, is_irreducible, distinct_degree_profile and
+factor_squarefree_finite share one distinct-degree split: a squarefree f is
+irreducible when the first part of its split has degree deg f, and the
+factorization splits each part further by Cantor-Zassenhaus. Over Q,
+is_irreducible screens up to 10 primes below 1000 by their degree profiles and
 factors only the first prime with the fewest modular factors, for Hensel
 lifting and factor recombination. Recombination tries subsets of the lifted
 factors smallest first, so a rational root shows up as a subset of size one;
@@ -543,12 +544,6 @@ class Poly:
         F = self.field
         return Poly(F, [F.mul(c, a) for a in self.coeffs])
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return Poly(self.field, (self.field.zero(),) * k + self.coeffs)
-
     def __divmod__(self, other):
         F = self.field
         if other.is_zero:
@@ -653,7 +648,7 @@ def make_extension(p: int, m: int) -> FieldCtx:
             c, r = divmod(c, p)
             digits.append(r)
         candidate = Poly(base, digits + [1])
-        if _finite_irreducible(base, candidate):
+        if is_irreducible(base, candidate):
             return ExtensionField(base, candidate.coeffs, label=f"GF({p}^{m})")
     raise FieldError("no irreducible modulus found")  # pragma: no cover
 
@@ -774,17 +769,8 @@ class SquareMatrix:
         self.rows = rows
 
     @classmethod
-    def identity(cls, field, size):
-        z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(size)] for i in range(size)])
-
-    @classmethod
     def from_int_rows(cls, field, rows):
         return cls(field, [[field.from_int(v) for v in row] for row in rows])
-
-    @property
-    def entries(self) -> tuple[Element, ...]:
-        return tuple(v for row in self.rows for v in row)
 
     def __eq__(self, other):
         return (
@@ -897,21 +883,6 @@ def char_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
     return monic if M.size % 2 == 0 else -monic
 
 
-def matrix_poly_eval(poly: Poly, M: SquareMatrix) -> SquareMatrix:
-    """poly(M), column by column: Horner's rule on each unit vector e_j,
-    v -> M v + c e_j, gives column j."""
-    F = M.field
-    n = M.size
-    columns = []
-    for j in range(n):
-        v = [F.zero()] * n
-        for c in reversed(poly.coeffs):
-            v = M.apply(v)
-            v[j] = F.add(v[j], c)
-        columns.append(v)
-    return SquareMatrix(F, list(zip(*columns)))
-
-
 def min_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
     """Monic minimal polynomial of M.
 
@@ -966,27 +937,7 @@ def _krylov_min_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# irreducibility over finite fields
-
-
-def _finite_irreducible(F: FieldCtx, f: Poly) -> bool:
-    """Rabin's test over GF(q): x^(q^n) = x mod f, and gcd(f, x^(q^(n/r)) - x) = 1
-    for every prime r | n. One Frobenius chain t_d = x^(q^d) mod f, d = 1..n,
-    serves every test."""
-    n = int(f.degree)
-    if n < 1:
-        raise FieldError("irreducibility is only defined for nonconstant polynomials")
-    if n == 1:
-        return True
-    f = f.monic()
-    x = Poly.x(F)
-    gcd_steps = {n // r for r in factorize(n)}
-    t = x
-    for d in range(1, n + 1):
-        t = t.pow_mod(F.order, f)
-        if d in gcd_steps and poly_gcd(f, t - x).degree != 0:
-            return False
-    return t == x
+# distinct-degree split over finite fields
 
 
 def _distinct_degree_parts(F: FieldCtx, f: Poly) -> Iterator[tuple[int, Poly]]:
@@ -1222,7 +1173,11 @@ def _rational_irreducible(coeffs: list[Fraction]) -> bool:
 
 
 def is_irreducible(F: FieldCtx, f: Poly) -> bool:
-    """Exact irreducibility over a finite field, by Rabin's test, or over Q.
+    """Exact irreducibility over a finite field or over Q.
+
+    Over GF(q), f is irreducible exactly when it is squarefree (gcd(f, f') = 1,
+    which also rejects f' = 0) and the distinct-degree split of monic f finds
+    no factor of degree below deg f, so its first part has degree deg f.
 
     Over Q the degree is at most RATIONAL_DEGREE_LIMIT (64), else
     DegreeLimitError. Degree profiles mod small primes answer most inputs;
@@ -1242,4 +1197,7 @@ def is_irreducible(F: FieldCtx, f: Poly) -> bool:
         return _rational_irreducible([Fraction(c) for c in f.coeffs])
     if F.order is None:  # pragma: no cover
         raise FieldError("infinite fields of positive characteristic unsupported")
-    return _finite_irreducible(F, f)
+    f = f.monic()
+    if poly_gcd(f, f.derivative()).degree != 0:
+        return False
+    return next(_distinct_degree_parts(F, f))[0] == f.degree

@@ -219,6 +219,8 @@ def find_critical_point(
     it is smooth and convex and the Hessian stays positive definite along
     the iteration; the unique interior minimum is the critical point.
     """
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if ctx.cols == 0:

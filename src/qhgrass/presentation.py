@@ -14,15 +14,14 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .diagram import GrContext, YoungDiagram
+from .diagram import GrContext
 from .exactfield import (
     ExtensionField,
     FieldCtx,
     PrimeField,
     RationalField,
-    UnsupportedCharacteristicError,
     cyclotomic_field,
     make_extension,
     nth_roots_of_unity,
@@ -53,20 +52,6 @@ def _complete_upto(F: FieldCtx, es: Sequence, i: int) -> list:
             acc = F.add(acc, term) if j % 2 else F.sub(acc, term)
         hs.append(acc)
     return hs
-
-
-def elementary_sym(F: FieldCtx, values: Sequence, i: int):
-    """e_i evaluated at the given field elements; e_0 = 1."""
-    if not 0 <= i <= len(values):
-        raise ValueError(f"e_{i} undefined for {len(values)} values")
-    return _elementary_upto(F, values, i)[i]
-
-
-def complete_sym(F: FieldCtx, values: Sequence, i: int):
-    """h_i at the values, through h_r = h_{r-1}e_1 - h_{r-2}e_2 + ... (E(-t)H(t) = 1)."""
-    if i < 0:
-        raise ValueError("h_i needs i >= 0")
-    return _complete_upto(F, _elementary_upto(F, values, len(values)), i)[i]
 
 
 def _p_split(n: int, p: int) -> tuple[int, int]:
@@ -257,20 +242,3 @@ def verify_ideal_vanishing(ev: EvContext, J: AdmissibleMultiset) -> dict:
         "checks": checks,
         "all_ok": all(c["ok"] for c in checks),
     }
-
-
-def in_zeta_subfield(ev: EvContext, value) -> bool:
-    """Membership of a splitting-field element in the subfield F(zeta_n)."""
-    K = ev.field
-    p = K.characteristic
-    if p:
-        s = splitting_degree(p, ev.distinct_root_count) if ev.distinct_root_count > 1 else 1
-        return K.pow(value, p**s) == value
-    big_n = getattr(K, "cyclotomic_order", None)
-    if big_n is None or big_n == ev.ctx.n or ev.ctx.n % 2 == 1:
-        # for odd n, Q(zeta_2n) = Q(zeta_n); nothing to check
-        return True
-    # K = Q(zeta_2n) for even n: zeta -> zeta^(n+1) = -zeta generates
-    # Gal(K/Q(zeta_n)) and negates the odd power-basis coefficients, so the
-    # fixed values are those whose odd coefficients vanish
-    return all(c == 0 for c in value[1::2])

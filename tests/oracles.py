@@ -46,6 +46,30 @@ def naive_complete(F, values, i):
     return total
 
 
+def in_zeta_subfield(ev, value) -> bool:
+    """Membership of a splitting-field element of the EvContext ev in the
+    subfield F(zeta_n).
+
+    Over GF(p), that subfield is GF(p^s) with s the least exponent for which
+    the distinct roots all satisfy x^(p^s) = x, so its elements are the
+    fixed points of x -> x^(p^s). Over Q, ev.field is Q(zeta_N) with N = n
+    or 2n, and only N = 2n with n even is larger than Q(zeta_n) (for odd n,
+    Q(zeta_2n) = Q(zeta_n)). There zeta -> zeta^(n+1) = -zeta generates
+    Gal(Q(zeta_2n)/Q(zeta_n)) and negates the odd power-basis coefficients,
+    so the fixed values are those whose odd coefficients vanish.
+    """
+    K = ev.field
+    p = K.characteristic
+    if p:
+        roots = ev.distinct_root_count
+        s = next(s for s in itertools.count(1) if (p**s - 1) % roots == 0)
+        return K.pow(value, p**s) == value
+    big_n = getattr(K, "cyclotomic_order", None)
+    if big_n is None or big_n == ev.ctx.n or ev.ctx.n % 2 == 1:
+        return True
+    return all(c == 0 for c in value[1::2])
+
+
 def units_from_powers(p: int, n: int) -> set[int]:
     """The subgroup {(-1)^a p^b mod n} by direct enumeration."""
     out = set()

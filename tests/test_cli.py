@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -120,6 +121,31 @@ def test_gc_commands(capsys):
     data = json.loads(out)
     assert abs(data["W"] - 2.0) < 1e-12
     assert data["gradInf"] < 1e-10
+
+
+# sha256 of the stdout of `gc critical k n` at the default tol. These are
+# floats from numpy's Newton solve, so a different LAPACK may move the last
+# digits; W is also checked against its closed form n sin(k pi/n) / sin(pi/n)
+_GC_CRITICAL_SHA256 = {
+    (2, 5): "517aba199af79771eb8a72069d962d3274bc22879e9cc5d2cd239ba6b7688cd8",
+    (3, 6): "0c07eeb65bdfa2e03df78b5c8067a12ea506f06c0ad4a20a40c8ccf44e2b8277",
+    (3, 7): "260114ee4fc24bff698fb55d001ddb9001be3d663e7d0818ee5c1c1ccaea64bd",
+    (4, 8): "61c5a793fed1e6183ff18c2b57962fdf889ee4d0295f5d5bf8d08d92729fcad3",
+}
+
+
+@pytest.mark.parametrize("k,n", list(_GC_CRITICAL_SHA256))
+def test_gc_critical_stdout_digest(capsys, k, n):
+    code, out, err = run(capsys, "gc", "critical", str(k), str(n))
+    assert code == 0 and err == ""
+    assert abs(json.loads(out)["W"] - n * math.sin(k * math.pi / n) / math.sin(math.pi / n)) < 1e-9
+    assert hashlib.sha256(out.encode()).hexdigest() == _GC_CRITICAL_SHA256[(k, n)]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_gc_critical_rejects_a_non_finite_tol(capsys, tol):
+    code, out, err = run(capsys, "gc", "critical", "2", "5", f"--tol={tol}")
+    assert code == 2 and out == "" and err == f"error: tol must be finite, got {float(tol)}\n"
 
 
 def test_gc_map_csv_row_matches_json_values(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -21,7 +22,6 @@ from qhgrass.exactfield import (
     factor_squarefree_finite,
     is_irreducible,
     make_extension,
-    matrix_poly_eval,
     min_poly,
     multiplicative_generator,
     nth_roots_of_unity,
@@ -147,6 +147,39 @@ def test_make_extension_examples():
     assert gf_irreducible_by_trial_division(2, [int(c) for c in F8.modulus])
     with pytest.raises(FieldError):
         make_extension(6, 2)
+
+
+# the first irreducible monic modulus in make_extension's scan (constant term
+# counting fastest), low degree first; every field built on them depends on it
+_MODULI = {
+    (2, 2): [1, 1, 1],
+    (2, 3): [1, 1, 0, 1],
+    (2, 4): [1, 1, 0, 0, 1],
+    (2, 5): [1, 0, 1, 0, 0, 1],
+    (2, 6): [1, 1, 0, 0, 0, 0, 1],
+    (2, 7): [1, 1, 0, 0, 0, 0, 0, 1],
+    (2, 8): [1, 1, 0, 1, 1, 0, 0, 0, 1],
+    (3, 2): [1, 0, 1],
+    (3, 3): [1, 2, 0, 1],
+    (3, 4): [2, 1, 0, 0, 1],
+    (5, 2): [2, 0, 1],
+    (5, 3): [1, 1, 0, 1],
+    (7, 2): [1, 0, 1],
+    (7, 3): [2, 0, 0, 1],
+    (11, 2): [1, 0, 1],
+    (13, 4): [2, 0, 0, 0, 1],
+}
+
+
+@pytest.mark.parametrize("p,m", list(_MODULI))
+def test_make_extension_modulus_is_the_first_irreducible(p, m):
+    modulus = _MODULI[(p, m)]
+    assert list(make_extension(p, m).modulus) == modulus
+    assert gf_irreducible_by_trial_division(p, modulus)
+    position = sum(c * p**i for i, c in enumerate(modulus[:-1]))
+    for earlier in range(position):
+        digits = [earlier // p**i % p for i in range(m)]
+        assert not gf_irreducible_by_trial_division(p, digits + [1]), digits
 
 
 def test_extension_determinism():
@@ -295,7 +328,7 @@ def test_degree_limit():
 
 
 def test_char_poly_examples():
-    assert char_poly(QQ, SquareMatrix.identity(QQ, 2)).coeffs == (
+    assert char_poly(QQ, SquareMatrix.from_int_rows(QQ, [[1, 0], [0, 1]])).coeffs == (
         Fraction(1),
         Fraction(-2),
         Fraction(1),
@@ -314,14 +347,13 @@ def test_char_poly_against_sympy_and_cayley_hamilton(size):
     expected = sympy_charpoly_coeffs(rows)
     sign = 1 if size % 2 == 0 else -1
     assert list(mine.coeffs) == [sign * c for c in expected]
-    hit = matrix_poly_eval(mine, M)
-    assert all(v == 0 for v in hit.entries)
+    assert sympy_min_poly_is_minimal(rows, mine.coeffs)  # Cayley-Hamilton, and M is nonderogatory
     # and over GF(7)
     F7 = prime_field(7)
     M7 = SquareMatrix.from_int_rows(F7, rows)
     mine7 = char_poly(F7, M7)
     assert list(mine7.coeffs) == [F7.from_int(int(sign * c)) for c in expected]
-    assert all(F7.is_zero(v) for v in matrix_poly_eval(mine7, M7).entries)
+    assert sympy_min_poly_is_minimal(rows, mine7.monic().coeffs, 7)
 
 
 def _charpoly_rows(F, shape, rng):
@@ -383,19 +415,32 @@ def test_char_poly_work_on_tridiagonal_matrices_is_quadratic():
 
 
 def test_is_irreducible_over_gf4_against_distinct_degree_profile():
+    """Both answers from the shared distinct-degree split, and trial division
+    by every monic polynomial of degree <= deg/2 over GF(4)."""
     F = make_extension(2, 2)
+    elements = list(F.elements())
+
+    def has_small_factor(f):
+        return any(
+            (f % Poly(F, list(tail) + [F.one()])).is_zero
+            for d in range(1, int(f.degree) // 2 + 1)
+            for tail in itertools.product(elements, repeat=d)
+        )
+
     rng = random.Random(44)
     seen = set()
     for _ in range(60):
         deg = rng.randint(2, 9)
         f = Poly(F, [F.random_element(rng) for _ in range(deg)] + [F.one()])
         if poly_gcd(f, f.derivative()).degree != 0:
+            assert is_irreducible(F, f) is False, f
             continue
         irreducible = distinct_degree_profile(F, f) == [deg]
         seen.add(irreducible)
         assert is_irreducible(F, f) is irreducible, f
+        assert irreducible is not has_small_factor(f), f
     assert seen == {True, False}
-    # degrees 2 + 3: no factor of degree 5/5 = 1, so only the final x^(q^5) = x test rejects it
+    # degrees 2 + 3: the product has no linear factor, and the degree-2 part rejects it
     quadratic = next(
         g for g in (Poly(F, [a, b, F.one()]) for a in F.elements() for b in F.elements())
         if is_irreducible(F, g)
@@ -417,7 +462,8 @@ def test_rational_inverse_and_quotient_are_fractions():
 
 
 def test_min_poly_examples():
-    assert min_poly(QQ, SquareMatrix.identity(QQ, 3)).coeffs == (Fraction(-1), Fraction(1))
+    identity = SquareMatrix.from_int_rows(QQ, [[int(i == j) for j in range(3)] for i in range(3)])
+    assert min_poly(QQ, identity).coeffs == (Fraction(-1), Fraction(1))
     D = SquareMatrix.from_int_rows(QQ, [[1, 0], [0, 2]])
     assert min_poly(QQ, D).coeffs == (Fraction(2), Fraction(-3), Fraction(1))
 
@@ -483,7 +529,7 @@ def test_min_poly_divides_char_poly(seed):
     mp = min_poly(F, M)
     cp = char_poly(F, M)
     assert (cp % mp).is_zero
-    assert all(F.is_zero(v) for v in matrix_poly_eval(mp, M).entries)
+    assert sympy_min_poly_is_minimal(*_oracle_args(F, M.rows, mp.coeffs))
     assert mp.lc() == F.one()
 
 

@@ -169,6 +169,14 @@ def test_critical_point_validation():
         find_critical_point(GrContext(2, 5), tol=1e-8, max_iter=1)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+def test_critical_point_rejects_a_non_finite_tol(tol):
+    """nan compares false with everything, so it used to pass the sign check
+    and run every Newton step before reporting no convergence."""
+    with pytest.raises(ValueError, match="finite"):
+        find_critical_point(GrContext(2, 5), tol=tol)
+
+
 def test_gr_n_n_has_no_values_and_no_potential():
     ctx = GrContext(2, 2)
     assert gc_map(random_frame(ctx, 0)).interlacing_violation() == 0.0

@@ -9,16 +9,15 @@ from qhgrass.exactfield import QQ, cyclotomic_field, make_extension, prime_field
 from qhgrass.presentation import (
     AdmissibleMultiset,
     EvContext,
+    _complete_upto,
+    _elementary_upto,
     admissible_multisets,
-    complete_sym,
-    elementary_sym,
     ev_map,
-    in_zeta_subfield,
     verify_ideal_vanishing,
 )
 from qhgrass.qh_core import QhElement, giambelli_expand, q_shift, quantum_product, special_class
 
-from oracles import naive_complete, naive_elementary
+from oracles import in_zeta_subfield, naive_complete, naive_elementary
 
 
 def frac(*values):
@@ -26,27 +25,23 @@ def frac(*values):
 
 
 def test_elementary_examples():
-    assert elementary_sym(QQ, frac(5, 7, 9), 0) == 1
-    assert elementary_sym(QQ, frac(1, 2, 3), 2) == 11
-    with pytest.raises(ValueError):
-        elementary_sym(QQ, frac(1, 2), 3)
+    assert _elementary_upto(QQ, frac(5, 7, 9), 0) == [1]
+    assert _elementary_upto(QQ, frac(1, 2, 3), 3) == [1, 6, 11, 6]
+    assert _elementary_upto(QQ, frac(1, 2), 3) == [1, 3, 2, 0]  # e_3 of two values is 0
 
 
 def test_complete_examples():
-    assert complete_sym(QQ, frac(4, 4), 0) == 1
-    assert complete_sym(QQ, frac(1, 2), 2) == 7
-    with pytest.raises(ValueError):
-        complete_sym(QQ, frac(1), -1)
+    assert _complete_upto(QQ, _elementary_upto(QQ, frac(4, 4), 2), 0) == [1]
+    assert _complete_upto(QQ, _elementary_upto(QQ, frac(1, 2), 2), 2) == [1, 3, 7]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_symmetric_functions_against_enumeration(k):
     rng = random.Random(k)
     values = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
-    for i in range(0, k + 1):
-        assert elementary_sym(QQ, values, i) == naive_elementary(QQ, values, i)
-    for i in range(0, 6):
-        assert complete_sym(QQ, values, i) == naive_complete(QQ, values, i)
+    es = _elementary_upto(QQ, values, k)
+    assert es == [naive_elementary(QQ, values, i) for i in range(k + 1)]
+    assert _complete_upto(QQ, es, 5) == [naive_complete(QQ, values, i) for i in range(6)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -55,8 +50,8 @@ def test_generating_identity_eh(k):
     rng = random.Random(10 + k)
     for _ in range(20):
         values = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k)]
-        es = [elementary_sym(QQ, values, j) for j in range(k + 1)]
-        hs = [complete_sym(QQ, values, j) for j in range(13)]
+        es = _elementary_upto(QQ, values, k)
+        hs = _complete_upto(QQ, es, 12)
         for d in range(1, 13):
             total = Fraction(0)
             for j in range(0, min(d, k) + 1):
@@ -104,8 +99,7 @@ def test_vieta_full_root_set():
 
     for F, n in cases:
         roots = nth_roots_of_unity(F, n)
-        for i in range(n + 1):
-            e = elementary_sym(F, roots, i)
+        for i, e in enumerate(_elementary_upto(F, roots, n)):
             if i == 0:
                 assert e == F.one()
             elif i < n:

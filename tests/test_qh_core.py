@@ -189,7 +189,7 @@ def test_giambelli_expand_matches_permutation_oracle(k, n):
         if k < n:
             flipped = diagram.conjugate()
             want = dict(column_giambelli(n - k, flipped))
-            assert giambelli_expand(ctx.dual(), flipped) == want, diagram
+            assert giambelli_expand(GrContext(n - k, n), flipped) == want, diagram
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])

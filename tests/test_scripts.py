@@ -1,20 +1,31 @@
 import hashlib
+import json
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-CLASSIFIER_GRID = Path(__file__).resolve().parent.parent / "scripts" / "classifier_grid.py"
+from qhgrass.cli import main
+from qhgrass.diagram import GrContext
+from qhgrass.gelfand_cetlin import gc_csv_rows
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+CLASSIFIER_GRID = SCRIPTS / "classifier_grid.py"
+GC_EXPERIMENTS = SCRIPTS / "gc_experiments.py"
 GRID_ARGS = ["--max-n", "60", "--chars", "0", "2", "3", "5", "7", "11", "13"]
 
 
-def run_classifier_grid(monkeypatch, capsys, *extra):
-    monkeypatch.setattr(sys, "argv", [str(CLASSIFIER_GRID), *GRID_ARGS, *extra])
+def run_script(monkeypatch, capsys, script, *argv):
+    monkeypatch.setattr(sys, "argv", [str(script), *argv])
     with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(CLASSIFIER_GRID), run_name="__main__")
+        runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == 0
-    return capsys.readouterr().out
+    return capsys.readouterr()
+
+
+def run_classifier_grid(monkeypatch, capsys, *extra):
+    return run_script(monkeypatch, capsys, CLASSIFIER_GRID, *GRID_ARGS, *extra).out
 
 
 def test_classifier_grid_json_digest(monkeypatch, capsys):
@@ -30,3 +41,33 @@ def test_classifier_grid_table_digest(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "1145a3c374d3c41b75fe55977109d921fb8c35674c9aa958f10255cf2aa492d9"
     )
+
+
+def critical_report(capsys, k, n):
+    """The `gc critical k n` report, as the script prints it: k and n first."""
+    assert main(["gc", "critical", str(k), str(n)]) == 0
+    return {"k": k, "n": n, **json.loads(capsys.readouterr().out)}
+
+
+@pytest.mark.parametrize("quaternionic", [False, True])
+def test_gc_experiments_rows_and_reports(monkeypatch, capsys, tmp_path, quaternionic):
+    """CSV rows are gc_csv_rows for seeds 0..2 under a "# Gr(k,n)" line, and
+    the JSON lines are the `gc critical` reports of every context. With
+    --quaternionic, Gr(2,5) has no quaternionic frame: its rows are skipped
+    with a note on stderr, and its critical point is still reported."""
+    contexts = [(2, 4), (2, 5)]
+    csv_out = tmp_path / "gc.csv"
+    flags = ["--quaternionic"] if quaternionic else []
+    captured = run_script(
+        monkeypatch, capsys, GC_EXPERIMENTS,
+        "--contexts", "2,4", "2,5", "--samples", "3", "--csv-out", str(csv_out), *flags,
+    )
+    sampled = [(2, 4)] if quaternionic else contexts
+    want_rows = []
+    for k, n in sampled:
+        want_rows += [f"# Gr({k},{n})", *gc_csv_rows(GrContext(k, n), [0, 1, 2], quaternionic)]
+    assert csv_out.read_text().splitlines() == want_rows
+    skipped = "skipping GrContext(k=2, n=5): quaternionic frames need k, n even\n"
+    assert captured.err == (skipped if quaternionic else "")
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    assert reports == [critical_report(capsys, k, n) for k, n in contexts]
