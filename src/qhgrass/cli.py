@@ -103,6 +103,8 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_evcheck(args) -> int:
+    if args.pairs < 0:
+        raise ValueError(f"--pairs must be at least 0, got {args.pairs}")
     ctx = _context(args)
     base = parse_field(args.field)
     ev = pres.EvContext(ctx, base)

@@ -176,10 +176,16 @@ class OrbitDecomposition:
         }
 
 
-def orbit_decomposition(n: int, p: int) -> OrbitDecomposition:
-    """Partition of the pairs {a, -a}, a != 0, under multiplication by p."""
+def _check_orbit_args(n: int, p: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if gcd(n, p) != 1:
         raise ValueError(f"gcd({n}, {p}) must be 1")
+
+
+def orbit_decomposition(n: int, p: int) -> OrbitDecomposition:
+    """Partition of the pairs {a, -a}, a != 0, under multiplication by p (n >= 1)."""
+    _check_orbit_args(n, p)
     reps = list(range(1, n // 2 + 1))  # pair {a, n-a} keyed by min
     seen: set[int] = set()
     orbits = []
@@ -208,8 +214,7 @@ def orbit_sizes(n: int, p: int) -> list[int]:
     prime power q^e grows from ord_q(p) by a factor 1 or q per step, and
     ord_m(p) is the lcm over the prime powers of m.
     """
-    if gcd(n, p) != 1:
-        raise ValueError(f"gcd({n}, {p}) must be 1")
+    _check_orbit_args(n, p)
     divisors = [(1, 1, 1)]  # (m, phi(m), ord_m(p))
     for q, exponent in factorize(n).items():
         grown = []
@@ -296,9 +301,6 @@ class GradedFieldCheck:
     routes: dict[str, bool] = dc_field(default_factory=dict)
     notes: list[str] = dc_field(default_factory=list)
 
-    def __bool__(self):
-        return self.is_field
-
 
 def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> GradedFieldCheck:
     """Decide whether QH^*(Gr(k,n); F) is a graded field, with evidence.
@@ -339,19 +341,17 @@ def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> Gr
                 check.routes["rule"] = rule
             else:
                 check.notes.append("p | n composite: charpoly route skipped, oracle only")
-        elif F.order is None:
-            pi = char_poly(F, closed_form_matrix(n, F))
-            check.routes["charpoly_irreducible"] = is_irreducible(F, pi)
         else:
-            # GF(p^m), m >= 1: pi over GF(p) and the gcd rule of the docstring
-            base, m = (F, 1) if F.order == p else (F.base, F.degree)
+            # Q, GF(p) and GF(p^m): pi over the prime field and the gcd rule
+            # of the docstring (m = 1 for Q and GF(p))
+            base, m = (F, 1) if F.order in (None, p) else (F.base, F.degree)
             pi = char_poly(base, closed_form_matrix(n, base))
             check.routes["charpoly_irreducible"] = (
                 is_irreducible(base, pi) and gcd(int(pi.degree), m) == 1
             )
             # the Frobenius is x -> x^|F|, so the unit-group cross-check uses
             # |F| mod n instead of p
-            if F.order != p and gcd(F.order, n) == 1:
+            if m > 1 and gcd(F.order, n) == 1:
                 check.routes["units_closure"] = is_prime(n) and generates_units(F.order % n, n)
 
     if F.order is not None and F.order ** len(qh0_basis(ctx)) <= brute_limit:

@@ -53,7 +53,7 @@ from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
 from typing import Any, Iterator, Sequence
 
-from .numberth import cyclotomic_polynomial, factorize, int_poly_divmod_monic, is_prime, primes_up_to
+from .numberth import cyclotomic_polynomial, factorize, int_poly_divmod_monic, is_prime
 
 Element = Any
 
@@ -416,14 +416,10 @@ class ExtensionField(FieldCtx):
     def elements(self):
         if self.order is None:
             raise FieldError(f"{self.label} is not finite")
-        p = self.base.order
-        for index in range(self.order):
-            digits = []
-            c = index
-            for _ in range(self.degree):
-                c, r = divmod(c, p)
-                digits.append(r)
-            yield tuple(digits)
+        # t^0 varies fastest, as in make_extension's scan; multiplicative_generator
+        # and the zero-divisor witnesses depend on this order
+        for digits in itertools.product(range(self.base.order), repeat=self.degree):
+            yield digits[::-1]
 
     def random_element(self, rng):
         return tuple(self.base.random_element(rng) for _ in range(self.degree))
@@ -641,13 +637,9 @@ def make_extension(p: int, m: int) -> FieldCtx:
     base = prime_field(p)
     if m == 1:
         return base
-    for counter in range(p**m):
-        digits = []
-        c = counter
-        for _ in range(m):
-            c, r = divmod(c, p)
-            digits.append(r)
-        candidate = Poly(base, digits + [1])
+    # t^0 varies fastest, as in ExtensionField.elements
+    for digits in itertools.product(range(p), repeat=m):
+        candidate = Poly(base, digits[::-1] + (1,))
         if is_irreducible(base, candidate):
             return ExtensionField(base, candidate.coeffs, label=f"GF({p}^{m})")
     raise FieldError("no irreducible modulus found")  # pragma: no cover
@@ -739,15 +731,6 @@ def nth_roots_of_unity(F: FieldCtx, n: int) -> tuple[Element, ...]:
     if len(set(roots)) != n:  # pragma: no cover - guarded by the order checks
         raise FieldError("roots of unity are not distinct")
     return tuple(roots)
-
-
-def splitting_degree(p: int, n: int) -> int:
-    """Degree m of the smallest GF(p^m) containing the n-th roots of unity."""
-    from .numberth import multiplicative_order
-
-    if n % p == 0:
-        raise UnsupportedCharacteristicError(f"gcd({n}, {p}) != 1")
-    return multiplicative_order(p, n) if n > 1 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -1150,7 +1133,7 @@ def _rational_irreducible(coeffs: list[Fraction]) -> bool:
     best: Poly | None = None
     fewest = n + 1
     usable = 0
-    for p in primes_up_to(1000):
+    for p in filter(is_prime, range(1000)):
         Fp = prime_field(p)
         fp = Poly.from_ints(Fp, F_int).monic()
         if poly_gcd(fp, fp.derivative()).degree != 0:

@@ -116,17 +116,6 @@ def order_dividing(a: int, n: int, multiple: int) -> int:
     return order
 
 
-def primes_up_to(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i, f in enumerate(sieve) if f]
-
-
 def int_poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """(quotient, remainder) of integer polynomials, low degree first, for a
     monic den; the remainder has no trailing zero coefficients."""

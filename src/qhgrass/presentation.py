@@ -25,8 +25,8 @@ from .exactfield import (
     cyclotomic_field,
     make_extension,
     nth_roots_of_unity,
-    splitting_degree,
 )
+from .numberth import multiplicative_order
 from .qh_core import QhElement, _giambelli_cached
 
 
@@ -95,7 +95,7 @@ class EvContext:
         self.base = base
         k, n = ctx.k, ctx.n
         p = base.characteristic
-        self.root_multiplicity, distinct = _p_split(n, p)
+        _, distinct = _p_split(n, p)
         # xi^n = -(-1)^k: for even k that is -1, found among the roots of order
         # 2 * distinct unless -1 = 1
         big_n = distinct if k % 2 == 1 or p == 2 else 2 * distinct
@@ -106,7 +106,7 @@ class EvContext:
         else:
             if not isinstance(base, PrimeField):
                 raise ValueError("positive-characteristic evaluation starts from GF(p)")
-            self.field = make_extension(p, splitting_degree(p, big_n))
+            self.field = make_extension(p, multiplicative_order(p, big_n))
         K = self.field
         self.distinct_root_count = distinct
         self.roots = nth_roots_of_unity(K, distinct)
@@ -149,14 +149,8 @@ class EvContext:
 
     def embed(self, value):
         """Embed a base-field element into the splitting field."""
-        base, K = self.base, self.field
-        if K is base:
-            return value
-        if isinstance(base, RationalField):
-            if isinstance(K, ExtensionField):
-                return K.lift(value)
-            return value
-        return K.from_int(value)
+        K = self.field
+        return K.lift(value) if isinstance(K, ExtensionField) else value
 
     def __repr__(self):
         return (
@@ -189,8 +183,8 @@ def ev_map(ev: EvContext, J: AdmissibleMultiset, element: QhElement):
     """Image of a quantum cohomology class under ev_J (q -> 1, x_i -> xi^i e_i)."""
     if element.ctx != ev.ctx:
         raise ValueError("context mismatch")
-    if element.field.characteristic != ev.base.characteristic:
-        raise ValueError("field characteristic mismatch")
+    if element.field != ev.base:
+        raise ValueError(f"element over {element.field.label}, evaluation from {ev.base.label}")
     K = ev.field
     powers = ev._power_rows(J, ev.ctx.cols)
     total = K.zero()

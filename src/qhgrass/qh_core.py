@@ -9,7 +9,10 @@ one factor by a quantum Giambelli determinant and applies the other factor
 to each monomial by iterated Pieri steps. Each factor has two determinants:
 the column one in x_1..x_k, of order D_1 (the width of D), and the row one
 in h_1..h_{n-k}, of order len(D). The product takes the factor and
-determinant of smallest order, ties broken by the smaller |D|.
+determinant of smallest order, ties broken by the smaller |D|. Products by
+x_j (pieri_multiply) and by h_p (transposed_pieri_multiply) run through
+this one engine. On Gr(n, n), a point, the column x_j is not a class: x_n
+acts as q and x_j for j < n as 0.
 
 Structure constants are integers independent of the coefficient field and
 are cached per context, keyed on the unordered pair of diagrams, so
@@ -18,10 +21,9 @@ multiplies the coefficients of each pair of terms once, lifts these products
 to integer coordinates over one common denominator, sums structure constant
 times coordinates per output term with plain int arithmetic, and converts
 each sum back to a field element once (FieldCtx._lift_ints/_drop_ints). The
-engine's results, like those of the Pieri rules, q_shift, sums and
-negation, are built by QhElement._trusted, which skips the box and zero
-checks: their keys lie in the box by construction and their coefficients
-are nonzero.
+engine's results, like those of q_shift, sums and negation, are built by
+QhElement._trusted, which skips the box and zero checks: their keys lie in
+the box by construction and their coefficients are nonzero.
 """
 
 from __future__ import annotations
@@ -73,9 +75,8 @@ class QhElement:
         return cls(ctx, field, {(EMPTY, 0): field.one()})
 
     @classmethod
-    def schubert(cls, ctx, field, diagram: YoungDiagram, q_power: int = 0, coeff=None):
-        coeff = field.one() if coeff is None else coeff
-        return cls(ctx, field, {(YoungDiagram(diagram), q_power): coeff})
+    def schubert(cls, ctx, field, diagram: YoungDiagram, q_power: int = 0):
+        return cls(ctx, field, {(YoungDiagram(diagram), q_power): field.one()})
 
     # -- linear structure --------------------------------------------------
 
@@ -88,7 +89,11 @@ class QhElement:
         F = self.field
         acc = dict(self.terms)
         for key, c in other.terms.items():
-            _bump(acc, key, c, F)
+            total = F.add(acc[key], c) if key in acc else c
+            if F.is_zero(total):
+                acc.pop(key, None)
+            else:
+                acc[key] = total
         return QhElement._trusted(self.ctx, F, acc)
 
     def __neg__(self):
@@ -134,17 +139,6 @@ class QhElement:
 
     def __repr__(self):
         return f"QhElement(Gr({self.ctx.k},{self.ctx.n}) over {self.field.label}: {format_element(self)})"
-
-
-def _bump(acc: dict, key, c, field: FieldCtx):
-    if key in acc:
-        new = field.add(acc[key], c)
-        if field.is_zero(new):
-            del acc[key]
-        else:
-            acc[key] = new
-    elif not field.is_zero(c):
-        acc[key] = c
 
 
 def special_class(ctx: GrContext, field: FieldCtx, j: int) -> QhElement:
@@ -201,9 +195,7 @@ def _row_pieri(
     size = sum(lam)
     classical = _interlacing(lam, ((cols,) + lam)[:k], size + p)
     quantum: tuple[YoungDiagram, ...] = ()
-    # k = 0 arises only as the dual of Gr(n, n); there lam_k >= 1 holds
-    # vacuously, and h_n * 1 = q
-    if k == 0 or lam[-1] >= 1:
+    if lam[-1] >= 1:
         lo = tuple(r - 1 for r in (lam + (1,))[1:])
         quantum = _interlacing(lo, tuple(r - 1 for r in lam), size + p - k - cols)
     return classical, quantum
@@ -218,30 +210,22 @@ def _column_pieri(
     return tuple(d.conjugate() for d in classical), tuple(d.conjugate() for d in quantum)
 
 
-def _field_pieri(step, element: QhElement, j: int) -> QhElement:
-    ctx, F = element.ctx, element.field
-    acc: dict[TermKey, object] = {}
-    for (diagram, m), c in element.terms.items():
-        classical, quantum = step(ctx.k, ctx.cols, diagram, j)
-        for added in classical:
-            _bump(acc, (added, m), c, F)
-        for removed in quantum:
-            _bump(acc, (removed, m + 1), c, F)
-    return QhElement._trusted(ctx, F, acc)
-
-
 def pieri_multiply(element: QhElement, j: int) -> QhElement:
     """x_j * element by the quantum Pieri rule."""
-    if not 1 <= j <= element.ctx.k:
-        raise ValueError(f"Pieri index {j} out of range 1..{element.ctx.k}")
-    return _field_pieri(_column_pieri, element, j)
+    ctx = element.ctx
+    if not 1 <= j <= ctx.k:
+        raise ValueError(f"Pieri index {j} out of range 1..{ctx.k}")
+    if not ctx.cols:  # Gr(n, n) is a point: x_n = q and x_j = 0 below n
+        return q_shift(element, 1) if j == ctx.k else QhElement.zero(ctx, element.field)
+    return quantum_product(special_class(ctx, element.field, j), element)
 
 
 def transposed_pieri_multiply(element: QhElement, j: int) -> QhElement:
     """V_{j,0} * element (single row of j boxes) by the row quantum Pieri rule."""
-    if not 1 <= j <= element.ctx.cols:
-        raise ValueError(f"transposed Pieri index {j} out of range 1..{element.ctx.cols}")
-    return _field_pieri(_row_pieri, element, j)
+    ctx = element.ctx
+    if not 1 <= j <= ctx.cols:
+        raise ValueError(f"transposed Pieri index {j} out of range 1..{ctx.cols}")
+    return quantum_product(QhElement.schubert(ctx, element.field, YoungDiagram((j,))), element)
 
 
 def q_shift(element: QhElement, m: int) -> QhElement:

@@ -100,6 +100,22 @@ def test_orbits_command(capsys):
     assert data["orbitCount"] == 3 and data["sizes"] == [1, 2, 2]
 
 
+@pytest.mark.parametrize("n,p", [("-5", "2"), ("0", "1")])
+def test_orbits_rejects_n_below_one(capsys, n, p):
+    code, out, err = run(capsys, "orbits", n, p)
+    assert code == 2 and out == "" and err == f"error: n must be at least 1, got {n}\n"
+
+
+def test_orbits_on_n_one_has_no_orbits(capsys):
+    code, out, _ = run(capsys, "orbits", "1", "2", "--json")
+    assert code == 0 and json.loads(out)["orbitCount"] == 0
+
+
+def test_evcheck_rejects_negative_pairs(capsys):
+    code, out, err = run(capsys, "evcheck", "2", "5", "Q", "--pairs", "-3")
+    assert code == 2 and out == "" and err == "error: --pairs must be at least 0, got -3\n"
+
+
 def test_evcheck_command(capsys):
     code, out, _ = run(capsys, "evcheck", "2", "5", "GF(11)", "--pairs", "10")
     assert code == 0
@@ -218,6 +234,17 @@ _STDOUT_SHA256 = {
     ("evcheck", "2", "7", "Q", "--verbose"): "a3ce98359b9821cce0b26884d5b43b85b533d796d11872beb6395e6c36796a6e",
     ("evcheck", "2", "13", "GF(3)"): "34d49921a64e328bc8fff5718cd5030de356ea37df5770eef6d799b729cb303e",
     ("pieri", "2", "5", "GF(2^3)", "2", "σ[3,2]+σ[2,1]"): "11fcde8afdb4fb8df93d668b8a5e838bb7f79fc05333a31aa1bbe07c6b5e73fe",
+    # recorded with the Pieri steps applied per field element, before they ran
+    # through the product engine; Gr(1,1) and Gr(3,3) are points (x_n = q)
+    ("pieri", "1", "1", "Q", "1", "σ[-]"): "f00a2d8e4fbc3106cecbe4964bb0e44c1fd7c10b2a0511000e900f7c412dac05",
+    ("pieri", "3", "3", "GF(5)", "3", "σ[-]"): "f00a2d8e4fbc3106cecbe4964bb0e44c1fd7c10b2a0511000e900f7c412dac05",
+    ("pieri", "3", "3", "GF(5)", "2", "σ[-]"): "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    ("pieri", "4", "9", "GF(2^2)", "3", "σ[5,3,1]"): "60c3da6d4627fd3f2ff3efc14f0a5e11bd3b3837953a675359242e9e9242f904",
+    ("product", "3", "7", "GF(3^2)", "2*σ[2,1]+q*σ[1]+σ[4,4,1]", "σ[3,1]+-1*σ[2]"): "89cb7fa72790a7a06c92fbac1746fe3ee68ff7af51abc9426dde29d6359dcab4",
+    ("matrix", "11", "GF(3^2)"): "1a0e1c9f63ffaccdef34b9d3b729a40fc5676d0b4b964c04ad48702421563478",
+    # p | n (2 | 6), and a GF(2^3) splitting field
+    ("evcheck", "2", "6", "GF(2)", "--verbose"): "11bd490d99578884127394d3fb2ab5986bac203727f248ebf95180313f0b3c92",
+    ("evcheck", "3", "7", "GF(2)"): "a1a7b118fb15003780a55d8b028b92261aed5694b917fe09751e1d1afd10545d",
 }
 
 

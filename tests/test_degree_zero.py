@@ -202,6 +202,16 @@ def test_orbit_sizes_examples():
         orbit_sizes(10, 5)
 
 
+@pytest.mark.parametrize("n,p", [(-5, 2), (0, 1), (0, 3)])
+def test_orbit_functions_reject_n_below_one(n, p):
+    """The enumeration used to answer "0 orbits" here and orbit_sizes to fail
+    inside factorize; both now raise the same ValueError."""
+    for orbits in (orbit_decomposition, orbit_sizes):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            orbits(n, p)
+    assert orbit_decomposition(1, p).count == 0 and orbit_sizes(1, p) == []
+
+
 def test_classify_large_n_against_enumerated_orbits():
     verdict = classify(2, 100003, 3)
     od = orbit_decomposition(100003, 3)

@@ -187,6 +187,17 @@ def test_extension_determinism():
     assert make_extension(2, 3).modulus == (1, 1, 0, 1)  # t^3 + t + 1
 
 
+def test_extension_elements_vary_the_constant_term_fastest():
+    """multiplicative_generator, the zero-divisor witnesses and the scan of
+    make_extension all read the elements in this order."""
+    assert list(make_extension(2, 3).elements()) == [
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)
+    ]
+    assert list(make_extension(3, 2).elements()) == [
+        (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)
+    ]
+
+
 def test_parse_field():
     assert parse_field("Q") is QQ
     assert parse_field("GF(7)").order == 7

@@ -322,6 +322,22 @@ def test_ev_map_context_mismatch():
         ev_map(ev, J, QhElement.unit(GrContext(2, 6), prime_field(11)))
 
 
+@pytest.mark.parametrize(
+    "base,element_field",
+    [(prime_field(11), make_extension(11, 2)), (QQ, cyclotomic_field(8))],
+    ids=["GF(11^2) element, GF(11) context", "Q(zeta8) element, Q context"],
+)
+def test_ev_map_rejects_an_element_over_another_field(base, element_field):
+    """The characteristics agree, but the element's field is not the context's
+    base; this raised TypeError or AttributeError from inside the arithmetic."""
+    ctx = GrContext(2, 5)
+    ev = EvContext(ctx, base)
+    J = admissible_multisets(ev.field, 2, 5)[0]
+    element = QhElement(ctx, element_field, {(YoungDiagram((1,)), 0): element_field.gen()})
+    with pytest.raises(ValueError, match="evaluation from"):
+        ev_map(ev, J, element)
+
+
 def _direct_ev(ev, roots, diagram):
     """sigma_D at x_i = xi^i e_i(roots), from naive e_i and plain powers."""
     K, k = ev.field, ev.ctx.k
