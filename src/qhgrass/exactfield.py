@@ -14,6 +14,11 @@ coefficient lists are convolved as Python ints and reduced by the integer
 modulus, then reduced mod p once per coefficient over GF(p), or, over Q,
 with each factor's denominators cleared first, turned into one Fraction per
 coefficient. Addition and negation over GF(p) work on the ints directly.
+A GF(p^m) of order at most TABLE_CAP builds log and antilog tables from
+multiplicative_generator on its first product or inverse, and from then on
+mul and inv are lookups (Huber, Some comments on Zech's logarithms, 1990).
+The cap keeps that build to a few milliseconds: GF(2^9) takes about 6 ms,
+GF(13^4) would take about 0.13 s and GF(2^16) about 1 s.
 
 Every field lifts a list of elements to integer coordinates over one common
 denominator (_lift_ints) and maps integer combinations of them back, one
@@ -21,7 +26,10 @@ conversion per result (_drop_ints): the int itself over GF(p), numerators
 over the lcm of the denominators over Q, coefficient lists over an
 extension. The extension product clears denominators through the same lift,
 and qh_core.quantum_product sums structure constants times these
-coordinates before it builds any element.
+coordinates before it builds any element. _mul_ints multiplies two such
+coordinates of denominator 1 (the bare kernel over Q(zeta_N), mul
+elsewhere) and _dot_ints sums int multiples of them, which is how
+presentation.ev_map evaluates.
 
 char_poly reduces a matrix to upper Hessenberg form once and runs the
 determinant recurrence on it. min_poly reuses that reduction: a Hessenberg
@@ -47,6 +55,7 @@ Everything is exact; no floating point appears in this module.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -58,6 +67,9 @@ from .numberth import cyclotomic_polynomial, factorize, int_poly_divmod_monic, i
 Element = Any
 
 NEG_INF = float("-inf")
+
+# GF(p^m) of at most this order multiplies and inverts by log tables
+TABLE_CAP = 512
 
 
 class FieldError(ValueError):
@@ -122,6 +134,15 @@ class FieldCtx:
     def _drop_ints(self, coords: dict, d: int) -> dict:
         """The same keys mapped to the field elements coords[key] / d, zeros left out."""
         raise NotImplementedError
+
+    def _mul_ints(self, a, b):
+        """The product of two integer coordinates of _lift_ints with d = 1, as
+        integer coordinates again; mul itself except over Q(zeta_N)."""
+        return self.mul(a, b)
+
+    def _dot_ints(self, weights: Sequence[int], coords: Sequence) -> Any:
+        """Sum of weights[i] * coords[i], integer coordinates for _drop_ints."""
+        return sum(map(operator.mul, weights, coords))
 
     def pow(self, a, exponent: int) -> Element:
         if exponent < 0:
@@ -288,8 +309,9 @@ def prime_field(p: int) -> PrimeField:
 class ExtensionField(FieldCtx):
     """base[x]/(modulus) for GF(p) or Q and a monic irreducible integer
     modulus; elements are tuples of base elements. The product's integer
-    kernel reduces by precomputed rows x^d mod modulus (see the module
-    docstring)."""
+    kernel reduces by precomputed rows x^d mod modulus; a field of order at
+    most TABLE_CAP multiplies and inverts by log tables instead (see the
+    module docstring)."""
 
     def __init__(self, base: FieldCtx, modulus: Sequence[Element], label: str | None = None):
         if isinstance(base, PrimeField):
@@ -316,6 +338,10 @@ class ExtensionField(FieldCtx):
         self.cyclotomic_order: int | None = None
         self._generator_cache: Element | None = None
         self._p = p
+        # log and antilog tables (_tables), built on the first product or
+        # inverse of a field of order <= TABLE_CAP; {} means no tables
+        self._log: dict | None = None if self.order is not None and self.order <= TABLE_CAP else {}
+        self._exp: list = []
         # _reduce[t] holds the coefficients of x^(m+t) mod modulus over Z
         row = [-c for c in ints[:-1]]
         self._reduce: list[list[int]] = []
@@ -356,11 +382,9 @@ class ExtensionField(FieldCtx):
             return tuple([(x - y) % p for x, y in zip(a, b)])
         return tuple([x - y for x, y in zip(a, b)])
 
-    def mul(self, a, b):
-        p = self._p
-        if not p:
-            (a,), da = self._lift_ints((a,))
-            (b,), db = self._lift_ints((b,))
+    def _kernel(self, a, b) -> list[int]:
+        """a * b for integer coordinate lists: convolved, then reduced by the
+        rows x^d mod modulus; no Fraction and no reduction mod p."""
         m = self.degree
         prod = [0] * (2 * m - 1)
         for i, x in enumerate(a):
@@ -372,14 +396,60 @@ class ExtensionField(FieldCtx):
                 for j, r in enumerate(row):
                     prod[j] += high * r
         del prod[m:]
-        if p:
-            return tuple([c % p for c in prod])
-        d = da * db
-        return tuple([Fraction(c, d) for c in prod])
+        return prod
+
+    def _tables(self) -> dict:
+        """Build the log and antilog tables from multiplicative_generator; the
+        products that find the generator run while the log is still empty.
+
+        exp holds g^0..g^(q-2) twice, so a sum of two logs indexes it without
+        a reduction, then zeros: 0 has log 2(q-1), and every sum with it lands
+        there."""
+        self._log = {}
+        g = multiplicative_generator(self)
+        q1 = self.order - 1
+        powers = [self.one()]
+        for _ in range(q1 - 1):
+            powers.append(self.mul(powers[-1], g))
+        self._exp = powers + powers + [self.zero()] * (2 * q1 + 1)
+        log = {a: i for i, a in enumerate(powers)}
+        log[self.zero()] = 2 * q1
+        self._log = log
+        return log
+
+    def mul(self, a, b):
+        p = self._p
+        if not p:
+            (a,), da = self._lift_ints((a,))
+            (b,), db = self._lift_ints((b,))
+            d = da * db
+            return tuple([Fraction(c, d) for c in self._kernel(a, b)])
+        log = self._log
+        if log is None:
+            log = self._tables()
+        if log:
+            la = log.get(a)
+            if la is not None:
+                lb = log.get(b)
+                if lb is not None:
+                    return self._exp[la + lb]
+        return tuple([c % p for c in self._kernel(a, b)])
+
+    def _mul_ints(self, a, b):
+        return self.mul(a, b) if self._p else self._kernel(a, b)
+
+    def _dot_ints(self, weights, coords):
+        return [sum(map(operator.mul, weights, column)) for column in zip(*coords)]
 
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0")
+        log = self._log
+        if log is None:
+            log = self._tables()
+        la = log.get(a) if log else None
+        if la is not None:
+            return self._exp[self.order - 1 - la]
         f = Poly(self.base, a)
         g = Poly(self.base, self.modulus)
         d, s, _ = poly_ext_gcd(f, g)

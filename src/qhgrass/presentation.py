@@ -7,6 +7,15 @@ elementary ones x_i = e_i. Evaluating x_i at xi^i * e_i(zeta_1..zeta_k)
 for an admissible multiset of n-th roots of unity and q at 1 kills the ideal
 generators and produces a ring homomorphism into a splitting field; these
 maps are the workhorse behind the degree-zero analysis.
+
+xi and the roots are algebraic integers, so the x_i have integer
+coordinates in the splitting field (FieldCtx._lift_ints with denominator 1).
+EvContext keeps the powers of each x_i in those coordinates, and ev_map
+evaluates integer-first, as qh_core.quantum_product sums: the element's
+coefficients are lifted to integers over one denominator, the Giambelli
+monomials are formed with FieldCtx._mul_ints (the extension kernel over
+Q(zeta_N), the field product over GF(p) and GF(p^m)), weighted by their
+summed integer coefficients, and converted to a field element once.
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ from typing import Sequence
 
 from .diagram import GrContext
 from .exactfield import (
-    ExtensionField,
     FieldCtx,
     PrimeField,
     RationalField,
@@ -84,10 +92,10 @@ class EvContext:
     and the distinct n-th roots of unity.
 
     On first use of a multiset J the context computes x_i = xi^i e_i(J) for
-    i = 1..k and keeps them keyed on J.roots; the powers x_i^2..x_i^(n-k)
-    are added only when ev_map first evaluates at J. That is
-    O(#multisets * k * (n-k)) field elements at most, dropped with the
-    context.
+    i = 1..k and keeps them keyed on J.roots, in integer coordinates; the
+    powers x_i^2..x_i^(n-k) are appended to the same rows only when ev_map
+    first evaluates at J. That is O(#multisets * k * (n-k)) coordinates at
+    most, dropped with the context.
     """
 
     def __init__(self, ctx: GrContext, base: FieldCtx):
@@ -120,37 +128,30 @@ class EvContext:
                 break
         if self.xi is None:  # pragma: no cover - big_n always suffices
             raise ValueError("no xi with xi^n = -(-1)^k found")
-        self._powers: dict[tuple, tuple[tuple, ...]] = {}
+        self._powers: dict[tuple, list[list]] = {}
 
-    def _power_rows(self, J: AdmissibleMultiset, top: int) -> tuple[tuple, ...]:
-        """Rows (x_i^0, ..., x_i^t) for i = 1..k, with x_i = xi^i e_i(J) and
-        t = max(top, 1), kept per J.roots. verify_ideal_vanishing reads x_i
-        alone (top 1); ev_map asks for top n-k, the largest exponent of a
-        Giambelli monomial in the k x (n-k) box, and the rows are extended
-        then."""
+    def _power_rows(self, J: AdmissibleMultiset, top: int) -> list[list]:
+        """Rows [x_i^0, ..., x_i^t] for i = 1..k in integer coordinates
+        (K._lift_ints), with x_i = xi^i e_i(J) and t = max(top, 1), kept per
+        J.roots. verify_ideal_vanishing reads x_i alone (top 1); ev_map asks
+        for top n-k, the largest exponent of a Giambelli monomial in the
+        k x (n-k) box, and the rows grow in place then."""
         rows = self._powers.get(J.roots)
         K = self.field
         if rows is None:
-            rows = []
+            xs = []
             xi_power = K.one()
             for e in _elementary_upto(K, J.roots, self.ctx.k)[1:]:
                 xi_power = K.mul(xi_power, self.xi)
-                rows.append((K.one(), K.mul(xi_power, e)))
-            rows = self._powers[J.roots] = tuple(rows)
-        if len(rows[0]) <= top:
-            grown = []
-            for row in rows:
-                row = list(row)
-                while len(row) <= top:
-                    row.append(K.mul(row[-1], row[1]))
-                grown.append(tuple(row))
-            rows = self._powers[J.roots] = tuple(grown)
+                xs.append(K.mul(xi_power, e))
+            (one, *xs), d = K._lift_ints([K.one()] + xs)
+            if d != 1:  # xi and roots of unity are algebraic integers
+                raise ValueError(f"multiset {J.to_text()} has roots that are not algebraic integers")
+            rows = self._powers[J.roots] = [[one, x] for x in xs]
+        for row in rows:
+            while len(row) <= top:
+                row.append(K._mul_ints(row[-1], row[1]))
         return rows
-
-    def embed(self, value):
-        """Embed a base-field element into the splitting field."""
-        K = self.field
-        return K.lift(value) if isinstance(K, ExtensionField) else value
 
     def __repr__(self):
         return (
@@ -180,27 +181,31 @@ def admissible_multisets(F: FieldCtx, k: int, n: int) -> tuple[AdmissibleMultise
 
 
 def ev_map(ev: EvContext, J: AdmissibleMultiset, element: QhElement):
-    """Image of a quantum cohomology class under ev_J (q -> 1, x_i -> xi^i e_i)."""
+    """Image of a quantum cohomology class under ev_J (q -> 1, x_i -> xi^i e_i).
+
+    The coefficients are lifted to integers over one denominator, each
+    Giambelli monomial is weighted by its integer coefficient summed over the
+    terms, and the weighted monomials are summed in integer coordinates and
+    converted to a field element once."""
     if element.ctx != ev.ctx:
         raise ValueError("context mismatch")
     if element.field != ev.base:
         raise ValueError(f"element over {element.field.label}, evaluation from {ev.base.label}")
     K = ev.field
-    powers = ev._power_rows(J, ev.ctx.cols)
-    total = K.zero()
-    for (diagram, _m), coeff in element.terms.items():
-        value = K.zero()
+    rows = ev._power_rows(J, ev.ctx.cols)
+    coeffs, d = ev.base._lift_ints(list(element.terms.values()))
+    weights: dict[tuple[int, ...], int] = {}
+    for (diagram, _m), c in zip(element.terms, coeffs):
         # the terms are box-checked by QhElement, so the cached table is read as is
-        for exps, c in _giambelli_cached(ev.ctx.k, diagram):
-            factors = [row[e] for row, e in zip(powers, exps) if e]
-            mono = reduce(K.mul, factors) if factors else K.one()
-            if c == -1:
-                mono = K.neg(mono)
-            elif c != 1:
-                mono = K.mul(K.from_int(c), mono)
-            value = K.add(value, mono)
-        total = K.add(total, K.mul(ev.embed(coeff), value))
-    return total
+        for exps, g in _giambelli_cached(ev.ctx.k, diagram):
+            weights[exps] = weights.get(exps, 0) + c * g
+    # rows[0][0] = x_1^0 = 1 stands for the empty monomial
+    monomials = [
+        reduce(K._mul_ints, [row[e] for row, e in zip(rows, exps) if e] or [rows[0][0]])
+        for exps in weights
+    ]
+    total = K._dot_ints(list(weights.values()), monomials)
+    return K._drop_ints({0: total}, d).get(0, K.zero())
 
 
 def verify_ideal_vanishing(ev: EvContext, J: AdmissibleMultiset) -> dict:
@@ -212,7 +217,8 @@ def verify_ideal_vanishing(ev: EvContext, J: AdmissibleMultiset) -> dict:
     K = ev.field
     k, n = ev.ctx.k, ev.ctx.n
     # e_i(xi*zeta_J) = xi^i e_i(zeta_J) = x_i
-    hs = _complete_upto(K, [K.one()] + [row[1] for row in ev._power_rows(J, 1)], n)
+    xs = K._drop_ints({i: row[1] for i, row in enumerate(ev._power_rows(J, 1), 1)}, 1)
+    hs = _complete_upto(K, [K.one()] + [xs.get(i, K.zero()) for i in range(1, k + 1)], n)
     checks = []
     for r in range(n - k + 1, n):
         value = hs[r]

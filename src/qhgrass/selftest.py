@@ -171,6 +171,28 @@ def _check_ev_vanishing():
     return not bad, f"failing multisets: {bad}" if bad else "ideal vanishing on all 10 multisets"
 
 
+def _check_ev_multiplicative():
+    rng = random.Random(5)
+    # Q(zeta10) runs the integer kernel, GF(3^4) the log tables
+    for k, n, base in ((2, 5, QQ), (2, 8, prime_field(3))):
+        ctx = GrContext(k, n)
+        ev = pres.EvContext(ctx, base)
+        K = ev.field
+        diagrams = enumerate_diagrams(ctx)
+        multisets = pres.admissible_multisets(K, k, n)
+
+        def element():
+            terms = {(rng.choice(diagrams), rng.randint(-1, 1)): base.random_element(rng) for _ in range(2)}
+            return qc.QhElement(ctx, base, terms)
+
+        for _ in range(4):
+            a, b = element(), element()
+            J = rng.choice(multisets)
+            if pres.ev_map(ev, J, qc.quantum_product(a, b)) != K.mul(pres.ev_map(ev, J, a), pres.ev_map(ev, J, b)):
+                return False, f"{K.label}: ev_{J.to_text()} of ({qc.format_element(a)}) * ({qc.format_element(b)}) is not the product"
+    return True, "ev_J(a*b) = ev_J(a)ev_J(b) on seeded pairs over Q(zeta10) and GF(3^4)"
+
+
 def _check_critical_point():
     point, report = gc.find_critical_point(GrContext(1, 2), tol=1e-10)
     if abs(point.value(1, 1) - 1.0) > 1e-12 or abs(report["W"] - 2.0) > 1e-12:
@@ -200,6 +222,7 @@ CHECKS = [
     ("closed-form orbit sizes", _check_orbit_sizes),
     ("classifier table", _check_classifier),
     ("evaluation ideal vanishing", _check_ev_vanishing),
+    ("evaluation multiplicativity", _check_ev_multiplicative),
     ("disk potential critical points", _check_critical_point),
     ("quaternionic Gelfand-Cetlin locus", _check_quaternionic),
 ]

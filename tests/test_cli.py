@@ -245,6 +245,12 @@ _STDOUT_SHA256 = {
     # p | n (2 | 6), and a GF(2^3) splitting field
     ("evcheck", "2", "6", "GF(2)", "--verbose"): "11bd490d99578884127394d3fb2ab5986bac203727f248ebf95180313f0b3c92",
     ("evcheck", "3", "7", "GF(2)"): "a1a7b118fb15003780a55d8b028b92261aed5694b917fe09751e1d1afd10545d",
+    # recorded before ev_map ran in integer coordinates and small GF(p^m) on
+    # log tables: a GF(3^4) splitting field, K = GF(7), K = Q, and n = k
+    ("evcheck", "4", "8", "GF(3)", "--verbose"): "a753ffd4cd52ff7ca280f280d84dbaf6a7d51ce660582d59bfc16c3fed892929",
+    ("evcheck", "3", "6", "GF(7)", "--verbose"): "d1d578c489dfe4906aa1844df6aa771af815c5190a18cb0d713bac875018e855",
+    ("evcheck", "1", "2", "Q"): "8127e0f56459b56815f5d74236dfde3786b494da68fdd83135efb93ec07a00fe",
+    ("evcheck", "2", "2", "GF(3)"): "3081f6e4386be5fb4cdb1e9a0719eba1304454554af40faed18359b9492a2fdc",
 }
 
 

@@ -83,6 +83,7 @@ KERNEL_FIELDS = [
     cyclotomic_field(9),
     cyclotomic_field(12),
     cyclotomic_field(14),
+    make_extension(13, 4),  # above TABLE_CAP: the kernel reduced mod p
 ]
 
 
@@ -119,6 +120,89 @@ def test_extension_kernel_against_sympy_remainder(F):
                 assert all(type(c) is int and 0 <= c < p for c in got)
             else:
                 assert all(type(c) is Fraction for c in got)
+
+
+TABLE_FIELDS = [
+    make_extension(p, m)
+    for p, m in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2), (11, 2), (5, 3), (2, 8), (2, 9))
+]
+
+
+def _divmod_product(F, a, b):
+    """a * b as the product of Polys reduced by divmod, the selftest's oracle."""
+    rem = (Poly(F.base, a) * Poly(F.base, b)) % Poly(F.base, F.modulus)
+    return rem.coeffs + (F.base.zero(),) * (F.degree - len(rem.coeffs))
+
+
+@pytest.mark.parametrize("F", TABLE_FIELDS, ids=lambda f: f.label)
+def test_table_products_and_inverses_against_divmod(F):
+    """Fields of order at most TABLE_CAP multiply and invert by log tables:
+    every pair up to order 81 and seeded pairs above, zero factors included,
+    and every inverse, against the divmod oracle; results are ints in [0, p)."""
+    assert F.order <= exactfield.TABLE_CAP
+    p, zero, one = F.characteristic, F.zero(), F.one()
+    elements = list(F.elements())
+    if F.order <= 81:
+        pairs = list(itertools.product(elements, repeat=2))
+    else:
+        rng = random.Random(F.label)
+        pairs = [(zero, zero)] + [(zero, x) for x in elements[:20]] + [(x, zero) for x in elements[-20:]]
+        pairs += [(rng.choice(elements), rng.choice(elements)) for _ in range(3000)]
+    for a, b in pairs:
+        got = F.mul(a, b)
+        assert got == _divmod_product(F, a, b), (a, b)
+        assert type(got) is tuple and all(type(c) is int and 0 <= c < p for c in got)
+    assert len(F._log) == F.order  # the tables were built, zero included
+    for a in elements:
+        if a == zero:
+            with pytest.raises(ZeroDivisionError):
+                F.inv(a)
+            continue
+        inverse = F.inv(a)
+        assert _divmod_product(F, a, inverse) == one, a
+        assert type(inverse) is tuple and all(type(c) is int and 0 <= c < p for c in inverse)
+
+
+@pytest.mark.parametrize("p,m", [(13, 4), (2, 16)])
+def test_fields_above_the_table_cap_build_no_tables(p, m):
+    F = make_extension(p, m)
+    assert F.order > exactfield.TABLE_CAP
+    rng = random.Random(p**m)
+    for _ in range(40):
+        a, b = F.random_element(rng), F.random_element(rng)
+        assert F.mul(a, b) == _divmod_product(F, a, b)
+        if not F.is_zero(a):
+            assert F.mul(a, F.inv(a)) == F.one()
+    assert F._log == {} and F._exp == []
+
+
+# multiplicative_generator(F) and the primitive n-th root nth_roots_of_unity(F, n)[1],
+# as found before products went through log tables; the order of EvContext's
+# roots, and so the CLI output, follows from them
+_GENERATORS_AND_ROOTS = {
+    (2, 2, 3): ((0, 1), (0, 1)),
+    (2, 3, 7): ((0, 1, 0), (0, 1, 0)),
+    (3, 2, 8): ((1, 1), (1, 1)),
+    (3, 3, 26): ((0, 1, 0), (0, 1, 0)),
+    (3, 4, 16): ((0, 1, 0, 0), (0, 1, 2, 0)),
+    (5, 2, 12): ((1, 1), (4, 2)),
+    (7, 2, 16): ((2, 1), (2, 4)),
+    (11, 2, 24): ((4, 1), (8, 10)),
+    (2, 8, 17): ((1, 1, 0, 0, 0, 0, 0, 0), (1, 0, 1, 0, 1, 1, 0, 0)),
+    (2, 9, 73): ((1, 1, 1, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 1, 1)),
+    (13, 4, 16): ((4, 1, 0, 0), (0, 0, 0, 12)),
+    (2, 10, 11): ((0, 1, 0, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 1, 0, 0, 1, 1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("p,m,n", list(_GENERATORS_AND_ROOTS))
+def test_generator_and_roots_unchanged_by_the_tables(p, m, n):
+    F = make_extension(p, m)
+    generator, zeta = _GENERATORS_AND_ROOTS[(p, m, n)]
+    assert multiplicative_generator(F) == generator
+    roots = nth_roots_of_unity(F, n)
+    assert roots[1] == zeta
+    assert list(roots) == [F.pow(zeta, i) for i in range(n)]
 
 
 def test_extension_field_rejects_unsupported_base_or_modulus():

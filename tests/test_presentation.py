@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from qhgrass.diagram import GrContext, YoungDiagram, enumerate_diagrams
-from qhgrass.exactfield import QQ, cyclotomic_field, make_extension, prime_field
+from qhgrass.exactfield import QQ, ExtensionField, cyclotomic_field, make_extension, prime_field
 from qhgrass.presentation import (
     AdmissibleMultiset,
     EvContext,
@@ -15,7 +15,14 @@ from qhgrass.presentation import (
     ev_map,
     verify_ideal_vanishing,
 )
-from qhgrass.qh_core import QhElement, giambelli_expand, q_shift, quantum_product, special_class
+from qhgrass.qh_core import (
+    QhElement,
+    format_element as qc_text,
+    giambelli_expand,
+    q_shift,
+    quantum_product,
+    special_class,
+)
 
 from oracles import in_zeta_subfield, naive_complete, naive_elementary
 
@@ -163,22 +170,30 @@ def test_admissible_multisets_against_filtered_multisets(spec, k, n):
 
 
 def test_ideal_vanishing_builds_no_powers_beyond_x():
-    """verify_ideal_vanishing keeps x_i^0, x_i per multiset; the first ev_map
-    at J extends J's rows to x_i^(n-k)."""
+    """verify_ideal_vanishing keeps x_i^0, x_i per multiset, in integer
+    coordinates; the first ev_map at J grows J's rows to x_i^(n-k) in place."""
     ctx = GrContext(3, 7)
-    ev = EvContext(ctx, prime_field(29))
-    multisets = admissible_multisets(ev.field, 3, 7)
-    for J in multisets:
+    for base in (prime_field(29), QQ):
+        ev = EvContext(ctx, base)
+        K = ev.field
+
+        def element(coords):
+            return K._drop_ints({0: coords}, 1).get(0, K.zero())
+
+        multisets = admissible_multisets(K, 3, 7)
+        for J in multisets:
+            assert verify_ideal_vanishing(ev, J)["all_ok"]
+        assert {len(row) for rows in ev._powers.values() for row in rows} == {2}
+        J = multisets[0]
+        rows = ev._powers[J.roots]
+        value = ev_map(ev, J, special_class(ctx, base, 2))
+        assert ev._powers[J.roots] is rows
+        assert [len(row) for row in rows] == [ctx.cols + 1] * 3
+        assert value == element(rows[1][1])
+        assert all(
+            element(row[e]) == K.pow(element(row[1]), e) for row in rows for e in range(ctx.cols + 1)
+        )
         assert verify_ideal_vanishing(ev, J)["all_ok"]
-    assert {len(row) for rows in ev._powers.values() for row in rows} == {2}
-    J = multisets[0]
-    x2 = special_class(ctx, prime_field(29), 2)
-    value = ev_map(ev, J, x2)
-    rows = ev._powers[J.roots]
-    assert [len(row) for row in rows] == [ctx.cols + 1] * 3
-    assert value == rows[1][1]
-    assert all(row[e] == ev.field.pow(row[1], e) for row in rows for e in range(ctx.cols + 1))
-    assert verify_ideal_vanishing(ev, J)["all_ok"]
 
 
 def test_ev_context_examples():
@@ -375,6 +390,65 @@ def test_ev_map_matches_direct_evaluation_across_contexts(k, n, bases):
                     assert got == want[(which, J.indices, d)], (bases[which], J.to_text(), d)
 
 
+def _embed(K, c):
+    return K.lift(c) if isinstance(K, ExtensionField) else c
+
+
+# Q(zeta_N) for odd and even k, GF(p^m) under and over TABLE_CAP, K = Q,
+# K = GF(p), p | n, a point, and n = k
+MULTI_TERM_CASES = [
+    (QQ, 3, 8, "Q(zeta8)"),
+    (QQ, 2, 7, "Q(zeta14)"),
+    (prime_field(3), 4, 8, "GF(3^4)"),
+    (prime_field(3), 2, 13, "GF(3^3)"),
+    (prime_field(2), 2, 11, "GF(2^10)"),
+    (QQ, 1, 2, "Q"),
+    (prime_field(7), 3, 6, "GF(7)"),
+    (prime_field(2), 2, 4, "GF(2)"),
+    (prime_field(3), 2, 9, "GF(3)"),
+    (QQ, 1, 1, "Q"),
+    (prime_field(3), 2, 2, "GF(3^2)"),
+]
+
+
+@pytest.mark.parametrize(
+    "base,k,n,splitting", MULTI_TERM_CASES, ids=[f"Gr({k},{n})/{b.label}" for b, k, n, _ in MULTI_TERM_CASES]
+)
+def test_ev_map_of_multi_term_elements_against_direct_evaluation(base, k, n, splitting):
+    """Seeded elements of 1-4 terms with q-powers -1..1 and coefficients the
+    rationals with denominators 1..6 (mapped into GF(p) there), against the
+    sum of coefficient times naive sigma_D at xi^i e_i(J)."""
+    ctx = GrContext(k, n)
+    ev = EvContext(ctx, base)
+    K = ev.field
+    assert K.label == splitting
+    p = base.characteristic
+    rng = random.Random(k * 1000 + n * 10 + p)
+    diagrams = enumerate_diagrams(ctx)
+    multisets = admissible_multisets(K, k, n)
+    direct = {}
+    mixed_denominators = 0
+    for _ in range(12):
+        terms, denominators = {}, set()
+        for _ in range(rng.randint(1, 4)):
+            r = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+            if p and r.denominator % p == 0:
+                continue
+            denominators.add(r.denominator)
+            c = base.div(base.from_int(r.numerator), base.from_int(r.denominator)) if p else r
+            terms[(rng.choice(diagrams), rng.randint(-1, 1))] = c
+        mixed_denominators += len(denominators) > 1
+        element = QhElement(ctx, base, terms)
+        J = rng.choice(multisets)
+        want = K.zero()
+        for (d, _m), c in element.terms.items():
+            if (J.roots, d) not in direct:
+                direct[(J.roots, d)] = _direct_ev(ev, J.roots, d)
+            want = K.add(want, K.mul(_embed(K, c), direct[(J.roots, d)]))
+        assert ev_map(ev, J, element) == want, (qc_text(element), J.to_text())
+    assert mixed_denominators
+
+
 def test_ev_map_tables_follow_the_roots_not_the_indices():
     """A caller-built multiset that reuses the indices of one already seen,
     with other roots, is evaluated at its own roots."""
@@ -386,6 +460,20 @@ def test_ev_map_tables_follow_the_roots_not_the_indices():
     impostor = AdmissibleMultiset(first.indices, second.roots)
     assert ev_map(ev, impostor, element) == _direct_ev(ev, second.roots, YoungDiagram((2, 1)))
     assert ev_map(ev, impostor, element) != ev_map(ev, first, element)
+
+
+def test_multiset_with_non_integral_roots_is_rejected():
+    """The power rows are integer coordinates, so a caller-built multiset
+    whose roots are not algebraic integers raises instead of evaluating."""
+    ctx = GrContext(2, 5)
+    ev = EvContext(ctx, QQ)
+    K = ev.field
+    half = K.lift(Fraction(1, 2))
+    J = AdmissibleMultiset((0, 1), (half, K.one()))
+    with pytest.raises(ValueError, match="algebraic integers"):
+        verify_ideal_vanishing(ev, J)
+    with pytest.raises(ValueError, match="algebraic integers"):
+        ev_map(ev, J, special_class(ctx, QQ, 1))
 
 
 @pytest.mark.parametrize("k,n,base", [(3, 8, QQ), (4, 8, prime_field(3))])
