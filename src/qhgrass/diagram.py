@@ -39,8 +39,10 @@ class YoungDiagram(tuple):
         # operator.index, not int: a float or str row raises TypeError
         # instead of being truncated to another diagram
         rows = tuple(map(index, rows))
-        while rows and rows[-1] == 0:
-            rows = rows[:-1]
+        end = len(rows)
+        while end and rows[end - 1] == 0:
+            end -= 1
+        rows = rows[:end]
         if rows and rows[-1] < 0:
             raise ValueError(f"negative row length in {rows}")
         if any(map(lt, rows, rows[1:])):

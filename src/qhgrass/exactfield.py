@@ -28,8 +28,10 @@ extension. The extension product clears denominators through the same lift,
 and qh_core.quantum_product sums structure constants times these
 coordinates before it builds any element. _mul_ints multiplies two such
 coordinates of denominator 1 (the bare kernel over Q(zeta_N), mul
-elsewhere) and _dot_ints sums int multiples of them, which is how
-presentation.ev_map evaluates.
+elsewhere) and _dot_ints sums int multiples of them, reduced mod p over
+GF(p^m) so that the sum is an element the tables take. That is how
+presentation.ev_map evaluates and verify_ideal_vanishing runs its
+recurrence.
 
 char_poly reduces a matrix to upper Hessenberg form once and runs the
 determinant recurrence on it. min_poly reuses that reduction: a Hessenberg
@@ -60,7 +62,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .numberth import cyclotomic_polynomial, factorize, int_poly_divmod_monic, is_prime
 
@@ -131,8 +133,8 @@ class FieldCtx:
         combinations of the values."""
         raise NotImplementedError
 
-    def _drop_ints(self, coords: dict, d: int) -> dict:
-        """The same keys mapped to the field elements coords[key] / d, zeros left out."""
+    def _drop_ints(self, items: Iterable[tuple[Any, Any]], d: int) -> dict:
+        """{key: coords / d} over the (key, coords) pairs, zeros left out."""
         raise NotImplementedError
 
     def _mul_ints(self, a, b):
@@ -217,8 +219,8 @@ class RationalField(FieldCtx):
         d = lcm(*[c.denominator for c in values])
         return [c.numerator * (d // c.denominator) for c in values], d
 
-    def _drop_ints(self, coords, d):
-        return {key: Fraction(v, d) for key, v in coords.items() if v}
+    def _drop_ints(self, items, d):
+        return {key: Fraction(v, d) for key, v in items if v}
 
     def random_element(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -279,9 +281,9 @@ class PrimeField(FieldCtx):
     def _lift_ints(self, values):
         return values, 1
 
-    def _drop_ints(self, coords, d):
+    def _drop_ints(self, items, d):
         p = self.p
-        return {key: r for key, v in coords.items() if (r := v % p)}
+        return {key: r for key, v in items if (r := v % p)}
 
     def pow(self, a, exponent):
         if exponent < 0:
@@ -439,7 +441,10 @@ class ExtensionField(FieldCtx):
         return self.mul(a, b) if self._p else self._kernel(a, b)
 
     def _dot_ints(self, weights, coords):
-        return [sum(map(operator.mul, weights, column)) for column in zip(*coords)]
+        sums = [sum(map(operator.mul, weights, column)) for column in zip(*coords)]
+        p = self._p
+        # over GF(p^m) the reduced sum is an element, which the tables of _mul_ints take
+        return tuple([c % p for c in sums]) if p else sums
 
     def inv(self, a):
         if self.is_zero(a):
@@ -472,11 +477,11 @@ class ExtensionField(FieldCtx):
         d = lcm(*[c.denominator for v in values for c in v])
         return [[c.numerator * (d // c.denominator) for c in v] for v in values], d
 
-    def _drop_ints(self, coords, d):
+    def _drop_ints(self, items, d):
         p = self._p
         if p:
-            return {key: t for key, v in coords.items() if any(t := tuple([c % p for c in v]))}
-        return {key: tuple([Fraction(c, d) for c in v]) for key, v in coords.items() if any(v)}
+            return {key: t for key, v in items if any(t := tuple([c % p for c in v]))}
+        return {key: tuple([Fraction(c, d) for c in v]) for key, v in items if any(v)}
 
     def lift(self, a) -> Element:
         """Embed a base-field element."""

@@ -16,6 +16,8 @@ coefficients are lifted to integers over one denominator, the Giambelli
 monomials are formed with FieldCtx._mul_ints (the extension kernel over
 Q(zeta_N), the field product over GF(p) and GF(p^m)), weighted by their
 summed integer coefficients, and converted to a field element once.
+verify_ideal_vanishing runs the recurrence for h_r on the same integer rows
+and converts each reported value once.
 """
 
 from __future__ import annotations
@@ -50,15 +52,14 @@ def _elementary_upto(F: FieldCtx, values: Sequence, i: int) -> list:
 
 def _complete_upto(F: FieldCtx, es: Sequence, i: int) -> list:
     """[h_0, ..., h_i] from [e_0, ..., e_k], by h_r = h_{r-1}e_1 - h_{r-2}e_2 + ...
-    (E(-t)H(t) = 1)."""
+    (E(-t)H(t) = 1), in the integer coordinates of F._mul_ints and F._dot_ints
+    (over Q and GF(p) those are the elements themselves); h_0 is es[0]."""
     k = len(es) - 1
-    hs = [F.one()]
+    hs = [es[0]]
     for r in range(1, i + 1):
-        acc = F.zero()
-        for j in range(1, min(r, k) + 1):
-            term = F.mul(hs[r - j], es[j])
-            acc = F.add(acc, term) if j % 2 else F.sub(acc, term)
-        hs.append(acc)
+        top = min(r, k)
+        products = [F._mul_ints(hs[r - j], es[j]) for j in range(1, top + 1)]
+        hs.append(F._dot_ints([(-1) ** (j + 1) for j in range(1, top + 1)], products))
     return hs
 
 
@@ -205,7 +206,7 @@ def ev_map(ev: EvContext, J: AdmissibleMultiset, element: QhElement):
         for exps in weights
     ]
     total = K._dot_ints(list(weights.values()), monomials)
-    return K._drop_ints({0: total}, d).get(0, K.zero())
+    return K._drop_ints([(0, total)], d).get(0, K.zero())
 
 
 def verify_ideal_vanishing(ev: EvContext, J: AdmissibleMultiset) -> dict:
@@ -216,24 +217,18 @@ def verify_ideal_vanishing(ev: EvContext, J: AdmissibleMultiset) -> dict:
     """
     K = ev.field
     k, n = ev.ctx.k, ev.ctx.n
-    # e_i(xi*zeta_J) = xi^i e_i(zeta_J) = x_i
-    xs = K._drop_ints({i: row[1] for i, row in enumerate(ev._power_rows(J, 1), 1)}, 1)
-    hs = _complete_upto(K, [K.one()] + [xs.get(i, K.zero()) for i in range(1, k + 1)], n)
+    # e_i(xi*zeta_J) = xi^i e_i(zeta_J) = x_i, and rows[0][0] is 1, all in integer coordinates
+    rows = ev._power_rows(J, 1)
+    one = rows[0][0]
+    hs = _complete_upto(K, [one] + [row[1] for row in rows], n)
+    values = {r: hs[r] for r in range(n - k + 1, n)}
+    values[n] = K._dot_ints([1, (-1) ** k], [hs[n], one])
+    values = K._drop_ints(values.items(), 1)
     checks = []
-    for r in range(n - k + 1, n):
-        value = hs[r]
-        checks.append(
-            {"generator": f"h_{r}", "value": K.element_to_str(value), "ok": K.is_zero(value)}
-        )
-    sign = K.one() if k % 2 == 0 else K.neg(K.one())
-    value = K.add(hs[n], sign)
-    checks.append(
-        {
-            "generator": f"h_{n} + (-1)^{k}",
-            "value": K.element_to_str(value),
-            "ok": K.is_zero(value),
-        }
-    )
+    for r in range(n - k + 1, n + 1):
+        value = values.get(r, K.zero())
+        generator = f"h_{r}" if r < n else f"h_{n} + (-1)^{k}"
+        checks.append({"generator": generator, "value": K.element_to_str(value), "ok": r not in values})
     return {
         "k": k,
         "n": n,

@@ -14,22 +14,39 @@ x_j (pieri_multiply) and by h_p (transposed_pieri_multiply) run through
 this one engine. On Gr(n, n), a point, the column x_j is not a class: x_n
 acts as q and x_j for j < n as 0.
 
-Structure constants are integers independent of the coefficient field and
-are cached per context, keyed on the unordered pair of diagrams, so
-repeated products are cheap. quantum_product works on integers first: it
-multiplies the coefficients of each pair of terms once, lifts these products
-to integer coordinates over one common denominator, sums structure constant
-times coordinates per output term with plain int arithmetic, and converts
-each sum back to a field element once (FieldCtx._lift_ints/_drop_ints). The
-engine's results, like those of q_shift, sums and negation, are built by
-QhElement._trusted, which skips the box and zero checks: their keys lie in
-the box by construction and their coefficients are nonzero.
+Structure constants are integers independent of the coefficient field. One
+engine per context computes and keeps them on integer codes. A diagram gets
+a dense index when it is first seen, so the box is never enumerated (Gr(2,
+100003) works), and a code idx + m * 2^32 stands for q^m * sigma_idx; m may
+be negative. The engine keeps:
+- the constants of each unordered pair of indices, as one flat int tuple
+  (code, coefficient, code, coefficient, ...);
+- one Pieri step table per route and j, mapping an index to the codes of
+  its targets, filled on first use;
+- the chains x^e * sigma_b, each built by one Pieri step from the chain with
+  one step fewer and shared by every product whose Giambelli expansion
+  reaches it. A product is then the sum of coefficient times chain over its
+  Giambelli monomials.
+After a collection the garbage collector no longer tracks these int-only
+tuples and dicts; it always tracks a diagram, a tuple subclass, and every
+tuple that holds one. Codes become (diagram, q-power) keys only when a
+product is returned, and each key is built once.
+
+quantum_product works on integers first: it multiplies the coefficients of
+each pair of terms once, lifts these products to integer coordinates over
+one common denominator, sums structure constant times coordinates per output
+code with plain int arithmetic, and converts each sum back to a field
+element once (FieldCtx._lift_ints/_drop_ints). The engine's results, like
+those of q_shift, sums and negation, are built by QhElement._trusted, which
+skips the box and zero checks: their keys lie in the box by construction and
+their coefficients are nonzero.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import index
 from typing import Mapping
 
 from .diagram import EMPTY, GrContext, YoungDiagram, column_diagram
@@ -157,30 +174,41 @@ def _interlacing(lo: tuple[int, ...], hi: tuple[int, ...], total: int) -> tuple[
 
     The bounds interlace, so every such tuple is weakly decreasing. Each row's
     range is cut by what the rows below it can still absorb, so no branch is
-    a dead end and the cost is linear in the output.
+    a dead end and the cost is linear in the output. The rows are walked as
+    an odometer, largest first, so the depth of the box costs no recursion,
+    and the rows below the last positive hi are 0 and not walked at all.
     """
-    k = len(lo)
+    k = len(hi)
+    while k and not hi[k - 1]:  # lo <= hi, so these rows are 0
+        k -= 1
     lo_below, hi_below = [0] * (k + 1), [0] * (k + 1)
     for i in range(k - 1, -1, -1):
         lo_below[i] = lo_below[i + 1] + lo[i]
         hi_below[i] = hi_below[i + 1] + hi[i]
+    if not lo_below[0] <= total <= hi_below[0]:
+        return ()
     out: list[YoungDiagram] = []
+    rows, bottoms = [0] * k, [0] * k
+    i, left = 0, total  # rows[:i] are set; left is what rows[i:] must sum to
+    while True:
+        while i < k:
+            rows[i] = top = min(hi[i], left - lo_below[i + 1])
+            bottoms[i] = max(lo[i], left - hi_below[i + 1])
+            left -= top
+            i += 1
+        out.append(YoungDiagram(rows))
+        # step the deepest row that can still go down, and refill below it
+        i = k - 1
+        while i >= 0 and rows[i] == bottoms[i]:
+            left += rows[i]
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        rows[i] -= 1
+        left += 1
+        i += 1
 
-    def fill(i: int, left: int, prefix: tuple[int, ...]) -> None:
-        if i == k:
-            out.append(YoungDiagram(prefix))
-            return
-        top = min(hi[i], left - lo_below[i + 1])
-        bottom = max(lo[i], left - hi_below[i + 1])
-        for value in range(top, bottom - 1, -1):
-            fill(i + 1, left - value, prefix + (value,))
 
-    if lo_below[0] <= total <= hi_below[0]:
-        fill(0, total, ())
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _row_pieri(
     k: int, cols: int, rows: YoungDiagram, p: int
 ) -> tuple[tuple[YoungDiagram, ...], tuple[YoungDiagram, ...]]:
@@ -201,7 +229,6 @@ def _row_pieri(
     return classical, quantum
 
 
-@lru_cache(maxsize=None)
 def _column_pieri(
     k: int, cols: int, rows: YoungDiagram, j: int
 ) -> tuple[tuple[YoungDiagram, ...], tuple[YoungDiagram, ...]]:
@@ -286,96 +313,224 @@ def giambelli_expand(ctx: GrContext, diagram: YoungDiagram) -> dict[tuple[int, .
     return dict(_giambelli_cached(ctx.k, YoungDiagram(diagram)))
 
 
-def _int_pieri(step, k: int, cols: int, terms: dict[TermKey, int], j: int) -> dict[TermKey, int]:
-    acc: dict[TermKey, int] = {}
-    for (diagram, m), c in terms.items():
-        classical, quantum = step(k, cols, diagram, j)
-        for added in classical:
-            acc[(added, m)] = acc.get((added, m), 0) + c
-        for removed in quantum:
-            acc[(removed, m + 1)] = acc.get((removed, m + 1), 0) + c
-    return {key: c for key, c in acc.items() if c}
+_Q = 1 << 32  # a code is idx + m * _Q: the diagram of index idx times q^m
+_IDX = _Q - 1
 
 
-@lru_cache(maxsize=None)
-def _schubert_constants(
-    k: int, n: int, first: YoungDiagram, second: YoungDiagram
-) -> tuple[tuple[TermKey, int], ...]:
-    """Integer structure constants of sigma_first * sigma_second.
+class _KeyTable(dict):
+    """code -> (diagram, q-power), each key built on its first lookup."""
 
-    The product is commutative, so callers pass first <= second and the
-    cache holds each unordered pair once. The terms come in no set order.
+    __slots__ = ("diagrams",)
+
+    def __init__(self, diagrams: list[YoungDiagram]):
+        super().__init__()
+        self.diagrams = diagrams
+
+    def __missing__(self, code: int) -> TermKey:
+        key = self[code] = (self.diagrams[code & _IDX], code >> 32)
+        return key
+
+
+class _ProductEngine:
+    """Integer structure constants of one Gr(k, n), on integer codes.
+
+    Diagrams get dense indices in the order they are first seen, so the box
+    is never enumerated. The constants of each unordered pair of indices are
+    one flat int tuple, codes interleaved with their coefficients. (Two
+    tuples in a pair would leave the pair tracked by the garbage collector
+    after a collection: it untracks a tuple only once its items are, and it
+    visits the pair first.) A Pieri step table maps an index to the codes of
+    its targets, one table per route and j. A chain is x^e * sigma_b, keyed
+    on b, the route and the sequence of Pieri steps that forms x^e; it is
+    built by one step from the chain with one step fewer, and every product
+    that expands into it shares it.
     """
-    cols = n - k
-    for d in (first, second):
-        if not d.fits(k, cols):
-            raise ValueError(f"{d!r} does not fit in {GrContext(k, n)}")
-    if not first:
-        return (((second, 0), 1),)
-    # Four expansions: either factor, by its column determinant in x_1..x_k
-    # (order D_1) or by its row determinant in h_1..h_{n-k} (order len(D)).
-    # Take the smallest order, then the smallest |D|; columns win a full tie.
-    _, a, b, by_rows = min(
-        ((order, d.size, by_rows), d, other, by_rows)
-        for d, other in ((first, second), (second, first))
-        for order, by_rows in ((d.width, False), (len(d), True))
+
+    __slots__ = (
+        "k", "n", "diagrams", "index", "choice", "keys", "steps", "monomials", "chains", "pairs"
     )
-    if by_rows:
-        # the row determinant of D in Gr(k,n) is the column one of D' in Gr(n-k,n)
-        monomials, step = _giambelli_cached(cols, a.conjugate()), _row_pieri
-    else:
-        monomials, step = _giambelli_cached(k, a), _column_pieri
-    acc: dict[TermKey, int] = {}
-    for exps, coeff in monomials:
-        element: dict[TermKey, int] = {(b, 0): 1}
-        for i in range(len(exps), 0, -1):
-            for _ in range(exps[i - 1]):
-                element = _int_pieri(step, k, cols, element, i)
-        for key, value in element.items():
-            acc[key] = acc.get(key, 0) + coeff * value
-    return tuple((key, c) for key, c in acc.items() if c)
+
+    def __init__(self, k: int, n: int):
+        self.k, self.n = k, n
+        self.diagrams: list[YoungDiagram] = []
+        self.index: dict[YoungDiagram, int] = {}
+        # per index: (order, size, by_rows) of its cheaper Giambelli determinant
+        self.choice: list[tuple[int, int, int]] = []
+        self.keys = _KeyTable(self.diagrams)
+        self.steps: dict[int, dict[int, tuple[int, ...]]] = {}
+        self.monomials: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+        self.chains: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+        self.pairs: dict[int, tuple[int, ...]] = {}
+
+    def intern(self, d: YoungDiagram) -> int:
+        """The index of a diagram in the box, given it on first sight."""
+        i = self.index.get(d)
+        if i is None:
+            i = self.index[d] = len(self.diagrams)
+            self.diagrams.append(d)
+            size = sum(d)
+            # column determinant (order d_1) or row one (order len d); columns win a tie
+            self.choice.append(min((d[0] if d else 0, size, 0), (len(d), size, 1)))
+        return i
+
+    def lookup(self, rows) -> int:
+        """The index of a diagram given as rows, checked as YoungDiagram and the box check them."""
+        if type(rows) is not YoungDiagram:
+            rows = tuple(map(index, rows))  # a float equals an int in a lookup, so refuse it here
+        i = self.index.get(rows)
+        if i is None:
+            d = YoungDiagram(rows)
+            if not d.fits(self.k, self.n - self.k):
+                raise ValueError(f"{d!r} does not fit in {GrContext(self.k, self.n)}")
+            i = self.intern(d)
+        return i
+
+    def pair(self, i: int, j: int) -> tuple[int, ...]:
+        """The constants of sigma_i * sigma_j, computed on a miss of the pair cache."""
+        if i > j:
+            i, j = j, i
+        constants = self.pairs.get(i << 32 | j)
+        if constants is None:
+            constants = self.pairs[i << 32 | j] = self._constants(i, j)
+        return constants
+
+    def _constants(self, i: int, j: int) -> tuple[int, ...]:
+        # expand the factor whose cheaper determinant has the smaller (order, |D|)
+        a, b = (i, j) if self.choice[i] <= self.choice[j] else (j, i)
+        by_rows = self.choice[a][2]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for seq, g in self._monomials(a, by_rows):
+            for code, c in self._chain(b, by_rows, seq).items():
+                acc[code] = get(code, 0) + g * c
+        return tuple([x for term in acc.items() if term[1] for x in term])
+
+    def _monomials(self, a: int, by_rows: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The Giambelli monomials of index a, each as its sequence of Pieri steps.
+
+        x_1^e_1 ... x_r^e_r is the step x_r applied e_r times, then x_(r-1),
+        and so on down to x_1. The row determinant of D in Gr(k, n) is the
+        column one of D' in Gr(n-k, n)."""
+        key = a << 1 | by_rows
+        monomials = self.monomials.get(key)
+        if monomials is None:
+            d = self.diagrams[a]
+            if by_rows:
+                expansion = _giambelli_cached(self.n - self.k, d.conjugate())
+            else:
+                expansion = _giambelli_cached(self.k, d)
+            monomials = self.monomials[key] = tuple(
+                (tuple([v for v in range(len(exps), 0, -1) for _ in range(exps[v - 1])]), g)
+                for exps, g in expansion
+            )
+        return monomials
+
+    def _chain(self, b: int, by_rows: int, seq: tuple[int, ...]) -> dict[int, int]:
+        """x^e * sigma_b as {code: coeff}, for the monomial x^e with step sequence seq."""
+        chains = self.chains
+        base = b << 1 | by_rows
+        chain = chains.get((base, seq))
+        if chain is not None:
+            return chain
+        # the longest cached prefix, then one step per missing factor
+        t = len(seq) - 1
+        while t > 0 and (base, seq[:t]) not in chains:
+            t -= 1
+        chain = chains[(base, seq[:t])] if t > 0 else {b: 1}
+        for t in range(max(t, 0), len(seq)):
+            chain = chains[(base, seq[: t + 1])] = self._step(by_rows, seq[t], chain)
+        return chain
+
+    def _step(self, by_rows: int, j: int, terms: dict[int, int]) -> dict[int, int]:
+        """One Pieri step, x_j (columns) or h_j (rows), on {code: coeff}."""
+        table = self.steps.get(j << 1 | by_rows)
+        if table is None:
+            table = self.steps[j << 1 | by_rows] = {}
+        acc: dict[int, int] = {}
+        get = acc.get
+        for code, c in terms.items():
+            i = code & _IDX
+            targets = table.get(i)
+            if targets is None:
+                targets = table[i] = self._targets(by_rows, j, i)
+            shift = code - i
+            for t in targets:
+                t += shift
+                acc[t] = get(t, 0) + c
+        return acc
+
+    def _targets(self, by_rows: int, j: int, i: int) -> tuple[int, ...]:
+        step = _row_pieri if by_rows else _column_pieri
+        classical, quantum = step(self.k, self.n - self.k, self.diagrams[i], j)
+        intern = self.intern
+        return tuple([intern(d) for d in classical] + [intern(d) + _Q for d in quantum])
+
+
+_ENGINES: dict[tuple[int, int], _ProductEngine] = {}
+
+
+def _engine(ctx: GrContext) -> _ProductEngine:
+    key = (ctx.k, ctx.n)
+    engine = _ENGINES.get(key)
+    if engine is None:
+        engine = _ENGINES[key] = _ProductEngine(*key)
+    return engine
 
 
 def schubert_product(ctx: GrContext, first: YoungDiagram, second: YoungDiagram) -> dict[TermKey, int]:
     """sigma_first * sigma_second with integer coefficients."""
-    a, b = sorted((YoungDiagram(first), YoungDiagram(second)))
-    return dict(_schubert_constants(ctx.k, ctx.n, a, b))
+    engine = _engine(ctx)
+    i, j = engine.lookup(first), engine.lookup(second)
+    constants = iter(engine.pair(i, j))
+    # codes and coefficients alternate; zip takes the code first
+    return dict(zip(map(engine.keys.__getitem__, constants), constants))
 
 
 def quantum_product(a: QhElement, b: QhElement) -> QhElement:
     """Bilinear extension of the Schubert-class product."""
     a._check_compatible(b)
     ctx, F = a.ctx, a.field
-    k, n = ctx.k, ctx.n
-    # per pair of terms: its structure constants, the q-power they are
-    # shifted by, and (in c12s) the product of the two coefficients
+    engine = _engine(ctx)
+    index_get, pairs_get = engine.index.get, engine.pairs.get
+    # the terms of b as (index, q-power as a code offset, coefficient)
+    rest = []
+    for (d, m), c in b.terms.items():
+        j = index_get(d)
+        rest.append((engine.intern(d) if j is None else j, m * _Q, c))
+    # per pair of terms: its constants, the code offset of its q-power, and
+    # (in c12s) the product of the two coefficients
     blocks = []
     c12s = []
     for (d1, m1), c1 in a.terms.items():
-        for (d2, m2), c2 in b.terms.items():
-            pair = (d1, d2) if d1 <= d2 else (d2, d1)
-            blocks.append((_schubert_constants(k, n, *pair), m1 + m2))
+        i = index_get(d1)
+        if i is None:
+            i = engine.intern(d1)
+        s1 = m1 * _Q
+        for j, s2, c2 in rest:
+            constants = pairs_get(i << 32 | j if i <= j else j << 32 | i)
+            blocks.append((engine.pair(i, j) if constants is None else constants, s1 + s2))
             c12s.append(F.mul(c1, c2))
     coords, den = F._lift_ints(c12s)
-    acc: dict[TermKey, object] = {}
+    acc: dict[int, object] = {}
     get = acc.get
+    # codes and coefficients alternate, and zip draws the code first; a block
+    # with a q-power shift adds it by map, which costs no bytecode per term
     if isinstance(F, ExtensionField):  # coordinate lists
-        for (constants, m), v in zip(blocks, coords):
-            for key, N in constants:
-                if m:
-                    key = (key[0], key[1] + m)
-                old = get(key)
+        for (constants, shift), v in zip(blocks, coords):
+            it = iter(constants)
+            for code, N in zip(map(shift.__add__, it) if shift else it, it):
+                old = get(code)
                 if old is None:
-                    acc[key] = v if N == 1 else [N * x for x in v]
+                    acc[code] = v if N == 1 else [N * x for x in v]
                 else:
-                    acc[key] = [s + N * x for s, x in zip(old, v)]
+                    acc[code] = [s + N * x for s, x in zip(old, v)]
     else:
-        for (constants, m), v in zip(blocks, coords):
-            for key, N in constants:
-                if m:
-                    key = (key[0], key[1] + m)
-                acc[key] = get(key, 0) + N * v
-    return QhElement._trusted(ctx, F, F._drop_ints(acc, den))
+        for (constants, shift), v in zip(blocks, coords):
+            it = iter(constants)
+            for code, N in zip(map(shift.__add__, it) if shift else it, it):
+                acc[code] = get(code, 0) + N * v
+    terms = F._drop_ints(zip(map(engine.keys.__getitem__, acc), acc.values()), den)
+    return QhElement._trusted(ctx, F, terms)
 
 
 # ---------------------------------------------------------------------------

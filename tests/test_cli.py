@@ -44,6 +44,13 @@ def test_product_with_cancellation_golden(capsys, argv, want):
     assert out == want + "\n"
 
 
+def test_product_on_a_context_with_a_tall_transpose(capsys):
+    """sigma_1 * sigma_1 on Gr(2,1200) runs the row rule on 1198 rows."""
+    code, out, _ = run(capsys, "product", "2", "1200", "Q", "s[1]", "s[1]")
+    assert code == 0
+    assert out == "σ[2] + σ[1,1]\n"
+
+
 def test_pieri_command(capsys):
     code, out, _ = run(capsys, "pieri", "2", "5", "Q", "2", "σ[3,2]")
     assert code == 0

@@ -178,7 +178,7 @@ def test_ideal_vanishing_builds_no_powers_beyond_x():
         K = ev.field
 
         def element(coords):
-            return K._drop_ints({0: coords}, 1).get(0, K.zero())
+            return K._drop_ints([(0, coords)], 1).get(0, K.zero())
 
         multisets = admissible_multisets(K, 3, 7)
         for J in multisets:
@@ -194,6 +194,43 @@ def test_ideal_vanishing_builds_no_powers_beyond_x():
             element(row[e]) == K.pow(element(row[1]), e) for row in rows for e in range(ctx.cols + 1)
         )
         assert verify_ideal_vanishing(ev, J)["all_ok"]
+
+
+@pytest.mark.parametrize(
+    "k,n,base",
+    [(3, 7, QQ), (2, 8, prime_field(3)), (2, 5, prime_field(11)), (1, 2, QQ), (4, 8, prime_field(3))],
+    ids=["Q(zeta7)", "GF(3^4)", "GF(11)", "Q", "GF(3^2)"],
+)
+def test_ideal_vanishing_reports_match_field_arithmetic_off_the_roots(k, n, base):
+    """On root tuples that are not multisets of roots of unity the
+    generators do not vanish, so the report prints nonzero values. The
+    integer recurrence must print each one as the naive h_r in field
+    arithmetic does."""
+    ev = EvContext(GrContext(k, n), base)
+    K = ev.field
+    rng = random.Random(f"off the roots {k} {n} {base.label}")
+    sign = K.one() if k % 2 == 0 else K.neg(K.one())
+    nonzero = 0
+    for trial in range(4):
+        if K.characteristic:
+            roots = tuple(K.random_element(rng) for _ in range(k))
+        else:  # algebraic integers: integer multiples of roots of unity
+            roots = tuple(K.mul(K.from_int(rng.randint(-3, 3)), rng.choice(ev.roots)) for _ in range(k))
+        J = AdmissibleMultiset(tuple(range(k)), roots)
+        scaled = [K.mul(ev.xi, r) for r in roots]
+        want = []
+        for r in range(n - k + 1, n + 1):
+            value = naive_complete(K, scaled, r)
+            generator = f"h_{r}"
+            if r == n:
+                value, generator = K.add(value, sign), f"h_{n} + (-1)^{k}"
+            want.append({"generator": generator, "value": K.element_to_str(value), "ok": K.is_zero(value)})
+        report = verify_ideal_vanishing(ev, J)
+        assert report["checks"] == want, (trial, roots)
+        assert report["all_ok"] == all(c["ok"] for c in want)
+        assert report["field"] == K.label and report["multiset"] == J.to_text()
+        nonzero += sum(not c["ok"] for c in want)
+    assert nonzero
 
 
 def test_ev_context_examples():

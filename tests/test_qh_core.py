@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhgrass import qh_core
 from qhgrass.diagram import EMPTY, GrContext, YoungDiagram, enumerate_diagrams
 from qhgrass.exactfield import QQ, cyclotomic_field, make_extension, prime_field
 from qhgrass.qh_core import (
@@ -106,6 +108,68 @@ def test_schubert_product_rejects_diagrams_outside_the_box():
             schubert_product(ctx, outside, YoungDiagram((1,)))
         with pytest.raises(ValueError):
             schubert_product(ctx, YoungDiagram((1,)), outside)
+
+
+def test_schubert_product_inputs_under_index_lookup():
+    """Rows reach the engine's index as plain tuples. A float row equals an
+    int in a dict lookup, so it must be refused before the lookup, also once
+    the diagram it spells is indexed."""
+    ctx = GrContext(3, 6)
+    want = schubert_product(ctx, YoungDiagram((2, 1)), YoungDiagram((1,)))
+    assert want == {(YoungDiagram(rows), 0): 1 for rows in ((3, 1), (2, 2), (2, 1, 1))}
+    assert schubert_product(ctx, [2, 1, 0], [1]) == want
+    assert schubert_product(ctx, (2, 1), (1, 0, 0)) == want
+    assert schubert_product(ctx, [2, 1] + [0] * 200_000, [1]) == want  # zeros stripped in one pass
+    for bad in ((2.0, 1), [2, 1.0], ("2", 1)):
+        with pytest.raises(TypeError):
+            schubert_product(ctx, bad, (1,))
+        with pytest.raises(TypeError):
+            schubert_product(ctx, (1,), bad)
+    for outside in ((4,), (1, 1, 1, 1), [4, 0], (1, 2), (-1,)):
+        with pytest.raises(ValueError):
+            schubert_product(ctx, outside, (1,))
+        with pytest.raises(ValueError):
+            schubert_product(ctx, (2, 1), outside)
+
+
+@pytest.mark.parametrize("n", [8, 990, 1200, 100003])
+def test_products_on_contexts_with_a_tall_transpose(n):
+    """The column rule runs the row rule in Gr(n-2, n), with n-2 rows; the
+    rows are walked without recursion, so no depth of the box raises. The
+    small context checks the expected values against the oracle."""
+    ctx = GrContext(2, n)
+    s1, wide = YoungDiagram((1,)), YoungDiagram((n - 2, 1))
+    cases = [
+        (s1, s1, {(YoungDiagram((2,)), 0): 1, (YoungDiagram((1, 1)), 0): 1}),
+        (wide, wide, {(YoungDiagram((n - 2,)), 1): 1, (YoungDiagram((n - 3, 1)), 1): 1}),
+    ]
+    for a, b, want in cases:
+        assert schubert_product(ctx, a, b) == want
+        if n < 20:
+            assert column_expansion_product(2, n, a, b) == want
+    assert pieri_multiply(sigma(ctx, QQ, (1,)), 2) == sigma(ctx, QQ, (2, 1))
+
+
+@pytest.fixture
+def cold_caches():
+    """Products from empty caches: no engine and no Giambelli expansion kept."""
+    qh_core._ENGINES.clear()
+    qh_core._giambelli_cached.cache_clear()
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 8)])
+@pytest.mark.parametrize("order", ["shuffled", "sorted"])
+def test_table_filled_in_any_order_from_cold_caches_matches_oracle(cold_caches, k, n, order):
+    """Chains, step tables and indices are shared by all products of a
+    context, so the fill order decides what each product finds cached and
+    which index each diagram gets. Every order must give the oracle's table."""
+    ctx = GrContext(k, n)
+    diagrams = enumerate_diagrams(ctx)
+    cells = [(a, b) for a in diagrams for b in diagrams]
+    if order == "shuffled":
+        random.Random(f"fill {k} {n}").shuffle(cells)
+    for a, b in cells:
+        assert schubert_product(ctx, a, b) == column_expansion_product(k, n, a, b), (a, b)
 
 
 @pytest.mark.parametrize("k,n", [(1, 6), (2, 9), (3, 7), (4, 8), (5, 7), (6, 8)])
@@ -254,6 +318,59 @@ def test_quantum_product_matches_naive_per_term_expansion(label, k, n):
 
     for _ in range(12):
         _assert_matches_naive(element(), element())
+
+
+def _per_term_oracle(a, b) -> dict:
+    """a * b term by term in field arithmetic, each structure constant taken
+    from the column-expansion oracle rather than from the engine."""
+    ctx, F = a.ctx, a.field
+    acc: dict = {}
+    for (d1, m1), c1 in a.terms.items():
+        for (d2, m2), c2 in b.terms.items():
+            for (rows, dm), N in column_expansion_product(ctx.k, ctx.n, d1, d2).items():
+                key, c = (YoungDiagram(rows), m1 + m2 + dm), F.mul(F.mul(c1, c2), F.from_int(N))
+                acc[key] = F.add(acc[key], c) if key in acc else c
+    return {key: c for key, c in acc.items() if not F.is_zero(c)}
+
+
+@pytest.mark.parametrize("label", ["Q", "GF(7)", "GF(2^3)", "Q(zeta8)"])
+def test_inhomogeneous_products_with_negative_q_powers_from_cold_caches(cold_caches, label):
+    """Codes carry q-powers down to -2 per factor (a code below 0), and the
+    elements mix degrees, so one output code collects several pairs."""
+    ctx, F = GrContext(3, 7), PRODUCT_FIELDS[label]
+    diagrams = enumerate_diagrams(ctx)
+    rng = random.Random(f"inhomogeneous {label}")
+
+    def element():
+        terms: dict = {}
+        while len(terms) < 2 or len({d.size + ctx.n * m for d, m in terms}) < 2:
+            c = F.random_element(rng)
+            if not F.is_zero(c):
+                terms[(rng.choice(diagrams), rng.randint(-2, 1))] = c
+        element = QhElement(ctx, F, terms)
+        assert element.homogeneous_degree() is None
+        return element
+
+    for _ in range(15):
+        a, b = element(), element()
+        assert quantum_product(a, b).terms == _per_term_oracle(a, b), (a, b)
+
+
+def test_cached_constants_are_untracked_by_the_collector(cold_caches):
+    """The pair constants, the chains and the step tables hold ints only, so
+    after a collection the garbage collector no longer tracks them."""
+    ctx = GrContext(3, 7)
+    diagrams = enumerate_diagrams(ctx)
+    for a in diagrams:
+        for b in diagrams:
+            schubert_product(ctx, a, b)
+    quantum_product(sigma(ctx, QQ, (2, 1), -1), sigma(ctx, QQ, (4, 4, 1), 1))
+    gc.collect()
+    engine = qh_core._ENGINES[(3, 7)]
+    assert len(engine.pairs) == len(diagrams) * (len(diagrams) + 1) // 2
+    assert not any(gc.is_tracked(constants) for constants in engine.pairs.values())
+    assert engine.chains and not any(gc.is_tracked(chain) for chain in engine.chains.values())
+    assert engine.steps and not any(gc.is_tracked(table) for table in engine.steps.values())
 
 
 @pytest.mark.parametrize("label,sign", [("Q", -1), ("GF(2)", 1), ("GF(2^3)", 1), ("Q(zeta8)", -1)])

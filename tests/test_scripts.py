@@ -7,12 +7,14 @@ from pathlib import Path
 import pytest
 
 from qhgrass.cli import main
-from qhgrass.diagram import GrContext
+from qhgrass.diagram import GrContext, enumerate_diagrams
 from qhgrass.gelfand_cetlin import gc_csv_rows
+from qhgrass.qh_core import schubert_product
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 CLASSIFIER_GRID = SCRIPTS / "classifier_grid.py"
 GC_EXPERIMENTS = SCRIPTS / "gc_experiments.py"
+PRODUCT_TABLE = SCRIPTS / "product_table.py"
 GRID_ARGS = ["--max-n", "60", "--chars", "0", "2", "3", "5", "7", "11", "13"]
 
 
@@ -71,3 +73,22 @@ def test_gc_experiments_rows_and_reports(monkeypatch, capsys, tmp_path, quaterni
     assert captured.err == (skipped if quaternionic else "")
     reports = [json.loads(line) for line in captured.out.splitlines()]
     assert reports == [critical_report(capsys, k, n) for k, n in contexts]
+
+
+def test_product_table_digest_matches_schubert_product(monkeypatch, capsys):
+    """The script's digest hashes the Gr(2,5) table as its docstring says:
+    compact JSON of [a, b, sorted terms] per ordered pair."""
+    captured = run_script(monkeypatch, capsys, PRODUCT_TABLE, "2", "5", "--repeats", "2")
+    (line,) = captured.out.splitlines()
+    report = json.loads(line)
+    ctx = GrContext(2, 5)
+    diagrams = enumerate_diagrams(ctx)
+    table = [
+        [list(a), list(b), sorted([list(d), m, c] for (d, m), c in schubert_product(ctx, a, b).items())]
+        for a in diagrams
+        for b in diagrams
+    ]
+    digest = hashlib.sha256(json.dumps(table, separators=(",", ":")).encode()).hexdigest()
+    assert report["sha256"] == digest
+    assert (report["k"], report["n"], report["pairs"], report["repeats"]) == (2, 5, 100, 2)
+    assert report["min_s"] > 0
