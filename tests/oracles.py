@@ -11,6 +11,13 @@ import itertools
 from fractions import Fraction
 
 
+def int_poly(F, ints):
+    """The polynomial over F with these integer coefficients, low degree first."""
+    from qhgrass.exactfield import Poly
+
+    return Poly(F, [F.from_int(c) for c in ints])
+
+
 def box_partitions(k: int, cols: int) -> set[tuple[int, ...]]:
     """All weakly decreasing tuples in a k x cols box, trailing zeros stripped."""
     out = set()

@@ -16,7 +16,6 @@ import pytest
 from qhgrass.diagram import GrContext, YoungDiagram, enumerate_diagrams
 from qhgrass.exactfield import (
     QQ,
-    Poly,
     char_poly,
     distinct_degree_profile,
     is_irreducible,
@@ -53,6 +52,8 @@ from qhgrass.qh_core import (
     q_shift,
     quantum_product,
 )
+
+from oracles import int_poly
 
 
 def report(number: int, title: str, detail: str = ""):
@@ -120,7 +121,7 @@ def test_criterion_05_equivalence_battery():
             F = prime_field(p)
             field_test = is_graded_field(ctx, F, brute_limit=3000)
             # pi over Q reduced mod p, not the charpoly over F that is_graded_field takes
-            pi = Poly.from_ints(F, [int(c) for c in closed_form_charpoly(n).coeffs])
+            pi = int_poly(F, [int(c) for c in closed_form_charpoly(n).coeffs])
             irreducible = is_irreducible(F, pi)
             units = generates_units(p, n)
             assert field_test.is_field == irreducible == units, (n, p, field_test.routes)

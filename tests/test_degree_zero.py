@@ -8,6 +8,7 @@ import pytest
 from qhgrass.diagram import GrContext, YoungDiagram
 from qhgrass.exactfield import (
     QQ,
+    DegreeLimitError,
     Poly,
     SquareMatrix,
     char_poly,
@@ -36,7 +37,7 @@ from qhgrass.degree_zero import (
 )
 from qhgrass.qh_core import QhElement, q_shift, special_class
 
-from oracles import units_from_powers
+from oracles import int_poly, sympy_is_irreducible_q, units_from_powers
 
 
 def test_qh0_basis_examples():
@@ -124,8 +125,8 @@ def test_recursion_gives_all_ones(ell):
     power = Poly.one(QQ)
     for i, c in enumerate(pi.coeffs):
         r = r + power * Poly(QQ, [QQ.zero()] * (ell - i) + [c * (-1) ** i])
-        power = power * Poly.from_ints(QQ, [1, 0, 1])
-    assert r == Poly.from_ints(QQ, [1] * (2 * ell + 1))
+        power = power * int_poly(QQ, [1, 0, 1])
+    assert r == int_poly(QQ, [1] * (2 * ell + 1))
 
 
 def test_even_charpoly_via_recursion_sum():
@@ -267,8 +268,33 @@ def test_is_graded_field_rational_zassenhaus_case():
     """n = 25: pi factors as deg 2 x deg 10 with no rational root."""
     check = is_graded_field(GrContext(2, 25), QQ)
     assert not check.is_field
-    pi = closed_form_charpoly(25)
-    assert not is_irreducible(QQ, pi)
+    assert check.routes["charpoly_irreducible"] is False
+
+
+def test_rational_charpoly_route_against_sympy():
+    """Over Q the route is the Laurent identity plus primality of n; sympy
+    factors pi itself. Odd n up to 129 covers the prime powers 9, 25, 27,
+    49, 81, 121 and 125 and deg pi = 64, the top of the bound. Gr(2, 3) is
+    its own dual Gr(1, 3) and takes the rank-one route instead."""
+    assert "charpoly_irreducible" not in is_graded_field(GrContext(2, 3), QQ).routes
+    seen = set()
+    for n in range(5, 130, 2):
+        route = is_graded_field(GrContext(2, n), QQ).routes["charpoly_irreducible"]
+        assert route == sympy_is_irreducible_q(closed_form_charpoly(n).coeffs), n
+        seen.add(route)
+    assert seen == {True, False}
+
+
+def test_rational_charpoly_route_keeps_the_degree_limit(monkeypatch):
+    """Gr(2, 131) over Q (deg pi = 65) raises DegreeLimitError before pi is built."""
+    import qhgrass.degree_zero as dz
+
+    def unreachable(n):
+        raise AssertionError("pi built above the degree limit")
+
+    monkeypatch.setattr(dz, "closed_form_charpoly", unreachable)
+    with pytest.raises(DegreeLimitError, match="degree 65 above the supported bound 64"):
+        is_graded_field(GrContext(2, 131), QQ)
 
 
 def test_is_graded_field_n_equals_p():
@@ -493,13 +519,18 @@ def test_extension_charpoly_route_against_rabin_over_the_extension(spec):
 
 
 def test_charpoly_identity_fails_for_a_perturbed_pi(monkeypatch):
-    """A non-integer or a changed integer coefficient of pi breaks the identity."""
+    """A non-integer or a changed integer coefficient of pi breaks the
+    identity, and the rational route of is_graded_field, which rests on it,
+    raises for prime and composite n alike."""
     import qhgrass.degree_zero as dz
 
-    pi = closed_form_charpoly(13)
-    for delta in (Fraction(1, 2), Fraction(1)):
-        bent = Poly(QQ, (pi.coeffs[0] + delta,) + pi.coeffs[1:])
-        monkeypatch.setattr(dz, "closed_form_charpoly", lambda n, bent=bent: bent)
-        assert not charpoly_identity_holds(13)
-    monkeypatch.undo()
-    assert charpoly_identity_holds(13)
+    for n in (13, 15):
+        pi = closed_form_charpoly(n)
+        for delta in (Fraction(1, 2), Fraction(1)):
+            bent = Poly(QQ, (pi.coeffs[0] + delta,) + pi.coeffs[1:])
+            monkeypatch.setattr(dz, "closed_form_charpoly", lambda n, bent=bent: bent)
+            assert not charpoly_identity_holds(n)
+            with pytest.raises(RuntimeError, match="Laurent identity"):
+                is_graded_field(GrContext(2, n), QQ)
+        monkeypatch.undo()
+        assert charpoly_identity_holds(n)

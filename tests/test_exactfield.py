@@ -1,6 +1,5 @@
 import itertools
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from qhgrass.exactfield import (
     QQ,
-    DegreeLimitError,
     ExtensionField,
     FieldError,
     Poly,
@@ -19,7 +17,6 @@ from qhgrass.exactfield import (
     char_poly,
     cyclotomic_field,
     distinct_degree_profile,
-    factor_squarefree_finite,
     is_irreducible,
     make_extension,
     min_poly,
@@ -31,11 +28,12 @@ from qhgrass.exactfield import (
 )
 
 from qhgrass import exactfield
-from qhgrass.degree_zero import closed_form_charpoly, closed_form_matrix
+from qhgrass.degree_zero import closed_form_matrix
 from qhgrass.numberth import cyclotomic_polynomial, int_poly_divmod_monic, multiplicative_order
 
 from oracles import (
     determinant,
+    int_poly,
     gf_irreducible_by_trial_division,
     sympy_charpoly_coeffs,
     sympy_charpoly_reduced,
@@ -99,7 +97,7 @@ def _kernel_pairs(F, rng, count=300):
             for _ in range(F.degree)
         )
 
-    special = [F.zero(), F.one(), F.lift(F.base.from_int(2)), F.gen()]
+    special = [F.zero(), F.one(), F.from_int(2), F.gen()]
     pairs = [(s, t) for s in special for t in special]
     pairs += [(s, element()) for s in special] + [(element(), s) for s in special]
     while len(pairs) < count:
@@ -341,11 +339,14 @@ def test_generator_deterministic():
 
 def test_is_irreducible_finite_examples():
     F3, F5 = prime_field(3), prime_field(5)
-    assert is_irreducible(F3, Poly.from_ints(F3, [-1, -1, 1])) is True
-    assert is_irreducible(F5, Poly.from_ints(F5, [-1, -1, 1])) is False
-    assert is_irreducible(F5, Poly.from_ints(F5, [0, 1])) is True  # y
+    assert is_irreducible(F3, int_poly(F3, [-1, -1, 1])) is True
+    assert is_irreducible(F5, int_poly(F5, [-1, -1, 1])) is False
+    assert is_irreducible(F5, int_poly(F5, [0, 1])) is True  # y
     with pytest.raises(FieldError):
-        is_irreducible(F5, Poly.from_ints(F5, [3]))
+        is_irreducible(F5, int_poly(F5, [3]))
+    for F in (QQ, cyclotomic_field(4)):
+        with pytest.raises(FieldError, match="finite fields only"):
+            is_irreducible(F, int_poly(F, [-2, 0, 1]))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -355,71 +356,8 @@ def test_is_irreducible_finite_against_trial_division(p):
     for _ in range(40):
         deg = rng.randint(1, 6)
         coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
-        poly = Poly.from_ints(F, coeffs)
+        poly = int_poly(F, coeffs)
         assert is_irreducible(F, poly) == gf_irreducible_by_trial_division(p, coeffs)
-
-
-def test_is_irreducible_rational_examples():
-    cases = {
-        (-2, 0, 1): True,  # x^2 - 2
-        (-1, 0, 1): False,  # (x-1)(x+1)
-        (1, 0, -1, 0, 1): True,  # Phi_12, reducible mod every prime
-        (1, 0, 0, 0, 1): True,  # x^4 + 1, reducible mod every prime
-        (1, 0, -10, 0, 1): True,  # minimal polynomial of sqrt(2) + sqrt(3)
-        (1, 3, 2): False,  # (x+1)(2x+1)
-        (3, 0, 2): True,  # 2x^2 + 3
-    }
-    for coeffs, expected in cases.items():
-        assert is_irreducible(QQ, Poly.from_ints(QQ, list(coeffs))) is expected
-
-
-def test_is_irreducible_rational_against_sympy():
-    rng = random.Random(2024)
-    for _ in range(25):
-        deg = rng.randint(1, 8)
-        coeffs = [rng.randint(-6, 6) for _ in range(deg)] + [rng.choice([1, 2, 3, -1])]
-        poly = Poly.from_ints(QQ, coeffs)
-        assert is_irreducible(QQ, poly) == sympy_is_irreducible_q(coeffs)
-
-
-@pytest.mark.parametrize(
-    "factors, expected",
-    [
-        ([[10**30 + 57, 0, 1]], True),
-        ([[-i, 1] for i in range(1, 21)], False),
-        ([[-(10**20), 1], [1, 0, 1]], False),
-    ],
-    ids=["x^2+10^30+57", "(x-1)...(x-20)", "(x-10^20)(x^2+1)"],
-)
-def test_rational_irreducibility_with_huge_constant_terms(factors, expected):
-    """Rational roots come from factor recombination, whose cost does not grow
-    with the size of the constant term."""
-    f = Poly.one(QQ)
-    for c in factors:
-        f = f * Poly.from_ints(QQ, c)
-    start = time.perf_counter()
-    assert is_irreducible(QQ, f) is expected
-    assert time.perf_counter() - start < 5.0
-
-
-def test_recombination_budget_is_spent_one_subset_size_at_a_time(monkeypatch):
-    """With a budget of 10 subsets: the Swinnerton-Dyer polynomial of
-    sqrt(2), sqrt(3), sqrt(5), sqrt(7) (irreducible, 8 quadratic factors mod
-    the chosen prime) passes the 8 single factors and stops before the 28
-    pairs; times (x - 3) it has 9 single factors, one of them x - 3, and is
-    answered although the 9 + 36 + 84 + 126 subsets up to size 4 exceed 10."""
-    even = [46225, -5596840, 13950764, -7453176, 1513334, -141912, 6476, -136, 1]
-    sd = Poly.from_ints(QQ, [c for e in even for c in (e, 0)][:-1])
-    monkeypatch.setattr(exactfield, "_RECOMBINATION_BUDGET", 10)
-    with pytest.raises(DegreeLimitError):
-        is_irreducible(QQ, sd)
-    assert is_irreducible(QQ, sd * Poly.from_ints(QQ, [-3, 1])) is False
-
-
-def test_degree_limit():
-    big = Poly.from_ints(QQ, [1] * 66)  # degree 65
-    with pytest.raises(DegreeLimitError):
-        is_irreducible(QQ, big)
 
 
 def test_char_poly_examples():
@@ -705,7 +643,7 @@ def test_min_poly_with_a_zero_subdiagonal(F):
     assert any(F.is_zero(h[i][i - 1]) for i in range(1, M.size))
     mp = min_poly(F, M)
     assert mp.degree == 4 and mp != char_poly(F, M).monic()
-    assert mp == Poly.from_ints(F, [0, 0, 1, -2, 1])
+    assert mp == int_poly(F, [0, 0, 1, -2, 1])
     entries = [[F.from_int(v) for v in row] for row in rows]
     assert sympy_min_poly_is_minimal(*_oracle_args(F, entries, mp.coeffs))
 
@@ -746,25 +684,20 @@ def test_is_singular_against_determinant(F, monkeypatch):
 
 
 def test_poly_text_format():
-    f = Poly.from_ints(QQ, [1, 0, 2])
+    f = int_poly(QQ, [1, 0, 2])
     assert f.to_text() == "1 + 2*x^2"
     assert Poly.zero(QQ).to_text() == "0"
-    assert Poly.from_ints(QQ, [0, 1]).to_text() == "x"
+    assert int_poly(QQ, [0, 1]).to_text() == "x"
 
 
 def test_distinct_degree_profile_and_factors():
     F2 = prime_field(2)
     # x^4 + x^3 + x^2 + x + 1 is irreducible over GF(2) (order of 2 mod 5 is 4)
-    assert distinct_degree_profile(F2, Poly.from_ints(F2, [1, 1, 1, 1, 1])) == [4]
+    assert distinct_degree_profile(F2, int_poly(F2, [1, 1, 1, 1, 1])) == [4]
     # x^5 - 1 = (x + 1)(x^4 + x^3 + x^2 + x + 1) over GF(2)
-    profile = distinct_degree_profile(F2, Poly.from_ints(F2, [1, 0, 0, 0, 0, 1]))
+    profile = distinct_degree_profile(F2, int_poly(F2, [1, 0, 0, 0, 0, 1]))
     assert profile == [1, 4]
-    factors = factor_squarefree_finite(F2, Poly.from_ints(F2, [1, 0, 0, 0, 0, 1]))
-    assert sorted(int(f.degree) for f in factors) == [1, 4]
-    prod = Poly.one(F2)
-    for f in factors:
-        prod = prod * f
-    assert prod == Poly.from_ints(F2, [1, 0, 0, 0, 0, 1])
+    assert [len(c) - 1 for c in sympy_factors_mod_p([1, 0, 0, 0, 0, 1], 2)] == profile
 
 
 # degrees drawn for each product: three of one degree, so that the
@@ -792,35 +725,26 @@ def test_finite_factoring_against_sympy(p):
         pieces = _distinct_irreducibles(p, degrees, rng)
         f = Poly.one(F)
         for c in pieces:
-            f = f * Poly.from_ints(F, c)
-        f = f.scale(F.from_int(rng.randrange(1, p)))  # neither routine needs a monic input
+            f = f * int_poly(F, c)
+        f = f.scale(F.from_int(rng.randrange(1, p)))  # the profile needs no monic input
         want = sympy_factors_mod_p([int(c) for c in f.coeffs], p)
         assert sorted(pieces, key=lambda c: (len(c), c)) == want
-        got = factor_squarefree_finite(F, f)
-        assert [tuple(g.coeffs) for g in got] == want
         assert distinct_degree_profile(F, f) == [len(c) - 1 for c in want]
     irreducible = _distinct_irreducibles(p, (7,), rng)[0]
-    f = Poly.from_ints(F, irreducible)
+    f = int_poly(F, irreducible)
     assert sympy_factors_mod_p(list(irreducible), p) == [irreducible]
-    assert [tuple(g.coeffs) for g in factor_squarefree_finite(F, f)] == [irreducible]
     assert distinct_degree_profile(F, f) == [7]
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 15, 21])
-def test_factor_squarefree_over_gf4_splits_conjugate_factors(n):
-    # Phi_n splits over GF(4) into factors of degree ord_n(4) whose roots are
-    # Galois conjugate over GF(2), so a split drawing h from GF(2)[x] never ends
+def test_distinct_degree_profile_over_gf4_is_the_order_of_4(n):
+    # Phi_n splits over GF(4) into factors of degree ord_n(4), fewer than over
+    # GF(2) when ord_n(2) is even, so the split must take x^(4^d), not x^(2^d)
     F = make_extension(2, 2)
-    f = Poly.from_ints(F, cyclotomic_polynomial(n))
-    factors = factor_squarefree_finite(F, f)
+    f = int_poly(F, cyclotomic_polynomial(n))
     d = multiplicative_order(4, n)
-    assert [int(g.degree) for g in factors] == [d] * (int(f.degree) // d)
-    assert len(set(factors)) == len(factors)
-    assert all(is_irreducible(F, g) for g in factors)
-    prod = Poly.one(F)
-    for g in factors:
-        prod = prod * g
-    assert prod == f
+    assert distinct_degree_profile(F, f) == [d] * (int(f.degree) // d)
+    assert is_irreducible(F, f) is (d == f.degree)
 
 
 def test_int_poly_divmod_monic_against_sympy():
@@ -839,23 +763,6 @@ def test_int_poly_divmod_monic_against_sympy():
     assert remainders > 20
 
 
-@pytest.mark.parametrize(
-    "poly", [closed_form_charpoly(25), Poly.from_ints(QQ, [1, 0, 0, 0, 1])], ids=["closed-form-25", "t^4+1"]
-)
-def test_rational_irreducibility_factors_one_prime(poly, monkeypatch):
-    calls = []
-    factor = exactfield.factor_squarefree_finite
-
-    def counting(F, f):
-        calls.append(F.p)
-        return factor(F, f)
-
-    monkeypatch.setattr(exactfield, "factor_squarefree_finite", counting)
-    irreducible = is_irreducible(QQ, poly)
-    assert len(calls) == 1
-    assert irreducible is sympy_is_irreducible_q(poly.coeffs)
-
-
 def test_cyclotomic_moduli_against_sympy():
     for n in range(3, 41):
         want = sympy_cyclotomic(n)
@@ -865,7 +772,7 @@ def test_cyclotomic_moduli_against_sympy():
 
 def test_pow_mod_squares_only_while_bits_remain(monkeypatch):
     F = prime_field(3)
-    f = Poly.from_ints(F, [1, 2, 0, 1, 1])
+    f = int_poly(F, [1, 2, 0, 1, 1])
     x = Poly.x(F)
     calls = []
     mul = Poly.__mul__

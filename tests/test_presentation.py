@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from qhgrass.diagram import GrContext, YoungDiagram, enumerate_diagrams
-from qhgrass.exactfield import QQ, ExtensionField, cyclotomic_field, make_extension, prime_field
+from qhgrass.exactfield import QQ, cyclotomic_field, make_extension, prime_field
 from qhgrass.presentation import (
     AdmissibleMultiset,
     EvContext,
@@ -428,7 +428,10 @@ def test_ev_map_matches_direct_evaluation_across_contexts(k, n, bases):
 
 
 def _embed(K, c):
-    return K.lift(c) if isinstance(K, ExtensionField) else c
+    """A coefficient of the base field (a Fraction over Q, an int over GF(p)) in K."""
+    if isinstance(c, Fraction):
+        return K.div(K.from_int(c.numerator), K.from_int(c.denominator))
+    return K.from_int(c)
 
 
 # Q(zeta_N) for odd and even k, GF(p^m) under and over TABLE_CAP, K = Q,
@@ -505,7 +508,7 @@ def test_multiset_with_non_integral_roots_is_rejected():
     ctx = GrContext(2, 5)
     ev = EvContext(ctx, QQ)
     K = ev.field
-    half = K.lift(Fraction(1, 2))
+    half = K.div(K.one(), K.from_int(2))
     J = AdmissibleMultiset((0, 1), (half, K.one()))
     with pytest.raises(ValueError, match="algebraic integers"):
         verify_ideal_vanishing(ev, J)
