@@ -115,11 +115,24 @@ def enumerate_diagrams(ctx: GrContext) -> tuple[YoungDiagram, ...]:
     return tuple(diagrams)
 
 
+def _partitions_of(size: int, rows: int, maximum: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of size <= rows * maximum into at most rows parts of at most
+    maximum, descending-lexicographic; a first part >= size / rows always fits."""
+    if size == 0:
+        yield ()
+        return
+    for first in range(min(size, maximum), -(-size // rows) - 1, -1):
+        for rest in _partitions_of(size - first, rows - 1, first):
+            yield (first,) + rest
+
+
 def graded_basis(ctx: GrContext, degree: int) -> tuple[GradedBasisElement, ...]:
-    """Basis of the complex-degree-d graded piece: pairs (D, m), |D| + n*m = d."""
-    out = []
-    for diagram in enumerate_diagrams(ctx):
-        m, r = divmod(degree - diagram.size, ctx.n)
-        if r == 0:
-            out.append(GradedBasisElement(diagram, m))
-    return tuple(out)
+    """Basis of the complex-degree-d graded piece: pairs (D, m), |D| + n*m = d,
+    in canonical order: sizes |D| = d mod n ascending, each listed directly in
+    descending-lexicographic order, so the cost follows the piece, not the box."""
+    n = ctx.n
+    return tuple(
+        GradedBasisElement(YoungDiagram(rows), (degree - size) // n)
+        for size in range(degree % n, ctx.k * ctx.cols + 1, n)
+        for rows in _partitions_of(size, ctx.k, ctx.cols)
+    )

@@ -33,12 +33,17 @@ GF(p^m) so that the sum is an element the tables take. That is how
 presentation.ev_map evaluates and verify_ideal_vanishing runs its
 recurrence.
 
-char_poly reduces a matrix to upper Hessenberg form once and runs the
-determinant recurrence on it. min_poly reuses that reduction: a Hessenberg
-matrix with no zero on its subdiagonal is nonderogatory, so its minimal
-polynomial is its monic characteristic polynomial, and only a matrix whose
-reduced form has a zero there goes to the Krylov lcm. SquareMatrix.is_singular
-eliminates by cross-multiplying rows and inverts no element of a finite field.
+A Poly over GF(p) keeps its coefficients in [0, p), multiplies them by
+Kronecker substitution and divides by int accumulation; pow_mod, poly_gcd
+and the distinct-degree split reach both. Other fields, and subclasses that
+may override arithmetic, work per element. char_poly reduces a matrix to
+upper Hessenberg form once and runs the determinant recurrence on it, on
+ints over Q and GF(p) (not their subclasses). min_poly reuses that
+reduction: a Hessenberg matrix with no zero on its subdiagonal is
+nonderogatory, so its minimal polynomial is its monic characteristic
+polynomial, and only a matrix whose reduced form has a zero there goes to
+the Krylov lcm. SquareMatrix.is_singular eliminates by cross-multiplying
+rows and inverts no element of a finite field.
 
 Over a finite field, is_irreducible and distinct_degree_profile share one
 distinct-degree split: a squarefree f is irreducible when the first part of
@@ -57,6 +62,8 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -70,6 +77,9 @@ NEG_INF = float("-inf")
 
 # GF(p^m) of at most this order multiplies and inverts by log tables
 TABLE_CAP = 512
+
+# array typecodes by item size: Kronecker slots of 1, 2, 4 or 8 bytes
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 class FieldError(ValueError):
@@ -526,11 +536,19 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldCtx, coeffs: Sequence[Element] = ()):
-        coeffs = list(coeffs)
+        coeffs = [c % field.p for c in coeffs] if isinstance(field, PrimeField) else list(coeffs)
         while coeffs and field.is_zero(coeffs[-1]):
             coeffs.pop()
         self.field = field
         self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def _reduced(cls, field: FieldCtx, coeffs: Sequence[Element]) -> "Poly":
+        """Poly of reduced coefficients with a nonzero last one, unchecked."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.coeffs = tuple(coeffs)
+        return poly
 
     @classmethod
     def zero(cls, field):
@@ -592,6 +610,9 @@ class Poly:
         F = self.field
         if not self.coeffs or not other.coeffs:
             return Poly.zero(F)
+        if type(F) is PrimeField:
+            # lc * lc is nonzero mod p, so nothing needs stripping
+            return Poly._reduced(F, _kronecker_mul(self.coeffs, other.coeffs, F.p))
         out = [F.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if F.is_zero(a):
@@ -612,6 +633,11 @@ class Poly:
         dlen = len(other.coeffs)
         if len(rem) < dlen:
             return Poly.zero(F), Poly(F, rem)
+        if type(F) is PrimeField:
+            quot, rem = _prime_divmod(self.coeffs, other.coeffs, F.p)
+            while rem and not rem[-1]:
+                rem.pop()
+            return Poly._reduced(F, quot), Poly._reduced(F, rem)
         inv_lc = F.inv(other.lc())
         quot = [F.zero()] * (len(rem) - dlen + 1)
         for i in range(len(quot) - 1, -1, -1):
@@ -658,6 +684,42 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.field.label}: {self.to_text()})"
+
+
+def _kronecker_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """a * b mod p for nonempty coefficient lists in [0, p) by Kronecker
+    substitution (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4):
+    one int product of the lists packed in slots that hold min(len) (p - 1)^2,
+    the bound on a coefficient over Z; slots of up to 8 bytes go through an array."""
+    count = len(a) + len(b) - 1
+    width = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+    size = next((s for s in (1, 2, 4, 8) if s >= width), 0)
+    if size:
+        code = _ARRAY_CODES[size]
+        x, y = (int.from_bytes(array(code, f).tobytes(), sys.byteorder) for f in (a, b))
+        out = array(code)
+        out.frombytes((x * y).to_bytes(size * count, sys.byteorder))
+        return [c % p for c in out]
+    x, y = (int.from_bytes(b"".join([c.to_bytes(width, "little") for c in f]), "little") for f in (a, b))
+    data = (x * y).to_bytes(width * count, "little")
+    return [int.from_bytes(data[i : i + width], "little") % p for i in range(0, len(data), width)]
+
+
+def _prime_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) lists of a by b over GF(p), len(a) >= len(b) >= 1:
+    one inverse, then ints that add multiples of the negated divisor and are
+    reduced mod p only where they are read."""
+    dlen = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    neg = [-c % p for c in b[:-1]]
+    rem = list(a)
+    quot = [0] * (len(a) - dlen)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + dlen] * inv % p
+        if c:
+            quot[i] = c
+            rem[i : i + dlen] = [r + c * d for r, d in zip(rem[i : i + dlen], neg)]
+    return quot, [r % p for r in rem[:dlen]]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -905,7 +967,31 @@ def _hessenberg_charpoly(F: FieldCtx, h: list[list[Element]]) -> Poly:
     """det(xI - H) for an upper Hessenberg H, monic, by the recurrence
     p_r = (x - h_rr) p_(r-1) - sum_i h_(i,r) (h_(i+1,i)...h_(r,r-1)) p_(i-1),
     which skips the terms whose h_(i,r) is zero: on a tridiagonal matrix it
-    costs O(size^2) field operations instead of O(size^3)."""
+    costs O(size^2) field operations instead of O(size^3).
+
+    Over Q and GF(p) it runs on ints: _lift_ints gives H = A/d (d = 1 over
+    GF(p), where each step is reduced mod p), q = det(xI - A) needs no
+    division, and det(xI - A/d) = d^(-n) q(dx) has coefficient i = q_i / d^(n-i)."""
+    n = len(h)
+    if type(F) in (PrimeField, RationalField):
+        flat, d = F._lift_ints([c for row in h for c in row])
+        a = [flat[i * n : (i + 1) * n] for i in range(n)]
+        p = F.characteristic
+        polys = [[1]]
+        for r in range(n):
+            prev, diag = polys[r], a[r][r]
+            q = [hi - diag * lo for hi, lo in zip([0] + prev, prev + [0])]
+            prod = 1
+            for i in range(r, 0, -1):
+                prod = prod * a[i][i - 1] % p if p else prod * a[i][i - 1]
+                if not prod:  # a zero subdiagonal entry ends the chain
+                    break
+                if a[i - 1][r]:
+                    t = a[i - 1][r] * prod
+                    q[:i] = [c - t * e for c, e in zip(q, polys[i - 1])]  # deg p_(i-1) = i - 1
+            polys.append([c % p for c in q] if p else q)
+        q = polys[-1]
+        return Poly._reduced(F, q if p else [Fraction(c, d ** (n - i)) for i, c in enumerate(q)])
     x = Poly.x(F)
     polys = [Poly.one(F)]
     for r in range(1, len(h) + 1):
@@ -924,7 +1010,7 @@ def char_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
 
     Leading coefficient is (-1)^size (the det(M - xI) sign convention). The
     reduction is _hessenberg and the determinant of the reduced matrix is
-    _hessenberg_charpoly's recurrence.
+    _hessenberg_charpoly's recurrence, on ints over Q and GF(p).
     """
     monic = _hessenberg_charpoly(F, _hessenberg(F, M))  # det(xI - M)
     return monic if M.size % 2 == 0 else -monic

@@ -270,6 +270,22 @@ def sympy_factors_mod_p(coeffs, p: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda c: (len(c), c))
 
 
+def sympy_gf_ops(a, b, p: int, exponent: int):
+    """(a*b, a // b, a % b, monic gcd(a, b), a^exponent mod b) over GF(p) by
+    sympy's galoistools, for coefficient lists low degree first and b
+    nonzero; each result is a list of ints in [0, p), empty for zero."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul, gf_pow_mod, gf_rem, gf_strip
+
+    fa = gf_strip([c % p for c in reversed(a)])
+    fb = gf_strip([c % p for c in reversed(b)])
+    q, r = gf_div(fa, fb, p, ZZ)
+    # gf_pow_mod returns 1 for exponent 0 without reducing it by b
+    power = gf_rem(gf_pow_mod(fa, exponent, fb, p, ZZ), fb, p, ZZ)
+    results = (gf_mul(fa, fb, p, ZZ), q, r, gf_gcd(fa, fb, p, ZZ), power)
+    return tuple([int(c) % p for c in reversed(gf_strip(f))] for f in results)
+
+
 def sympy_int_divmod(num, den) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer polynomials (low degree first) by
     sympy's div over Q, with empty lists for zero."""

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qhgrass.diagram import (
     EMPTY,
+    GradedBasisElement,
     GrContext,
     YoungDiagram,
     column_diagram,
@@ -109,6 +110,24 @@ def test_graded_basis_unit_and_shift():
 def test_graded_dimensions_sum_to_binomial(k, n):
     ctx = GrContext(k, n)
     assert sum(len(graded_basis(ctx, d)) for d in range(n)) == comb(n, k)
+
+
+@pytest.mark.parametrize(
+    "k,n",
+    [(1, 1), (1, 5), (2, 2), (2, 10), (3, 7), (3, 9), (4, 4), (4, 10), (5, 12), (2, 101), (3, 20)],
+)
+def test_graded_basis_is_the_filtered_box(k, n):
+    """graded_basis lists one degree directly; the whole box, filtered by
+    degree and kept in canonical order, is the oracle on every degree -n..2n."""
+    ctx = GrContext(k, n)
+    box = enumerate_diagrams(ctx)
+    for degree in range(-n, 2 * n + 1):
+        want = tuple(
+            GradedBasisElement(d, (degree - d.size) // n) for d in box if (degree - d.size) % n == 0
+        )
+        got = graded_basis(ctx, degree)
+        assert got == want, degree
+        assert all(type(e.diagram) is YoungDiagram for e in got)
 
 
 def test_column_diagram_and_text():

@@ -39,6 +39,7 @@ from oracles import (
     sympy_charpoly_reduced,
     sympy_cyclotomic,
     sympy_factors_mod_p,
+    sympy_gf_ops,
     sympy_int_divmod,
     sympy_is_irreducible_q,
     sympy_min_poly_is_minimal,
@@ -816,3 +817,117 @@ def test_poly_divmod_roundtrip(acoeffs, bcoeffs):
     g = poly_gcd(a, b)
     if not g.is_zero:
         assert (a % g).is_zero and (b % g).is_zero
+
+
+# 65521 and 2^31 - 1 give Kronecker slots of 4 and 8 bytes and slots wider than 8 bytes
+KERNEL_PRIMES = [2, 3, 7, 65521, 2**31 - 1]
+
+
+def _prime_kernel_pairs(p, rng):
+    """(a, b) coefficient lists for the GF(p) Poly kernels: the zero
+    polynomial, constants, divisors of degree 0, non-monic and monic
+    divisors, a pair with a common factor, and random pairs up to degree 200."""
+
+    def draw(length, monic=False):
+        c = [rng.randrange(p) for _ in range(length)]
+        if c:
+            c[-1] = 1 if monic else rng.randrange(1, p)
+        return c
+
+    def times(f, g):  # schoolbook, independent of the kernel
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    common = draw(30)
+    pairs = [
+        ([], draw(3)),
+        (draw(1), draw(1)),
+        (draw(40), draw(1)),
+        (draw(1), draw(5)),
+        (draw(60), draw(17)),
+        (draw(201), draw(201)),
+        (draw(201), draw(80, monic=True)),
+        (draw(150), draw(101)),
+        (times(common, draw(50)), times(common, draw(20))),
+    ]
+    pairs += [(draw(rng.randint(0, 201)), draw(rng.randint(1, 201))) for _ in range(4)]
+    return pairs
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_prime_field_poly_kernels_against_sympy(p):
+    """*, divmod, poly_gcd and pow_mod over GF(p), which run on the Kronecker
+    and int-division kernels, against sympy; every coefficient is an int in
+    [0, p), and the product also equals the schoolbook one of the generic path."""
+    F = prime_field(p)
+    rng = random.Random(f"kernels-{p}")
+    for a, b in _prime_kernel_pairs(p, rng):
+        exponent = rng.choice([0, 1, 2, p, rng.randrange(3 * p)])
+        fa, fb = Poly(F, a), Poly(F, b)
+        q, r = divmod(fa, fb)
+        got = [fa * fb, q, r, poly_gcd(fa, fb), fa.pow_mod(exponent, fb)]
+        assert [list(g.coeffs) for g in got] == list(sympy_gf_ops(a, b, p, exponent)), (a, b, exponent)
+        for g in got:
+            assert all(type(c) is int and 0 <= c < p for c in g.coeffs)
+        assert q * fb + r == fa and fb * fa == got[0]
+
+
+def test_prime_field_poly_reduces_its_coefficients():
+    F = prime_field(3)
+    a = Poly(F, [4, 5])
+    assert a.coeffs == (1, 2)
+    assert a == Poly(F, [1, 2]) and hash(a) == hash(Poly(F, [1, 2]))
+    assert Poly(F, [-1, -5, 3]) == Poly(F, [2, 1]) and Poly(F, [-1, -5, 3]).degree == 1
+    assert Poly(F, [3, -3, 6]).is_zero
+    assert (a + Poly.zero(F)).coeffs == (a * Poly.one(F)).coeffs == (1, 2)
+    assert hash(Poly.constant(F, -1)) == hash(Poly.constant(F, 2))
+
+
+def _assert_char_and_min_poly(F, rows, p=0):
+    """char_poly against sympy, min_poly minimal by sympy, coefficient types."""
+    M = SquareMatrix(F, rows)
+    cp, mp = char_poly(F, M), min_poly(F, M)
+    want = sympy_charpoly_reduced([[[c] for c in row] for row in rows], p)
+    if len(rows) % 2:  # det(M - xI) = (-1)^size det(xI - M)
+        want = [F.neg(c) for c in want]
+    assert list(cp.coeffs) == want
+    assert sympy_min_poly_is_minimal(rows, mp.coeffs, p)
+    for c in cp.coeffs + mp.coeffs:
+        assert type(c) is Fraction if p == 0 else (type(c) is int and 0 <= c < p)
+    return cp, mp
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_char_poly_and_min_poly_over_q_with_a_common_denominator(seed):
+    """Dense rational matrices whose Hessenberg form lifts to A/d with d > 1,
+    where coefficient i of the char poly is q_i / d^(n-i)."""
+    rng = random.Random(6100 + seed)
+    size = rng.randint(2, 6)
+    rows = [[Fraction(rng.randint(-5, 5), rng.randint(2, 7)) for _ in range(size)] for _ in range(size)]
+    h = exactfield._hessenberg(QQ, SquareMatrix(QQ, rows))
+    assert QQ._lift_ints([c for row in h for c in row])[1] > 1
+    _assert_char_and_min_poly(QQ, rows)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_char_poly_and_min_poly_over_gf_p_against_sympy(p):
+    rng = random.Random(f"charpoly-{p}")
+    for size in (1, 2, 4, 6):
+        rows = [[rng.randrange(p) for _ in range(size)] for _ in range(size)]
+        _assert_char_and_min_poly(prime_field(p), rows, p)
+
+
+@pytest.mark.parametrize("F", [QQ, prime_field(3), prime_field(2**31 - 1)], ids=lambda f: f.label)
+def test_char_poly_and_min_poly_with_a_zero_subdiagonal(F):
+    """Half of a conjugated J_2(1) + J_1(1) + J_2(0): its Hessenberg form has
+    a zero on the subdiagonal (d = 2 over Q), so min_poly takes the Krylov
+    branch and the char-poly recurrence meets an empty chain."""
+    half = F.inv(F.from_int(2))
+    rows = [[F.mul(half, F.from_int(v)) for v in row] for row in _jordan_rows([(2, 1), (1, 1), (2, 0)], random.Random(11))]
+    h = exactfield._hessenberg(F, SquareMatrix(F, rows))
+    assert any(F.is_zero(h[i][i - 1]) for i in range(1, len(rows)))
+    cp, mp = _assert_char_and_min_poly(F, rows, F.characteristic)
+    assert mp.degree == 4 and cp.degree == 5
