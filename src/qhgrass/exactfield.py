@@ -34,7 +34,8 @@ presentation.ev_map evaluates and verify_ideal_vanishing runs its
 recurrence.
 
 A Poly over GF(p) keeps its coefficients in [0, p), multiplies them by
-Kronecker substitution and divides by int accumulation; pow_mod, poly_gcd
+Kronecker substitution where a product coefficient over Z fits in 8 bytes
+(per element otherwise) and divides by int accumulation; pow_mod, poly_gcd
 and the distinct-degree split reach both. Other fields, and subclasses that
 may override arithmetic, work per element. char_poly reduces a matrix to
 upper Hessenberg form once and runs the determinant recurrence on it, on
@@ -536,19 +537,12 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldCtx, coeffs: Sequence[Element] = ()):
-        coeffs = [c % field.p for c in coeffs] if isinstance(field, PrimeField) else list(coeffs)
+        p = field.p if isinstance(field, PrimeField) else 0
+        coeffs = [c % p for c in coeffs] if p else list(coeffs)
         while coeffs and field.is_zero(coeffs[-1]):
             coeffs.pop()
         self.field = field
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def _reduced(cls, field: FieldCtx, coeffs: Sequence[Element]) -> "Poly":
-        """Poly of reduced coefficients with a nonzero last one, unchecked."""
-        poly = object.__new__(cls)
-        poly.field = field
-        poly.coeffs = tuple(coeffs)
-        return poly
 
     @classmethod
     def zero(cls, field):
@@ -611,8 +605,9 @@ class Poly:
         if not self.coeffs or not other.coeffs:
             return Poly.zero(F)
         if type(F) is PrimeField:
-            # lc * lc is nonzero mod p, so nothing needs stripping
-            return Poly._reduced(F, _kronecker_mul(self.coeffs, other.coeffs, F.p))
+            out = _kronecker_mul(self.coeffs, other.coeffs, F.p)
+            if out is not None:
+                return Poly(F, out)
         out = [F.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if F.is_zero(a):
@@ -635,9 +630,7 @@ class Poly:
             return Poly.zero(F), Poly(F, rem)
         if type(F) is PrimeField:
             quot, rem = _prime_divmod(self.coeffs, other.coeffs, F.p)
-            while rem and not rem[-1]:
-                rem.pop()
-            return Poly._reduced(F, quot), Poly._reduced(F, rem)
+            return Poly(F, quot), Poly(F, rem)
         inv_lc = F.inv(other.lc())
         quot = [F.zero()] * (len(rem) - dlen + 1)
         for i in range(len(quot) - 1, -1, -1):
@@ -686,29 +679,27 @@ class Poly:
         return f"Poly({self.field.label}: {self.to_text()})"
 
 
-def _kronecker_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """a * b mod p for nonempty coefficient lists in [0, p) by Kronecker
-    substitution (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4):
-    one int product of the lists packed in slots that hold min(len) (p - 1)^2,
-    the bound on a coefficient over Z; slots of up to 8 bytes go through an array."""
-    count = len(a) + len(b) - 1
+def _kronecker_mul(a: Sequence[int], b: Sequence[int], p: int) -> array | None:
+    """The coefficients over Z of a * b, for nonempty lists in [0, p), by
+    Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 8.4): one int product of the lists packed in array slots that
+    hold min(len) (p - 1)^2, the bound on such a coefficient. None when that
+    needs more than 8 bytes, as for p = 2^31 - 1 when both degrees are 4 or more."""
     width = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
     size = next((s for s in (1, 2, 4, 8) if s >= width), 0)
-    if size:
-        code = _ARRAY_CODES[size]
-        x, y = (int.from_bytes(array(code, f).tobytes(), sys.byteorder) for f in (a, b))
-        out = array(code)
-        out.frombytes((x * y).to_bytes(size * count, sys.byteorder))
-        return [c % p for c in out]
-    x, y = (int.from_bytes(b"".join([c.to_bytes(width, "little") for c in f]), "little") for f in (a, b))
-    data = (x * y).to_bytes(width * count, "little")
-    return [int.from_bytes(data[i : i + width], "little") % p for i in range(0, len(data), width)]
+    if not size:
+        return None
+    code = _ARRAY_CODES[size]
+    x, y = (int.from_bytes(array(code, f).tobytes(), sys.byteorder) for f in (a, b))
+    out = array(code)
+    out.frombytes((x * y).to_bytes(size * (len(a) + len(b) - 1), sys.byteorder))
+    return out
 
 
 def _prime_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) lists of a by b over GF(p), len(a) >= len(b) >= 1:
-    one inverse, then ints that add multiples of the negated divisor and are
-    reduced mod p only where they are read."""
+    """(quotient, remainder) lists of a by b over GF(p), len(a) >= len(b) >= 1,
+    the remainder not yet reduced mod p: one inverse, then ints that add
+    multiples of the negated divisor and are reduced only where they are read."""
     dlen = len(b) - 1
     inv = pow(b[-1], -1, p)
     neg = [-c % p for c in b[:-1]]
@@ -719,7 +710,7 @@ def _prime_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int]
         if c:
             quot[i] = c
             rem[i : i + dlen] = [r + c * d for r, d in zip(rem[i : i + dlen], neg)]
-    return quot, [r % p for r in rem[:dlen]]
+    return quot, rem[:dlen]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -991,7 +982,7 @@ def _hessenberg_charpoly(F: FieldCtx, h: list[list[Element]]) -> Poly:
                     q[:i] = [c - t * e for c, e in zip(q, polys[i - 1])]  # deg p_(i-1) = i - 1
             polys.append([c % p for c in q] if p else q)
         q = polys[-1]
-        return Poly._reduced(F, q if p else [Fraction(c, d ** (n - i)) for i, c in enumerate(q)])
+        return Poly(F, q if p else [Fraction(c, d ** (n - i)) for i, c in enumerate(q)])
     x = Poly.x(F)
     polys = [Poly.one(F)]
     for r in range(1, len(h) + 1):

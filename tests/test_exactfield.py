@@ -819,7 +819,8 @@ def test_poly_divmod_roundtrip(acoeffs, bcoeffs):
         assert (a % g).is_zero and (b % g).is_zero
 
 
-# 65521 and 2^31 - 1 give Kronecker slots of 4 and 8 bytes and slots wider than 8 bytes
+# 65521 gives Kronecker slots of 4 and 8 bytes; 2^31 - 1 gives 8 bytes when a
+# factor has degree 3 or less and otherwise slots too wide, which multiply per element
 KERNEL_PRIMES = [2, 3, 7, 65521, 2**31 - 1]
 
 
