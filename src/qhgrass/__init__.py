@@ -4,6 +4,11 @@ Schubert calculus over Q and finite fields (quantum Pieri and Giambelli),
 the degree-zero graded-field / semisimplicity classifier, root-of-unity
 evaluation homomorphisms, and a floating-point Gelfand-Cetlin toolbox with
 the disk-potential critical-point solver.
+
+Only the Gelfand-Cetlin toolbox needs numpy. It is imported on first access
+to one of its names (``from qhgrass import gc_map``, or
+``import qhgrass.gelfand_cetlin``), so ``import qhgrass`` and the exact
+layers load without numpy.
 """
 
 from .diagram import (
@@ -70,16 +75,26 @@ from .degree_zero import (
     standard_degree_zero_element,
     zero_divisor_search,
 )
-from .gelfand_cetlin import (
-    Frame,
-    GcPoint,
-    GcValues,
-    find_critical_point,
-    gc_map,
-    potential_eval,
-    potential_grad,
-    quaternionic_frame,
-    random_frame,
-)
+
+_GELFAND_CETLIN_NAMES = frozenset({
+    "Frame",
+    "GcPoint",
+    "GcValues",
+    "find_critical_point",
+    "gc_map",
+    "potential_eval",
+    "potential_grad",
+    "quaternionic_frame",
+    "random_frame",
+})
+
+
+def __getattr__(name):
+    if name in _GELFAND_CETLIN_NAMES:
+        from . import gelfand_cetlin
+
+        return getattr(gelfand_cetlin, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

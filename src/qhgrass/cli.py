@@ -5,6 +5,9 @@ gc critical, selftest. Machine-readable output is JSON (--json where it is
 not the default). Exit codes: 0 success, 1 usage error, 2 computation
 error, 3 selftest failure.
 
+Only the two gc subcommands import the numpy-backed Gelfand-Cetlin module,
+so the exact subcommands start without numpy.
+
 Element grammar: "+"-separated terms of the form [coeff*][q[^m]*]σ[rows]
 with rows comma-separated ("-" for the empty diagram); "s[...]" is accepted
 as an ASCII spelling. Fields are "Q", "GF(p)", or "GF(p^m)".
@@ -18,7 +21,6 @@ import random
 import sys
 
 from . import degree_zero as dz
-from . import gelfand_cetlin as gc
 from . import presentation as pres
 from . import qh_core as qc
 from .diagram import GrContext, enumerate_diagrams
@@ -148,6 +150,8 @@ def _random_element(ctx, field, diagrams, rng):
 
 
 def _cmd_gc_map(args) -> int:
+    from . import gelfand_cetlin as gc
+
     ctx = _context(args)
     if args.csv:
         for row in gc.gc_csv_rows(ctx, [args.seed], quaternionic=args.quaternionic):
@@ -176,8 +180,14 @@ def _cmd_gc_map(args) -> int:
 
 
 def _cmd_gc_critical(args) -> int:
+    from . import gelfand_cetlin as gc
+
     ctx = _context(args)
-    _, report = gc.find_critical_point(ctx, tol=args.tol)
+    try:
+        _, report = gc.find_critical_point(ctx, tol=args.tol)
+    except gc.ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = dict(report)
     report.pop("history", None)
     print(json.dumps(report))
@@ -277,7 +287,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, FieldError, ArithmeticError, gc.ConvergenceError) as exc:
+    except (ValueError, FieldError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -870,7 +870,10 @@ class SquareMatrix:
 
     @classmethod
     def from_int_rows(cls, field, rows):
-        return cls(field, [[field.from_int(v) for v in row] for row in rows])
+        # field elements are immutable, so each distinct int is converted once
+        # and its element shared by every entry that holds it
+        element = {v: field.from_int(v) for row in rows for v in set(row)}
+        return cls(field, [[element[v] for v in row] for row in rows])
 
     def __eq__(self, other):
         return (

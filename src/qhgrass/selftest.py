@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 from . import degree_zero as dz
-from . import gelfand_cetlin as gc
 from . import presentation as pres
 from . import qh_core as qc
 from .diagram import GrContext, YoungDiagram, enumerate_diagrams
@@ -194,6 +193,8 @@ def _check_ev_multiplicative():
 
 
 def _check_critical_point():
+    from . import gelfand_cetlin as gc
+
     point, report = gc.find_critical_point(GrContext(1, 2), tol=1e-10)
     if abs(point.value(1, 1) - 1.0) > 1e-12 or abs(report["W"] - 2.0) > 1e-12:
         return False, f"Gr(1,2) critical point off: {report}"
@@ -202,6 +203,8 @@ def _check_critical_point():
 
 
 def _check_quaternionic():
+    from . import gelfand_cetlin as gc
+
     for ctx in (GrContext(2, 4), GrContext(4, 8)):
         for seed in range(5):
             values = gc.gc_map(gc.quaternionic_frame(ctx, seed))

@@ -1,9 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qhgrass
 from qhgrass.cli import main
 
 
@@ -169,6 +174,27 @@ def test_gc_critical_stdout_digest(capsys, k, n):
 def test_gc_critical_rejects_a_non_finite_tol(capsys, tol):
     code, out, err = run(capsys, "gc", "critical", "2", "5", f"--tol={tol}")
     assert code == 2 and out == "" and err == f"error: tol must be finite, got {float(tol)}\n"
+
+
+def test_gc_critical_reports_no_convergence(capsys):
+    code, out, err = run(capsys, "gc", "critical", "2", "4", "--tol", "1e-300")
+    assert code == 2 and out == "" and err == "error: no convergence after 200 Newton steps\n"
+
+
+def test_exact_commands_start_without_numpy():
+    """Only the Gelfand-Cetlin layer imports numpy, and only when it is used."""
+    src = str(Path(qhgrass.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys, qhgrass\n"
+        "assert 'numpy' not in sys.modules, 'import qhgrass'\n"
+        "from qhgrass.cli import main\n"
+        "assert main(['classify', '2', '7', '3']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'classify 2 7 3'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["isGradedField"] is True
 
 
 def test_gc_map_csv_row_matches_json_values(capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import qhgrass
+import qhgrass.gelfand_cetlin as gelfand_cetlin
 from qhgrass.diagram import GrContext
 from qhgrass.gelfand_cetlin import (
     ConvergenceError,
@@ -190,3 +192,28 @@ def test_csv_rows():
     assert rows[0] == "seed,z1_1,z1_2,z2_1,z2_2"
     assert len(rows) == 3
     assert rows[1].startswith("0,")
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "Frame",
+        "GcPoint",
+        "GcValues",
+        "find_critical_point",
+        "gc_map",
+        "potential_eval",
+        "potential_grad",
+        "quaternionic_frame",
+        "random_frame",
+    ],
+)
+def test_package_reexports_the_gelfand_cetlin_names(name):
+    assert getattr(qhgrass, name) is getattr(gelfand_cetlin, name)
+
+
+def test_package_has_no_other_lazy_names():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qhgrass.no_such_name
+    with pytest.raises(AttributeError):
+        qhgrass.gc_csv_rows
