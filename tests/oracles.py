@@ -286,6 +286,81 @@ def sympy_gf_ops(a, b, p: int, exponent: int):
     return tuple([int(c) % p for c in reversed(gf_strip(f))] for f in results)
 
 
+def sympy_irreducibles_mod_p(p: int, degrees, rng) -> list[tuple[int, ...]]:
+    """Distinct monic irreducibles over GF(p), one per entry of degrees, as
+    coefficient tuples (low degree first): seeded random draws that sympy's
+    gf_irreducible_p accepts."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    chosen: list[tuple[int, ...]] = []
+    for d in degrees:
+        while True:
+            coeffs = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+            if coeffs not in chosen and gf_irreducible_p([ZZ(c) for c in reversed(coeffs)], p, ZZ):
+                chosen.append(coeffs)
+                break
+    return chosen
+
+
+def sympy_ddf(coeffs, p: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Distinct-degree split of a monic squarefree polynomial over GF(p) by
+    sympy's gf_ddf_zassenhaus: (d, the product of the degree-d irreducible
+    factors as a coefficient tuple, low degree first), d ascending."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_ddf_zassenhaus
+
+    parts = gf_ddf_zassenhaus([ZZ(c % p) for c in reversed(coeffs)], p, ZZ)
+    return sorted((int(d), tuple(int(c) % p for c in reversed(f))) for f, d in parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _per_element_prime_field(p: int):
+    """A PrimeField subclass for GF(p): Poly multiplies, divides, takes gcds
+    and reduces powers over it per element, as over any field other than
+    exactly PrimeField, so it shares none of the GF(p) int kernels."""
+    from qhgrass.exactfield import PrimeField
+
+    class PerElementPrimeField(PrimeField):
+        pass
+
+    return PerElementPrimeField(p)
+
+
+def sequential_distinct_degree_parts(F, f) -> list:
+    """The per-degree distinct-degree split of a monic squarefree f over
+    GF(q): [(d, the product of the degree-d irreducible factors of f)] for each
+    d that has factors, d ascending, from one Frobenius step and one gcd per
+    degree. x^(q^d) is carried mod the part not yet split off; once 2d
+    exceeds its degree, that part is one irreducible factor.
+
+    Over GF(p) it runs over _per_element_prime_field(p), so it checks the
+    blocked split and the GF(p) kernels together; its parts compare equal to
+    polynomials over F."""
+    from qhgrass.exactfield import Poly, PrimeField, poly_gcd
+
+    if type(F) is PrimeField:
+        F = _per_element_prime_field(F.p)
+        f = Poly(F, f.coeffs)
+    x = Poly.x(F)
+    g = f
+    w = x % g
+    d = 0
+    parts = []
+    while g.degree > 0:
+        d += 1
+        if 2 * d > g.degree:
+            parts.append((int(g.degree), g))
+            break
+        w = w.pow_mod(F.order, g)
+        h = poly_gcd(g, w - x)
+        if h.degree > 0:
+            parts.append((d, h))
+            g = g // h
+            w = w % g
+    return parts
+
+
 def sympy_int_divmod(num, den) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer polynomials (low degree first) by
     sympy's div over Q, with empty lists for zero."""

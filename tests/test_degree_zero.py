@@ -37,7 +37,7 @@ from qhgrass.degree_zero import (
 )
 from qhgrass.qh_core import QhElement, q_shift, special_class
 
-from oracles import int_poly, sympy_is_irreducible_q, units_from_powers
+from oracles import int_poly, sequential_distinct_degree_parts, sympy_is_irreducible_q, units_from_powers
 
 
 def test_qh0_basis_examples():
@@ -230,6 +230,34 @@ def test_orbit_factor_agreement(n):
         profile = distinct_degree_profile(F, char_poly(F, closed_form_matrix(n, F)))
         od = orbit_decomposition(n, p)
         assert sorted(profile) == sorted(od.sizes()), (n, p)
+
+
+@pytest.mark.parametrize("n", range(25, 212, 2))
+def test_orbit_factor_agreement_past_the_first_split_block(n):
+    """Irreducible factor degrees of pi over GF(p) equal the Frobenius orbit
+    sizes for odd n up to 211, where deg pi = (n - 1) / 2 reaches up to 105, so
+    the blocked split runs past its first blocks of SPLIT_BLOCK degrees."""
+    for p in (2, 3, 5, 7):
+        if gcd(n, p) != 1:
+            continue
+        F = prime_field(p)
+        profile = distinct_degree_profile(F, char_poly(F, closed_form_matrix(n, F)))
+        assert profile == sorted(orbit_sizes(n, p)), (n, p)
+
+
+def test_split_of_pi_against_the_sequential_split():
+    """On a seeded grid of pi over GF(2), GF(3), GF(5), GF(7) and GF(4),
+    is_irreducible and distinct_degree_profile agree with the per-degree split."""
+    rng = random.Random(19)
+    fields = [prime_field(p) for p in (2, 3, 5, 7)] + [make_extension(2, 2)]
+    for n in sorted(rng.sample(range(5, 132, 2), 12)):
+        for F in fields:
+            if gcd(n, F.characteristic) != 1:
+                continue
+            pi = char_poly(F, closed_form_matrix(n, F)).monic()
+            parts = sequential_distinct_degree_parts(F, pi)
+            assert distinct_degree_profile(F, pi) == [d for d, h in parts for _ in range(int(h.degree) // d)]
+            assert is_irreducible(F, pi) is (parts[0][0] == pi.degree), (n, F)
 
 
 @pytest.mark.parametrize("n", range(3, 25))

@@ -35,12 +35,15 @@ from oracles import (
     determinant,
     int_poly,
     gf_irreducible_by_trial_division,
+    sequential_distinct_degree_parts,
     sympy_charpoly_coeffs,
     sympy_charpoly_reduced,
     sympy_cyclotomic,
+    sympy_ddf,
     sympy_factors_mod_p,
     sympy_gf_ops,
     sympy_int_divmod,
+    sympy_irreducibles_mod_p,
     sympy_is_irreducible_q,
     sympy_min_poly_is_minimal,
     sympy_reduced_ops,
@@ -874,6 +877,67 @@ def test_prime_field_poly_kernels_against_sympy(p):
         for g in got:
             assert all(type(c) is int and 0 <= c < p for c in g.coeffs)
         assert q * fb + r == fa and fb * fa == got[0]
+
+
+def _block_degree_cases(p):
+    """Factor degrees at B - 1, B, B + 1 and 2B for B = SPLIT_BLOCK, with
+    repeats. In the first case the factor of degree 2B is what is left once
+    the blocks have split off the rest; in the second, two of them share the
+    second block; the third is one irreducible past the first block.
+    GF(2^31 - 1) multiplies per element, so it runs the first case only."""
+    b = exactfield.SPLIT_BLOCK
+    cases = [(b - 1, b - 1, b, b + 1, 2 * b), (b, b + 1, b + 1, 2 * b, 2 * b), (2 * b + 1,)]
+    return cases[:1] if p == 2**31 - 1 else cases
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_blocked_split_against_sympy_ddf(p):
+    """The blocked split of products of seeded random irreducibles equals
+    sympy's gf_ddf_zassenhaus and, below 2^16, the sequential split."""
+    F = prime_field(p)
+    rng = random.Random(f"split-{p}")
+    for degrees in _block_degree_cases(p):
+        f = Poly.one(F)
+        for c in sympy_irreducibles_mod_p(p, degrees, rng):
+            f = f * Poly(F, c)
+        parts = [(d, h.coeffs) for d, h in exactfield._distinct_degree_parts(F, f)]
+        assert parts == sympy_ddf(list(f.coeffs), p), degrees
+        if p < 2**16:  # the per-element products of larger p are slow
+            assert parts == [(d, h.coeffs) for d, h in sequential_distinct_degree_parts(F, f)]
+        assert distinct_degree_profile(F, f.scale(F.from_int(p - 1))) == sorted(degrees)
+        assert is_irreducible(F, f) is (len(degrees) == 1)
+
+
+def test_blocked_split_over_gf4_against_the_sequential_split():
+    F = make_extension(2, 2)
+    rng = random.Random(45)
+    b = exactfield.SPLIT_BLOCK
+    for degree in (b - 1, 2 * b + 3, 3 * b):
+        f = Poly(F, [F.random_element(rng) for _ in range(degree)] + [F.one()])
+        while poly_gcd(f, f.derivative()).degree != 0:
+            f = Poly(F, [F.random_element(rng) for _ in range(degree)] + [F.one()])
+        assert list(exactfield._distinct_degree_parts(F, f)) == sequential_distinct_degree_parts(F, f)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_prime_reducer_against_sympy(p):
+    """Remainders by the Newton reducer and pow_mod, against sympy, for
+    moduli of degree 1, 2 and more: inputs shorter than the modulus, products
+    of two remainders, and longer inputs, which _prime_divmod divides."""
+    F = prime_field(p)
+    rng = random.Random(f"reducer-{p}")
+    for n in (1, 2, 3, 9, 40):
+        b = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        reduce = exactfield._remainder_by(Poly(F, b))
+        assert isinstance(reduce, exactfield._PrimeReducer)
+        for length in (0, 1, n, n + 1, 2 * n - 1, 2 * n, 3 * n + 2):
+            a = [rng.randrange(p) for _ in range(length - 1)] + [rng.randrange(1, p)] if length else []
+            exponent = rng.choice([2, p, rng.randrange(3 * p)])
+            _, _, rem, _, power = sympy_gf_ops(a, b, p, exponent)
+            got = reduce(Poly(F, a))
+            assert list(got.coeffs) == rem, (n, length)
+            assert all(type(c) is int and 0 <= c < p for c in got.coeffs)
+            assert list(Poly(F, a).pow_mod(exponent, Poly(F, b)).coeffs) == power, (n, length, exponent)
 
 
 def test_prime_field_poly_reduces_its_coefficients():
