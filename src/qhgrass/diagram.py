@@ -95,26 +95,6 @@ class GradedBasisElement(NamedTuple):
     q_power: int
 
 
-def _partitions_in_box(rows: int, cols: int, maximum: int) -> Iterator[tuple[int, ...]]:
-    if rows == 0:
-        yield ()
-        return
-    for first in range(min(cols, maximum), -1, -1):
-        if first == 0:
-            yield ()
-            continue
-        for rest in _partitions_in_box(rows - 1, cols, first):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
-def enumerate_diagrams(ctx: GrContext) -> tuple[YoungDiagram, ...]:
-    """All diagrams in the k x (n-k) rectangle in canonical order."""
-    diagrams = [YoungDiagram(p) for p in _partitions_in_box(ctx.k, ctx.cols, ctx.cols)]
-    diagrams.sort(key=YoungDiagram.sort_key)
-    return tuple(diagrams)
-
-
 def _partitions_of(size: int, rows: int, maximum: int) -> Iterator[tuple[int, ...]]:
     """Partitions of size <= rows * maximum into at most rows parts of at most
     maximum, descending-lexicographic; a first part >= size / rows always fits."""
@@ -124,6 +104,17 @@ def _partitions_of(size: int, rows: int, maximum: int) -> Iterator[tuple[int, ..
     for first in range(min(size, maximum), -(-size // rows) - 1, -1):
         for rest in _partitions_of(size - first, rows - 1, first):
             yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def enumerate_diagrams(ctx: GrContext) -> tuple[YoungDiagram, ...]:
+    """All diagrams in the k x (n-k) rectangle in canonical order: sizes
+    ascending, each listed in descending-lexicographic order."""
+    return tuple(
+        YoungDiagram(rows)
+        for size in range(ctx.k * ctx.cols + 1)
+        for rows in _partitions_of(size, ctx.k, ctx.cols)
+    )
 
 
 def graded_basis(ctx: GrContext, degree: int) -> tuple[GradedBasisElement, ...]:

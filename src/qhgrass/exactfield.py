@@ -48,7 +48,9 @@ reduction: a Hessenberg matrix with no zero on its subdiagonal is
 nonderogatory, so its minimal polynomial is its monic characteristic
 polynomial, and only a matrix whose reduced form has a zero there goes to
 the Krylov lcm. SquareMatrix.is_singular eliminates by cross-multiplying
-rows and inverts no element of a finite field.
+rows and inverts no element of a finite field. char_poly, min_poly,
+is_irreducible and distinct_degree_profile raise FieldError when the matrix
+or polynomial is over a field other than the one they are given.
 
 Over a finite field, is_irreducible and distinct_degree_profile share one
 distinct-degree split, which takes one gcd per block of SPLIT_BLOCK degrees
@@ -1090,6 +1092,13 @@ def _hessenberg_charpoly(F: FieldCtx, h: list[list[Element]]) -> Poly:
     return polys[-1]
 
 
+def _require_field(F: FieldCtx, obj) -> None:
+    """Refuse a matrix or polynomial over a field other than F, whose entries
+    would otherwise be read as elements of F and give a wrong answer."""
+    if obj.field != F:
+        raise FieldError(f"{type(obj).__name__} over {obj.field.label}, asked over {F.label}")
+
+
 def char_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
     """det(M - xI), computed by exact Hessenberg reduction over the field.
 
@@ -1097,6 +1106,7 @@ def char_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
     reduction is _hessenberg and the determinant of the reduced matrix is
     _hessenberg_charpoly's recurrence, on ints over Q and GF(p).
     """
+    _require_field(F, M)
     monic = _hessenberg_charpoly(F, _hessenberg(F, M))  # det(xI - M)
     return monic if M.size % 2 == 0 else -monic
 
@@ -1110,6 +1120,7 @@ def min_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
     monic characteristic polynomial, read off the same H. Otherwise the
     result is _krylov_min_poly(F, M).
     """
+    _require_field(F, M)
     h = _hessenberg(F, M)
     if all(not F.is_zero(h[i][i - 1]) for i in range(1, M.size)):
         return _hessenberg_charpoly(F, h)
@@ -1224,6 +1235,7 @@ def _distinct_degree_parts(F: FieldCtx, f: Poly) -> Iterator[tuple[int, Poly]]:
 def distinct_degree_profile(F: FieldCtx, f: Poly) -> list[int]:
     """Degrees (with multiplicity) of the irreducible factors of squarefree f,
     ascending."""
+    _require_field(F, f)
     f = f.monic()
     if poly_gcd(f, f.derivative()).degree != 0:
         raise FieldError("distinct-degree profile requires a squarefree polynomial")
@@ -1241,6 +1253,7 @@ def is_irreducible(F: FieldCtx, f: Poly) -> bool:
     Over Q and Q(zeta_N) it raises FieldError: degree_zero.is_graded_field
     decides the rational pi of Gr(2, n) from the Laurent identity instead.
     """
+    _require_field(F, f)
     if f.degree < 1:
         raise FieldError("irreducibility is only defined for nonconstant polynomials")
     if F.order is None:

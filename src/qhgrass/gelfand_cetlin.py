@@ -3,11 +3,13 @@
 A point of Gr(k, n) is presented by an orthonormal frame U (n x k); the
 projection A = U U^dagger has eigenvalue-1 multiplicity k, and the sorted
 spectra of its leading principal submatrices assemble into the
-Gelfand-Cetlin map. The disk potential of the monotone torus fibre is a
-Laurent polynomial in positive coordinates z_{i,j}; in logarithmic
-coordinates it is a finite sum of exponentials of affine forms, hence
-smooth and strictly convex on the relevant subspace, and Newton iteration
-with backtracking finds its unique critical point.
+Gelfand-Cetlin map. The disk potential W of the monotone torus fibre is a
+Laurent polynomial in positive coordinates z_{i,j}. In logarithmic
+coordinates u = log z its monomials are exp(t . u) over the exponent
+vectors t of _terms, and W, its gradient, the Newton step, the line search
+and the solver's report all read them from _monomials. W is smooth and
+strictly convex there, and Newton iteration with backtracking finds its
+unique critical point, where W = n sin(k pi/n) / sin(pi/n).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .diagram import GrContext
 
 ORTHO_TOL = 1e-12
 CONST_EIG_TOL = 1e-9
+MAX_NEWTON_STEPS = 200
 
 
 class ConvergenceError(RuntimeError):
@@ -95,17 +98,13 @@ def random_frame(ctx: GrContext, seed: int) -> Frame:
     return Frame(ctx, q[:, : ctx.k])
 
 
-def _quaternion_block(n: int) -> np.ndarray:
-    j = np.zeros((n, n))
-    for t in range(n // 2):
-        j[2 * t, 2 * t + 1] = -1.0
-        j[2 * t + 1, 2 * t] = 1.0
-    return j
-
-
 def quaternionic_structure(v: np.ndarray) -> np.ndarray:
-    """The antiunitary J: conjugate, then apply the block rotation matrix."""
-    return _quaternion_block(v.shape[0]) @ v.conj()
+    """The antiunitary J: conjugate, then map each coordinate pair (a, b) at
+    (2t, 2t+1) to (-b, a); a last odd coordinate maps to 0."""
+    jv = np.zeros_like(v)
+    m = len(v) // 2 * 2
+    jv[:m:2], jv[1:m:2] = -v[1:m:2].conj(), v[:m:2].conj()
+    return jv
 
 
 def quaternionic_frame(ctx: GrContext, seed: int) -> Frame:
@@ -186,38 +185,32 @@ def _terms(ctx: GrContext) -> np.ndarray:
     return np.array(rows)
 
 
+def _monomials(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """exp(t . u) over the rows t of _terms at log coordinates u = log z: the
+    potential's monomials. W is their sum, and grad_u W = t^T exp(t . u)."""
+    return np.exp(t @ u)
+
+
 def potential_eval(ctx: GrContext, point: GcPoint) -> float:
-    """W(z): ratio grid down, ratio grid right, 1/z_{1,n-k}, and z_{k,1}."""
-    z = point.z
-    k, cols = ctx.k, ctx.cols
-    total = 0.0
-    for i in range(k - 1):
-        total += float(np.sum(z[i, :] / z[i + 1, :]))
-    for j in range(cols - 1):
-        total += float(np.sum(z[:, j + 1] / z[:, j]))
-    total += 1.0 / float(z[0, cols - 1])
-    total += float(z[k - 1, 0])
-    return total
+    """W(z), the sum of its monomials: ratio grid down, ratio grid right,
+    1/z_{1,n-k}, and z_{k,1}."""
+    return float(_monomials(_terms(ctx), np.log(point.z).reshape(-1)).sum())
 
 
 def potential_grad(ctx: GrContext, point: GcPoint) -> np.ndarray:
-    """Analytic gradient dW/dz as a k x (n-k) array."""
-    z = point.z.reshape(-1)
+    """Analytic gradient dW/dz = (grad_u W) / z as a k x (n-k) array."""
     t = _terms(ctx)
-    logs = t @ np.log(z)
-    vals = np.exp(logs)
-    grad = (t * vals[:, None]).sum(axis=0) / z
-    return grad.reshape(point.z.shape)
+    z = point.z.reshape(-1)
+    return (t.T @ _monomials(t, np.log(z)) / z).reshape(point.z.shape)
 
 
-def find_critical_point(
-    ctx: GrContext, tol: float = 1e-8, max_iter: int = 200
-) -> tuple[GcPoint, dict]:
+def find_critical_point(ctx: GrContext, tol: float = 1e-8) -> tuple[GcPoint, dict]:
     """Minimize the potential in logarithmic coordinates by damped Newton.
 
     In u = log z the potential is a sum of exponentials of affine forms, so
     it is smooth and convex and the Hessian stays positive definite along
-    the iteration; the unique interior minimum is the critical point.
+    the iteration; the unique interior minimum is the critical point. The
+    report's W and gradInf are those of the last Newton evaluation.
     """
     if not np.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
@@ -226,45 +219,35 @@ def find_critical_point(
     if ctx.cols == 0:
         raise ValueError(f"{ctx} is a point: the disk potential has no variables")
     t = _terms(ctx)
-    dim = t.shape[1]
-    u = np.zeros(dim)
+    u = np.zeros(t.shape[1])
     history = []
-
-    def objective(vec):
-        return float(np.sum(np.exp(t @ vec)))
-
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        vals = np.exp(t @ u)
+    for iters in range(1, MAX_NEWTON_STEPS + 1):
+        vals = _monomials(t, u)
         grad_u = t.T @ vals
-        z = np.exp(u)
-        grad_z = grad_u / z
-        history.append({"W": float(vals.sum()), "gradInf": float(np.max(np.abs(grad_z)))})
+        grad_z = grad_u / np.exp(u)
+        base = float(vals.sum())
+        history.append({"W": base, "gradInf": float(np.max(np.abs(grad_z)))})
         if np.max(np.abs(grad_z)) < tol and np.max(np.abs(grad_u)) < tol:
             break
         hess = t.T @ (t * vals[:, None])
         np.linalg.cholesky(hess)  # convexity certificate: must be positive definite
         step = np.linalg.solve(hess, -grad_u)
-        base = float(vals.sum())
         slope = float(grad_u @ step)
         scale = 1.0
-        while objective(u + scale * step) > base + 0.25 * scale * slope and scale > 1e-12:
+        while _monomials(t, u + scale * step).sum() > base + 0.25 * scale * slope and scale > 1e-12:
             scale *= 0.5
         u = u + scale * step
     else:
-        raise ConvergenceError(f"no convergence after {max_iter} Newton steps")
+        raise ConvergenceError(f"no convergence after {MAX_NEWTON_STEPS} Newton steps")
 
     z = np.exp(u).reshape(ctx.k, ctx.cols)
-    point = GcPoint(ctx, z)
-    grad = potential_grad(ctx, point)
     report = {
         "z": {f"{i + 1},{j + 1}": float(z[i, j]) for i in range(ctx.k) for j in range(ctx.cols)},
-        "W": potential_eval(ctx, point),
-        "gradInf": float(np.max(np.abs(grad))),
+        **history[-1],
         "iters": iters,
         "history": history,
     }
-    return point, report
+    return GcPoint(ctx, z), report
 
 
 def gc_csv_rows(ctx: GrContext, seeds: list[int], quaternionic: bool = False) -> list[str]:

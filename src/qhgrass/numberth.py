@@ -1,9 +1,11 @@
-"""Elementary number theory helpers: primality, factoring, orders, cyclotomics."""
+"""Elementary number theory helpers: primality, factoring, orders, and
+cyclotomic polynomials by exact division by binomials x^d - 1 alone."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import sub
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -116,32 +118,25 @@ def order_dividing(a: int, n: int, multiple: int) -> int:
     return order
 
 
-def int_poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of integer polynomials, low degree first, for a
-    monic den; the remainder has no trailing zero coefficients."""
-    num = list(num)
-    q = [0] * max(len(num) - len(den) + 1, 0)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, low degree first."""
+    """Integer coefficients of the n-th cyclotomic polynomial, low degree first.
+
+    Phi_n is the product of (x^(n/s) - 1)^mu(s) over the squarefree divisors
+    s of n. The binomials with mu(s) = 1 are multiplied in first; each of the
+    others then divides exactly, a / (x^d - 1) = q with q_i = q_(i-d) - a_i.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = int_poly_divmod_monic(poly, list(cyclotomic_polynomial(d)))
-            assert not rem
+    binomials = [(n, 1)]  # (n/s, mu(s)) over the squarefree divisors s of n
+    for p in factorize(n):
+        binomials += [(d // p, -mu) for d, mu in binomials]
+    poly = [1]
+    for d, mu in sorted(binomials, key=lambda b: -b[1]):  # mu = 1 first
+        if mu == 1:  # times x^d - 1
+            poly = list(map(sub, [0] * d + poly, poly + [0] * d))
+        else:  # exactly divided by x^d - 1
+            poly = [-a for a in poly[:-d]]
+            for i in range(d, len(poly)):
+                poly[i] += poly[i - d]
     return tuple(poly)

@@ -6,7 +6,10 @@ class sigma_(r): the r-th complete symmetric function written in the
 elementary ones x_i = e_i. Evaluating x_i at xi^i * e_i(zeta_1..zeta_k)
 for an admissible multiset of n-th roots of unity and q at 1 kills the ideal
 generators and produces a ring homomorphism into a splitting field; these
-maps are the workhorse behind the degree-zero analysis.
+maps are the workhorse behind the degree-zero analysis. xi solves
+xi^n = -(-1)^k in closed form. For odd k or p = 2 that reads xi^n = 1, and
+xi = 1. Otherwise xi is the fixed primitive 2m-th root of unity zeta, where
+n = p^d * m with p not dividing m: zeta^m = -1 and p^d is odd.
 
 xi and the roots are algebraic integers, so the x_i have integer
 coordinates in the splitting field (FieldCtx._lift_ints with denominator 1).
@@ -105,9 +108,9 @@ class EvContext:
         k, n = ctx.k, ctx.n
         p = base.characteristic
         _, distinct = _p_split(n, p)
-        # xi^n = -(-1)^k: for even k that is -1, found among the roots of order
-        # 2 * distinct unless -1 = 1
-        big_n = distinct if k % 2 == 1 or p == 2 else 2 * distinct
+        # xi is root 0 or 1 of the big_n-th roots, as the module docstring says
+        self.xi_index = 0 if k % 2 == 1 or p == 2 else 1
+        big_n = distinct * (1 + self.xi_index)
         if p == 0:
             if not isinstance(base, RationalField):
                 raise ValueError("characteristic-0 evaluation starts from Q")
@@ -119,16 +122,7 @@ class EvContext:
         K = self.field
         self.distinct_root_count = distinct
         self.roots = nth_roots_of_unity(K, distinct)
-        # xi must solve xi^n + (-1)^k = 0
-        target = K.neg(K.one()) if k % 2 == 0 else K.one()
-        self.xi = None
-        for index, candidate in enumerate(nth_roots_of_unity(K, big_n)):
-            if K.pow(candidate, n) == target:
-                self.xi = candidate
-                self.xi_index = index
-                break
-        if self.xi is None:  # pragma: no cover - big_n always suffices
-            raise ValueError("no xi with xi^n = -(-1)^k found")
+        self.xi = nth_roots_of_unity(K, big_n)[self.xi_index]
         self._powers: dict[tuple, list[list]] = {}
 
     def _power_rows(self, J: AdmissibleMultiset, top: int) -> list[list]:

@@ -361,20 +361,6 @@ def sequential_distinct_degree_parts(F, f) -> list:
     return parts
 
 
-def sympy_int_divmod(num, den) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials (low degree first) by
-    sympy's div over Q, with empty lists for zero."""
-    import sympy
-
-    x = sympy.symbols("x")
-    q, r = sympy.div(sympy.Poly(list(reversed(num)), x), sympy.Poly(list(reversed(den)), x))
-
-    def ints(poly):
-        return [] if poly.is_zero else [int(v) for v in reversed(poly.all_coeffs())]
-
-    return ints(q), ints(r)
-
-
 def sympy_cyclotomic(n: int) -> list[int]:
     """Coefficients of the n-th cyclotomic polynomial, low degree first."""
     import sympy

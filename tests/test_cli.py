@@ -155,10 +155,10 @@ def test_gc_commands(capsys):
 # floats from numpy's Newton solve, so a different LAPACK may move the last
 # digits; W is also checked against its closed form n sin(k pi/n) / sin(pi/n)
 _GC_CRITICAL_SHA256 = {
-    (2, 5): "517aba199af79771eb8a72069d962d3274bc22879e9cc5d2cd239ba6b7688cd8",
-    (3, 6): "0c07eeb65bdfa2e03df78b5c8067a12ea506f06c0ad4a20a40c8ccf44e2b8277",
-    (3, 7): "260114ee4fc24bff698fb55d001ddb9001be3d663e7d0818ee5c1c1ccaea64bd",
-    (4, 8): "61c5a793fed1e6183ff18c2b57962fdf889ee4d0295f5d5bf8d08d92729fcad3",
+    (2, 5): "db09173e53108b43dc97e4ce6a69dc55a577f96d8b37b6f6636381afa274ce0f",
+    (3, 6): "94714fefacbcee0cefb8103dfec50ca694aa55446a59df9a4ef327175094ec1f",
+    (3, 7): "51b4e33c16dfaf8673d54bcadddf5a7aed0e42b9167ee103401415379d7d7046",
+    (4, 8): "f048ad103a6fa9531029bd4e6e792f07236fbf70dcdccab83eac4d0199691d32",
 }
 
 

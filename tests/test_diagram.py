@@ -117,13 +117,14 @@ def test_graded_dimensions_sum_to_binomial(k, n):
     [(1, 1), (1, 5), (2, 2), (2, 10), (3, 7), (3, 9), (4, 4), (4, 10), (5, 12), (2, 101), (3, 20)],
 )
 def test_graded_basis_is_the_filtered_box(k, n):
-    """graded_basis lists one degree directly; the whole box, filtered by
-    degree and kept in canonical order, is the oracle on every degree -n..2n."""
+    """graded_basis lists one degree directly; the brute-force box, sorted
+    canonically (size, then descending-lexicographic rows) and filtered by
+    degree, is the oracle on every degree -n..2n."""
     ctx = GrContext(k, n)
-    box = enumerate_diagrams(ctx)
+    box = sorted(box_partitions(k, n - k), key=lambda rows: (sum(rows), [-r for r in rows]))
     for degree in range(-n, 2 * n + 1):
         want = tuple(
-            GradedBasisElement(d, (degree - d.size) // n) for d in box if (degree - d.size) % n == 0
+            GradedBasisElement(d, (degree - sum(d)) // n) for d in box if (degree - sum(d)) % n == 0
         )
         got = graded_basis(ctx, degree)
         assert got == want, degree

@@ -29,7 +29,7 @@ from qhgrass.exactfield import (
 
 from qhgrass import exactfield
 from qhgrass.degree_zero import closed_form_matrix
-from qhgrass.numberth import cyclotomic_polynomial, int_poly_divmod_monic, multiplicative_order
+from qhgrass.numberth import cyclotomic_polynomial, multiplicative_order
 
 from oracles import (
     determinant,
@@ -42,7 +42,6 @@ from oracles import (
     sympy_ddf,
     sympy_factors_mod_p,
     sympy_gf_ops,
-    sympy_int_divmod,
     sympy_irreducibles_mod_p,
     sympy_is_irreducible_q,
     sympy_min_poly_is_minimal,
@@ -351,6 +350,23 @@ def test_is_irreducible_finite_examples():
     for F in (QQ, cyclotomic_field(4)):
         with pytest.raises(FieldError, match="finite fields only"):
             is_irreducible(F, int_poly(F, [-2, 0, 1]))
+
+
+def test_field_mismatch_raises():
+    """A polynomial or matrix over a field other than the one asked about is
+    refused. Read over GF(3), x^2 + x + 1 over GF(2) has the root x = 1, and
+    the char poly of a matrix with a 1/2 entry over Q holds -5/2."""
+    F2, F3 = prime_field(2), prime_field(3)
+    f = int_poly(F2, [1, 1, 1])
+    assert is_irreducible(F2, f) is True
+    for fn in (is_irreducible, distinct_degree_profile):
+        with pytest.raises(FieldError, match="over GF\\(2\\), asked over GF\\(3\\)"):
+            fn(F3, f)
+    M = SquareMatrix(QQ, [[Fraction(1, 2), 1], [0, 2]])
+    assert char_poly(QQ, M).coeffs == (1, Fraction(-5, 2), 1)
+    for fn in (char_poly, min_poly):
+        with pytest.raises(FieldError, match="over Q, asked over GF\\(3\\)"):
+            fn(F3, M)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -751,27 +767,19 @@ def test_distinct_degree_profile_over_gf4_is_the_order_of_4(n):
     assert is_irreducible(F, f) is (d == f.degree)
 
 
-def test_int_poly_divmod_monic_against_sympy():
-    rng = random.Random(77)
-    # len(num) < len(den), with and without a zero top coefficient; zero numerator
-    cases = [([1, 2], [3, 0, 1]), ([-6, 3, 0], [-2, 5, -4, 1, 1]), ([], [1, 1]), ([5, 0, 0, 0, 0, 0, 1], [-1, 0, 1])]
-    for _ in range(40):
-        den = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))] + [1]
-        num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))] + [rng.choice([-3, -1, 1, 2, 7])]
-        cases.append((num, den))
-    remainders = 0
-    for num, den in cases:
-        got = int_poly_divmod_monic(num, den)
-        assert got == sympy_int_divmod(num, den), (num, den)
-        remainders += bool(got[1])
-    assert remainders > 20
-
-
 def test_cyclotomic_moduli_against_sympy():
-    for n in range(3, 41):
-        want = sympy_cyclotomic(n)
-        assert cyclotomic_field(n).modulus == tuple(want), n
-        assert sympy_is_irreducible_q(want), n
+    """Phi_n for n = 1..300, among them 210 = 2*3*5*7 with eight exact
+    divisions; Q(zeta_n) is Q itself for n = 1, 2. Irreducibility is sympy's
+    factorization, for n <= 40."""
+    for n in range(1, 301):
+        want = tuple(sympy_cyclotomic(n))
+        assert cyclotomic_polynomial(n) == want, n
+        if n <= 2:
+            assert cyclotomic_field(n) is QQ
+        else:
+            assert cyclotomic_field(n).modulus == want, n
+        if n <= 40:
+            assert sympy_is_irreducible_q(want), n
 
 
 def test_pow_mod_squares_only_while_bits_remain(monkeypatch):

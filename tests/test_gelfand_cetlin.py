@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,9 @@ def test_quaternionic_structure_is_antiunitary_square_minus_one():
     jv = quaternionic_structure(v)
     assert np.allclose(quaternionic_structure(jv), -v)
     assert np.isclose(np.vdot(jv, quaternionic_structure(w)), np.vdot(w, v))
+    # pairs (a, b) -> (-conj b, conj a); an odd last coordinate maps to 0
+    odd = quaternionic_structure(np.array([1 + 2j, 3j, 5.0]))
+    assert np.array_equal(odd, np.array([3j, 1 - 2j, 0]))
 
 
 def test_quaternionic_frame_shape_and_pairing():
@@ -96,12 +101,17 @@ def test_quaternionic_frame_shape_and_pairing():
         quaternionic_frame(GrContext(2, 5), 0)
 
 
-@pytest.mark.parametrize("k,n", [(2, 4), (4, 8)])
+@pytest.mark.parametrize("k,n", [(2, 4), (4, 8), (4, 10), (6, 12)])
 def test_quaternionic_locus_equality(k, n):
+    """On the J-locus every even leading block has its eigenvalues in Kramers
+    pairs: z_{i,j} = z_{i+1,j-1} for odd i and even j (the first is
+    z_{1,2} = z_{2,1})."""
     ctx = GrContext(k, n)
+    pairs = [(i, j) for i in range(1, k, 2) for j in range(2, ctx.cols + 1, 2)]
     for seed in range(100):
         values = gc_map(quaternionic_frame(ctx, seed))
-        assert abs(values.value(1, 2) - values.value(2, 1)) < 1e-9
+        for i, j in pairs:
+            assert abs(values.value(i, j) - values.value(i + 1, j - 1)) < 1e-12, (seed, i, j)
 
 
 def test_generic_frames_separate_from_the_locus():
@@ -151,12 +161,15 @@ def test_critical_point_gr12_exact():
     assert abs(report["W"] - 2.0) < 1e-12
 
 
-@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6)])
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 13) for k in range(1, n)])
 def test_critical_point_converges(k, n):
+    """W at the critical point is n sin(k pi/n) / sin(pi/n) (Rietsch, Adv.
+    Math. 2008), to 1e-12 relative."""
     ctx = GrContext(k, n)
     point, report = find_critical_point(ctx, tol=1e-8)
     assert report["gradInf"] < 1e-8
-    assert report["W"] > 0
+    want = n * math.sin(k * math.pi / n) / math.sin(math.pi / n)
+    assert abs(report["W"] - want) <= 1e-12 * want
     # logarithmic-derivative criterion z * dW/dz = 0 within tolerance
     grad = potential_grad(ctx, point)
     assert np.max(np.abs(point.z * grad)) < 1e-8
@@ -168,7 +181,7 @@ def test_critical_point_validation():
     with pytest.raises(ValueError):
         find_critical_point(GrContext(2, 4), tol=0.0)
     with pytest.raises(ConvergenceError):
-        find_critical_point(GrContext(2, 5), tol=1e-8, max_iter=1)
+        find_critical_point(GrContext(2, 5), tol=1e-300)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])

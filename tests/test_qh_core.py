@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from fractions import Fraction
 
@@ -476,6 +477,43 @@ def test_classical_limit_nonnegative_integers():
             assert m >= 0
             if m == 0:
                 assert coeff == int(coeff) and coeff >= 0
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_transposition_isomorphism(n):
+    """Gr(k, n) = Gr(n-k, n) sends sigma_a to sigma_a' (a' the conjugate) and
+    keeps q, so it carries sigma_a * sigma_b to sigma_a' * sigma_b'. The two
+    sides take the engine's row and column routes. Every unordered pair of
+    every Gr(k, n) with 1 <= k < n."""
+    for k in range(1, n):
+        ctx, dual = GrContext(k, n), GrContext(n - k, n)
+        diagrams = enumerate_diagrams(ctx)
+        for i, a in enumerate(diagrams):
+            for b in diagrams[i:]:
+                want = {(d.conjugate(), m): c for (d, m), c in schubert_product(ctx, a, b).items()}
+                assert schubert_product(dual, a.conjugate(), b.conjugate()) == want, (k, a, b)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_three_point_invariants_are_symmetric(n):
+    """<a,b,c>_d, the coefficient of q^d sigma_(c^vee) in sigma_a * sigma_b,
+    where c^vee is the complement of c in the k x (n-k) box, is the same for
+    every order of a, b, c. Every triple of every Gr(k, n) with 1 <= k < n."""
+    for k in range(1, n):
+        ctx = GrContext(k, n)
+        diagrams = enumerate_diagrams(ctx)
+        complement = {
+            c: YoungDiagram(ctx.cols - r for r in reversed(c + (0,) * (k - len(c)))) for c in diagrams
+        }
+        products = {(a, b): schubert_product(ctx, a, b) for a in diagrams for b in diagrams}
+
+        def invariants(a, b, c):
+            return {m: coeff for (d, m), coeff in products[a, b].items() if d == complement[c]}
+
+        for triple in itertools.combinations_with_replacement(diagrams, 3):
+            want = invariants(*triple)
+            for a, b, c in itertools.permutations(triple):
+                assert invariants(a, b, c) == want, (k, triple)
 
 
 def test_format_and_parse_roundtrip():
