@@ -16,7 +16,7 @@ import json
 import sys
 
 from qhgrass.diagram import GrContext
-from qhgrass.gelfand_cetlin import find_critical_point, gc_csv_rows
+from qhgrass.gelfand_cetlin import critical_point, gc_csv_rows
 
 
 def parse_context(text: str) -> GrContext:
@@ -30,7 +30,6 @@ def main() -> int:
     parser.add_argument("--samples", type=int, default=100)
     parser.add_argument("--quaternionic", action="store_true")
     parser.add_argument("--csv-out", default=None, help="write GC values here (default stdout)")
-    parser.add_argument("--tol", type=float, default=1e-8)
     args = parser.parse_args()
 
     contexts = [parse_context(text) for text in args.contexts]
@@ -48,8 +47,7 @@ def main() -> int:
             sink.close()
 
     for ctx in contexts:
-        _, report = find_critical_point(ctx, tol=args.tol)
-        report.pop("history", None)
+        _, report = critical_point(ctx)
         print(json.dumps({"k": ctx.k, "n": ctx.n, **report}))
     return 0
 

@@ -3,7 +3,7 @@
 Schubert calculus over Q and finite fields (quantum Pieri and Giambelli),
 the degree-zero graded-field / semisimplicity classifier, root-of-unity
 evaluation homomorphisms, and a floating-point Gelfand-Cetlin toolbox with
-the disk-potential critical-point solver.
+the disk potential's critical point in closed form, checked exactly.
 
 Only the Gelfand-Cetlin toolbox needs numpy. It is imported on first access
 to one of its names (``from qhgrass import gc_map``, or
@@ -78,12 +78,9 @@ from .degree_zero import (
 
 _GELFAND_CETLIN_NAMES = frozenset({
     "Frame",
-    "GcPoint",
     "GcValues",
-    "find_critical_point",
+    "critical_point",
     "gc_map",
-    "potential_eval",
-    "potential_grad",
     "quaternionic_frame",
     "random_frame",
 })

@@ -182,14 +182,7 @@ def _cmd_gc_map(args) -> int:
 def _cmd_gc_critical(args) -> int:
     from . import gelfand_cetlin as gc
 
-    ctx = _context(args)
-    try:
-        _, report = gc.find_critical_point(ctx, tol=args.tol)
-    except gc.ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = dict(report)
-    report.pop("history", None)
+    _, report = gc.critical_point(_context(args))
     print(json.dumps(report))
     return 0
 
@@ -270,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = gc_sub.add_parser("critical", help="critical point of the disk potential")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_gc_critical)
 
     p = sub.add_parser("selftest", help="run the fast acceptance tier")

@@ -1,32 +1,27 @@
-"""Gelfand-Cetlin eigenvalue map and the disk-potential critical-point solver.
+"""Gelfand-Cetlin eigenvalue map and the disk potential's critical point.
 
 A point of Gr(k, n) is presented by an orthonormal frame U (n x k); the
 projection A = U U^dagger has eigenvalue-1 multiplicity k, and the sorted
 spectra of its leading principal submatrices assemble into the
 Gelfand-Cetlin map. The disk potential W of the monotone torus fibre is a
-Laurent polynomial in positive coordinates z_{i,j}. In logarithmic
-coordinates u = log z its monomials are exp(t . u) over the exponent
-vectors t of _terms, and W, its gradient, the Newton step, the line search
-and the solver's report all read them from _monomials. W is smooth and
-strictly convex there, and Newton iteration with backtracking finds its
-unique critical point, where W = n sin(k pi/n) / sin(pi/n).
+Laurent polynomial in positive coordinates z_{i,j}, with one monomial per
+pair of _terms. critical_point gives its critical point in closed form, a
+ratio of sines, and checks it exactly in a cyclotomic field: every
+logarithmic derivative of W vanishes there, and W = n sin(k pi/n) / sin(pi/n).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagram import GrContext
+from .exactfield import cyclotomic_field
 
 ORTHO_TOL = 1e-12
 CONST_EIG_TOL = 1e-9
-MAX_NEWTON_STEPS = 200
-
-
-class ConvergenceError(RuntimeError):
-    """The critical-point iteration failed to converge (indicates a bug)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,24 +65,6 @@ class GcValues:
         if g.shape[0] > 1:
             worst = max(worst, float(np.max(g[1:, :] - g[:-1, :])))
         return max(worst, 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class GcPoint:
-    """Strictly positive coordinates z_{i,j} for the disk potential."""
-
-    ctx: GrContext
-    z: np.ndarray
-
-    def __post_init__(self):
-        k, cols = self.ctx.k, self.ctx.cols
-        if self.z.shape != (k, cols):
-            raise ValueError(f"point must be {k} x {cols}")
-        if np.any(self.z <= 0):
-            raise ValueError("coordinates must be strictly positive")
-
-    def value(self, i: int, j: int) -> float:
-        return float(self.z[i - 1, j - 1])
 
 
 def random_frame(ctx: GrContext, seed: int) -> Frame:
@@ -163,91 +140,99 @@ def gc_map(frame: Frame) -> GcValues:
 # disk potential
 
 
-def _terms(ctx: GrContext) -> np.ndarray:
-    """Exponent vectors of the potential's Laurent monomials, flattened k*(n-k)."""
+def _terms(ctx: GrContext) -> list[tuple[int, int]]:
+    """The potential's Laurent monomials z_a / z_b as (a, b) pairs of flat cell
+    indices (i-1)(n-k) + (j-1), where -1 stands for the factor 1. They are
+    the ratios down and right in the grid, 1/z_{1,n-k} and z_{k,1}."""
     k, cols = ctx.k, ctx.cols
-    dim = k * cols
 
-    def unit(i, j):
-        v = np.zeros(dim)
-        v[(i - 1) * cols + (j - 1)] = 1.0
-        return v
+    def cell(i, j):
+        return (i - 1) * cols + (j - 1)
 
-    rows = []
-    for i in range(1, k):
-        for j in range(1, cols + 1):
-            rows.append(unit(i, j) - unit(i + 1, j))
-    for i in range(1, k + 1):
-        for j in range(1, cols):
-            rows.append(unit(i, j + 1) - unit(i, j))
-    rows.append(-unit(1, cols))
-    rows.append(unit(k, 1))
-    return np.array(rows)
+    terms = [(cell(i, j), cell(i + 1, j)) for i in range(1, k) for j in range(1, cols + 1)]
+    terms += [(cell(i, j + 1), cell(i, j)) for i in range(1, k + 1) for j in range(1, cols)]
+    return terms + [(-1, cell(1, cols)), (cell(k, 1), -1)]
 
 
-def _monomials(t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """exp(t . u) over the rows t of _terms at log coordinates u = log z: the
-    potential's monomials. W is their sum, and grad_u W = t^T exp(t . u)."""
-    return np.exp(t @ u)
+def _brackets(ctx: GrContext) -> list[tuple[list[int], list[int]]]:
+    """Per cell, in _terms' order: the arguments m of the brackets [m] above
+    and below the fraction bar of z_{i,j}."""
+    k = ctx.k
+    return [
+        (
+            [j + k - a for a in range(1, i)] + [a - i for a in range(i + 1, k + 1)],
+            [i - a for a in range(1, i)] + [j + k - a for a in range(i + 1, k + 1)],
+        )
+        for i in range(1, k + 1)
+        for j in range(1, ctx.cols + 1)
+    ]
 
 
-def potential_eval(ctx: GrContext, point: GcPoint) -> float:
-    """W(z), the sum of its monomials: ratio grid down, ratio grid right,
-    1/z_{1,n-k}, and z_{k,1}."""
-    return float(_monomials(_terms(ctx), np.log(point.z).reshape(-1)).sum())
+def critical_point(ctx: GrContext) -> tuple[dict, dict]:
+    """The positive critical point of the disk potential W, in closed form.
 
+    With [m] = sin(m pi/n) and a over 1..k,
 
-def potential_grad(ctx: GrContext, point: GcPoint) -> np.ndarray:
-    """Analytic gradient dW/dz = (grad_u W) / z as a k x (n-k) array."""
-    t = _terms(ctx)
-    z = point.z.reshape(-1)
-    return (t.T @ _monomials(t, np.log(z)) / z).reshape(point.z.shape)
+        z_{i,j} = prod_{a<i} [j+k-a]/[i-a] * prod_{a>i} [a-i]/[j+k-a].
 
+    The formula is a fit, and an exact check certifies each point: in
+    cyclotomic_field(2n), with [m] mapped to zeta^m - zeta^-m (each z has as
+    many brackets above as below, so the factor 1/2i cancels), every
+    dW/du_{i,j} must be 0 and W [1] must be n [k], that is
+    W = n sin(k pi/n) / sin(pi/n) (Rietsch, 2008). A failed check raises
+    RuntimeError.
 
-def find_critical_point(ctx: GrContext, tol: float = 1e-8) -> tuple[GcPoint, dict]:
-    """Minimize the potential in logarithmic coordinates by damped Newton.
-
-    In u = log z the potential is a sum of exponentials of affine forms, so
-    it is smooth and convex and the Hessian stays positive definite along
-    the iteration; the unique interior minimum is the critical point. The
-    report's W and gradInf are those of the last Newton evaluation.
+    Returns the exact z_{i,j}, keyed by 1-based (i, j), and the report
+    {"z", "W", "exactCheck"}, whose floats come from the same brackets
+    through math.sin, with [m] taken as [min(m, n-m)]; cells with equal exact
+    values print the float of the first of them.
     """
-    if not np.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    n, k = ctx.n, ctx.k
     if ctx.cols == 0:
         raise ValueError(f"{ctx} is a point: the disk potential has no variables")
-    t = _terms(ctx)
-    u = np.zeros(t.shape[1])
-    history = []
-    for iters in range(1, MAX_NEWTON_STEPS + 1):
-        vals = _monomials(t, u)
-        grad_u = t.T @ vals
-        grad_z = grad_u / np.exp(u)
-        base = float(vals.sum())
-        history.append({"W": base, "gradInf": float(np.max(np.abs(grad_z)))})
-        if np.max(np.abs(grad_z)) < tol and np.max(np.abs(grad_u)) < tol:
-            break
-        hess = t.T @ (t * vals[:, None])
-        np.linalg.cholesky(hess)  # convexity certificate: must be positive definite
-        step = np.linalg.solve(hess, -grad_u)
-        slope = float(grad_u @ step)
-        scale = 1.0
-        while _monomials(t, u + scale * step).sum() > base + 0.25 * scale * slope and scale > 1e-12:
-            scale *= 0.5
-        u = u + scale * step
-    else:
-        raise ConvergenceError(f"no convergence after {MAX_NEWTON_STEPS} Newton steps")
+    F = cyclotomic_field(2 * n)
+    zeta = F.gen()
+    bracket = [F.sub(F.pow(zeta, m), F.pow(zeta, 2 * n - m)) for m in range(n)]
+    inverse = [None] + [F.inv(b) for b in bracket[1:]]
+    cells = _brackets(ctx)
 
-    z = np.exp(u).reshape(ctx.k, ctx.cols)
+    def product(above, below):
+        value = F.one()
+        for m in above:
+            value = F.mul(value, bracket[m])
+        for m in below:
+            value = F.mul(value, inverse[m])
+        return value
+
+    # a last entry 1 in z, 1/z and grad serves the index -1 of _terms
+    z = [product(up, down) for up, down in cells] + [F.one()]
+    z_inv = [product(down, up) for up, down in cells] + [F.one()]
+    grad = [F.zero()] * len(z)
+    total = F.zero()
+    for a, b in _terms(ctx):
+        monomial = F.mul(z[a], z_inv[b])
+        total = F.add(total, monomial)
+        grad[a] = F.add(grad[a], monomial)
+        grad[b] = F.sub(grad[b], monomial)
+    if not all(F.is_zero(g) for g in grad[:-1]):
+        raise RuntimeError(f"the closed-form point of {ctx} is not critical")
+    if F.mul(total, bracket[1]) != F.mul(F.from_int(n), bracket[k]):
+        raise RuntimeError(f"W at the closed-form point of {ctx} is not n [k]/[1]")
+
+    def sine(m):
+        return math.sin(min(m, n - m) * math.pi / n)
+
+    keys = [(i, j) for i in range(1, k + 1) for j in range(1, ctx.cols + 1)]
+    floats = {}  # exact value -> its float, so that equal values print equal
     report = {
-        "z": {f"{i + 1},{j + 1}": float(z[i, j]) for i in range(ctx.k) for j in range(ctx.cols)},
-        **history[-1],
-        "iters": iters,
-        "history": history,
+        "z": {
+            f"{i},{j}": floats.setdefault(value, math.prod(map(sine, up)) / math.prod(map(sine, down)))
+            for (i, j), value, (up, down) in zip(keys, z, cells)
+        },
+        "W": n * sine(k) / sine(1),
+        "exactCheck": True,
     }
-    return GcPoint(ctx, z), report
+    return dict(zip(keys, z)), report
 
 
 def gc_csv_rows(ctx: GrContext, seeds: list[int], quaternionic: bool = False) -> list[str]:

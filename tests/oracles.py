@@ -532,3 +532,71 @@ def determinant(M):
             t = F.mul(m[r][col], inv)
             m[r] = [F.sub(a, F.mul(t, b)) for a, b in zip(m[r], m[col])]
     return det
+
+
+MAX_NEWTON_STEPS = 200
+
+
+def gc_potential_exponents(k: int, n: int):
+    """Exponent vectors of the disk potential's monomials, one per facet
+    big >= small of the Gelfand-Cetlin pattern, as exp(u_big - u_small) in
+    u = log z over the cells (i, j), flattened row by row.
+
+    The facets are the interlacing inequalities between neighbouring cells,
+    z_{i,j+1} >= z_{i,j} and z_{i,j} >= z_{i+1,j}, and the two border
+    inequalities that these do not imply, 1 >= z_{1,n-k} and z_{k,1} >= 0;
+    a constant side adds nothing."""
+    import numpy as np
+
+    cols = n - k
+    cells = {(i, j): (i - 1) * cols + j - 1 for i in range(1, k + 1) for j in range(1, cols + 1)}
+    facets = [((i, j + 1), (i, j)) for i, j in cells if (i, j + 1) in cells]
+    facets += [((i, j), (i + 1, j)) for i, j in cells if (i + 1, j) in cells]
+    facets += [("one", (1, cols)), ((k, 1), "zero")]
+    t = np.zeros((len(facets), len(cells)))
+    for row, (big, small) in enumerate(facets):
+        if big in cells:
+            t[row, cells[big]] += 1
+        if small in cells:
+            t[row, cells[small]] -= 1
+    return t
+
+
+def gc_potential(k: int, n: int, z):
+    """W and dW/dz at a positive k x (n-k) array z: the sum of the monomials
+    exp(t . log z), and (t^T exp(t . log z)) / z."""
+    import numpy as np
+
+    t = gc_potential_exponents(k, n)
+    monomials = np.exp(t @ np.log(z).reshape(-1))
+    return float(monomials.sum()), (t.T @ monomials / z.reshape(-1)).reshape(z.shape)
+
+
+def newton_critical_point(k: int, n: int, tol: float = 1e-8):
+    """The disk potential's critical point by damped Newton in u = log z.
+
+    There W is a sum of exponentials of linear forms, so it is convex and
+    its Hessian positive definite along the iteration. Steps until |dW/du|
+    and |dW/dz| are both below tol, halving each step until W drops enough.
+    Returns z as a k x (n-k) array, W, max |dW/dz| and the step count;
+    raises RuntimeError after MAX_NEWTON_STEPS steps."""
+    import numpy as np
+
+    t = gc_potential_exponents(k, n)
+    u = np.zeros(t.shape[1])
+    for steps in range(1, MAX_NEWTON_STEPS + 1):
+        monomials = np.exp(t @ u)
+        grad_u = t.T @ monomials
+        grad_z = grad_u / np.exp(u)
+        w = float(monomials.sum())
+        if np.max(np.abs(grad_z)) < tol and np.max(np.abs(grad_u)) < tol:
+            return np.exp(u).reshape(k, n - k), w, float(np.max(np.abs(grad_z))), steps
+        hess = t.T @ (t * monomials[:, None])
+        step = np.linalg.solve(hess, -grad_u)
+        slope = float(grad_u @ step)
+        scale = 1.0
+        # Armijo's test, forgiving the rounding error of the sum near the minimum
+        while np.exp(t @ (u + scale * step)).sum() > w + 0.25 * scale * slope + 1e-14 * w and scale > 1e-12:
+            scale *= 0.5
+        u = u + scale * step
+    raise RuntimeError(f"no convergence after {MAX_NEWTON_STEPS} Newton steps")

@@ -34,15 +34,7 @@ from qhgrass.degree_zero import (
     standard_degree_zero_element,
     zero_divisor_search,
 )
-from qhgrass.gelfand_cetlin import (
-    find_critical_point,
-    gc_map,
-    potential_eval,
-    potential_grad,
-    quaternionic_frame,
-    random_frame,
-    GcPoint,
-)
+from qhgrass.gelfand_cetlin import critical_point, gc_map, quaternionic_frame, random_frame
 from qhgrass.presentation import EvContext, admissible_multisets, ev_map, verify_ideal_vanishing
 from qhgrass.qh_core import (
     QhElement,
@@ -53,7 +45,7 @@ from qhgrass.qh_core import (
     quantum_product,
 )
 
-from oracles import int_poly
+from oracles import gc_potential, int_poly, newton_critical_point
 
 
 def report(number: int, title: str, detail: str = ""):
@@ -233,25 +225,31 @@ def test_criterion_10_gelfand_cetlin():
 
 def test_criterion_11_critical_points():
     start = time.perf_counter()
-    point, rep = find_critical_point(GrContext(1, 2), tol=1e-10)
-    assert abs(point.value(1, 1) - 1.0) < 1e-12
-    assert abs(rep["W"] - 2.0) < 1e-12
+    _, rep = critical_point(GrContext(1, 2))
+    assert rep == {"z": {"1,1": 1.0}, "W": 2.0, "exactCheck": True}
     for k, n in ((2, 4), (2, 5), (3, 6)):
-        ctx = GrContext(k, n)
-        point, rep = find_critical_point(ctx, tol=1e-8)
-        assert rep["gradInf"] < 1e-8, (k, n)
-        grad = potential_grad(ctx, point)
+        z = np.array(list(critical_point(GrContext(k, n))[1]["z"].values())).reshape(k, n - k)
+        newton = newton_critical_point(k, n, tol=1e-8)[0]
+        assert np.max(np.abs(newton - z) / z) < 1e-7, (k, n)
+        grad = gc_potential(k, n, z)[1]
+        assert np.max(np.abs(grad)) < 1e-12, (k, n)
         h = 1e-6
-        for i in range(ctx.k):
-            for j in range(ctx.cols):
-                zp, zm = point.z.copy(), point.z.copy()
+        for i in range(k):
+            for j in range(n - k):
+                zp, zm = z.copy(), z.copy()
                 zp[i, j] += h
                 zm[i, j] -= h
-                fd = (
-                    potential_eval(ctx, GcPoint(ctx, zp))
-                    - potential_eval(ctx, GcPoint(ctx, zm))
-                ) / (2 * h)
+                fd = (gc_potential(k, n, zp)[0] - gc_potential(k, n, zm)[0]) / (2 * h)
                 assert abs(fd - grad[i, j]) <= 1e-6 * max(1.0, abs(grad[i, j]))
+    big = time.perf_counter()
+    critical_point(GrContext(8, 16))
+    big = time.perf_counter() - big
+    assert big < 1.0
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    report(11, "critical points: Gr(1,2) exact, gradients < 1e-8, finite differences to 1e-6", f"{elapsed:.2f}s")
+    report(
+        11,
+        "critical points: exact check on Gr(1,2), Gr(2,4), Gr(2,5), Gr(3,6), Gr(8,16); Newton to 1e-7, "
+        "float gradients < 1e-12, finite differences to 1e-6",
+        f"{elapsed:.2f}s, Gr(8,16) {big:.2f}s",
+    )

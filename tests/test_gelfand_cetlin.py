@@ -5,16 +5,14 @@ import pytest
 
 import qhgrass
 import qhgrass.gelfand_cetlin as gelfand_cetlin
+from oracles import gc_potential, newton_critical_point
 from qhgrass.diagram import GrContext
+from qhgrass.exactfield import cyclotomic_field
 from qhgrass.gelfand_cetlin import (
-    ConvergenceError,
     Frame,
-    GcPoint,
-    find_critical_point,
+    critical_point,
     gc_csv_rows,
     gc_map,
-    potential_eval,
-    potential_grad,
     quaternionic_frame,
     quaternionic_structure,
     random_frame,
@@ -125,78 +123,86 @@ def test_generic_frames_separate_from_the_locus():
 
 
 def test_potential_examples():
-    g12 = GrContext(1, 2)
-    assert potential_eval(g12, GcPoint(g12, np.array([[1.0]]))) == 2.0
-    assert potential_eval(g12, GcPoint(g12, np.array([[2.0]]))) == 2.5
-    g24 = GrContext(2, 4)
-    assert potential_eval(g24, GcPoint(g24, np.ones((2, 2)))) == 6.0
-    with pytest.raises(ValueError):
-        GcPoint(g12, np.array([[0.0]]))
+    """The oracle's W, whose monomials the tests build from the interlacing
+    inequalities, not from the module's _terms."""
+    assert gc_potential(1, 2, np.array([[1.0]]))[0] == 2.0
+    assert gc_potential(1, 2, np.array([[2.0]]))[0] == 2.5
+    assert gc_potential(2, 4, np.ones((2, 2)))[0] == 6.0
 
 
 def test_potential_gradient_examples_and_fd():
-    g12 = GrContext(1, 2)
-    assert potential_grad(g12, GcPoint(g12, np.array([[1.0]])))[0, 0] == pytest.approx(0.0)
-    assert potential_grad(g12, GcPoint(g12, np.array([[2.0]])))[0, 0] == pytest.approx(0.75)
-    for ctx in (GrContext(2, 4), GrContext(2, 5), GrContext(3, 6)):
-        rng = np.random.default_rng(ctx.n)
-        z = np.exp(0.4 * rng.standard_normal((ctx.k, ctx.cols)))
-        grad = potential_grad(ctx, GcPoint(ctx, z))
+    assert gc_potential(1, 2, np.array([[1.0]]))[1][0, 0] == pytest.approx(0.0)
+    assert gc_potential(1, 2, np.array([[2.0]]))[1][0, 0] == pytest.approx(0.75)
+    for k, n in ((2, 4), (2, 5), (3, 6)):
+        rng = np.random.default_rng(n)
+        z = np.exp(0.4 * rng.standard_normal((k, n - k)))
+        grad = gc_potential(k, n, z)[1]
         h = 1e-6
-        for i in range(ctx.k):
-            for j in range(ctx.cols):
+        for i in range(k):
+            for j in range(n - k):
                 zp, zm = z.copy(), z.copy()
                 zp[i, j] += h
                 zm[i, j] -= h
-                fd = (
-                    potential_eval(ctx, GcPoint(ctx, zp))
-                    - potential_eval(ctx, GcPoint(ctx, zm))
-                ) / (2 * h)
+                fd = (gc_potential(k, n, zp)[0] - gc_potential(k, n, zm)[0]) / (2 * h)
                 assert abs(fd - grad[i, j]) <= 1e-6 * max(1.0, abs(grad[i, j]))
 
 
 def test_critical_point_gr12_exact():
-    point, report = find_critical_point(GrContext(1, 2), tol=1e-10)
-    assert abs(point.value(1, 1) - 1.0) < 1e-12
-    assert abs(report["W"] - 2.0) < 1e-12
+    z, report = critical_point(GrContext(1, 2))
+    assert z == {(1, 1): cyclotomic_field(4).one()}
+    assert report == {"z": {"1,1": 1.0}, "W": 2.0, "exactCheck": True}
 
 
-@pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 13) for k in range(1, n)])
-def test_critical_point_converges(k, n):
-    """W at the critical point is n sin(k pi/n) / sin(pi/n) (Rietsch, Adv.
-    Math. 2008), to 1e-12 relative."""
-    ctx = GrContext(k, n)
-    point, report = find_critical_point(ctx, tol=1e-8)
-    assert report["gradInf"] < 1e-8
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 17) for k in range(1, n)])
+def test_critical_point_exact_check(k, n):
+    """critical_point raises unless grad W = 0 and W [1] = n [k] hold exactly.
+    The printed W is n sin(k pi/n) / sin(pi/n) (Rietsch, Adv. Math. 2008) to
+    1e-12 relative, and cells with equal exact values print equal floats."""
+    z, report = critical_point(GrContext(k, n))
+    assert report["exactCheck"] is True
     want = n * math.sin(k * math.pi / n) / math.sin(math.pi / n)
     assert abs(report["W"] - want) <= 1e-12 * want
-    # logarithmic-derivative criterion z * dW/dz = 0 within tolerance
-    grad = potential_grad(ctx, point)
-    assert np.max(np.abs(point.z * grad)) < 1e-8
-    assert report["iters"] <= 50
-    assert len(report["history"]) == report["iters"]
+    assert list(z) == [(i, j) for i in range(1, k + 1) for j in range(1, n - k + 1)]
+    first = {}  # exact value -> the float printed for its first cell
+    for (i, j), value in z.items():
+        printed = report["z"][f"{i},{j}"]
+        assert first.setdefault(value, printed) == printed
 
 
-def test_critical_point_validation():
-    with pytest.raises(ValueError):
-        find_critical_point(GrContext(2, 4), tol=0.0)
-    with pytest.raises(ConvergenceError):
-        find_critical_point(GrContext(2, 5), tol=1e-300)
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(2, 14) for k in range(1, n)])
+def test_critical_point_converges(k, n):
+    """The Newton oracle at tol 1e-10 converges to the closed form's W and
+    lands on the printed z to 1e-9 relative."""
+    z, w, grad_inf, steps = newton_critical_point(k, n, tol=1e-10)
+    assert grad_inf < 1e-10 and steps <= 50
+    want = n * math.sin(k * math.pi / n) / math.sin(math.pi / n)
+    assert abs(w - want) <= 1e-12 * want
+    report = critical_point(GrContext(k, n))[1]
+    printed = np.array(list(report["z"].values())).reshape(k, n - k)
+    assert np.max(np.abs(z - printed) / printed) < 1e-9
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
-def test_critical_point_rejects_a_non_finite_tol(tol):
-    """nan compares false with everything, so it used to pass the sign check
-    and run every Newton step before reporting no convergence."""
-    with pytest.raises(ValueError, match="finite"):
-        find_critical_point(GrContext(2, 5), tol=tol)
+def test_critical_point_validation(monkeypatch):
+    """One bracket off by one in one cell fails the exact check."""
+    right = gelfand_cetlin._brackets
+    for k, n, cell in ((2, 5, 1), (3, 7, 5), (4, 8, 0)):
+
+        def wrong(ctx, cell=cell):
+            cells = right(ctx)
+            up, down = cells[cell]
+            cells[cell] = ([up[0] + 1] + up[1:], down)
+            return cells
+
+        monkeypatch.setattr(gelfand_cetlin, "_brackets", wrong)
+        with pytest.raises(RuntimeError, match="not critical"):
+            critical_point(GrContext(k, n))
 
 
 def test_gr_n_n_has_no_values_and_no_potential():
     ctx = GrContext(2, 2)
     assert gc_map(random_frame(ctx, 0)).interlacing_violation() == 0.0
-    with pytest.raises(ValueError):
-        find_critical_point(ctx)
+    with pytest.raises(ValueError, match="no variables"):
+        critical_point(ctx)
 
 
 def test_csv_rows():
@@ -211,12 +217,9 @@ def test_csv_rows():
     "name",
     [
         "Frame",
-        "GcPoint",
         "GcValues",
-        "find_critical_point",
+        "critical_point",
         "gc_map",
-        "potential_eval",
-        "potential_grad",
         "quaternionic_frame",
         "random_frame",
     ],
