@@ -342,7 +342,7 @@ def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> Gr
 
     if kk <= 1:
         check.routes["rule"] = rule
-        check.notes.append("rank-one degree pieces: k = 1 (or its dual)")
+        check.notes.append("rank-one degree pieces: k = 1 (or its dual)" if kk else "k = n: Gr(n, n) is a point")
         return check
 
     if isinstance(F, (PrimeField, RationalField)):
@@ -461,13 +461,15 @@ def classify(k: int, n: int, char_spec: int) -> ClassifierVerdict:
         raise ValueError("characteristic must be 0 or a prime")
     reasons: list[str] = []
     kk = min(k, n - k)
-    if kk != k:
+    if 0 < kk != k:
         reasons.append(f"replaced k={k} by n-k={kk} via the duality Gr(k,n) = Gr(n-k,n)")
 
-    # the graded-field rule: k = 1, or k = 2 with n prime, char != n, and
-    # char = 0 or {char, -1} generating the units mod n
+    # the graded-field rule: k = n, k = 1, or k = 2 with n prime, char != n,
+    # and char = 0 or {char, -1} generating the units mod n
     is_field = kk <= 1
-    if kk <= 1:
+    if not kk:
+        reasons.append(f"k = n: Gr({n},{n}) is a point, so QH^0 = F")
+    elif kk == 1:
         reasons.append("k = 1: every graded piece has rank one, so QH^0 = F")
     elif kk == 2:
         if not is_prime(n):

@@ -188,9 +188,10 @@ def ev_map(ev: EvContext, J: AdmissibleMultiset, element: QhElement):
         raise ValueError(f"element over {element.field.label}, evaluation from {ev.base.label}")
     K = ev.field
     rows = ev._power_rows(J, ev.ctx.cols)
-    coeffs, d = ev.base._lift_ints(list(element.terms.values()))
+    terms = element.terms  # built anew on every read
+    coeffs, d = ev.base._lift_ints(list(terms.values()))
     weights: dict[tuple[int, ...], int] = {}
-    for (diagram, _m), c in zip(element.terms, coeffs):
+    for (diagram, _m), c in zip(terms, coeffs):
         # the terms are box-checked by QhElement, so the cached table is read as is
         for exps, g in _giambelli_cached(ev.ctx.k, diagram):
             weights[exps] = weights.get(exps, 0) + c * g

@@ -18,28 +18,22 @@ Structure constants are integers independent of the coefficient field. One
 engine per context computes and keeps them on integer codes. A diagram gets
 a dense index when it is first seen, so the box is never enumerated (Gr(2,
 100003) works), and a code idx + m * 2^32 stands for q^m * sigma_idx; m may
-be negative. The engine keeps:
-- the constants of each unordered pair of indices, as one flat int tuple
-  (code, coefficient, code, coefficient, ...);
-- one Pieri step table per route and j, mapping an index to the codes of
-  its targets, filled on first use;
-- the chains x^e * sigma_b, each built by one Pieri step from the chain with
-  one step fewer and shared by every product whose Giambelli expansion
-  reaches it. A product is then the sum of coefficient times chain over its
-  Giambelli monomials.
-After a collection the garbage collector no longer tracks these int-only
-tuples and dicts; it always tracks a diagram, a tuple subclass, and every
-tuple that holds one. Codes become (diagram, q-power) keys only when a
-product is returned, and each key is built once.
+be negative. The engine keeps the constants of each unordered pair of
+indices, one Pieri step table per route and j, and the chains x^e * sigma_b
+shared by every product whose Giambelli expansion reaches them; a product
+is the sum of coefficient times chain over its Giambelli monomials. After
+a collection the garbage collector no longer tracks these int-only tuples
+and dicts; it always tracks a diagram, a tuple subclass, and every tuple
+that holds one.
 
+A QhElement keeps its terms on these codes too, as {code: coefficient}.
+Its constructor takes (diagram, q-power) keys and checks each diagram once,
+when the engine first indexes it; `terms` turns the codes back into keys.
 quantum_product works on integers first: it multiplies the coefficients of
 each pair of terms once, lifts these products to integer coordinates over
 one common denominator, sums structure constant times coordinates per output
 code with plain int arithmetic, and converts each sum back to a field
-element once (FieldCtx._lift_ints/_drop_ints). The engine's results, like
-those of q_shift, sums and negation, are built by QhElement._trusted, which
-skips the box and zero checks: their keys lie in the box by construction and
-their coefficients are nonzero.
+element once (FieldCtx._lift_ints/_drop_ints).
 """
 
 from __future__ import annotations
@@ -56,30 +50,40 @@ TermKey = tuple[YoungDiagram, int]
 
 
 class QhElement:
-    """A quantum cohomology class: mapping (diagram, q-power) -> coefficient."""
+    """A quantum cohomology class as {code: coefficient}, on the codes of its
+    context's product engine. The constructor takes {(diagram, q-power):
+    coefficient} and `terms` gives that mapping back. Codes are indices in
+    the order this process first saw each diagram, so pickle and copy
+    rebuild an element from its terms."""
 
-    __slots__ = ("ctx", "field", "terms")
+    __slots__ = ("ctx", "field", "codes")
 
     def __init__(self, ctx: GrContext, field: FieldCtx, terms: Mapping[TermKey, object] | None = None):
-        k, cols = ctx.k, ctx.n - ctx.k
-        clean: dict[TermKey, object] = {}
+        lookup = _engine(ctx).lookup
+        codes: dict[int, object] = {}
         for (diagram, m), coeff in (terms or {}).items():
             if not isinstance(diagram, YoungDiagram):
                 raise TypeError(f"term diagram must be a YoungDiagram, not {type(diagram).__name__}")
-            if len(diagram) > k or diagram and diagram[0] > cols:
-                raise ValueError(f"{diagram!r} does not fit in {ctx}")
+            code = lookup(diagram) + index(m) * _Q
             if not field.is_zero(coeff):
-                clean[(diagram, m)] = coeff
-        self.ctx = ctx
-        self.field = field
-        self.terms = clean
+                codes[code] = coeff
+        self.ctx, self.field, self.codes = ctx, field, codes
 
     @classmethod
-    def _trusted(cls, ctx: GrContext, field: FieldCtx, terms: dict[TermKey, object]) -> "QhElement":
-        """An element on terms as given: every diagram fits the box, no coefficient is zero."""
+    def _trusted(cls, ctx: GrContext, field: FieldCtx, codes: dict[int, object]) -> "QhElement":
+        """An element on codes as given: codes of ctx's engine, no coefficient zero."""
         element = object.__new__(cls)
-        element.ctx, element.field, element.terms = ctx, field, terms
+        element.ctx, element.field, element.codes = ctx, field, codes
         return element
+
+    @property
+    def terms(self) -> dict[TermKey, object]:
+        """{(diagram, q-power): coefficient}, a new dict built on every call."""
+        codes = self.codes
+        return dict(zip(map(_engine(self.ctx).keys.__getitem__, codes), codes.values()))
+
+    def __reduce__(self):
+        return QhElement, (self.ctx, self.field, self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -104,39 +108,36 @@ class QhElement:
     def __add__(self, other):
         self._check_compatible(other)
         F = self.field
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            total = F.add(acc[key], c) if key in acc else c
+        acc = dict(self.codes)
+        for code, c in other.codes.items():
+            total = F.add(acc[code], c) if code in acc else c
             if F.is_zero(total):
-                acc.pop(key, None)
+                acc.pop(code, None)
             else:
-                acc[key] = total
+                acc[code] = total
         return QhElement._trusted(self.ctx, F, acc)
 
     def __neg__(self):
         F = self.field
-        return QhElement._trusted(self.ctx, F, {k: F.neg(c) for k, c in self.terms.items()})
+        return QhElement._trusted(self.ctx, F, {code: F.neg(c) for code, c in self.codes.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, coeff) -> "QhElement":
         F = self.field
-        return QhElement(self.ctx, F, {k: F.mul(coeff, c) for k, c in self.terms.items()})
+        products = ((code, F.mul(coeff, c)) for code, c in self.codes.items())
+        return QhElement._trusted(self.ctx, F, {code: c for code, c in products if not F.is_zero(c)})
 
     def __mul__(self, other):
         return quantum_product(self, other)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QhElement)
-            and other.ctx == self.ctx
-            and other.field == self.field
-            and other.terms == self.terms
-        )
+        same = isinstance(other, QhElement) and other.ctx == self.ctx and other.field == self.field
+        return same and other.codes == self.codes
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.codes)
 
     # -- inspection --------------------------------------------------------
 
@@ -150,9 +151,7 @@ class QhElement:
     def homogeneous_degree(self) -> int | None:
         """Complex degree if homogeneous (zero element counts as any degree)."""
         degrees = {self.term_degree(key) for key in self.terms}
-        if len(degrees) > 1:
-            return None
-        return degrees.pop() if degrees else 0
+        return None if len(degrees) > 1 else max(degrees, default=0)
 
     def __repr__(self):
         return f"QhElement(Gr({self.ctx.k},{self.ctx.n}) over {self.field.label}: {format_element(self)})"
@@ -257,11 +256,9 @@ def transposed_pieri_multiply(element: QhElement, j: int) -> QhElement:
 
 def q_shift(element: QhElement, m: int) -> QhElement:
     """Multiply by q^m."""
-    return QhElement._trusted(
-        element.ctx,
-        element.field,
-        {(diagram, power + m): c for (diagram, power), c in element.terms.items()},
-    )
+    shift = index(m) * _Q
+    codes = {code + shift: c for code, c in element.codes.items()}
+    return QhElement._trusted(element.ctx, element.field, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -490,25 +487,17 @@ def quantum_product(a: QhElement, b: QhElement) -> QhElement:
     """Bilinear extension of the Schubert-class product."""
     a._check_compatible(b)
     ctx, F = a.ctx, a.field
-    engine = _engine(ctx)
-    index_get, pairs_get = engine.index.get, engine.pairs.get
+    pair = _engine(ctx).pair
     # the terms of b as (index, q-power as a code offset, coefficient)
-    rest = []
-    for (d, m), c in b.terms.items():
-        j = index_get(d)
-        rest.append((engine.intern(d) if j is None else j, m * _Q, c))
+    rest = [(code & _IDX, code & ~_IDX, c) for code, c in b.codes.items()]
     # per pair of terms: its constants, the code offset of its q-power, and
     # (in c12s) the product of the two coefficients
     blocks = []
     c12s = []
-    for (d1, m1), c1 in a.terms.items():
-        i = index_get(d1)
-        if i is None:
-            i = engine.intern(d1)
-        s1 = m1 * _Q
+    for code, c1 in a.codes.items():
+        i, s1 = code & _IDX, code & ~_IDX
         for j, s2, c2 in rest:
-            constants = pairs_get(i << 32 | j if i <= j else j << 32 | i)
-            blocks.append((engine.pair(i, j) if constants is None else constants, s1 + s2))
+            blocks.append((pair(i, j), s1 + s2))
             c12s.append(F.mul(c1, c2))
     coords, den = F._lift_ints(c12s)
     acc: dict[int, object] = {}
@@ -529,8 +518,7 @@ def quantum_product(a: QhElement, b: QhElement) -> QhElement:
             it = iter(constants)
             for code, N in zip(map(shift.__add__, it) if shift else it, it):
                 acc[code] = get(code, 0) + N * v
-    terms = F._drop_ints(zip(map(engine.keys.__getitem__, acc), acc.values()), den)
-    return QhElement._trusted(ctx, F, terms)
+    return QhElement._trusted(ctx, F, F._drop_ints(acc.items(), den))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +531,7 @@ _TERM_RE = re.compile(
 
 
 def format_element(element: QhElement) -> str:
-    if not element.terms:
+    if not element:
         return "0"
     F = element.field
     items = sorted(element.terms.items(), key=lambda t: (t[0][1], t[0][0].sort_key()))

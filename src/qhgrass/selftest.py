@@ -204,13 +204,21 @@ def _check_quaternionic():
     from . import gelfand_cetlin as gc
 
     for ctx in (GrContext(2, 4), GrContext(4, 8)):
-        pairs = [(i, j) for i in range(1, ctx.k, 2) for j in range(2, ctx.cols + 1, 2)]
+        blocks = [(i, j) for i in range(1, ctx.k, 2) for j in range(2, ctx.cols + 1, 2)]
+        boundaries = [(i, j) for i in range(1, ctx.k + 1) for j in range(2, ctx.cols, 2)]
         for seed in range(5):
-            values = gc.gc_map(gc.quaternionic_frame(ctx, seed))
-            for i, j in pairs:
-                if abs(values.value(i, j) - values.value(i + 1, j - 1)) > 1e-9:
-                    return False, f"Kramers pair z_{{{i},{j}}} = z_{{{i + 1},{j - 1}}} violated in {ctx}, seed {seed}"
-    return True, "every Kramers pair z_{i,j} = z_{i+1,j-1} (i odd, j even) on sampled quaternionic frames"
+            z = gc.gc_map(gc.quaternionic_frame(ctx, seed)).value
+            generic = gc.gc_map(gc.random_frame(ctx, seed)).value
+            for i, j in blocks:
+                block = (z(i, j - 1), z(i, j), z(i + 1, j - 1), z(i + 1, j))
+                if max(block) - min(block) > 1e-9:
+                    return False, f"2x2 block z_{{{i}..{i + 1},{j - 1}..{j}}} not constant in {ctx}, seed {seed}"
+                if abs(generic(i, j) - generic(i + 1, j - 1)) <= 1e-6:
+                    return False, f"random frame has z_{{{i},{j}}} = z_{{{i + 1},{j - 1}}} in {ctx}, seed {seed}"
+            for i, j in boundaries:
+                if abs(z(i, j) - z(i, j + 1)) <= 1e-6:
+                    return False, f"z_{{{i},{j}}} = z_{{{i},{j + 1}}} across a block boundary in {ctx}, seed {seed}"
+    return True, "Kramers 2x2 blocks (i odd, j even) constant; block neighbours and random-frame pairs apart"
 
 
 CHECKS = [

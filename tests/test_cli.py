@@ -274,6 +274,9 @@ _STDOUT_SHA256 = {
     ("evcheck", "3", "6", "GF(7)", "--verbose"): "d1d578c489dfe4906aa1844df6aa771af815c5190a18cb0d713bac875018e855",
     ("evcheck", "1", "2", "Q"): "8127e0f56459b56815f5d74236dfde3786b494da68fdd83135efb93ec07a00fe",
     ("evcheck", "2", "2", "GF(3)"): "3081f6e4386be5fb4cdb1e9a0719eba1304454554af40faed18359b9492a2fdc",
+    # the standing large-n baseline: 600 columns of Gr(2,1200) products read
+    # through terms, about 3 s
+    ("matrix", "1200", "GF(2)"): "ccac43472b4fa95f5a1c6e6a3653e3ddbcffcb085c23dcd68e0e5be45ed7bdbc",
 }
 
 

@@ -358,6 +358,7 @@ P_DIVIDES_N = "p | n composite: charpoly route skipped, oracle only"
 
 GRADED_FIELD_BRANCHES = [
     (1, 6, "GF(3)", 10**6, True, [("rule", True)], ["rank-one degree pieces: k = 1 (or its dual)"]),
+    (3, 3, "GF(2)", 10**6, True, [("rule", True)], ["k = n: Gr(n, n) is a point"]),
     (2, 7, "GF(2^2)", 10**6, True,
      [("charpoly_irreducible", True), ("units_closure", True), ("zero_divisor_search", True)], []),
     (2, 13, "GF(2)", 10**6, True,
@@ -433,6 +434,19 @@ def test_classify_examples():
         classify(2, 5, 4)
     with pytest.raises(ValueError):
         classify(0, 5, 2)
+
+
+@pytest.mark.parametrize("k,c", [(1, 0), (2, 7), (3, 0), (5, 2)])
+def test_classify_a_point(k, c):
+    """Gr(k, k) is a point: one reason for the verdict, and no duality step
+    to Gr(0, k) or rank-one rule for k = 1 in front of it."""
+    v = classify(k, k, c)
+    assert v.is_graded_field and v.diameter.kind == "finite" and v.diameter.bound == 0
+    assert v.reasons == [
+        f"k = n: Gr({k},{k}) is a point, so QH^0 = F",
+        "graded field: spectral diameter bounded by 2k(n-k)/n rounded down",
+    ]
+    assert v.field_dims is None and v.orbit_count is None
 
 
 def test_classify_duality_normalization():

@@ -99,17 +99,27 @@ def test_quaternionic_frame_shape_and_pairing():
         quaternionic_frame(GrContext(2, 5), 0)
 
 
-@pytest.mark.parametrize("k,n", [(2, 4), (4, 8), (4, 10), (6, 12)])
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (4, 8), (4, 10), (6, 12)])
 def test_quaternionic_locus_equality(k, n):
     """On the J-locus every even leading block has its eigenvalues in Kramers
-    pairs: z_{i,j} = z_{i+1,j-1} for odd i and even j (the first is
-    z_{1,2} = z_{2,1})."""
+    pairs, z_{i,j} = z_{i+1,j-1} for odd i and even j (the first is
+    z_{1,2} = z_{2,1}), and interlacing then pins the whole 2x2 block
+    z_{i..i+1,j-1..j} to that value. So the block is checked whole, and the
+    neighbours across a block boundary and the Kramers pairs of a random
+    frame, which a check of the wrong cells would also call equal, must
+    differ."""
     ctx = GrContext(k, n)
-    pairs = [(i, j) for i in range(1, k, 2) for j in range(2, ctx.cols + 1, 2)]
+    blocks = [(i, j) for i in range(1, k, 2) for j in range(2, ctx.cols + 1, 2)]
     for seed in range(100):
-        values = gc_map(quaternionic_frame(ctx, seed))
-        for i, j in pairs:
-            assert abs(values.value(i, j) - values.value(i + 1, j - 1)) < 1e-12, (seed, i, j)
+        z = gc_map(quaternionic_frame(ctx, seed)).value
+        generic = gc_map(random_frame(ctx, seed)).value
+        for i, j in blocks:
+            block = [z(i, j - 1), z(i, j), z(i + 1, j - 1), z(i + 1, j)]
+            assert max(block) - min(block) < 1e-12, (seed, i, j)
+            assert abs(generic(i, j) - generic(i + 1, j - 1)) > 1e-6, (seed, i, j)
+        for i in range(1, k + 1):
+            for j in range(2, ctx.cols, 2):
+                assert abs(z(i, j) - z(i, j + 1)) > 1e-6, (seed, i, j)
 
 
 def test_generic_frames_separate_from_the_locus():

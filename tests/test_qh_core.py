@@ -1,7 +1,13 @@
+import copy
 import gc
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -398,6 +404,87 @@ def test_element_rejects_plain_tuple_and_outside_diagrams():
 def test_element_rejects_outside_diagram_with_zero_coefficient():
     with pytest.raises(ValueError, match="does not fit"):
         QhElement(GrContext(3, 6), QQ, {(YoungDiagram((9,)), 0): Fraction(0)})
+
+
+TERMS_FIELDS = {
+    "Q": QQ,
+    "GF(7)": prime_field(7),
+    "GF(2^3)": make_extension(2, 3),
+    "GF(3)": prime_field(3),
+    "GF(2^2)": make_extension(2, 2),
+    "Q(zeta8)": cyclotomic_field(8),
+}
+
+
+def _seeded_terms(ctx, F, rng, size):
+    """size (diagram, q-power) keys, q-powers -1..1, about one in five with a zero coefficient."""
+    diagrams = enumerate_diagrams(ctx)
+    keys = {(rng.choice(diagrams), rng.randint(-1, 1)) for _ in range(size)}
+    return {key: F.zero() if rng.random() < 0.2 else F.random_element(rng) for key in keys}
+
+
+@pytest.mark.parametrize("label", list(TERMS_FIELDS))
+def test_terms_give_back_the_constructor_mapping(label):
+    """An element keeps its terms on engine codes; terms gives back the
+    mapping it was built from, less the zero coefficients, as a new dict."""
+    F, rng = TERMS_FIELDS[label], random.Random(f"terms {label}")
+    for k, n in ((2, 6), (3, 7), (4, 9)):
+        ctx = GrContext(k, n)
+        for size in (0, 1, 3, 8):
+            terms = _seeded_terms(ctx, F, rng, size)
+            element = QhElement(ctx, F, terms)
+            want = {key: c for key, c in terms.items() if not F.is_zero(c)}
+            assert element.terms == want
+            assert element.terms is not element.terms
+            assert bool(element) == bool(want)
+            assert element == QhElement(ctx, F, dict(reversed(list(want.items()))))
+
+
+_UNPICKLE_AFTER_REVERSED_INTERNING = """
+import pickle, sys
+from qhgrass import qh_core
+from qhgrass.diagram import GrContext, enumerate_diagrams
+for k, n in ((3, 7), (2, 6)):
+    engine = qh_core._engine(GrContext(k, n))
+    for d in reversed(enumerate_diagrams(GrContext(k, n))):
+        engine.lookup(d)
+for element in pickle.load(sys.stdin.buffer):
+    print(qh_core.format_element(element))
+"""
+
+
+def test_pickle_rebuilds_elements_in_a_process_with_other_codes():
+    """Codes are indices in the order a process first sees each diagram, so
+    an element pickles through its terms: a process that indexed the box in
+    reverse order still reads the same element."""
+    rng = random.Random(23)
+    elements = [
+        QhElement(GrContext(k, n), F, _seeded_terms(GrContext(k, n), F, rng, 5))
+        for k, n in ((3, 7), (2, 6))
+        for F in TERMS_FIELDS.values()
+    ]
+    elements.append(quantum_product(elements[0], elements[0]))
+    for element in elements:
+        assert copy.copy(element) == element == copy.deepcopy(element)
+    src = str(Path(qh_core.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _UNPICKLE_AFTER_REVERSED_INTERNING],
+        input=pickle.dumps(elements), env=env, capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().splitlines() == [format_element(e) for e in elements]
+
+
+def test_q_power_must_be_an_integer():
+    """A float q-power would be kept as a float key, so it is refused."""
+    ctx, d = GrContext(2, 5), YoungDiagram((1,))
+    with pytest.raises(TypeError):
+        QhElement(ctx, QQ, {(d, 1.5): Fraction(1)})
+    with pytest.raises(TypeError):
+        QhElement(ctx, QQ, {(d, 1.0): Fraction(1)})
+    with pytest.raises(TypeError):
+        q_shift(sigma(ctx, QQ, (1,)), 1.5)
 
 
 def test_unit_and_context_mismatch():
