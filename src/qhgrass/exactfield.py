@@ -24,14 +24,19 @@ Every field lifts a list of elements to integer coordinates over one common
 denominator (_lift_ints) and maps integer combinations of them back, one
 conversion per result (_drop_ints): the int itself over GF(p), numerators
 over the lcm of the denominators over Q, coefficient lists over an
-extension. The extension product clears denominators through the same lift,
-and qh_core.quantum_product sums structure constants times these
-coordinates before it builds any element. _mul_ints multiplies two such
-coordinates of denominator 1 (the bare kernel over Q(zeta_N), mul
-elsewhere) and _dot_ints sums int multiples of them, reduced mod p over
-GF(p^m) so that the sum is an element the tables take. That is how
-presentation.ev_map evaluates and verify_ideal_vanishing runs its
-recurrence.
+extension. _canon_ints brings such combinations to one canonical form
+instead: zeros left out, residues reduced mod p over a finite field (the
+denominator is 1 there), and over Q and Q(zeta_N) numerators and
+denominator divided by their gcd, so equal values have equal coordinates.
+_lift_canon lifts elements given from outside straight to that form and
+raises TypeError for a value that is not an element. A qh_core.QhElement
+keeps its coefficients in that form; the extension product clears
+denominators through _lift_ints. _mul_ints multiplies two coordinates (the
+int product over Q, the bare kernel over Q(zeta_N), mul elsewhere), and
+their denominators multiply; _dot_ints sums int multiples of them, reduced
+mod p over GF(p^m) so that the sum is an element the tables take. That is
+how qh_core.quantum_product multiplies, presentation.ev_map evaluates and
+verify_ideal_vanishing runs its recurrence.
 
 A Poly over GF(p) keeps its coefficients in [0, p) and multiplies them by
 Kronecker substitution where a product coefficient over Z fits in 8 bytes
@@ -74,7 +79,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Any, Iterable, Iterator, Sequence
 
 from .numberth import cyclotomic_polynomial, factorize, is_prime
@@ -153,9 +158,26 @@ class FieldCtx:
         """{key: coords / d} over the (key, coords) pairs, zeros left out."""
         raise NotImplementedError
 
+    def _lift_canon(self, items: Iterable[tuple[Any, Element]]) -> tuple[dict, int]:
+        """_lift_ints and then _canon_ints on (key, element) pairs given from
+        outside the field's own arithmetic, in one pass: TypeError for a value
+        that is not an element (a float over Q, an int over an extension, a
+        tuple of the wrong length)."""
+        raise NotImplementedError
+
+    def _canon_ints(self, items: Iterable[tuple[Any, Any]], d: int) -> tuple[dict, int]:
+        """({key: coords}, d) in canonical form, for integer combinations of
+        the coords of _lift_ints over d: zeros left out, residues reduced mod
+        p over a finite field (where d is 1), and over Q and Q(zeta_N) coords
+        and d divided by their gcd. Coordinate sequences become tuples, so
+        two canonical forms are equal exactly when the values are. This
+        default serves the finite fields."""
+        return self._drop_ints(items, d), 1
+
     def _mul_ints(self, a, b):
-        """The product of two integer coordinates of _lift_ints with d = 1, as
-        integer coordinates again; mul itself except over Q(zeta_N)."""
+        """The product of two integer coordinates of _lift_ints, as integer
+        coordinates over the product of their denominators; mul itself
+        except over Q (the int product) and Q(zeta_N) (the bare kernel)."""
         return self.mul(a, b)
 
     def _dot_ints(self, weights: Sequence[int], coords: Sequence) -> Any:
@@ -231,12 +253,39 @@ class RationalField(FieldCtx):
     def from_int(self, value):
         return Fraction(value)
 
+    _mul_ints = staticmethod(operator.mul)
+
     def _lift_ints(self, values):
         d = lcm(*[c.denominator for c in values])
         return [c.numerator * (d // c.denominator) for c in values], d
 
     def _drop_ints(self, items, d):
         return {key: Fraction(v, d) for key, v in items if v}
+
+    def _lift_canon(self, items):
+        ratios = []
+        d = 1
+        for key, c in items:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"{c!r} is not an element of Q")
+            num, den = c.as_integer_ratio()
+            if num:
+                ratios.append((key, num, den))
+                if d % den:
+                    d = lcm(d, den)
+        # each prime power in d divides some denominator exactly, and that
+        # coordinate is prime to it: the form is canonical as it stands
+        out = {}
+        for key, num, den in ratios:
+            out[key] = num * (d // den)
+        return out, d
+
+    def _canon_ints(self, items, d):
+        coords = {key: v for key, v in items if v}
+        g = gcd(d, *coords.values()) if d != 1 else 1
+        if g != 1:
+            coords = {key: v // g for key, v in coords.items()}
+        return coords, d // g
 
     def random_element(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -301,6 +350,17 @@ class PrimeField(FieldCtx):
         p = self.p
         return {key: r for key, v in items if (r := v % p)}
 
+    _mul_ints = mul  # the default, one call fewer per pair of terms in a product
+
+    def _lift_canon(self, items):
+        p = self.p
+        out = {}
+        for key, c in items:
+            r = (c if type(c) is int else _integer(c, self)) % p
+            if r:
+                out[key] = r
+        return out, 1
+
     def pow(self, a, exponent):
         if exponent < 0:
             return pow(self.inv(a), -exponent, self.p)
@@ -317,6 +377,14 @@ class PrimeField(FieldCtx):
 
     def __hash__(self):
         return hash(("PrimeField", self.p))
+
+
+def _integer(c, field: FieldCtx) -> int:
+    """c as an int by operator.index, or TypeError: c is not an element of field."""
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise TypeError(f"{c!r} is not an element of {field.label}") from None
 
 
 @lru_cache(maxsize=None)
@@ -498,6 +566,37 @@ class ExtensionField(FieldCtx):
         if p:
             return {key: t for key, v in items if any(t := tuple([c % p for c in v]))}
         return {key: tuple([Fraction(c, d) for c in v]) for key, v in items if any(v)}
+
+    def _lift_canon(self, items):
+        m, p = self.degree, self._p
+        out = {}
+        for key, v in items:
+            if type(v) is not tuple or len(v) != m:
+                raise TypeError(f"{v!r} is not an element of {self.label}: want a tuple of {m} {self.base.label} elements")
+            if p:
+                for c in v:
+                    if type(c) is not int or not 0 <= c < p:  # not a reduced residue
+                        v = tuple([_integer(c, self) % p for c in v])
+                        break
+                if not any(v):
+                    continue
+            out[key] = v
+        if p:
+            return out, 1
+        for v in out.values():
+            if not all(isinstance(c, (int, Fraction)) for c in v):
+                raise TypeError(f"{v!r} is not an element of {self.label}")
+        coords, d = self._lift_ints(list(out.values()))
+        return self._canon_ints(zip(out, coords), d)
+
+    def _canon_ints(self, items, d):
+        if self._p:
+            return super()._canon_ints(items, d)
+        coords = {key: tuple(v) for key, v in items if any(v)}
+        g = gcd(d, *itertools.chain.from_iterable(coords.values())) if d != 1 else 1
+        if g != 1:
+            coords = {key: tuple([c // g for c in v]) for key, v in coords.items()}
+        return coords, d // g
 
     def elements(self):
         if self.order is None:

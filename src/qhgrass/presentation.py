@@ -14,11 +14,11 @@ n = p^d * m with p not dividing m: zeta^m = -1 and p^d is odd.
 xi and the roots are algebraic integers, so the x_i have integer
 coordinates in the splitting field (FieldCtx._lift_ints with denominator 1).
 EvContext keeps the powers of each x_i in those coordinates, and ev_map
-evaluates integer-first, as qh_core.quantum_product sums: the element's
-coefficients are lifted to integers over one denominator, the Giambelli
-monomials are formed with FieldCtx._mul_ints (the extension kernel over
-Q(zeta_N), the field product over GF(p) and GF(p^m)), weighted by their
-summed integer coefficients, and converted to a field element once.
+evaluates integer-first, as qh_core.quantum_product sums: it reads the
+element's integer coordinates over its one denominator as they are kept,
+forms the Giambelli monomials with FieldCtx._mul_ints (the extension kernel
+over Q(zeta_N), the field product over GF(p) and GF(p^m)), weights them by
+their summed integer coefficients, and converts to a field element once.
 verify_ideal_vanishing runs the recurrence for h_r on the same integer rows
 and converts each reported value once.
 """
@@ -178,20 +178,18 @@ def admissible_multisets(F: FieldCtx, k: int, n: int) -> tuple[AdmissibleMultise
 def ev_map(ev: EvContext, J: AdmissibleMultiset, element: QhElement):
     """Image of a quantum cohomology class under ev_J (q -> 1, x_i -> xi^i e_i).
 
-    The coefficients are lifted to integers over one denominator, each
-    Giambelli monomial is weighted by its integer coefficient summed over the
-    terms, and the weighted monomials are summed in integer coordinates and
-    converted to a field element once."""
+    The element's integer coordinates over its denominator are read as
+    kept, each Giambelli monomial is weighted by its integer coefficient
+    summed over the terms, and the weighted monomials are summed in integer
+    coordinates and converted to a field element once."""
     if element.ctx != ev.ctx:
         raise ValueError("context mismatch")
     if element.field != ev.base:
         raise ValueError(f"element over {element.field.label}, evaluation from {ev.base.label}")
     K = ev.field
     rows = ev._power_rows(J, ev.ctx.cols)
-    terms = element.terms  # built anew on every read
-    coeffs, d = ev.base._lift_ints(list(terms.values()))
     weights: dict[tuple[int, ...], int] = {}
-    for (diagram, _m), c in zip(terms, coeffs):
+    for (diagram, _m), c in element._int_terms():
         # the terms are box-checked by QhElement, so the cached table is read as is
         for exps, g in _giambelli_cached(ev.ctx.k, diagram):
             weights[exps] = weights.get(exps, 0) + c * g
@@ -201,7 +199,7 @@ def ev_map(ev: EvContext, J: AdmissibleMultiset, element: QhElement):
         for exps in weights
     ]
     total = K._dot_ints(list(weights.values()), monomials)
-    return K._drop_ints([(0, total)], d).get(0, K.zero())
+    return K._drop_ints([(0, total)], element.den).get(0, K.zero())
 
 
 def verify_ideal_vanishing(ev: EvContext, J: AdmissibleMultiset) -> dict:

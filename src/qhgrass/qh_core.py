@@ -26,20 +26,25 @@ a collection the garbage collector no longer tracks these int-only tuples
 and dicts; it always tracks a diagram, a tuple subclass, and every tuple
 that holds one.
 
-A QhElement keeps its terms on these codes too, as {code: coefficient}.
-Its constructor takes (diagram, q-power) keys and checks each diagram once,
-when the engine first indexes it; `terms` turns the codes back into keys.
-quantum_product works on integers first: it multiplies the coefficients of
-each pair of terms once, lifts these products to integer coordinates over
-one common denominator, sums structure constant times coordinates per output
-code with plain int arithmetic, and converts each sum back to a field
-element once (FieldCtx._lift_ints/_drop_ints).
+A QhElement keeps its terms on these codes too, as {code: integer
+coordinates} over one denominator, in the canonical form of
+FieldCtx._canon_ints, and it keeps the engine whose codes they are. Its
+constructor takes (diagram, q-power) keys, checks each diagram once, when the
+engine first indexes it, and lifts each coefficient once
+(FieldCtx._lift_canon); `terms` turns codes and coordinates back into keys
+and field elements (FieldCtx._drop_ints). quantum_product works on integers
+only: it multiplies the coordinates of each pair of terms once
+(FieldCtx._mul_ints), sums structure constant times coordinates per output
+code with plain int arithmetic over the product of the two denominators,
+and brings the sums to canonical form once. No Fraction is built.
+presentation.ev_map reads the coordinates as they are.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import lcm
 from operator import index
 from typing import Mapping
 
@@ -50,37 +55,51 @@ TermKey = tuple[YoungDiagram, int]
 
 
 class QhElement:
-    """A quantum cohomology class as {code: coefficient}, on the codes of its
-    context's product engine. The constructor takes {(diagram, q-power):
-    coefficient} and `terms` gives that mapping back. Codes are indices in
-    the order this process first saw each diagram, so pickle and copy
-    rebuild an element from its terms."""
+    """A quantum cohomology class as {code: integer coordinates} over one
+    denominator `den`, on the codes of its product engine `engine`.
 
-    __slots__ = ("ctx", "field", "codes")
+    The coordinates are those of FieldCtx._lift_ints, in the canonical form
+    of FieldCtx._canon_ints: a reduced residue (tuple) over GF(p) (GF(p^m))
+    with den 1; an int numerator (int tuple) over Q (Q(zeta_N)) with den > 0
+    prime to all of them. So two elements are equal exactly when their codes
+    and dens are. The constructor takes {(diagram, q-power): coefficient},
+    refuses with TypeError a coefficient that is not a field element, and
+    lifts each once; `terms` gives that mapping back. Codes are indices in
+    the order the engine first saw each diagram, so an element keeps its
+    engine, and pickle and copy rebuild it from its terms."""
+
+    __slots__ = ("ctx", "field", "engine", "codes", "den")
 
     def __init__(self, ctx: GrContext, field: FieldCtx, terms: Mapping[TermKey, object] | None = None):
-        lookup = _engine(ctx).lookup
-        codes: dict[int, object] = {}
-        for (diagram, m), coeff in (terms or {}).items():
+        engine = _engine(ctx)
+        lookup = engine.lookup
+        terms = terms or {}
+        codes = []
+        for diagram, m in terms:
             if not isinstance(diagram, YoungDiagram):
                 raise TypeError(f"term diagram must be a YoungDiagram, not {type(diagram).__name__}")
-            code = lookup(diagram) + index(m) * _Q
-            if not field.is_zero(coeff):
-                codes[code] = coeff
-        self.ctx, self.field, self.codes = ctx, field, codes
+            codes.append(lookup(diagram) + index(m) * _Q)
+        self.ctx, self.field, self.engine = ctx, field, engine
+        self.codes, self.den = field._lift_canon(zip(codes, terms.values()))
 
     @classmethod
-    def _trusted(cls, ctx: GrContext, field: FieldCtx, codes: dict[int, object]) -> "QhElement":
-        """An element on codes as given: codes of ctx's engine, no coefficient zero."""
+    def _trusted(cls, a: "QhElement", codes: dict, den: int) -> "QhElement":
+        """An element of a's context, field and engine on codes and den as
+        given, in the canonical form of FieldCtx._canon_ints."""
         element = object.__new__(cls)
-        element.ctx, element.field, element.codes = ctx, field, codes
+        element.ctx, element.field, element.engine = a.ctx, a.field, a.engine
+        element.codes, element.den = codes, den
         return element
 
     @property
     def terms(self) -> dict[TermKey, object]:
         """{(diagram, q-power): coefficient}, a new dict built on every call."""
+        return self.field._drop_ints(self._int_terms(), self.den)
+
+    def _int_terms(self):
+        """((diagram, q-power), integer coordinates) per term, over self.den."""
         codes = self.codes
-        return dict(zip(map(_engine(self.ctx).keys.__getitem__, codes), codes.values()))
+        return zip(map(self.engine.keys.__getitem__, codes), codes.values())
 
     def __reduce__(self):
         return QhElement, (self.ctx, self.field, self.terms)
@@ -102,39 +121,54 @@ class QhElement:
     # -- linear structure --------------------------------------------------
 
     def _check_compatible(self, other: "QhElement"):
+        if other.engine is self.engine and other.field is self.field:
+            return  # one engine serves one (k, n)
         if other.ctx != self.ctx or other.field != self.field:
             raise ValueError("context or field mismatch")
+        if other.engine is not self.engine:
+            raise ValueError("elements of one context on two product engines")
+
+    def _combine(self, parts: list[tuple[int, dict]], den: int) -> "QhElement":
+        """The sum of weight * codes over the (weight, codes) parts, over den."""
+        sums: dict[int, tuple[list, list]] = {}
+        for w, codes in parts:
+            for code, c in codes.items():
+                weights, coords = sums.setdefault(code, ([], []))
+                weights.append(w)
+                coords.append(c)
+        dot = self.field._dot_ints
+        items = ((code, dot(weights, coords)) for code, (weights, coords) in sums.items())
+        return QhElement._trusted(self, *self.field._canon_ints(items, den))
 
     def __add__(self, other):
         self._check_compatible(other)
-        F = self.field
-        acc = dict(self.codes)
-        for code, c in other.codes.items():
-            total = F.add(acc[code], c) if code in acc else c
-            if F.is_zero(total):
-                acc.pop(code, None)
-            else:
-                acc[code] = total
-        return QhElement._trusted(self.ctx, F, acc)
+        den = lcm(self.den, other.den)
+        return self._combine([(den // self.den, self.codes), (den // other.den, other.codes)], den)
 
     def __neg__(self):
-        F = self.field
-        return QhElement._trusted(self.ctx, F, {code: F.neg(c) for code, c in self.codes.items()})
+        return self._combine([(-1, self.codes)], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, coeff) -> "QhElement":
         F = self.field
-        products = ((code, F.mul(coeff, c)) for code, c in self.codes.items())
-        return QhElement._trusted(self.ctx, F, {code: c for code, c in products if not F.is_zero(c)})
+        lifted, d = F._lift_canon([(0, coeff)])
+        if not lifted:
+            return QhElement._trusted(self, {}, 1)
+        c, mul = lifted[0], F._mul_ints
+        items = ((code, mul(c, x)) for code, x in self.codes.items())
+        return QhElement._trusted(self, *F._canon_ints(items, self.den * d))
 
     def __mul__(self, other):
         return quantum_product(self, other)
 
     def __eq__(self, other):
-        same = isinstance(other, QhElement) and other.ctx == self.ctx and other.field == self.field
-        return same and other.codes == self.codes
+        if not (isinstance(other, QhElement) and other.ctx == self.ctx and other.field == self.field):
+            return False
+        if other.engine is not self.engine:  # codes of two engines name different diagrams
+            return other.terms == self.terms
+        return other.codes == self.codes and other.den == self.den
 
     def __bool__(self):
         return bool(self.codes)
@@ -242,8 +276,8 @@ def pieri_multiply(element: QhElement, j: int) -> QhElement:
     if not 1 <= j <= ctx.k:
         raise ValueError(f"Pieri index {j} out of range 1..{ctx.k}")
     if not ctx.cols:  # Gr(n, n) is a point: x_n = q and x_j = 0 below n
-        return q_shift(element, 1) if j == ctx.k else QhElement.zero(ctx, element.field)
-    return quantum_product(special_class(ctx, element.field, j), element)
+        return q_shift(element, 1) if j == ctx.k else QhElement._trusted(element, {}, 1)
+    return quantum_product(_schubert_like(element, column_diagram(j)), element)
 
 
 def transposed_pieri_multiply(element: QhElement, j: int) -> QhElement:
@@ -251,14 +285,20 @@ def transposed_pieri_multiply(element: QhElement, j: int) -> QhElement:
     ctx = element.ctx
     if not 1 <= j <= ctx.cols:
         raise ValueError(f"transposed Pieri index {j} out of range 1..{ctx.cols}")
-    return quantum_product(QhElement.schubert(ctx, element.field, YoungDiagram((j,))), element)
+    return quantum_product(_schubert_like(element, YoungDiagram((j,))), element)
+
+
+def _schubert_like(element: QhElement, diagram: YoungDiagram) -> QhElement:
+    """sigma_diagram on the context, field and engine of element."""
+    F = element.field
+    return QhElement._trusted(element, *F._lift_canon([(element.engine.lookup(diagram), F.one())]))
 
 
 def q_shift(element: QhElement, m: int) -> QhElement:
     """Multiply by q^m."""
     shift = index(m) * _Q
     codes = {code + shift: c for code, c in element.codes.items()}
-    return QhElement._trusted(element.ctx, element.field, codes)
+    return QhElement._trusted(element, codes, element.den)
 
 
 # ---------------------------------------------------------------------------
@@ -486,26 +526,24 @@ def schubert_product(ctx: GrContext, first: YoungDiagram, second: YoungDiagram) 
 def quantum_product(a: QhElement, b: QhElement) -> QhElement:
     """Bilinear extension of the Schubert-class product."""
     a._check_compatible(b)
-    ctx, F = a.ctx, a.field
-    pair = _engine(ctx).pair
-    # the terms of b as (index, q-power as a code offset, coefficient)
+    F = a.field
+    pair = a.engine.pair
+    mul = F._mul_ints
+    # the terms of b as (index, q-power as a code offset, coordinates)
     rest = [(code & _IDX, code & ~_IDX, c) for code, c in b.codes.items()]
     # per pair of terms: its constants, the code offset of its q-power, and
-    # (in c12s) the product of the two coefficients
+    # the product of the two coordinates, over a.den * b.den
     blocks = []
-    c12s = []
     for code, c1 in a.codes.items():
         i, s1 = code & _IDX, code & ~_IDX
         for j, s2, c2 in rest:
-            blocks.append((pair(i, j), s1 + s2))
-            c12s.append(F.mul(c1, c2))
-    coords, den = F._lift_ints(c12s)
+            blocks.append((pair(i, j), s1 + s2, mul(c1, c2)))
     acc: dict[int, object] = {}
     get = acc.get
     # codes and coefficients alternate, and zip draws the code first; a block
     # with a q-power shift adds it by map, which costs no bytecode per term
-    if isinstance(F, ExtensionField):  # coordinate lists
-        for (constants, shift), v in zip(blocks, coords):
+    if isinstance(F, ExtensionField):  # coordinate sequences
+        for constants, shift, v in blocks:
             it = iter(constants)
             for code, N in zip(map(shift.__add__, it) if shift else it, it):
                 old = get(code)
@@ -514,11 +552,11 @@ def quantum_product(a: QhElement, b: QhElement) -> QhElement:
                 else:
                     acc[code] = [s + N * x for s, x in zip(old, v)]
     else:
-        for (constants, shift), v in zip(blocks, coords):
+        for constants, shift, v in blocks:
             it = iter(constants)
             for code, N in zip(map(shift.__add__, it) if shift else it, it):
                 acc[code] = get(code, 0) + N * v
-    return QhElement._trusted(ctx, F, F._drop_ints(acc.items(), den))
+    return QhElement._trusted(a, *F._canon_ints(acc.items(), a.den * b.den))
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,10 @@ _STDOUT_SHA256 = {
     ("pieri", "4", "9", "GF(2^2)", "3", "σ[5,3,1]"): "60c3da6d4627fd3f2ff3efc14f0a5e11bd3b3837953a675359242e9e9242f904",
     ("product", "3", "7", "GF(3^2)", "2*σ[2,1]+q*σ[1]+σ[4,4,1]", "σ[3,1]+-1*σ[2]"): "89cb7fa72790a7a06c92fbac1746fe3ee68ff7af51abc9426dde29d6359dcab4",
     ("matrix", "11", "GF(3^2)"): "1a0e1c9f63ffaccdef34b9d3b729a40fc5676d0b4b964c04ad48702421563478",
+    # recorded before elements kept integer coordinates over one denominator:
+    # mixed denominators over Q, and the same product over GF(7)
+    ("product", "3", "7", "Q", "3/2*σ[2,1]+q*σ[1]+-2*σ[4,4,1]", "σ[3,1]+-1/3*σ[2]"): "20daf269c824238128a116edff8b62ea253cfa92942908078c40da6a3607288b",
+    ("product", "3", "7", "GF(7)", "3/2*σ[2,1]+q*σ[1]+-2*σ[4,4,1]", "σ[3,1]+-1/3*σ[2]"): "770a9959eccb33e2098d5c8d47f93caf31cadf65f2a77b7c9394df8fa1fcf560",
     # p | n (2 | 6), and a GF(2^3) splitting field
     ("evcheck", "2", "6", "GF(2)", "--verbose"): "11bd490d99578884127394d3fb2ab5986bac203727f248ebf95180313f0b3c92",
     ("evcheck", "3", "7", "GF(2)"): "a1a7b118fb15003780a55d8b028b92261aed5694b917fe09751e1d1afd10545d",

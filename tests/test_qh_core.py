@@ -523,11 +523,16 @@ def _random_homogeneous(ctx, field, rng):
 
 @pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3) for n in range(max(2, k), 9)])
 def test_product_laws(k, n):
-    """Associativity, commutativity, grading on random homogeneous triples."""
+    """Associativity, commutativity, distributivity, (a + b) - b = a and
+    grading on random homogeneous triples, over prime, extension and
+    cyclotomic fields."""
     ctx = GrContext(k, n)
-    fields = [QQ, prime_field(2), prime_field(3), prime_field(7)]
+    fields = [
+        QQ, prime_field(2), prime_field(3), prime_field(7),
+        make_extension(2, 3), make_extension(3, 2), cyclotomic_field(8),
+    ]
     rng = random.Random(1000 * k + n)
-    per_field = 50  # 200 triples per context across the four fields
+    per_field = 50  # 350 triples per context across the seven fields
     for field in fields:
         for _ in range(per_field):
             a = _random_homogeneous(ctx, field, rng)
@@ -536,6 +541,8 @@ def test_product_laws(k, n):
             ab = quantum_product(a, b)
             assert ab == quantum_product(b, a)
             assert quantum_product(ab, c) == quantum_product(a, quantum_product(b, c))
+            assert a * (b + c) == ab + a * c
+            assert (a + b) - b == a
             if a.terms and b.terms and ab.terms:
                 assert (
                     ab.homogeneous_degree()
@@ -615,6 +622,74 @@ def test_format_and_parse_roundtrip():
     assert format_element(QhElement.zero(ctx, QQ)) == "0"
     with pytest.raises(ValueError):
         parse_element(ctx, QQ, "garbage")
+
+
+def test_equality_over_q_is_canonical():
+    """Over Q an element keeps integer numerators over one denominator prime
+    to them, so scaling by c and then by 1/c gives back the same codes, den
+    and terms, and == compares them directly."""
+    ctx = GrContext(3, 7)
+    rng = random.Random(31)
+    for _ in range(40):
+        a = QhElement(ctx, QQ, _seeded_terms(ctx, QQ, rng, 4))
+        c = QQ.zero()
+        while not c:
+            c = QQ.random_element(rng)
+        back = a.scale(c).scale(1 / c)
+        assert back == a and back.terms == a.terms
+        assert (back.codes, back.den) == (a.codes, a.den)
+        assert not a.scale(QQ.zero()) and a.scale(QQ.zero()).den == 1
+        assert (a + a.scale(c)) - a == a.scale(c)
+
+
+def test_constructor_reduces_coefficients_and_refuses_non_elements():
+    """Residues are reduced on input, so equal elements compare and print
+    equal; a value that is not a field element raises TypeError when the
+    element is built, not later inside a product."""
+    ctx, d = GrContext(2, 5), YoungDiagram((1,))
+    F7, G = prime_field(7), make_extension(2, 3)
+    nine = QhElement(ctx, F7, {(d, 0): 9})
+    assert nine == QhElement(ctx, F7, {(d, 0): 2})
+    assert format_element(nine) == "2*σ[1]"
+    assert not QhElement(ctx, F7, {(d, 0): 14})
+    reduced = QhElement(ctx, G, {(d, 0): (3, 0, 1)})
+    assert reduced == QhElement(ctx, G, {(d, 0): (1, 0, 1)})
+    assert reduced.terms == {(d, 0): (1, 0, 1)}
+    assert format_element(reduced) == "(1 + t^2)*σ[1]"
+    assert not QhElement(ctx, G, {(d, 0): (2, 4, 0)})
+    not_elements = [
+        (QQ, 1.5), (QQ, 2.0), (QQ, "1"),
+        (F7, 1.5), (F7, Fraction(1, 2)),
+        (G, 1), (G, (1, 0)), (G, (1, 0, 0, 0)), (G, [1, 0, 1]), (G, (1.0, 0, 1)),
+        (cyclotomic_field(8), (1, 0, 0)), (cyclotomic_field(8), (0.5, 0, 0, 0)),
+    ]
+    for F, c in not_elements:
+        with pytest.raises(TypeError, match="not an element"):
+            QhElement(ctx, F, {(d, 0): c})
+        with pytest.raises(TypeError, match="not an element"):
+            QhElement.unit(ctx, F).scale(c)
+
+
+def test_elements_keep_their_engine():
+    """An element reads its codes through the engine that made them, so
+    dropping the engine table and indexing the box in another order changes
+    nothing it prints. Sums and products of elements of two engines of one
+    context are refused; == compares their terms."""
+    ctx = GrContext(2, 5)
+    old = parse_element(ctx, QQ, "σ[2,1] + q*σ[1]")
+    qh_core._ENGINES.clear()
+    engine = qh_core._engine(ctx)
+    for diagram in reversed(enumerate_diagrams(ctx)):
+        engine.lookup(diagram)
+    assert format_element(old) == "σ[2,1] + q*σ[1]"
+    new = parse_element(ctx, QQ, "σ[2,1] + q*σ[1]")
+    assert old == new and old.terms == new.terms
+    assert old * old == new * new
+    assert pieri_multiply(old, 2) == pieri_multiply(new, 2)
+    assert transposed_pieri_multiply(old, 1) == transposed_pieri_multiply(new, 1)
+    for mix in (lambda: old + new, lambda: old - new, lambda: old * new):
+        with pytest.raises(ValueError, match="engines"):
+            mix()
 
 
 @settings(max_examples=40, deadline=None)
