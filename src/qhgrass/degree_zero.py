@@ -38,7 +38,7 @@ from .numberth import (
     multiplicative_order,
     order_dividing,
 )
-from .qh_core import QhElement, pieri_multiply, q_shift, quantum_product
+from .qh_core import QhElement, _schubert_like, pieri_multiply, q_shift, quantum_product
 
 
 # Gr(2, 131) over Q (ell = 65) must still fail: perfbench/gate.py KNOWN_FAILURES
@@ -77,7 +77,8 @@ def mult_matrix(element: QhElement, degree: int) -> SquareMatrix:
     size = len(basis)
     columns = []
     for diagram, m in basis:
-        image = quantum_product(element, QhElement.schubert(ctx, F, diagram, m))
+        # the basis class on element's engine, which the current one of ctx may not be
+        image = quantum_product(element, q_shift(_schubert_like(element, diagram), m))
         col = [F.zero()] * size
         for key, coeff in image.terms.items():
             col[index[key]] = coeff
@@ -467,11 +468,14 @@ def classify(k: int, n: int, char_spec: int) -> ClassifierVerdict:
     # the graded-field rule: k = n, k = 1, or k = 2 with n prime, char != n,
     # and char = 0 or {char, -1} generating the units mod n
     is_field = kk <= 1
+    field_dims = None
     if not kk:
         reasons.append(f"k = n: Gr({n},{n}) is a point, so QH^0 = F")
     elif kk == 1:
         reasons.append("k = 1: every graded piece has rank one, so QH^0 = F")
     elif kk == 2:
+        if char_spec and gcd(n, char_spec) == 1:
+            field_dims = orbit_sizes(n, char_spec)
         if not is_prime(n):
             reasons.append(f"k = 2 but n = {n} is not prime")
         elif char_spec == n:
@@ -479,7 +483,8 @@ def classify(k: int, n: int, char_spec: int) -> ClassifierVerdict:
         elif char_spec == 0:
             is_field = True
             reasons.append(f"k = 2 with n = {n} prime over characteristic 0")
-        elif generates_units(char_spec, n):
+        elif len(field_dims) == 1:
+            # n prime: {p, -1} generates (Z/nZ)^x exactly when its pairs {a, -a} form one orbit
             is_field = True
             reasons.append(
                 f"k = 2, n = {n} prime, and {{{char_spec}, -1}} generates (Z/{n}Z)^x"
@@ -509,9 +514,9 @@ def classify(k: int, n: int, char_spec: int) -> ClassifierVerdict:
     verdict = ClassifierVerdict(
         k=k, n=n, char=char_spec, is_graded_field=is_field, diameter=diameter, reasons=reasons
     )
-    if kk == 2 and char_spec and gcd(n, char_spec) == 1:
-        verdict.field_dims = orbit_sizes(n, char_spec)
-        verdict.orbit_count = len(verdict.field_dims)
+    if field_dims is not None:
+        verdict.field_dims = field_dims
+        verdict.orbit_count = len(field_dims)
     elif kk == 2 and char_spec and n % char_spec == 0:
         reasons.append("p | n: the orbit method does not apply (no field-summand count)")
     return verdict

@@ -33,10 +33,10 @@ raises TypeError for a value that is not an element. A qh_core.QhElement
 keeps its coefficients in that form; the extension product clears
 denominators through _lift_ints. _mul_ints multiplies two coordinates (the
 int product over Q, the bare kernel over Q(zeta_N), mul elsewhere), and
-their denominators multiply; _dot_ints sums int multiples of them, reduced
-mod p over GF(p^m) so that the sum is an element the tables take. That is
-how qh_core.quantum_product multiplies, presentation.ev_map evaluates and
-verify_ideal_vanishing runs its recurrence.
+their denominators multiply; _accumulate adds N times one coordinate value
+to a dict's sum at each (key, N), unreduced: ints in FieldCtx, new lists that
+never change a value given in ExtensionField. qh_core and presentation sum
+through it, and none of their code tests the shape of a coordinate.
 
 A Poly over GF(p) keeps its coefficients in [0, p) and multiplies them by
 Kronecker substitution where a product coefficient over Z fits in 8 bytes
@@ -180,9 +180,10 @@ class FieldCtx:
         except over Q (the int product) and Q(zeta_N) (the bare kernel)."""
         return self.mul(a, b)
 
-    def _dot_ints(self, weights: Sequence[int], coords: Sequence) -> Any:
-        """Sum of weights[i] * coords[i], integer coordinates for _drop_ints."""
-        return sum(map(operator.mul, weights, coords))
+    def _accumulate(self, acc: dict, pairs: Iterable[tuple[Any, int]], v) -> None:
+        """acc[key] += N * v (0 if missing) per (key, N), on coords of _lift_ints, unreduced."""
+        for key, N in pairs:  # few pairs a call: acc.get is not worth binding
+            acc[key] = acc.get(key, 0) + N * v
 
     def pow(self, a, exponent: int) -> Element:
         if exponent < 0:
@@ -524,11 +525,14 @@ class ExtensionField(FieldCtx):
     def _mul_ints(self, a, b):
         return self.mul(a, b) if self._p else self._kernel(a, b)
 
-    def _dot_ints(self, weights, coords):
-        sums = [sum(map(operator.mul, weights, column)) for column in zip(*coords)]
-        p = self._p
-        # over GF(p^m) the reduced sum is an element, which the tables of _mul_ints take
-        return tuple([c % p for c in sums]) if p else sums
+    def _accumulate(self, acc, pairs, v):
+        # new lists each time: v, and a value already in acc, may be shared
+        for key, N in pairs:
+            old = acc.get(key)
+            if old is None:
+                acc[key] = v if N == 1 else [N * x for x in v]
+            else:
+                acc[key] = [s + N * x for s, x in zip(old, v)]
 
     def inv(self, a):
         if self.is_zero(a):

@@ -17,10 +17,10 @@ EvContext keeps the powers of each x_i in those coordinates, and ev_map
 evaluates integer-first, as qh_core.quantum_product sums: it reads the
 element's integer coordinates over its one denominator as they are kept,
 forms the Giambelli monomials with FieldCtx._mul_ints (the extension kernel
-over Q(zeta_N), the field product over GF(p) and GF(p^m)), weights them by
-their summed integer coefficients, and converts to a field element once.
-verify_ideal_vanishing runs the recurrence for h_r on the same integer rows
-and converts each reported value once.
+over Q(zeta_N), the field product over GF(p) and GF(p^m)), adds them with
+their summed integer coefficients (FieldCtx._accumulate), and converts once.
+verify_ideal_vanishing runs the h_r recurrence on the same rows the same way,
+keeps each h_r canonical (FieldCtx._canon_ints) and converts each value once.
 """
 
 from __future__ import annotations
@@ -55,14 +55,16 @@ def _elementary_upto(F: FieldCtx, values: Sequence, i: int) -> list:
 
 def _complete_upto(F: FieldCtx, es: Sequence, i: int) -> list:
     """[h_0, ..., h_i] from [e_0, ..., e_k], by h_r = h_{r-1}e_1 - h_{r-2}e_2 + ...
-    (E(-t)H(t) = 1), in the integer coordinates of F._mul_ints and F._dot_ints
-    (over Q and GF(p) those are the elements themselves); h_0 is es[0]."""
+    (E(-t)H(t) = 1), in integer coordinates by F._mul_ints and F._accumulate, each
+    h_r canonical (F._canon_ints, a reduced tuple F.mul takes over GF(p^m)); h_0 is es[0]."""
     k = len(es) - 1
+    (zero,), _ = F._lift_ints([F.zero()])
     hs = [es[0]]
     for r in range(1, i + 1):
-        top = min(r, k)
-        products = [F._mul_ints(hs[r - j], es[j]) for j in range(1, top + 1)]
-        hs.append(F._dot_ints([(-1) ** (j + 1) for j in range(1, top + 1)], products))
+        acc: dict[int, object] = {}
+        for j in range(1, min(r, k) + 1):
+            F._accumulate(acc, ((0, (-1) ** (j + 1)),), F._mul_ints(hs[r - j], es[j]))
+        hs.append(F._canon_ints(acc.items(), 1)[0].get(0, zero))
     return hs
 
 
@@ -194,12 +196,11 @@ def ev_map(ev: EvContext, J: AdmissibleMultiset, element: QhElement):
         for exps, g in _giambelli_cached(ev.ctx.k, diagram):
             weights[exps] = weights.get(exps, 0) + c * g
     # rows[0][0] = x_1^0 = 1 stands for the empty monomial
-    monomials = [
-        reduce(K._mul_ints, [row[e] for row, e in zip(rows, exps) if e] or [rows[0][0]])
-        for exps in weights
-    ]
-    total = K._dot_ints(list(weights.values()), monomials)
-    return K._drop_ints([(0, total)], element.den).get(0, K.zero())
+    total: dict[int, object] = {}
+    for exps, w in weights.items():
+        monomial = reduce(K._mul_ints, [row[e] for row, e in zip(rows, exps) if e] or [rows[0][0]])
+        K._accumulate(total, ((0, w),), monomial)
+    return K._drop_ints(total.items(), element.den).get(0, K.zero())
 
 
 def verify_ideal_vanishing(ev: EvContext, J: AdmissibleMultiset) -> dict:
@@ -214,8 +215,8 @@ def verify_ideal_vanishing(ev: EvContext, J: AdmissibleMultiset) -> dict:
     rows = ev._power_rows(J, 1)
     one = rows[0][0]
     hs = _complete_upto(K, [one] + [row[1] for row in rows], n)
-    values = {r: hs[r] for r in range(n - k + 1, n)}
-    values[n] = K._dot_ints([1, (-1) ** k], [hs[n], one])
+    values = {r: hs[r] for r in range(n - k + 1, n + 1)}
+    K._accumulate(values, ((n, (-1) ** k),), one)
     values = K._drop_ints(values.items(), 1)
     checks = []
     for r in range(n - k + 1, n + 1):

@@ -34,10 +34,10 @@ engine first indexes it, and lifts each coefficient once
 (FieldCtx._lift_canon); `terms` turns codes and coordinates back into keys
 and field elements (FieldCtx._drop_ints). quantum_product works on integers
 only: it multiplies the coordinates of each pair of terms once
-(FieldCtx._mul_ints), sums structure constant times coordinates per output
-code with plain int arithmetic over the product of the two denominators,
-and brings the sums to canonical form once. No Fraction is built.
-presentation.ev_map reads the coordinates as they are.
+(FieldCtx._mul_ints), adds constant times product per output code
+(FieldCtx._accumulate, whatever the coordinates' shape) over the product of
+the two denominators, and brings the sums to canonical form once; `+` and `-`
+accumulate too. No Fraction is built. ev_map reads the coordinates as kept.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from operator import index
 from typing import Mapping
 
 from .diagram import EMPTY, GrContext, YoungDiagram, column_diagram
-from .exactfield import ExtensionField, FieldCtx
+from .exactfield import FieldCtx
 
 TermKey = tuple[YoungDiagram, int]
 
@@ -128,25 +128,19 @@ class QhElement:
         if other.engine is not self.engine:
             raise ValueError("elements of one context on two product engines")
 
-    def _combine(self, parts: list[tuple[int, dict]], den: int) -> "QhElement":
-        """The sum of weight * codes over the (weight, codes) parts, over den."""
-        sums: dict[int, tuple[list, list]] = {}
-        for w, codes in parts:
-            for code, c in codes.items():
-                weights, coords = sums.setdefault(code, ([], []))
-                weights.append(w)
-                coords.append(c)
-        dot = self.field._dot_ints
-        items = ((code, dot(weights, coords)) for code, (weights, coords) in sums.items())
-        return QhElement._trusted(self, *self.field._canon_ints(items, den))
-
     def __add__(self, other):
         self._check_compatible(other)
-        den = lcm(self.den, other.den)
-        return self._combine([(den // self.den, self.codes), (den // other.den, other.codes)], den)
+        F, den, acc = self.field, lcm(self.den, other.den), {}
+        for x in (self, other):
+            for code, c in x.codes.items():
+                F._accumulate(acc, ((code, den // x.den),), c)
+        return QhElement._trusted(self, *F._canon_ints(acc.items(), den))
 
     def __neg__(self):
-        return self._combine([(-1, self.codes)], self.den)
+        F, acc = self.field, {}
+        for code, c in self.codes.items():
+            F._accumulate(acc, ((code, -1),), c)
+        return QhElement._trusted(self, *F._canon_ints(acc.items(), self.den))
 
     def __sub__(self, other):
         return self + (-other)
@@ -528,34 +522,18 @@ def quantum_product(a: QhElement, b: QhElement) -> QhElement:
     a._check_compatible(b)
     F = a.field
     pair = a.engine.pair
-    mul = F._mul_ints
+    mul, accumulate = F._mul_ints, F._accumulate
     # the terms of b as (index, q-power as a code offset, coordinates)
     rest = [(code & _IDX, code & ~_IDX, c) for code, c in b.codes.items()]
-    # per pair of terms: its constants, the code offset of its q-power, and
-    # the product of the two coordinates, over a.den * b.den
-    blocks = []
+    acc: dict[int, object] = {}
     for code, c1 in a.codes.items():
         i, s1 = code & _IDX, code & ~_IDX
         for j, s2, c2 in rest:
-            blocks.append((pair(i, j), s1 + s2, mul(c1, c2)))
-    acc: dict[int, object] = {}
-    get = acc.get
-    # codes and coefficients alternate, and zip draws the code first; a block
-    # with a q-power shift adds it by map, which costs no bytecode per term
-    if isinstance(F, ExtensionField):  # coordinate sequences
-        for constants, shift, v in blocks:
-            it = iter(constants)
-            for code, N in zip(map(shift.__add__, it) if shift else it, it):
-                old = get(code)
-                if old is None:
-                    acc[code] = v if N == 1 else [N * x for x in v]
-                else:
-                    acc[code] = [s + N * x for s, x in zip(old, v)]
-    else:
-        for constants, shift, v in blocks:
-            it = iter(constants)
-            for code, N in zip(map(shift.__add__, it) if shift else it, it):
-                acc[code] = get(code, 0) + N * v
+            # codes and constants alternate, and zip draws the code first; a
+            # q-power shift is added by map, which costs no bytecode per term
+            it = iter(pair(i, j))
+            shift = s1 + s2
+            accumulate(acc, zip(map(shift.__add__, it) if shift else it, it), mul(c1, c2))
     return QhElement._trusted(a, *F._canon_ints(acc.items(), a.den * b.den))
 
 

@@ -61,7 +61,15 @@ def _check_integer_accumulation():
                         want[key] = F.add(want.get(key, F.zero()), F.mul(c12, F.from_int(N)))
             if qc.quantum_product(a, b).terms != {key: c for key, c in want.items() if not F.is_zero(c)}:
                 return False, f"{F.label}: ({qc.format_element(a)}) * ({qc.format_element(b)}) differs from the per-term expansion"
-    return True, "GF(2^3), Q(zeta8), Q and GF(7) products on Gr(3,6) match one field product per term"
+            # with a itself too, every term meets its partner and a - a cancels
+            for other in (b, a):
+                for op, combine, got in (("+", F.add, a + other), ("-", F.sub, a - other)):
+                    want = dict(a.terms)
+                    for key, c in other.terms.items():
+                        want[key] = combine(want.get(key, F.zero()), c)
+                    if got.terms != {key: c for key, c in want.items() if not F.is_zero(c)}:
+                        return False, f"{F.label}: ({qc.format_element(a)}) {op} ({qc.format_element(other)}) differs from the per-term sum"
+    return True, "GF(2^3), Q(zeta8), Q and GF(7) products, sums and differences on Gr(3,6) match field arithmetic per term"
 
 
 def _check_pieri_golden():

@@ -35,6 +35,8 @@ from qhgrass.degree_zero import (
     standard_degree_zero_element,
     zero_divisor_search,
 )
+from qhgrass import qh_core
+from qhgrass.numberth import is_prime
 from qhgrass.qh_core import QhElement, q_shift, special_class
 
 from oracles import int_poly, sequential_distinct_degree_parts, sympy_is_irreducible_q, units_from_powers
@@ -50,6 +52,15 @@ def test_mult_matrix_unit_is_identity():
     ctx = GrContext(2, 9)
     M = mult_matrix(QhElement.unit(ctx, QQ), 7)
     assert M == SquareMatrix.from_int_rows(QQ, [[int(i == j) for j in range(M.size)] for i in range(M.size)])
+
+
+def test_mult_matrix_on_an_element_whose_engine_was_dropped():
+    """The basis classes are built on the element's engine, so dropping the
+    engine table leaves the matrix as it was."""
+    e = standard_degree_zero_element(GrContext(2, 7), QQ)
+    before = mult_matrix(e, 5)
+    qh_core._ENGINES.clear()
+    assert mult_matrix(e, 5) == before
 
 
 def test_mult_matrix_requires_degree_zero():
@@ -211,6 +222,20 @@ def test_orbit_functions_reject_n_below_one(n, p):
         with pytest.raises(ValueError, match="n must be at least 1"):
             orbits(n, p)
     assert orbit_decomposition(1, p).count == 0 and orbit_sizes(1, p) == []
+
+
+def test_classify_verdict_is_the_unit_group_criterion():
+    """For prime n and prime p != n the k = 2 verdict is decided by one orbit,
+    which must agree with generates_units, and its reason says which."""
+    primes = [m for m in range(2, 400) if is_prime(m)]
+    for n in primes[2:]:  # Gr(2, n) has k = 2 from n = 5
+        for p in primes[:10]:
+            if p == n:
+                continue
+            verdict = classify(2, n, p)
+            assert verdict.is_graded_field == generates_units(p, n), (n, p)
+            assert (verdict.orbit_count == 1) == verdict.is_graded_field, (n, p)
+            assert ("does not generate" in verdict.reasons[0]) != verdict.is_graded_field, (n, p)
 
 
 def test_classify_large_n_against_enumerated_orbits():

@@ -177,6 +177,48 @@ def test_fields_above_the_table_cap_build_no_tables(p, m):
     assert F._log == {} and F._exp == []
 
 
+_ACCUMULATE_FIELDS = {
+    "Q": lambda: QQ,
+    "GF(7)": lambda: prime_field(7),
+    "GF(2^3)": lambda: make_extension(2, 3),  # log tables
+    "GF(13^4)": lambda: make_extension(13, 4),  # above TABLE_CAP: the integer kernel
+    "Q(zeta8)": lambda: cyclotomic_field(8),
+}
+
+
+@pytest.mark.parametrize("label", list(_ACCUMULATE_FIELDS))
+def test_accumulate_matches_field_sums_and_leaves_its_inputs_alone(label):
+    """_accumulate(acc, pairs, v) adds N * v to acc[key] for each (key, N);
+    after _drop_ints the sums are those of F.mul, F.add and F.from_int, and
+    no input coordinate value is changed, also one stored as given for N = 1
+    and hit again later."""
+    F = _ACCUMULATE_FIELDS[label]()
+    rng = random.Random(25)
+    values = [F.random_element(rng) for _ in range(5)]
+    coords, d = F._lift_ints(values)
+    if isinstance(F, ExtensionField):
+        F.mul(F.one(), F.one())  # builds the log tables where the field has them
+        assert bool(F._log) == (label == "GF(2^3)")
+        coords = [list(v) for v in coords]  # lists, so that an update in place would show
+    before = [list(v) if isinstance(v, list) else v for v in coords]
+    # (key, N, index of v): v 0 first stored as given (N = 1), then hit again;
+    # v 1 under several keys; key 2 hit several times; N = 0, 1, -1 and larger
+    triples = [(0, 1, 0), (0, 1, 1), (1, 1, 1), (2, -1, 1), (3, 17, 1), (0, -1, 0),
+               (2, 0, 2), (2, 1, 3), (2, -40, 4), (4, 1, 2), (4, 1, 4)]
+    triples += [(rng.randrange(6), rng.choice([0, 1, -1, rng.randint(2, 99)]), rng.randrange(5)) for _ in range(20)]
+    acc: dict = {}
+    want: dict = {}
+    for key, N, i in triples:
+        F._accumulate(acc, [(key, N)], coords[i])
+        want[key] = F.add(want.get(key, F.zero()), F.mul(F.from_int(N), values[i]))
+    # several pairs with one v in one call
+    F._accumulate(acc, [(5, 1), (0, 3), (5, -2), (1, 1)], coords[3])
+    for key, N in [(5, 1), (0, 3), (5, -2), (1, 1)]:
+        want[key] = F.add(want.get(key, F.zero()), F.mul(F.from_int(N), values[3]))
+    assert F._drop_ints(acc.items(), d) == {key: c for key, c in want.items() if not F.is_zero(c)}
+    assert coords == before
+
+
 # multiplicative_generator(F) and the primitive n-th root nth_roots_of_unity(F, n)[1],
 # as found before products went through log tables; the order of EvContext's
 # roots, and so the CLI output, follows from them
