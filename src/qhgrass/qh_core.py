@@ -26,6 +26,20 @@ a collection the garbage collector no longer tracks these int-only tuples
 and dicts; it always tracks a diagram, a tuple subclass, and every tuple
 that holds one.
 
+Only pairs inside a (k-1) x (n-k) box reach Giambelli and Pieri. The
+product by the full column sigma_(1^k) is a cyclic shift S of the Schubert
+basis (Bertram's quantum Pieri rule for e_k; S is the Seidel element of a
+Hamiltonian loop). Write lambda, padded to k rows, as the k-subset
+{lambda_(k+1-j) + j : j = 1..k} of 1..n: S adds 1 to each element mod n, and
+each wrap past n gives one q, so S^n = q^k. S(sigma_mu) = sigma_(mu + 1^k)
+while mu_1 < n - k, so sigma_lambda = S^(lambda_k)(sigma_mu) for mu = lambda
+- lambda_k * 1^k, and sigma_lambda * sigma_nu = S^(lambda_k + nu_k)(sigma_mu
+* sigma_nu') with nu' = nu - nu_k * 1^k. A pair with lambda_k = nu_k = 0 is
+computed; any other is read from its reduced pair, with S^t applied to the
+codes through one code -> code table per t, each entry computed in closed
+form once. On Gr(2, n) a reduced factor is one row, so each computed pair is
+one Pieri step.
+
 A QhElement keeps its terms on these codes too, as {code: integer
 coordinates} over one denominator, in the canonical form of
 FieldCtx._canon_ints, and it keeps the engine whose codes they are. Its
@@ -375,10 +389,18 @@ class _ProductEngine:
     on b, the route and the sequence of Pieri steps that forms x^e; it is
     built by one step from the chain with one step fewer, and every product
     that expands into it shares it.
+
+    A pair fills through its reduced pair: `reduced` maps an index i to
+    s << 32 | i', where sigma_i = S^s(sigma_i') and i' has last row 0, and
+    `rotations` holds one _Rotation (code -> code of S^t) per shift t. Only
+    a pair of two reduced indices runs _constants, the one Giambelli/Pieri
+    computation; any other is its reduced pair with every code moved by
+    S^(s_i + s_j), a C-level map over the codes.
     """
 
     __slots__ = (
-        "k", "n", "diagrams", "index", "choice", "keys", "steps", "monomials", "chains", "pairs"
+        "k", "n", "diagrams", "index", "choice", "keys", "steps", "monomials", "chains", "pairs",
+        "reduced", "rotations",
     )
 
     def __init__(self, k: int, n: int):
@@ -392,6 +414,8 @@ class _ProductEngine:
         self.monomials: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
         self.chains: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
         self.pairs: dict[int, tuple[int, ...]] = {}
+        self.reduced: dict[int, int] = {}
+        self.rotations: dict[int, _Rotation] = {}
 
     def intern(self, d: YoungDiagram) -> int:
         """The index of a diagram in the box, given it on first sight."""
@@ -417,13 +441,40 @@ class _ProductEngine:
         return i
 
     def pair(self, i: int, j: int) -> tuple[int, ...]:
-        """The constants of sigma_i * sigma_j, computed on a miss of the pair cache."""
+        """The constants of sigma_i * sigma_j, filled on a miss of the pair cache."""
         if i > j:
             i, j = j, i
         constants = self.pairs.get(i << 32 | j)
         if constants is None:
-            constants = self.pairs[i << 32 | j] = self._constants(i, j)
+            constants = self.pairs[i << 32 | j] = self._fill(i, j)
         return constants
+
+    def _fill(self, i: int, j: int) -> tuple[int, ...]:
+        # sigma_i * sigma_j = S^(s_i + s_j)(sigma_i' * sigma_j'), with i', j' reduced
+        ri, rj = self._reduce(i), self._reduce(j)
+        t = (ri >> 32) + (rj >> 32)
+        if not t:
+            return self._constants(i, j)
+        constants = self.pair(ri & _IDX, rj & _IDX)
+        shifted = list(constants)  # codes and coefficients alternate; shift the codes
+        shifted[::2] = map(self._rotation(t).__getitem__, constants[::2])
+        return tuple(shifted)
+
+    def _reduce(self, i: int) -> int:
+        """s << 32 | i' for sigma_i = S^s(sigma_i'): s = lambda_k and i' the
+        index of lambda - s * 1^k, whose last row is 0."""
+        r = self.reduced.get(i)
+        if r is None:
+            d = self.diagrams[i]
+            s = d[-1] if len(d) == self.k else 0
+            r = self.reduced[i] = s << 32 | (self.intern(YoungDiagram([x - s for x in d])) if s else i)
+        return r
+
+    def _rotation(self, t: int) -> "_Rotation":
+        table = self.rotations.get(t)
+        if table is None:
+            table = self.rotations[t] = _Rotation(self, t)
+        return table
 
     def _constants(self, i: int, j: int) -> tuple[int, ...]:
         # expand the factor whose cheaper determinant has the smaller (order, |D|)
@@ -495,6 +546,35 @@ class _ProductEngine:
         classical, quantum = step(self.k, self.n - self.k, self.diagrams[i], j)
         intern = self.intern
         return tuple([intern(d) for d in classical] + [intern(d) + _Q for d in quantum])
+
+
+class _Rotation(dict):
+    """code -> code of S^t, the quantum product by sigma_(1^k) applied t times.
+
+    With lambda padded to k rows, sigma_lambda is the k-subset {lambda_(k+1-j)
+    + j : j = 1..k} of 1..n. S^t adds t to each element mod n, and each wrap
+    past n gives one q (Bertram's quantum Pieri rule for e_k), so S^n = q^k.
+    An entry is computed in closed form on its first lookup."""
+
+    __slots__ = ("engine", "t")
+
+    def __init__(self, engine: _ProductEngine, t: int):
+        super().__init__()
+        self.engine, self.t = engine, t
+
+    def __missing__(self, code: int) -> int:
+        engine, t = self.engine, self.t
+        k, n = engine.k, engine.n
+        d = engine.diagrams[code & _IDX]
+        wraps, subset = 0, []
+        for i, r in enumerate(tuple(d) + (0,) * (k - len(d))):  # row i + 1 is the element r + k - i
+            w, e = divmod(r + k - i + t - 1, n)
+            wraps += w
+            subset.append(e + 1)
+        subset.sort(reverse=True)
+        moved = YoungDiagram([e - k + i for i, e in enumerate(subset)])
+        image = self[code] = engine.intern(moved) + ((code >> 32) + wraps) * _Q
+        return image
 
 
 _ENGINES: dict[tuple[int, int], _ProductEngine] = {}
@@ -586,8 +666,13 @@ def parse_element(ctx: GrContext, field: FieldCtx, text: str) -> QhElement:
         if coeff_text is None:
             coeff = field.one()
         elif "/" in coeff_text:
+            if not int(coeff_text.partition("/")[2]):
+                raise ValueError(f"element term {raw.strip()!r} has a zero denominator")
             frac = Fraction(coeff_text)
-            coeff = field.div(field.from_int(frac.numerator), field.from_int(frac.denominator))
+            den = field.from_int(frac.denominator)
+            if field.is_zero(den):
+                raise ValueError(f"element term {raw.strip()!r} has a denominator that is zero in {field.label}")
+            coeff = field.div(field.from_int(frac.numerator), den)
         else:
             coeff = field.from_int(int(coeff_text))
         if negate:

@@ -229,6 +229,24 @@ def test_computation_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "field,a,message",
+    [
+        ("Q", "1/0*σ[1]", "error: element term '1/0*σ[1]' has a zero denominator\n"),
+        ("GF(3)", "σ[2] + -5/00*q*σ[1]", "error: element term '-5/00*q*σ[1]' has a zero denominator\n"),
+        ("GF(3)", "2/6*σ[1]", "error: element term '2/6*σ[1]' has a denominator that is zero in GF(3)\n"),
+        ("GF(3^2)", "1/3*σ[1]", "error: element term '1/3*σ[1]' has a denominator that is zero in GF(3^2)\n"),
+    ],
+)
+def test_zero_denominator_names_its_term(capsys, field, a, message):
+    """A fraction whose denominator is 0, or 0 in the field once the fraction
+    is reduced, is an input error that names its term; 3/3 over GF(3) is 1."""
+    code, out, err = run(capsys, "product", "2", "5", field, a, "σ[1]")
+    assert (code, out, err) == (2, "", message)
+    code, out, _ = run(capsys, "product", "2", "5", "GF(3)", "3/3*σ[1]", "σ[1]")
+    assert (code, out) == (0, "σ[2] + σ[1,1]\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("product", "3", "6", "Q", "0*σ[9]", "σ[1]"),

@@ -367,6 +367,33 @@ def test_full_product_table_separated_by_evaluations():
                 assert lhs == rhs, (d1, d2, J.to_text())
 
 
+@pytest.mark.parametrize(
+    "k,n,base",
+    [(3, 8, QQ), (2, 13, prime_field(3)), (4, 8, prime_field(3))],
+    ids=["Gr(3,8)/Q", "Gr(2,13)/GF(3)", "Gr(4,8)/GF(3)"],
+)
+def test_full_column_acts_on_each_evaluation_as_a_scalar(k, n, base):
+    """sigma_(1^k) is e_k, so ev_J(sigma_(1^k) * sigma_lambda) = xi^k * zeta_1
+    ... zeta_k * ev_J(sigma_lambda) at every admissible J and every lambda.
+    The engine fills these products by the cyclic shift S; the scalar is a
+    sum over k-subsets of the roots (naive_elementary), and ev_map reads
+    classes through their Giambelli expansions, so the check shares no code
+    with the Pieri steps or the shift."""
+    ctx = GrContext(k, n)
+    ev = EvContext(ctx, base)
+    K = ev.field
+    column = QhElement.schubert(ctx, base, YoungDiagram((1,) * k))
+    classes = [QhElement.schubert(ctx, base, d) for d in enumerate_diagrams(ctx)]
+    products = [quantum_product(column, c) for c in classes]
+    multisets = admissible_multisets(K, k, n)
+    assert len(multisets) == comb(n, k)
+    for J in multisets:
+        scalar = K.mul(K.pow(ev.xi, k), naive_elementary(K, J.roots, k))
+        assert not K.is_zero(scalar)
+        for c, product in zip(classes, products):
+            assert ev_map(ev, J, product) == K.mul(scalar, ev_map(ev, J, c)), (qc_text(c), J.to_text())
+
+
 def test_ev_map_context_mismatch():
     ev = EvContext(GrContext(2, 5), prime_field(11))
     J = admissible_multisets(ev.field, 2, 5)[0]

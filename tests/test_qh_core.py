@@ -1,6 +1,7 @@
 import copy
 import gc
 import itertools
+import math
 import os
 import pickle
 import random
@@ -29,7 +30,13 @@ from qhgrass.qh_core import (
     transposed_pieri_multiply,
 )
 
-from oracles import column_expansion_product, column_giambelli, column_pieri_terms, naive_quantum_product
+from oracles import (
+    box_partitions,
+    column_expansion_product,
+    column_giambelli,
+    column_pieri_terms,
+    naive_quantum_product,
+)
 
 
 def sigma(ctx, field, rows, m=0):
@@ -378,6 +385,121 @@ def test_cached_constants_are_untracked_by_the_collector(cold_caches):
     assert not any(gc.is_tracked(constants) for constants in engine.pairs.values())
     assert engine.chains and not any(gc.is_tracked(chain) for chain in engine.chains.values())
     assert engine.steps and not any(gc.is_tracked(table) for table in engine.steps.values())
+    assert engine.reduced and not gc.is_tracked(engine.reduced)
+    # a rotation table is a dict subclass, so it stays tracked itself; it holds
+    # ints only, so the collector follows nothing from it
+    assert engine.rotations
+    for table in engine.rotations.values():
+        assert table and all(type(x) is int for entry in table.items() for x in entry)
+
+
+def _cold_engine(k, n):
+    """The engine of Gr(k, n) from empty caches, and the indices of its box."""
+    qh_core._ENGINES.clear()
+    engine = qh_core._engine(GrContext(k, n))
+    return engine, [engine.lookup(d) for d in enumerate_diagrams(GrContext(k, n))]
+
+
+def _as_terms(engine, constants) -> dict:
+    """{(diagram, q-power): coeff} from a pair's flat (code, coeff, ...) tuple."""
+    return dict(zip(map(engine.keys.__getitem__, constants[::2]), constants[1::2]))
+
+
+def _random_diagram(rng, k, n):
+    """A diagram of the k x (n-k) box, with lambda_k > 0 seven times in ten."""
+    rows = sorted((rng.randint(0, n - k) for _ in range(k)), reverse=True)
+    if rng.random() < 0.7:
+        rows = [max(r, 1) for r in rows]
+    return YoungDiagram(rows)
+
+
+SMALL_BOXES = [(k, n) for n in range(1, 85) for k in range(1, n + 1) if math.comb(n, k) <= 84]
+BOX_FAMILIES = {
+    "k = 1": lambda k, n: k == 1,
+    "k = n - 1 > 1": lambda k, n: k == n - 1 > 1,
+    "k = n > 1": lambda k, n: k == n > 1,
+    "other": lambda k, n: 1 < k < n - 1,
+}
+
+
+def _oracle_scans(k, n):
+    """Whether the whole-box oracles, which run over all (n-k+1)^k row tuples, stay small."""
+    return (n - k + 1) ** k <= 20_000
+
+
+@pytest.mark.parametrize("family", list(BOX_FAMILIES))
+def test_reduced_pairs_match_the_unreduced_engine_and_the_oracle(family):
+    """Every ordered pair of every Gr(k, n) with C(n, k) <= 84, each context
+    from cold caches and filled in box order, so most reduced pairs were
+    filled earlier. A pair with a full column to shift out against the
+    unreduced engine (_constants called directly; a pair without one is
+    _constants by construction), and every pair against the column-expansion
+    oracle wherever its box scan is small (on Gr(n - 1, n), n <= 14, where
+    only the full column reduces)."""
+    for k, n in filter(lambda box: BOX_FAMILIES[family](*box), SMALL_BOXES):
+        engine, indices = _cold_engine(k, n)
+        scans = _oracle_scans(k, n)
+        for i in indices:
+            for j in indices:
+                if scans:
+                    a, b = engine.diagrams[i], engine.diagrams[j]
+                    want = column_expansion_product(k, n, a, b)
+                    assert _as_terms(engine, engine.pair(i, j)) == want, (k, n, a, b)
+                if (engine._reduce(i) | engine._reduce(j)) >> 32:
+                    want = _as_terms(engine, engine._constants(i, j))
+                    assert _as_terms(engine, engine.pair(i, j)) == want, (k, n, i, j)
+
+
+@pytest.mark.parametrize("k,n", [(4, 10), (5, 11), (2, 1200)])
+def test_seeded_pairs_with_q_powers_match_the_unreduced_engine(cold_caches, k, n):
+    """Seeded products q^m1 sigma_a * q^m2 sigma_b, m1, m2 in -2..2, most with
+    a full column to shift out, against the unreduced engine and, where the
+    box scan is small, the column-expansion oracle."""
+    ctx = GrContext(k, n)
+    engine = qh_core._engine(ctx)
+    rng = random.Random(f"reduced {k} {n}")
+    for _ in range(60 if n < 20 else 8):  # on Gr(2,1200) the unreduced engine walks ~1000-term chains
+        a, b = _random_diagram(rng, k, n), _random_diagram(rng, k, n)
+        m1, m2 = rng.randint(-2, 2), rng.randint(-2, 2)
+        product = quantum_product(sigma(ctx, QQ, a, m1), sigma(ctx, QQ, b, m2))
+        constants = engine._constants(engine.lookup(a), engine.lookup(b))
+        shift = (m1 + m2) * qh_core._Q
+        assert product.den == 1
+        assert product.codes == {code + shift: c for code, c in zip(constants[::2], constants[1::2])}, (a, b)
+        if _oracle_scans(k, n):
+            want = column_expansion_product(k, n, a, b)
+            assert product.terms == {(YoungDiagram(rows), m + m1 + m2): c for (rows, m), c in want.items()}
+
+
+@pytest.mark.parametrize("family", list(BOX_FAMILIES) + ["Gr(4,10) and Gr(5,11)"])
+def test_rotation_is_repeated_column_pieri(cold_caches, family):
+    """S^t on every diagram of each box with C(n, k) <= 84 whose oracle scan
+    is small, at q-powers -1..1 and for t up to max(n, 2(n-k)), the largest
+    shift a pair asks for, against t steps of the whole-box column Pieri
+    oracle for x_k = sigma_(1^k); and S^n = q^k. Of the projective spaces
+    Gr(1, n), n <= 30 and the largest, Gr(1, 84)."""
+    if family in BOX_FAMILIES:
+        boxes = [
+            (k, n)
+            for k, n in SMALL_BOXES
+            if BOX_FAMILIES[family](k, n) and _oracle_scans(k, n) and (k > 1 or n <= 30 or n == 84)
+        ]
+    else:
+        boxes = [(4, 10), (5, 11)]
+    Q = qh_core._Q
+    for k, n in boxes:
+        cols = n - k
+        engine = qh_core._engine(GrContext(k, n))
+        for rows in box_partitions(k, cols):
+            code = engine.lookup(rows)
+            image, q = rows, 0
+            for t in range(max(n, 2 * cols) + 1):
+                for m in (-1, 0, 1):
+                    got = engine._rotation(t)[code + m * Q] if t else code + m * Q
+                    assert engine.keys[got] == (YoungDiagram(image), q + m), (k, n, rows, t, m)
+                ((image, dq),) = column_pieri_terms(k, cols, image, k)
+                q += dq
+            assert engine._rotation(n)[code] == code + k * Q
 
 
 @pytest.mark.parametrize("label,sign", [("Q", -1), ("GF(2)", 1), ("GF(2^3)", 1), ("Q(zeta8)", -1)])
@@ -548,6 +670,50 @@ def test_product_laws(k, n):
                     ab.homogeneous_degree()
                     == a.homogeneous_degree() + b.homogeneous_degree()
                 )
+
+
+def _by_degree(element) -> dict:
+    """{degree: the homogeneous component of that degree}."""
+    parts: dict = {}
+    for key, c in element.terms.items():
+        parts.setdefault(element.term_degree(key), {})[key] = c
+    return {d: QhElement(element.ctx, element.field, terms) for d, terms in parts.items()}
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 9), (2, 31)])
+@pytest.mark.parametrize("label", ["Q", "GF(2^3)"])
+def test_product_laws_on_shifted_pairs(cold_caches, label, k, n):
+    """Commutativity, associativity and degree conservation of quantum_product
+    on seeded inhomogeneous elements of 1-4 terms with q-powers -1..1, most
+    terms with a full column, so a product's pairs are shifted from reduced
+    pairs, and (a * b) * c chains the shifted pairs of a * b through c's.
+    On Gr(2, n) every chain the products build is one Pieri step long."""
+    ctx, F = GrContext(k, n), PRODUCT_FIELDS[label]
+    rng = random.Random(f"laws {label} {k} {n}")
+
+    def element():
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            c = F.random_element(rng)
+            while F.is_zero(c):
+                c = F.random_element(rng)
+            terms[(_random_diagram(rng, k, n), rng.randint(-1, 1))] = c
+        return QhElement(ctx, F, terms)
+
+    for _ in range(20):
+        a, b, c = element(), element(), element()
+        ab = quantum_product(a, b)
+        assert ab == quantum_product(b, a)
+        assert quantum_product(ab, c) == quantum_product(a, quantum_product(b, c))
+        total = QhElement.zero(ctx, F)
+        for da, x in _by_degree(a).items():
+            for db, y in _by_degree(b).items():
+                xy = quantum_product(x, y)
+                assert all(xy.term_degree(key) == da + db for key in xy.terms)
+                total = total + xy
+        assert total == ab
+    if k == 2:  # a reduced factor is one row, so every computed pair took one Pieri step
+        assert all(len(seq) == 1 for _base, seq in qh_core._engine(ctx).chains)
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])

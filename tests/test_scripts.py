@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +17,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 CLASSIFIER_GRID = SCRIPTS / "classifier_grid.py"
 GC_EXPERIMENTS = SCRIPTS / "gc_experiments.py"
 PRODUCT_TABLE = SCRIPTS / "product_table.py"
+WORKCOUNT = SCRIPTS / "workcount.py"
 GRID_ARGS = ["--max-n", "60", "--chars", "0", "2", "3", "5", "7", "11", "13"]
 
 
@@ -92,3 +95,34 @@ def test_product_table_digest_matches_schubert_product(monkeypatch, capsys):
     assert report["sha256"] == digest
     assert (report["k"], report["n"], report["pairs"], report["repeats"]) == (2, 5, 100, 2)
     assert report["min_s"] > 0
+
+
+def test_workcount_is_deterministic_and_keeps_its_schema():
+    """Two processes under different hash seeds print the same document for a
+    tiny job counted twice on one tree, and the second tree's ratios are 1.
+    The schema is checked, not the counts, so a change of the work does not
+    have to re-record anything here."""
+    root = SCRIPTS.parent
+    argv = [sys.executable, str(WORKCOUNT), "--workload", "product-reads", "--seed", "3", "--tiny"]
+    argv += ["--tree", str(root), "--tree", str(root)]
+    outs = [
+        subprocess.run(
+            argv, env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True, text=True, timeout=120
+        ).stdout
+        for seed in ("0", "12345")
+    ]
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert (report["workload"], report["seed"], report["tiny"]) == ("product-reads", 3, True)
+    first, second = report["trees"]
+    assert first == second
+    assert set(first) == {"tree", "calls", "qhgrass_calls", "modules", "fractions", "field_ops", "top"}
+    assert first["calls"] > first["qhgrass_calls"] == sum(first["modules"].values()) > 0
+    assert {"qh_core", "exactfield", "diagram"} <= set(first["modules"])
+    assert set(first["field_ops"]) == {"mul", "add"} and first["fractions"] > 0
+    top = [(entry["calls"], entry["function"]) for entry in first["top"]]
+    assert len(top) == 20 and top == sorted(top, key=lambda entry: (-entry[0], entry[1]))
+    assert not any(" at 0x" in function for _, function in top)
+    (ratios,) = report["ratios"]
+    assert ratios["calls"] == ratios["qhgrass_calls"] == ratios["fractions"] == 1
+    assert set(ratios["modules"].values()) == {1}
