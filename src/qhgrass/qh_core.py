@@ -1,18 +1,21 @@
 """The small quantum cohomology ring of Gr(k, n).
 
 Elements are finite sums of monomials q^m * sigma_D with coefficients in a
-working exact field. Multiplication by a special class follows Bertram's
-quantum Pieri rule for h_p (p boxes in a row). The column rule for x_j (j
-boxes in a column) is that row rule for h_j in Gr(n-k, n), transposed back
-through Gr(k, n) = Gr(n-k, n). A product of two general classes expands
-one factor by a quantum Giambelli determinant and applies the other factor
-to each monomial by iterated Pieri steps. Each factor has two determinants:
-the column one in x_1..x_k, of order D_1 (the width of D), and the row one
-in h_1..h_{n-k}, of order len(D). The product takes the factor and
-determinant of smallest order, ties broken by the smaller |D|. Products by
-x_j (pieri_multiply) and by h_p (transposed_pieri_multiply) run through
-this one engine. On Gr(n, n), a point, the column x_j is not a class: x_n
-acts as q and x_j for j < n as 0.
+working exact field. Multiplication by a special class, h_p (p boxes in a
+row) or x_j = e_j (j boxes in a column), follows Bertram's quantum Pieri
+rules, which are one rule on k particles in Z/n (toric horizontal and
+vertical strips). D, padded to k rows, is the k-subset {D_(k+1-j) + j : j =
+1..k} of 1..n. h_p moves the particles forward p steps in all, none reaching
+the old place of the next particle; e_j moves j particles one step each into
+places left empty; each particle that passes n gives one q. A product of two
+general classes expands one factor by a quantum Giambelli determinant and
+applies the other factor to each monomial by iterated Pieri steps. Each
+factor has two determinants: the column one in x_1..x_k, of order D_1 (the
+width of D), and the row one in h_1..h_{n-k}, of order len(D). The product
+takes the factor and determinant of smallest order, ties broken by the
+smaller |D|. Products by x_j (pieri_multiply) and by h_p
+(transposed_pieri_multiply) run through this one engine. On Gr(n, n), a
+point, the column x_j is not a class: x_n acts as q and x_j for j < n as 0.
 
 Structure constants are integers independent of the coefficient field. One
 engine per context computes and keeps them on integer codes. A diagram gets
@@ -27,18 +30,16 @@ and dicts; it always tracks a diagram, a tuple subclass, and every tuple
 that holds one.
 
 Only pairs inside a (k-1) x (n-k) box reach Giambelli and Pieri. The
-product by the full column sigma_(1^k) is a cyclic shift S of the Schubert
-basis (Bertram's quantum Pieri rule for e_k; S is the Seidel element of a
-Hamiltonian loop). Write lambda, padded to k rows, as the k-subset
-{lambda_(k+1-j) + j : j = 1..k} of 1..n: S adds 1 to each element mod n, and
-each wrap past n gives one q, so S^n = q^k. S(sigma_mu) = sigma_(mu + 1^k)
-while mu_1 < n - k, so sigma_lambda = S^(lambda_k)(sigma_mu) for mu = lambda
-- lambda_k * 1^k, and sigma_lambda * sigma_nu = S^(lambda_k + nu_k)(sigma_mu
-* sigma_nu') with nu' = nu - nu_k * 1^k. A pair with lambda_k = nu_k = 0 is
+product by the full column sigma_(1^k) = e_k is the cyclic shift S of the
+Schubert basis that moves every particle one step (S is the Seidel element
+of a Hamiltonian loop), so S^n = q^k. S(sigma_mu) = sigma_(mu + 1^k) while
+mu_1 < n - k, so sigma_lambda = S^(lambda_k)(sigma_mu) for mu = lambda -
+lambda_k * 1^k, and sigma_lambda * sigma_nu = S^(lambda_k + nu_k)(sigma_mu *
+sigma_nu') with nu' = nu - nu_k * 1^k. A pair with lambda_k = nu_k = 0 is
 computed; any other is read from its reduced pair, with S^t applied to the
-codes through one code -> code table per t, each entry computed in closed
-form once. On Gr(2, n) a reduced factor is one row, so each computed pair is
-one Pieri step.
+codes through one code -> code table per t, each entry moved by the same
+particle helpers once. On Gr(2, n) a reduced factor is one row, so each
+computed pair is one Pieri step.
 
 A QhElement keeps its terms on these codes too, as {code: integer
 coordinates} over one denominator, in the canonical form of
@@ -57,9 +58,10 @@ accumulate too. No Fraction is built. ev_map reads the coordinates as kept.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from functools import lru_cache
 from math import lcm
-from operator import index
+from operator import add, index, sub
 from typing import Mapping
 
 from .diagram import EMPTY, GrContext, YoungDiagram, column_diagram
@@ -207,75 +209,80 @@ def special_class(ctx: GrContext, field: FieldCtx, j: int) -> QhElement:
 
 
 # ---------------------------------------------------------------------------
-# quantum Pieri rules: one step maps sigma_D to (classical terms, q-terms)
+# quantum Pieri rules: k particles on the circle Z/n
 
 
-def _interlacing(lo: tuple[int, ...], hi: tuple[int, ...], total: int) -> tuple[YoungDiagram, ...]:
-    """Every row tuple with lo[i] <= rows[i] <= hi[i] and sum total.
+def _positions(k: int, d: YoungDiagram) -> list[int]:
+    """The particles of sigma_d: d padded to k rows as the increasing places
+    d_(k+1-j) + j, j = 1..k, in 1..n."""
+    return [*range(1, k - len(d) + 1), *[r + k - i for i, r in enumerate(d)][::-1]]
 
-    The bounds interlace, so every such tuple is weakly decreasing. Each row's
-    range is cut by what the rows below it can still absorb, so no branch is
-    a dead end and the cost is linear in the output. The rows are walked as
-    an odometer, largest first, so the depth of the box costs no recursion,
-    and the rows below the last positive hi are 0 and not walked at all.
+
+def _placed(n: int, moved: list[int]) -> tuple[YoungDiagram, int]:
+    """(diagram, q-power) of particles at increasing places moved[i] < moved[0] + n;
+    each place past n turns once round the circle and gives one q."""
+    k = len(moved)
+    w = bisect_right(moved, n)
+    if w < k:
+        moved = [x - n for x in moved[w:]] + moved[:w]
+    return YoungDiagram(map(sub, reversed(moved), range(k, 0, -1))), k - w
+
+
+def _compositions(bounds: list[int], total: int) -> list[tuple[int, ...]]:
+    """Every count tuple c with 0 <= c[i] <= bounds[i] and sum total.
+
+    The counts are walked as an odometer, so the number of groups costs no
+    recursion. Each count is refilled as large as it can be and goes down
+    only while the counts after it can still take the rest, so no branch is
+    a dead end and the cost is linear in the output.
     """
-    k = len(hi)
-    while k and not hi[k - 1]:  # lo <= hi, so these rows are 0
-        k -= 1
-    lo_below, hi_below = [0] * (k + 1), [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        lo_below[i] = lo_below[i + 1] + lo[i]
-        hi_below[i] = hi_below[i + 1] + hi[i]
-    if not lo_below[0] <= total <= hi_below[0]:
-        return ()
-    out: list[YoungDiagram] = []
-    rows, bottoms = [0] * k, [0] * k
-    i, left = 0, total  # rows[:i] are set; left is what rows[i:] must sum to
+    m = len(bounds)
+    room = [0] * (m + 1)  # room[i]: the most that counts[i:] can take
+    for i in range(m - 1, -1, -1):
+        room[i] = room[i + 1] + bounds[i]
+    if total > room[0]:
+        return []
+    out: list[tuple[int, ...]] = []
+    counts = [0] * m
+    i, left = 0, total  # counts[:i] are set; left is what counts[i:] must sum to
     while True:
-        while i < k:
-            rows[i] = top = min(hi[i], left - lo_below[i + 1])
-            bottoms[i] = max(lo[i], left - hi_below[i + 1])
-            left -= top
+        while i < m:
+            counts[i] = c = min(bounds[i], left)
+            left -= c
             i += 1
-        out.append(YoungDiagram(rows))
-        # step the deepest row that can still go down, and refill below it
-        i = k - 1
-        while i >= 0 and rows[i] == bottoms[i]:
-            left += rows[i]
+        out.append(tuple(counts))
+        i = m - 1
+        while i >= 0 and (not counts[i] or left == room[i + 1]):
+            left += counts[i]
             i -= 1
         if i < 0:
-            return tuple(out)
-        rows[i] -= 1
+            return out
+        counts[i] -= 1
         left += 1
         i += 1
 
 
-def _row_pieri(
-    k: int, cols: int, rows: YoungDiagram, p: int
-) -> tuple[tuple[YoungDiagram, ...], tuple[YoungDiagram, ...]]:
-    """h_p * sigma_rows by Bertram's quantum Pieri rule: classical terms, then q-terms.
+def _pieri(k: int, n: int, d: YoungDiagram, j: int, by_rows: int) -> list[tuple[YoungDiagram, int]]:
+    """h_j (by_rows) or x_j = e_j times sigma_d, as (diagram, q-power) pairs.
 
-    With rows padded to lam_1..lam_k: the classical mu are the horizontal strips
-    lam_i <= mu_i <= lam_{i-1} (lam_0 = n-k) with |mu| = |lam| + p; the q-terms
-    nu satisfy lam_i - 1 >= nu_i >= lam_{i+1} - 1, nu_k >= 0, |nu| = |lam| + p - n,
-    and exist only when lam_k >= 1.
+    h_j: each particle moves up to the length of the gap ahead of it. e_j:
+    one group per run of adjacent particles, ending where a gap begins and
+    maybe going on past n; c of the group moves the run's last c particles
+    one step each. Each particle that passes n gives one q.
     """
-    lam = tuple(rows) + (0,) * (k - len(rows))
-    size = sum(lam)
-    classical = _interlacing(lam, ((cols,) + lam)[:k], size + p)
-    quantum: tuple[YoungDiagram, ...] = ()
-    if lam[-1] >= 1:
-        lo = tuple(r - 1 for r in (lam + (1,))[1:])
-        quantum = _interlacing(lo, tuple(r - 1 for r in lam), size + p - k - cols)
-    return classical, quantum
-
-
-def _column_pieri(
-    k: int, cols: int, rows: YoungDiagram, j: int
-) -> tuple[tuple[YoungDiagram, ...], tuple[YoungDiagram, ...]]:
-    """x_j * sigma_rows: the row rule for h_j in Gr(n-k, n), transposed back."""
-    classical, quantum = _row_pieri(cols, k, rows.conjugate(), j)
-    return tuple(d.conjugate() for d in classical), tuple(d.conjugate() for d in quantum)
+    places = _positions(k, d)
+    gaps = [b - a - 1 for a, b in zip(places, places[1:] + [places[0] + n])]
+    if by_rows:
+        return [_placed(n, list(map(add, places, counts))) for counts in _compositions(gaps, j)]
+    ends = [i for i, g in enumerate(gaps) if g]
+    out = []
+    for counts in _compositions([(e - before) % k or k for before, e in zip(ends[-1:] + ends, ends)], j):
+        moved = places[:]
+        for e, c in zip(ends, counts):
+            for i in range(e - c + 1, e + 1):  # a negative i is a particle before the turn
+                moved[i] += 1
+        out.append(_placed(n, moved))
+    return out
 
 
 def pieri_multiply(element: QhElement, j: int) -> QhElement:
@@ -385,17 +392,19 @@ class _ProductEngine:
     tuples in a pair would leave the pair tracked by the garbage collector
     after a collection: it untracks a tuple only once its items are, and it
     visits the pair first.) A Pieri step table maps an index to the codes of
-    its targets, one table per route and j. A chain is x^e * sigma_b, keyed
-    on b, the route and the sequence of Pieri steps that forms x^e; it is
-    built by one step from the chain with one step fewer, and every product
-    that expands into it shares it.
+    its targets under h_j (the row route) or e_j (the column route) by the
+    one particle rule, _pieri, one table per route and j. A chain is x^e *
+    sigma_b, keyed on b, the route and the sequence of Pieri steps that forms
+    x^e; it is built by one step from the chain with one step fewer, and
+    every product that expands into it shares it.
 
     A pair fills through its reduced pair: `reduced` maps an index i to
     s << 32 | i', where sigma_i = S^s(sigma_i') and i' has last row 0, and
-    `rotations` holds one _Rotation (code -> code of S^t) per shift t. Only
-    a pair of two reduced indices runs _constants, the one Giambelli/Pieri
-    computation; any other is its reduced pair with every code moved by
-    S^(s_i + s_j), a C-level map over the codes.
+    `rotations` holds one _Rotation (code -> code of S^t, every particle
+    moved t steps) per shift t. Only a pair of two reduced indices runs
+    _constants, the one Giambelli/Pieri computation; any other is its
+    reduced pair with every code moved by S^(s_i + s_j), a C-level map over
+    the codes.
     """
 
     __slots__ = (
@@ -534,27 +543,21 @@ class _ProductEngine:
             i = code & _IDX
             targets = table.get(i)
             if targets is None:
-                targets = table[i] = self._targets(by_rows, j, i)
+                terms = _pieri(self.k, self.n, self.diagrams[i], j, by_rows)
+                targets = table[i] = tuple([self.intern(d) + q * _Q for d, q in terms])
             shift = code - i
             for t in targets:
                 t += shift
                 acc[t] = get(t, 0) + c
         return acc
 
-    def _targets(self, by_rows: int, j: int, i: int) -> tuple[int, ...]:
-        step = _row_pieri if by_rows else _column_pieri
-        classical, quantum = step(self.k, self.n - self.k, self.diagrams[i], j)
-        intern = self.intern
-        return tuple([intern(d) for d in classical] + [intern(d) + _Q for d in quantum])
-
 
 class _Rotation(dict):
     """code -> code of S^t, the quantum product by sigma_(1^k) applied t times.
 
-    With lambda padded to k rows, sigma_lambda is the k-subset {lambda_(k+1-j)
-    + j : j = 1..k} of 1..n. S^t adds t to each element mod n, and each wrap
-    past n gives one q (Bertram's quantum Pieri rule for e_k), so S^n = q^k.
-    An entry is computed in closed form on its first lookup."""
+    S is e_k in the particle rule of _pieri: every particle moves one step,
+    and each that passes n gives one q, so S^n = q^k and S^t = q^(k * (t //
+    n)) S^(t mod n). An entry is computed on its first lookup."""
 
     __slots__ = ("engine", "t")
 
@@ -563,17 +566,11 @@ class _Rotation(dict):
         self.engine, self.t = engine, t
 
     def __missing__(self, code: int) -> int:
-        engine, t = self.engine, self.t
+        engine = self.engine
         k, n = engine.k, engine.n
-        d = engine.diagrams[code & _IDX]
-        wraps, subset = 0, []
-        for i, r in enumerate(tuple(d) + (0,) * (k - len(d))):  # row i + 1 is the element r + k - i
-            w, e = divmod(r + k - i + t - 1, n)
-            wraps += w
-            subset.append(e + 1)
-        subset.sort(reverse=True)
-        moved = YoungDiagram([e - k + i for i, e in enumerate(subset)])
-        image = self[code] = engine.intern(moved) + ((code >> 32) + wraps) * _Q
+        turns, t = divmod(self.t, n)
+        moved, q = _placed(n, [x + t for x in _positions(k, engine.diagrams[code & _IDX])])
+        image = self[code] = engine.intern(moved) + ((code >> 32) + q + k * turns) * _Q
         return image
 
 

@@ -19,13 +19,14 @@ def int_poly(F, ints):
 
 
 def box_partitions(k: int, cols: int) -> set[tuple[int, ...]]:
-    """All weakly decreasing tuples in a k x cols box, trailing zeros stripped."""
-    out = set()
-    for raw in itertools.product(range(cols + 1), repeat=k):
-        if all(a >= b for a, b in zip(raw, raw[1:])):
-            rows = tuple(r for r in raw if r)
-            out.add(rows)
-    return out
+    """All weakly decreasing tuples in a k x cols box, trailing zeros stripped.
+
+    Built row by row, each row at most the one above it, so the cost follows
+    the C(k + cols, k) diagrams, not the (cols + 1)^k row tuples."""
+    partial = [()]
+    for _ in range(k):
+        partial = [rows + (r,) for rows in partial for r in range((rows[-1] if rows else cols) + 1)]
+    return {tuple(r for r in rows if r) for rows in partial}
 
 
 def transpose_rows(rows) -> tuple[int, ...]:

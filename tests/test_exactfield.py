@@ -509,6 +509,24 @@ def test_char_poly_work_on_tridiagonal_matrices_is_quadratic():
     assert work[1] < 5 * work[0]  # doubling the size: 4x for O(size^2), 8x for O(size^3)
 
 
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_char_poly_over_q_reduces_mod_p_to_the_char_poly_over_gf_p(p):
+    """Reduction mod p is a ring map, so it commutes with det(M - xI): the
+    char_poly over Q of an integer matrix, reduced mod p, is the char_poly
+    over GF(p) of the reduced matrix. The two share no arithmetic: Fractions
+    over Q, residues over GF(p), where pivots vanish that do not over Q. On
+    closed_form_matrix(n) for n = 3..40 and seeded integer matrices of sizes 1..8."""
+    F, rng = prime_field(p), random.Random(f"charpoly mod {p}")
+    matrices = [[[int(c) for c in row] for row in closed_form_matrix(n, QQ).rows] for n in range(3, 41)]
+    for size in range(1, 9):
+        matrices += [[[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)] for _ in range(3)]
+    for rows in matrices:
+        over_q = char_poly(QQ, SquareMatrix.from_int_rows(QQ, rows)).coeffs
+        assert all(c.denominator == 1 for c in over_q)
+        want = [F.from_int(c.numerator) for c in over_q]
+        assert list(char_poly(F, SquareMatrix.from_int_rows(F, rows)).coeffs) == want, rows
+
+
 def test_is_irreducible_over_gf4_against_distinct_degree_profile():
     """Both answers from the shared distinct-degree split, and trial division
     by every monic polynomial of degree <= deg/2 over GF(4)."""

@@ -92,7 +92,13 @@ def test_transposed_pieri_on_unit():
     assert transposed_pieri_multiply(QhElement.unit(ctx, QQ), 3) == sigma(ctx, QQ, (3,))
 
 
-@pytest.mark.parametrize("k,n", [(2, 5), (3, 7), (4, 8), (1, 1), (2, 2), (3, 3)])
+# Gr(n - 1, n) and Gr(1, n): runs and gaps that go on past n; then four boxes with k, n - k >= 3
+WRAPPING_BOXES = sorted({(n - 1, n) for n in range(2, 31)} | {(1, n) for n in range(2, 31)}) + [
+    (3, 9), (6, 9), (4, 10), (5, 11),
+]
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 7), (4, 8), (1, 1), (2, 2), (3, 3)] + WRAPPING_BOXES)
 def test_pieri_multiply_matches_whole_box_filter(k, n):
     """x_j * sigma_D for every D and j against the vertical-strip filter that
     tests every diagram of the box."""
@@ -103,7 +109,7 @@ def test_pieri_multiply_matches_whole_box_filter(k, n):
             assert pieri_multiply(sigma(ctx, QQ, d), j).terms == want, (d, j)
 
 
-@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 7), (4, 8)])
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 7), (4, 8)] + WRAPPING_BOXES)
 def test_transposed_pieri_agrees_with_row_class_product(k, n):
     """h_j * sigma_D for every D and j against the whole-box filter for
     x_j * sigma_D' in Gr(n-k, n), transposed back."""
@@ -147,21 +153,54 @@ def test_schubert_product_inputs_under_index_lookup():
 
 
 @pytest.mark.parametrize("n", [8, 990, 1200, 100003])
-def test_products_on_contexts_with_a_tall_transpose(n):
-    """The column rule runs the row rule in Gr(n-2, n), with n-2 rows; the
-    rows are walked without recursion, so no depth of the box raises. The
-    small context checks the expected values against the oracle."""
+def test_products_on_contexts_with_a_tall_transpose(cold_caches, n):
+    """Gr(2, n) is Gr(n-2, n) transposed, but a Pieri step moves the two
+    particles of a diagram on Z/n and transposes nothing, so no (n-2)-row
+    diagram is built and no depth raises. From cold caches; sigma_1 *
+    sigma_(m, 3), m = 50000 at n = 100003, is one e_1 step next to gaps of
+    about n/2. The small context checks the expected values against the
+    oracle."""
     ctx = GrContext(2, n)
-    s1, wide = YoungDiagram((1,)), YoungDiagram((n - 2, 1))
+    s1, wide, m = YoungDiagram((1,)), YoungDiagram((n - 2, 1)), max((n - 3) // 2, 4)
     cases = [
         (s1, s1, {(YoungDiagram((2,)), 0): 1, (YoungDiagram((1, 1)), 0): 1}),
         (wide, wide, {(YoungDiagram((n - 2,)), 1): 1, (YoungDiagram((n - 3, 1)), 1): 1}),
+        (s1, YoungDiagram((m, 3)), {(YoungDiagram((m + 1, 3)), 0): 1, (YoungDiagram((m, 4)), 0): 1}),
     ]
     for a, b, want in cases:
         assert schubert_product(ctx, a, b) == want
         if n < 20:
             assert column_expansion_product(2, n, a, b) == want
     assert pieri_multiply(sigma(ctx, QQ, (1,)), 2) == sigma(ctx, QQ, (2, 1))
+
+
+def _narrow_diagram(rng, k, width):
+    """A diagram of k rows of at most width boxes, with a full column six times in ten."""
+    rows = sorted((rng.randint(0, width) for _ in range(k)), reverse=True)
+    return YoungDiagram([max(r, 1) for r in rows] if rng.random() < 0.6 else rows)
+
+
+@pytest.mark.parametrize("k", [99, 60])
+def test_tall_products_match_the_conjugate_products(cold_caches, k):
+    """Products on Gr(k, 100) with factors of up to k rows against the
+    conjugate products on Gr(100 - k, 100), where rows and columns trade
+    places: e_j steps on one side are h_j steps on the other. On Gr(99,
+    100) every pair of the box; on Gr(60, 100) seeded pairs of a class of
+    at most six boxes or x_j, j up to 60, and a narrow tall diagram, most
+    with a full column to shift out."""
+    n = 100
+    ctx, dual = GrContext(k, n), GrContext(n - k, n)
+    if k == n - 1:
+        pairs = list(itertools.product(enumerate_diagrams(ctx), repeat=2))
+    else:
+        rng = random.Random(f"tall {k} {n}")
+        small = [d for d in enumerate_diagrams(GrContext(6, 12)) if d.size <= 6]
+        pairs = [(rng.choice(small), _narrow_diagram(rng, k, 3)) for _ in range(30)]
+        pairs += [(YoungDiagram((1,) * rng.randint(1, k)), _narrow_diagram(rng, k, 2)) for _ in range(15)]
+    for a, b in pairs:
+        conjugate = schubert_product(dual, a.conjugate(), b.conjugate())
+        want = {(d.conjugate(), m): c for (d, m), c in conjugate.items()}
+        assert schubert_product(ctx, a, b) == want, (a, b)
 
 
 @pytest.fixture
@@ -334,6 +373,34 @@ def test_quantum_product_matches_naive_per_term_expansion(label, k, n):
         _assert_matches_naive(element(), element())
 
 
+@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 9), (2, 31)])
+def test_products_over_q_reduce_mod_p_to_products_over_gf_p(k, n, p):
+    """Reduction mod p is a ring map on coefficients with no p in their
+    denominators, so it commutes with quantum_product: the product over Q,
+    reduced, is the GF(p) product of the reduced factors. The two share no
+    arithmetic: numerators over one denominator over Q, residues over GF(p).
+    Seeded elements of 1-4 terms with q-powers -1..1, most with a full column."""
+    ctx, F = GrContext(k, n), prime_field(p)
+    rng = random.Random(f"mod {p} {k} {n}")
+
+    def reduce(c: Fraction) -> int:
+        return c.numerator * pow(c.denominator, -1, p) % p
+
+    for _ in range(15):
+        factors = []
+        for _ in range(2):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                den = rng.choice([d for d in range(1, 13) if d % p])
+                terms[(_random_diagram(rng, k, n), rng.randint(-1, 1))] = Fraction(rng.randint(-12, 12), den)
+            reduced = {key: reduce(c) for key, c in terms.items()}
+            factors.append((QhElement(ctx, QQ, terms), QhElement(ctx, F, reduced)))
+        (a, a_p), (b, b_p) = factors
+        reduced = {key: reduce(c) for key, c in quantum_product(a, b).terms.items()}
+        assert quantum_product(a_p, b_p).terms == {key: c for key, c in reduced.items() if c}, (a, b)
+
+
 def _per_term_oracle(a, b) -> dict:
     """a * b term by term in field arithmetic, each structure constant taken
     from the column-expansion oracle rather than from the engine."""
@@ -423,8 +490,10 @@ BOX_FAMILIES = {
 
 
 def _oracle_scans(k, n):
-    """Whether the whole-box oracles, which run over all (n-k+1)^k row tuples, stay small."""
-    return (n - k + 1) ** k <= 20_000
+    """Whether the whole-box oracles stay small: each of their Pieri steps
+    scans the C(n, k) diagrams of k rows each, and a box takes about as many
+    steps as that again. Gr(5, 11) reads 2310; Gr(n - 1, n) passes to n = 50."""
+    return math.comb(n, k) * k <= 2_500
 
 
 @pytest.mark.parametrize("family", list(BOX_FAMILIES))
@@ -434,8 +503,8 @@ def test_reduced_pairs_match_the_unreduced_engine_and_the_oracle(family):
     filled earlier. A pair with a full column to shift out against the
     unreduced engine (_constants called directly; a pair without one is
     _constants by construction), and every pair against the column-expansion
-    oracle wherever its box scan is small (on Gr(n - 1, n), n <= 14, where
-    only the full column reduces)."""
+    oracle wherever its box scan is small: every such box but Gr(n - 1, n)
+    for n > 50, where only the full column reduces."""
     for k, n in filter(lambda box: BOX_FAMILIES[family](*box), SMALL_BOXES):
         engine, indices = _cold_engine(k, n)
         scans = _oracle_scans(k, n)
@@ -474,10 +543,11 @@ def test_seeded_pairs_with_q_powers_match_the_unreduced_engine(cold_caches, k, n
 @pytest.mark.parametrize("family", list(BOX_FAMILIES) + ["Gr(4,10) and Gr(5,11)"])
 def test_rotation_is_repeated_column_pieri(cold_caches, family):
     """S^t on every diagram of each box with C(n, k) <= 84 whose oracle scan
-    is small, at q-powers -1..1 and for t up to max(n, 2(n-k)), the largest
-    shift a pair asks for, against t steps of the whole-box column Pieri
-    oracle for x_k = sigma_(1^k); and S^n = q^k. Of the projective spaces
-    Gr(1, n), n <= 30 and the largest, Gr(1, 84)."""
+    is small (every one but Gr(n - 1, n) for n > 50), at q-powers -1..1
+    and for t up to max(n, 2(n-k)), the largest shift a pair asks for,
+    against t steps of the whole-box column Pieri oracle for x_k =
+    sigma_(1^k); and S^n = q^k. Of the projective spaces Gr(1, n), n <= 30
+    and the largest, Gr(1, 84)."""
     if family in BOX_FAMILIES:
         boxes = [
             (k, n)

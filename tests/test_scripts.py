@@ -78,23 +78,44 @@ def test_gc_experiments_rows_and_reports(monkeypatch, capsys, tmp_path, quaterni
     assert reports == [critical_report(capsys, k, n) for k, n in contexts]
 
 
-def test_product_table_digest_matches_schubert_product(monkeypatch, capsys):
-    """The script's digest hashes the Gr(2,5) table as its docstring says:
+def product_table_digest(k, n):
+    """The sha256 of the Gr(k, n) table as the script's docstring says:
     compact JSON of [a, b, sorted terms] per ordered pair."""
-    captured = run_script(monkeypatch, capsys, PRODUCT_TABLE, "2", "5", "--repeats", "2")
-    (line,) = captured.out.splitlines()
-    report = json.loads(line)
-    ctx = GrContext(2, 5)
+    ctx = GrContext(k, n)
     diagrams = enumerate_diagrams(ctx)
     table = [
         [list(a), list(b), sorted([list(d), m, c] for (d, m), c in schubert_product(ctx, a, b).items())]
         for a in diagrams
         for b in diagrams
     ]
-    digest = hashlib.sha256(json.dumps(table, separators=(",", ":")).encode()).hexdigest()
-    assert report["sha256"] == digest
+    return hashlib.sha256(json.dumps(table, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_product_table_digest_matches_schubert_product(monkeypatch, capsys):
+    """The script's digest hashes the Gr(2,5) table as its docstring says."""
+    captured = run_script(monkeypatch, capsys, PRODUCT_TABLE, "2", "5", "--repeats", "2")
+    (line,) = captured.out.splitlines()
+    report = json.loads(line)
+    assert report["sha256"] == product_table_digest(2, 5)
     assert (report["k"], report["n"], report["pairs"], report["repeats"]) == (2, 5, 100, 2)
     assert report["min_s"] > 0
+
+
+@pytest.mark.parametrize(
+    "k,n,digest",
+    [
+        pytest.param(3, 9, "a9a6ecac7b2a9e5357e216ce94ef95658fe29eb6cc3879f4a60edc7960f04cf8", id="3-9"),
+        pytest.param(6, 9, "f44e113ef9c9ec2fda8041773d8d1cb17fd336b9ee0ab7d22af0b0c666d9edaa", id="6-9"),
+        pytest.param(4, 10, "51e92e46bb5c48d1259954871e3f60a4cad0310b800829735460b43f03c091f9", id="4-10"),
+        pytest.param(6, 10, "2dd20770ec97fff5e14beb5c7b677df21c9573fd00bff228e44950b50d7faa1b", id="6-10"),
+    ],
+)
+def test_product_table_digests_are_pinned(k, n, digest):
+    """The whole tables of four boxes, hashed as the script hashes them, keep
+    the digests quoted for them. Gr(k, n) and Gr(n - k, n) are pinned apart,
+    so a fault that the row and column routes share, which the transposition
+    test cannot see, still changes a digest."""
+    assert product_table_digest(k, n) == digest
 
 
 def test_workcount_is_deterministic_and_keeps_its_schema():
