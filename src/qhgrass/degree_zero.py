@@ -22,6 +22,7 @@ from .diagram import GradedBasisElement, GrContext, YoungDiagram, graded_basis
 from .exactfield import (
     QQ,
     DegreeLimitError,
+    ExtensionField,
     FieldCtx,
     FieldError,
     Poly,
@@ -38,7 +39,14 @@ from .numberth import (
     multiplicative_order,
     order_dividing,
 )
-from .qh_core import QhElement, _schubert_like, pieri_multiply, q_shift, quantum_product
+from .qh_core import (
+    QhElement,
+    _schubert_like,
+    pieri_multiply,
+    q_shift,
+    quantum_product,
+    schubert_product,
+)
 
 
 # Gr(2, 131) over Q (ell = 65) must still fail: perfbench/gate.py KNOWN_FAILURES
@@ -249,15 +257,97 @@ def orbit_sizes(n: int, p: int) -> list[int]:
 # exhaustive zero-divisor oracle
 
 
+def _qh0_int_matrices(ctx: GrContext) -> list[list[list[int]]]:
+    """Integer matrix of multiplication by each QH^0 basis class, on that basis.
+
+    The structure constants come from schubert_product and are the same over
+    every field; over F, the matrix mapped by F.from_int is mult_matrix of the
+    basis class.
+    """
+    basis = qh0_basis(ctx)
+    index = {tuple(entry): i for i, entry in enumerate(basis)}
+    matrices = []
+    for d1, m1 in basis:
+        rows = [[0] * len(basis) for _ in basis]
+        for j, (d2, m2) in enumerate(basis):
+            for (diagram, dm), coeff in schubert_product(ctx, d1, d2).items():
+                rows[index[(diagram, m1 + m2 + dm)]][j] = coeff
+        matrices.append(rows)
+    return matrices
+
+
+def _mult_block(F: FieldCtx, c) -> list[list[int]]:
+    """The m x m matrix over GF(p) of x -> c*x on the basis 1, t, ..., t^(m-1)
+    of GF(p^m); [[c]] over GF(p)."""
+    if not isinstance(F, ExtensionField):
+        return [[c]]
+    columns, x = [], c
+    for _ in range(F.degree):
+        columns.append(x)
+        x = F.mul(x, F.gen())
+    return [list(row) for row in zip(*columns)]
+
+
+def _gf_p_rows(p: int, blocks) -> list:
+    """Rows over GF(p) of the block matrix whose (i, j) block is blocks[i][j].
+
+    Over GF(2) a row is one int with bit s set where entry s is 1, else a
+    list of ints in [0, p). Replacing each entry a of a matrix over GF(p^m)
+    by _mult_block(a) keeps singularity: the expanded determinant is the norm
+    of the original one (Lidl and Niederreiter, Finite Fields, ch. 2).
+    """
+    rows = []
+    for block_row in blocks:
+        for r in range(len(block_row[0])):
+            coords = [x % p for block in block_row for x in block[r]]
+            rows.append(sum(1 << s for s, x in enumerate(coords) if x) if p == 2 else coords)
+    return rows
+
+
+def _is_singular_mod_p(p: int, rows: list) -> bool:
+    """Whether a square matrix over GF(p), in rows shaped as _gf_p_rows
+    builds them (odd-p entries in [0, p)), is singular.
+
+    Over GF(2) each pivot row is XORed into every other row that has its
+    lowest set bit, so no two pivots share a leading bit and only a zero
+    row can end the elimination early. For odd p, the first row with a
+    nonzero first entry a is scaled by pow(a, -1, p), cleared from the
+    others, and the first column dropped. The given rows are not changed.
+    """
+    rows = list(rows)
+    if p == 2:
+        while rows:
+            top = rows.pop()
+            if not top:
+                return True
+            low = top & -top
+            rows = [r ^ top if r & low else r for r in rows]
+        return False
+    while rows:
+        for i, r in enumerate(rows):
+            if r[0]:
+                break
+        else:
+            return True
+        top = rows.pop(i)
+        inv = pow(top[0], -1, p)
+        tail = [a * inv % p for a in top[1:]]
+        rows = [[(a - r[0] * b) % p for a, b in zip(r[1:], tail)] if r[0] else r[1:] for r in rows]
+    return False
+
+
 def zero_divisor_search(ctx: GrContext, F: FieldCtx, limit: int = 10**6):
     """Exhaustively test every nonzero degree-0 class for zero divisors.
 
     Returns (found, witness_coefficients). Scaling a class does not change
     whether it is a zero divisor, so only vectors with first nonzero
     coordinate 1 are enumerated, in itertools.product order after that 1.
-    Each basis matrix times each scalar is computed once, and each
-    candidate's matrix is its prefix's matrix plus one of those, so a
-    candidate costs one matrix addition and one is_singular.
+    The integer basis matrices B_t come from _qh0_int_matrices once per
+    call, and each c*B_t is expanded once into rows over the prime field
+    (_gf_p_rows, each entry b a block b*R(c)). Each candidate's rows are its
+    prefix's rows plus one of those, an XOR of bit masks over GF(2^m) and a
+    sum mod p otherwise, and a candidate is a zero divisor exactly when its
+    rows are singular (_is_singular_mod_p).
     """
     if F.order is None:
         raise FieldError("exhaustive zero-divisor search needs a finite field")
@@ -266,25 +356,36 @@ def zero_divisor_search(ctx: GrContext, F: FieldCtx, limit: int = 10**6):
         raise SearchBudgetError(
             f"|F|^dim = {F.order}^{dim} exceeds the search limit {limit}"
         )
-    # scaled[t][s][i][j] = scalars[s] * (coefficient of basis_i in basis_t * basis_j)
+    matrices = _qh0_int_matrices(ctx)
+    p = F.characteristic
     scalars = list(F.elements())
-    basis_rows = [mult_matrix(QhElement.schubert(ctx, F, d, m), 0).rows for d, m in qh0_basis(ctx)]
-    scaled = [
-        [[[F.mul(c, v) for v in row] for row in rows] for c in scalars] for rows in basis_rows
-    ]
     one = scalars.index(F.one())
+    values = {b for B in matrices for row in B for b in row}
+    # scaled[t][s] = rows over GF(p) of scalars[s] * B_t; None for the zero scalar
+    scaled = [[None] * len(scalars) for _ in matrices]
+    for s, c in enumerate(scalars):
+        if F.is_zero(c):
+            continue
+        block = _mult_block(F, c)
+        times = {b: [[b * x for x in r] for r in block] for b in values}
+        for t, B in enumerate(matrices):
+            scaled[t][s] = _gf_p_rows(p, [[times[b] for b in row] for row in B])
 
-    def add(x, y):
-        return [[F.add(a, b) for a, b in zip(r, t)] for r, t in zip(x, y)]
+    if p == 2:
+        def add(x, y):
+            return [a ^ b for a, b in zip(x, y)]
+    else:
+        def add(x, y):
+            return [[(a + b) % p for a, b in zip(r, s)] for r, s in zip(x, y)]
 
     # depth-first in itertools.product order over the coordinates after the
     # leading 1; each node adds one scaled basis matrix to its prefix sum
     def walk(t, acc, coeffs):
         if t == dim:
-            return SquareMatrix(F, acc).is_singular()
-        for s, c in enumerate(scalars):
+            return _is_singular_mod_p(p, acc)
+        for c, rows in zip(scalars, scaled[t]):
             coeffs.append(c)
-            if walk(t + 1, acc if F.is_zero(c) else add(acc, scaled[t][s]), coeffs):
+            if walk(t + 1, acc if rows is None else add(acc, rows), coeffs):
                 return True
             coeffs.pop()
         return False

@@ -52,10 +52,11 @@ ints over Q and GF(p) (not their subclasses). min_poly reuses that
 reduction: a Hessenberg matrix with no zero on its subdiagonal is
 nonderogatory, so its minimal polynomial is its monic characteristic
 polynomial, and only a matrix whose reduced form has a zero there goes to
-the Krylov lcm. SquareMatrix.is_singular eliminates by cross-multiplying
-rows and inverts no element of a finite field. char_poly, min_poly,
-is_irreducible and distinct_degree_profile raise FieldError when the matrix
-or polynomial is over a field other than the one they are given.
+the Krylov lcm. SquareMatrix has no singularity test: the only one is in
+degree_zero's zero-divisor search, which eliminates on rows over the prime
+field with each GF(p^m) entry expanded into a block over GF(p). char_poly,
+min_poly, is_irreducible and distinct_degree_profile raise FieldError when
+the matrix or polynomial is over a field other than the one they are given.
 
 Over a finite field, is_irreducible and distinct_degree_profile share one
 distinct-degree split, which takes one gcd per block of SPLIT_BLOCK degrees
@@ -1088,31 +1089,6 @@ class SquareMatrix:
                     acc = F.add(acc, F.mul(a, b))
             out.append(acc)
         return out
-
-    def is_singular(self) -> bool:
-        """Whether det = 0, by elimination that cross-multiplies rows.
-
-        The first row with a nonzero leading entry p is the pivot row; every
-        other row r with a nonzero leading entry becomes
-        p * r - r[0] * pivot_row with its first column dropped, which scales
-        the determinant by p and inverts nothing. A row that already leads
-        with zero just loses its first column.
-        """
-        F = self.field
-        m = [list(r) for r in self.rows]
-        while m:
-            pivot = next((i for i, row in enumerate(m) if not F.is_zero(row[0])), None)
-            if pivot is None:
-                return True
-            top = m.pop(pivot)
-            p, tail = top[0], top[1:]
-            for i, row in enumerate(m):
-                c = row[0]
-                if F.is_zero(c):
-                    m[i] = row[1:]
-                    continue
-                m[i] = [F.sub(F.mul(p, a), F.mul(c, b)) for a, b in zip(row[1:], tail)]
-        return False
 
     def __repr__(self):
         body = "; ".join(

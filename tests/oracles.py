@@ -511,9 +511,37 @@ def naive_quantum_product(a, b) -> dict:
     return acc
 
 
+def cross_multiplied_is_singular(M):
+    """Whether det M = 0 for an exactfield SquareMatrix, by elimination that
+    cross-multiplies rows and inverts no element.
+
+    The first row with a nonzero leading entry p is the pivot row; every
+    other row r with a nonzero leading entry becomes
+    p * r - r[0] * pivot_row with its first column dropped, which scales
+    the determinant by p. A row that already leads with zero just loses its
+    first column. It works over every field, element by element, and shares
+    nothing with the zero-divisor search's GF(p) kernel it checks.
+    """
+    F = M.field
+    m = [list(r) for r in M.rows]
+    while m:
+        pivot = next((i for i, row in enumerate(m) if not F.is_zero(row[0])), None)
+        if pivot is None:
+            return True
+        top = m.pop(pivot)
+        p, tail = top[0], top[1:]
+        for i, row in enumerate(m):
+            c = row[0]
+            if F.is_zero(c):
+                m[i] = row[1:]
+                continue
+            m[i] = [F.sub(F.mul(p, a), F.mul(c, b)) for a, b in zip(row[1:], tail)]
+    return False
+
+
 def determinant(M):
     """det of an exactfield SquareMatrix by Gaussian elimination with field
-    inverses: the elimination that is_singular replaced, kept as its oracle."""
+    inverses."""
     F = M.field
     n = M.size
     m = [list(r) for r in M.rows]

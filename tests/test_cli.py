@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -259,6 +261,66 @@ def test_zero_denominator_names_its_term(capsys, field, a, message):
 def test_zero_or_cancelled_term_outside_the_box(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "does not fit" in err
+
+
+# malformed pieces of the CLI grammar; each makes any call that takes it fail
+_BAD_SIZES = [("0", "5"), ("-1", "5"), ("6", "5"), ("2", "0"), ("2", "-3"), ("3", "2"),
+              ("2.5", "5"), ("x", "5"), ("2", ""), ("2", "1e3")]
+_BAD_FIELDS = ["GF(4)", "GF(2^0)", "GF(9^2)", "GF(6^2)", "GF(1)", "GF(0)", "GF(-3)", "GF(2^-1)",
+               "GF(", "GF()", "GF(2^)", "GF(2^x)", "GF(p)", "F7", "Q(", "Z", "", "GF(2)^2"]
+_BAD_ELEMENTS = ["σ[1,2]", "s[2,3]", "σ[1,1,2]", "1.5*σ[1]", "σ[1.0]", "0.5*q*σ[1]", "1e5*σ[1]",
+                 "σ[1", "σ1]", "σ[[1]]", "σ[1]]", "(σ[1]", "σ[[", "1/0*σ[1]", "σ[1]+3/0*σ[2]",
+                 "σ[9]", "σ[1,1,1,1]", "σ[-1]", "σ[a]", "q^x*σ[1]", "+", "**σ[1]", "σ[1,]", "1/2/3*σ[1]"]
+# (field, term): a denominator that is zero in the field
+_ZERO_IN_FIELD = [("GF(3)", "1/3*σ[1]"), ("GF(2^2)", "1/2*σ[1]"), ("GF(7)", "2/14*σ[2]"),
+                  ("GF(3^2)", "q*σ[1]+1/6*σ[2]")]
+_BAD_SEEDS = [["--seed", "x"], ["--seed", "1.5"], ["--seed"], ["--seed", ""], ["--seed", "0x10"]]
+
+
+def _malformed_calls(rng, count):
+    """count seeded argument lists, each malformed in one place. The gc calls
+    fail in argument parsing, before the numpy import."""
+    makers = [
+        lambda: ["product", *rng.choice(_BAD_SIZES), "Q", "σ[1]", "σ[1]"],
+        lambda: ["product", "2", "5", rng.choice(_BAD_FIELDS), "σ[1]", "σ[1]"],
+        lambda: ["product", "3", "7", rng.choice(["Q", "GF(2)", "GF(3^2)"]),
+                 *rng.sample([rng.choice(_BAD_ELEMENTS), "σ[2,1]"], 2)],
+        lambda: ["product", "2", "5", *rng.choice(_ZERO_IN_FIELD), "σ[1]"],
+        lambda: ["pieri", "2", "5", "Q", rng.choice(["-1", "0", "3", "x", "1.0"]), "σ[1]"],
+        lambda: ["pieri", "2", "5", "GF(7)", "1", rng.choice(_BAD_ELEMENTS)],
+        lambda: ["matrix", rng.choice(["2", "-1", "0", "x", ""]), "Q"],
+        lambda: ["matrix", "7", rng.choice(_BAD_FIELDS)],
+        lambda: ["classify", *rng.choice(_BAD_SIZES), "3"],
+        lambda: ["classify", "2", "7", rng.choice(["x", "4", "-3", "1", "2.5", "9", ""])],
+        lambda: ["orbits", rng.choice(["0", "-4", "x"]), "3"],
+        lambda: ["evcheck", "2", "5", "Q", *rng.choice(_BAD_SEEDS)],
+        lambda: ["evcheck", *rng.choice(_BAD_SIZES), rng.choice(["Q", "GF(3)"])],
+        lambda: ["evcheck", "2", "5", rng.choice(_BAD_FIELDS + ["GF(2^2)"])],
+        lambda: ["gc", "map", "2", "5", *rng.choice(_BAD_SEEDS)],
+        lambda: ["gc", rng.choice(["map", "critical"]), rng.choice(["x", "2.5"]), "5"],
+        lambda: rng.choice([["bogus"], ["product", "3"], ["classify"], ["gc"], ["orbits", "5"]]),
+    ]
+    return [rng.choice(makers)() for _ in range(count)]
+
+
+def test_malformed_calls_fail_fast_with_one_error_line(capsys):
+    """200 seeded malformed calls: bad k or n, field specs, element strings,
+    characteristics and seeds. Each exits 1 (usage, argparse's usage lines
+    then one error line) or 2 (one line "error: ..." and no stdout), raises
+    nothing and takes under 0.1 s."""
+    for argv in _malformed_calls(random.Random(2910), 200):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert code in (1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            assert out == "" and len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+        else:
+            assert lines and lines[-1].startswith("qhgrass") and ": error: " in lines[-1], (argv, err)
+        assert elapsed < 0.1, (argv, elapsed)
 
 
 # sha256 of the stdout of each command, recorded with the earlier exact layers

@@ -22,6 +22,7 @@ from qhgrass.exactfield import (
 )
 from qhgrass.degree_zero import (
     SearchBudgetError,
+    _qh0_int_matrices,
     charpoly_identity_holds,
     classify,
     closed_form_charpoly,
@@ -39,7 +40,13 @@ from qhgrass import qh_core
 from qhgrass.numberth import is_prime
 from qhgrass.qh_core import QhElement, q_shift, special_class
 
-from oracles import int_poly, sequential_distinct_degree_parts, sympy_is_irreducible_q, units_from_powers
+from oracles import (
+    determinant,
+    int_poly,
+    sequential_distinct_degree_parts,
+    sympy_is_irreducible_q,
+    units_from_powers,
+)
 
 
 def test_qh0_basis_examples():
@@ -424,16 +431,29 @@ def test_zero_divisor_search_small():
 
 
 def test_zero_divisor_witness_is_genuine():
-    """The reported witness really multiplies some basis vector to zero."""
-    ctx = GrContext(2, 10)
-    F = prime_field(7)
-    found, witness = zero_divisor_search(ctx, F)
-    assert found
-    basis = qh0_basis(ctx)
-    element = QhElement(ctx, F, dict(zip([(d, m) for d, m in basis], witness)))
-    M = mult_matrix(element, 0)
-    assert M.is_singular()
-    assert element.terms  # nonzero class
+    """Each reported witness is a nonzero class whose multiplication matrix,
+    built by mult_matrix, has determinant zero (oracles.determinant, not the
+    search's own singularity test)."""
+    for k, n, spec in [(2, 10, "GF(7)"), (2, 13, "GF(2^2)"), (2, 13, "GF(3)"), (3, 6, "GF(2)")]:
+        ctx, F = GrContext(k, n), parse_field(spec)
+        found, witness = zero_divisor_search(ctx, F)
+        assert found, (k, n, spec)
+        element = QhElement(ctx, F, dict(zip([(d, m) for d, m in qh0_basis(ctx)], witness)))
+        assert element.terms  # nonzero class
+        assert F.is_zero(determinant(mult_matrix(element, 0))), (k, n, spec)
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(2^2)"])
+def test_integer_qh0_matrices_match_mult_matrix(spec):
+    """The search's integer basis matrices, mapped into F, are the
+    mult_matrix of each basis class over F."""
+    F = parse_field(spec)
+    boxes = [(2, n) for n in range(4, 14)] + [(3, n) for n in range(6, 10)]
+    for k, n in boxes:
+        ctx = GrContext(k, n)
+        for (d, m), B in zip(qh0_basis(ctx), _qh0_int_matrices(ctx), strict=True):
+            want = mult_matrix(QhElement.schubert(ctx, F, d, m), 0).rows
+            assert tuple(tuple(F.from_int(b) for b in row) for row in B) == want, (k, n, d, m)
 
 
 def test_classify_examples():

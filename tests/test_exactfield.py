@@ -28,10 +28,11 @@ from qhgrass.exactfield import (
 )
 
 from qhgrass import exactfield
-from qhgrass.degree_zero import closed_form_matrix
+from qhgrass.degree_zero import _gf_p_rows, _is_singular_mod_p, _mult_block, closed_form_matrix
 from qhgrass.numberth import cyclotomic_polynomial, multiplicative_order
 
 from oracles import (
+    cross_multiplied_is_singular,
     determinant,
     int_poly,
     gf_irreducible_by_trial_division,
@@ -735,15 +736,33 @@ def test_min_poly_of_the_closed_form_matrices_is_the_char_poly():
             assert min_poly(F, M) == char_poly(F, M).monic() == exactfield._krylov_min_poly(F, M)
 
 
-@pytest.mark.parametrize("F", FIELDS_UNDER_TEST, ids=lambda f: f.label)
+def _kernel_is_singular(F, M):
+    """The zero-divisor search's singularity test on M, each entry expanded
+    into its block over GF(p)."""
+    p = F.characteristic
+    rows = _gf_p_rows(p, [[_mult_block(F, a) for a in row] for row in M.rows])
+    before = [list(r) if p != 2 else r for r in rows]
+    verdict = _is_singular_mod_p(p, rows)
+    assert rows == before  # the kernel leaves its rows as given
+    return verdict
+
+
+@pytest.mark.parametrize(
+    "F",
+    FIELDS_UNDER_TEST + [prime_field(3), make_extension(2, 2), make_extension(3, 2)],
+    ids=lambda f: f.label,
+)
 def test_is_singular_against_determinant(F, monkeypatch):
-    """Seeded matrices, every third made singular (the last row a combination
-    of the others, or zero when it is the only one); is_singular inverts
-    nothing."""
+    """Seeded matrices of sizes 1-6, every third made singular (the last row
+    a combination of the others, or zero when it is the only one), plus the
+    zero matrix and a permuted identity. Over a finite field the zero-divisor
+    search's kernel must agree with the determinant and with the
+    cross-multiplying elimination; over Q and Q(zeta_N) the elimination
+    alone is checked. Neither inverts a field element."""
     rng = random.Random(6100)
     matrices = []
     for trial in range(40):
-        size = rng.randint(1, 5)
+        size = rng.randint(1, 6)
         rows = [[F.random_element(rng) for _ in range(size)] for _ in range(size)]
         if trial % 3 == 0 and size == 1:
             rows = [[F.zero()]]
@@ -751,16 +770,20 @@ def test_is_singular_against_determinant(F, monkeypatch):
             a, b = F.random_element(rng), F.random_element(rng)
             rows[-1] = [F.add(F.mul(a, x), F.mul(b, y)) for x, y in zip(rows[0], rows[-2])]
         matrices.append(SquareMatrix(F, rows))
+    matrices.append(SquareMatrix.from_int_rows(F, [[0] * 4 for _ in range(4)]))
+    perm = [3, 0, 5, 1, 4, 2]
+    matrices.append(SquareMatrix.from_int_rows(F, [[int(j == perm[i]) for j in range(6)] for i in range(6)]))
     want = [F.is_zero(determinant(M)) for M in matrices]
-    assert all(want[::3])
+    assert all(want[:40:3]) and want[-2:] == [True, False]
 
     def no_inverse(self, a):
-        raise AssertionError("is_singular inverted a field element")
+        raise AssertionError("a singularity test inverted a field element")
 
     monkeypatch.setattr(type(F), "inv", no_inverse)
-    verdicts = [M.is_singular() for M in matrices]
-    assert verdicts == want
-    assert True in verdicts and False in verdicts
+    assert [cross_multiplied_is_singular(M) for M in matrices] == want
+    if F.order is not None:
+        assert [_kernel_is_singular(F, M) for M in matrices] == want
+    assert True in want[:40] and False in want[:40]
 
 
 def test_poly_text_format():
