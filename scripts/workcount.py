@@ -32,17 +32,22 @@ import sys
 from pathlib import Path
 
 # run in each fresh process with argv [tree, workload, seed, tiny]; prints
-# [[file, line, name, calls], ...] for every function the job called
+# [[file, line, name, calls], ...] for every function the job called. Two code
+# objects can share one (file, line, name) label, such as two comprehensions
+# on one line; pstats keeps only one of them, so the raw entries are summed per label
 _PROFILE_JOB = """
-import cProfile, json, pstats, sys
+import cProfile, json, sys
 tree, workload, seed, tiny = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4] == "1"
 sys.path[:0] = [tree + "/src", tree + "/perfbench"]
 import worker, workloads
 ops = workloads.generate(workload, seed, tiny)
 profile = cProfile.Profile()
 profile.runcall(worker.run_job, ops, False, False)
-rows = [[f, line, name, nc] for (f, line, name), (cc, nc, tt, ct, callers) in pstats.Stats(profile).stats.items()]
-json.dump(rows, sys.stdout)
+counts = {}
+for entry in profile.getstats():
+    key = cProfile.label(entry.code)
+    counts[key] = counts.get(key, 0) + entry.callcount
+json.dump([[*key, calls] for key, calls in counts.items()], sys.stdout)
 """
 
 TOP = 20

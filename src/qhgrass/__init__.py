@@ -1,7 +1,7 @@
 """Exact quantum cohomology of complex Grassmannians.
 
 Schubert calculus over Q and finite fields (quantum Pieri and Giambelli),
-the degree-zero graded-field / semisimplicity classifier, root-of-unity
+the degree-zero graded-field classifier, root-of-unity
 evaluation homomorphisms, and a floating-point Gelfand-Cetlin toolbox with
 the disk potential's critical point in closed form, checked exactly.
 

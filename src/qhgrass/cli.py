@@ -87,7 +87,10 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    char_spec = int(args.char)
+    try:
+        char_spec = int(args.char)
+    except ValueError:
+        raise ValueError(f"characteristic must be 0 or a prime, got {args.char!r}") from None
     verdict = dz.classify(args.k, args.n, char_spec)
     print(json.dumps(verdict.to_json_dict(), ensure_ascii=False))
     return 0

@@ -39,14 +39,7 @@ from .numberth import (
     multiplicative_order,
     order_dividing,
 )
-from .qh_core import (
-    QhElement,
-    _schubert_like,
-    pieri_multiply,
-    q_shift,
-    quantum_product,
-    schubert_product,
-)
+from .qh_core import QhElement, pieri_multiply, q_shift, schubert_product
 
 
 # Gr(2, 131) over Q (ell = 65) must still fail: perfbench/gate.py KNOWN_FAILURES
@@ -75,23 +68,33 @@ def standard_degree_zero_element(ctx: GrContext, field: FieldCtx) -> QhElement:
     return QhElement.unit(ctx, field) - q_shift(pieri_multiply(v1, 2), -1)
 
 
+def _int_matrices(ctx: GrContext, classes, basis) -> list[dict[tuple[int, int], int]]:
+    """Per degree-0 class (diagram, q-power), its matrix on the basis of one
+    graded piece as {(row, column): structure constant} from schubert_product,
+    zeros left out; the same integers serve every field."""
+    index = {tuple(entry): i for i, entry in enumerate(basis)}
+    matrices = []
+    for d1, m1 in classes:
+        entries = {}
+        for j, (d2, m2) in enumerate(basis):
+            for (diagram, dm), coeff in schubert_product(ctx, d1, d2).items():
+                entries[index[(diagram, m1 + m2 + dm)], j] = coeff
+        matrices.append(entries)
+    return matrices
+
+
 def mult_matrix(element: QhElement, degree: int) -> SquareMatrix:
-    """Matrix of b -> element * b on the canonical basis of the degree-d piece."""
+    """Matrix of b -> element * b on the canonical basis of the degree-d piece:
+    each term's coefficient times its sparse integer matrix (_int_matrices)."""
     if element.homogeneous_degree() != 0:
         raise ValueError("multiplication operator requires a homogeneous degree-0 class")
-    ctx, F = element.ctx, element.field
-    basis = graded_basis(ctx, degree)
-    index = {tuple(entry): i for i, entry in enumerate(basis)}
-    size = len(basis)
-    columns = []
-    for diagram, m in basis:
-        # the basis class on element's engine, which the current one of ctx may not be
-        image = quantum_product(element, q_shift(_schubert_like(element, diagram), m))
-        col = [F.zero()] * size
-        for key, coeff in image.terms.items():
-            col[index[key]] = coeff
-        columns.append(col)
-    return SquareMatrix(F, [[columns[j][i] for j in range(size)] for i in range(size)])
+    F, terms = element.field, element.terms
+    basis = graded_basis(element.ctx, degree)
+    rows = [[F.zero()] * len(basis) for _ in basis]
+    for c, entries in zip(terms.values(), _int_matrices(element.ctx, terms, basis)):
+        for (i, j), b in entries.items():
+            rows[i][j] = F.add(rows[i][j], F.mul(c, F.from_int(b)))
+    return SquareMatrix(F, rows)
 
 
 def closed_form_matrix(n: int, field: FieldCtx) -> SquareMatrix:
@@ -101,7 +104,7 @@ def closed_form_matrix(n: int, field: FieldCtx) -> SquareMatrix:
     and (for even n) +1 in the bottom-right corner as well.
     """
     if n < 3:
-        raise ValueError("n >= 3 required")
+        raise ValueError(f"n >= 3 required, got n={n}")
     size = (n - 1) // 2 if n % 2 == 1 else n // 2
     rows = [[0] * size for _ in range(size)]
     rows[0][0] = 1
@@ -257,25 +260,6 @@ def orbit_sizes(n: int, p: int) -> list[int]:
 # exhaustive zero-divisor oracle
 
 
-def _qh0_int_matrices(ctx: GrContext) -> list[list[list[int]]]:
-    """Integer matrix of multiplication by each QH^0 basis class, on that basis.
-
-    The structure constants come from schubert_product and are the same over
-    every field; over F, the matrix mapped by F.from_int is mult_matrix of the
-    basis class.
-    """
-    basis = qh0_basis(ctx)
-    index = {tuple(entry): i for i, entry in enumerate(basis)}
-    matrices = []
-    for d1, m1 in basis:
-        rows = [[0] * len(basis) for _ in basis]
-        for j, (d2, m2) in enumerate(basis):
-            for (diagram, dm), coeff in schubert_product(ctx, d1, d2).items():
-                rows[index[(diagram, m1 + m2 + dm)]][j] = coeff
-        matrices.append(rows)
-    return matrices
-
-
 def _mult_block(F: FieldCtx, c) -> list[list[int]]:
     """The m x m matrix over GF(p) of x -> c*x on the basis 1, t, ..., t^(m-1)
     of GF(p^m); [[c]] over GF(p)."""
@@ -342,21 +326,24 @@ def zero_divisor_search(ctx: GrContext, F: FieldCtx, limit: int = 10**6):
     Returns (found, witness_coefficients). Scaling a class does not change
     whether it is a zero divisor, so only vectors with first nonzero
     coordinate 1 are enumerated, in itertools.product order after that 1.
-    The integer basis matrices B_t come from _qh0_int_matrices once per
-    call, and each c*B_t is expanded once into rows over the prime field
-    (_gf_p_rows, each entry b a block b*R(c)). Each candidate's rows are its
-    prefix's rows plus one of those, an XOR of bit masks over GF(2^m) and a
-    sum mod p otherwise, and a candidate is a zero divisor exactly when its
-    rows are singular (_is_singular_mod_p).
+    The integer basis matrices B_t come from _int_matrices, as mult_matrix's
+    do, once per call, and each c*B_t is expanded once into rows over the
+    prime field (_gf_p_rows, each entry b a block b*R(c)). Each candidate's
+    rows are its prefix's rows plus one of those, an XOR of bit masks over
+    GF(2^m) and a sum mod p otherwise, and a candidate is a zero divisor
+    exactly when its rows are singular (_is_singular_mod_p).
     """
     if F.order is None:
         raise FieldError("exhaustive zero-divisor search needs a finite field")
-    dim = len(qh0_basis(ctx))
+    basis = qh0_basis(ctx)
+    dim = len(basis)
     if F.order**dim > limit:
         raise SearchBudgetError(
             f"|F|^dim = {F.order}^{dim} exceeds the search limit {limit}"
         )
-    matrices = _qh0_int_matrices(ctx)
+    # dense, since every entry is read once per scalar
+    sparse = _int_matrices(ctx, basis, basis)
+    matrices = [[[B.get((i, j), 0) for j in range(dim)] for i in range(dim)] for B in sparse]
     p = F.characteristic
     scalars = list(F.elements())
     one = scalars.index(F.one())
@@ -558,9 +545,9 @@ def classify(k: int, n: int, char_spec: int) -> ClassifierVerdict:
     of n without listing the orbits.
     """
     if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if char_spec != 0 and not is_prime(char_spec):
-        raise ValueError("characteristic must be 0 or a prime")
+        raise ValueError(f"characteristic must be 0 or a prime, got {char_spec}")
     reasons: list[str] = []
     kk = min(k, n - k)
     if 0 < kk != k:

@@ -977,16 +977,18 @@ def cyclotomic_field(n: int) -> FieldCtx:
 
 
 def parse_field(text: str) -> FieldCtx:
-    """Field spec strings: "Q", "GF(p)", "GF(p^m)"."""
+    """Field spec strings: "Q", "GF(p)", "GF(p^m)". Every FieldError quotes the spec."""
     text = text.strip()
     if text in ("Q", "QQ", "q"):
         return QQ
     if text.startswith("GF(") and text.endswith(")"):
-        inner = text[3:-1]
-        if "^" in inner:
-            p_str, m_str = inner.split("^", 1)
-            return make_extension(int(p_str), int(m_str))
-        return prime_field(int(inner))
+        p_str, caret, m_str = text[3:-1].partition("^")
+        try:
+            return make_extension(int(p_str), int(m_str) if caret else 1)
+        except FieldError as exc:
+            raise FieldError(f"field spec {text!r}: {exc}") from None
+        except ValueError:  # p or m not an integer
+            pass
     raise FieldError(f"cannot parse field spec {text!r}")
 
 

@@ -16,7 +16,8 @@ coordinates in the splitting field (FieldCtx._lift_ints with denominator 1).
 EvContext keeps the powers of each x_i in those coordinates, and ev_map
 evaluates integer-first, as qh_core.quantum_product sums: it reads the
 element's integer coordinates over its one denominator as they are kept,
-forms the Giambelli monomials with FieldCtx._mul_ints (the extension kernel
+takes each code's column Giambelli expansion from the element's product
+engine, forms the monomials with FieldCtx._mul_ints (the extension kernel
 over Q(zeta_N), the field product over GF(p) and GF(p^m)), adds them with
 their summed integer coefficients (FieldCtx._accumulate), and converts once.
 verify_ideal_vanishing runs the h_r recurrence on the same rows the same way,
@@ -40,7 +41,7 @@ from .exactfield import (
     nth_roots_of_unity,
 )
 from .numberth import multiplicative_order
-from .qh_core import QhElement, _giambelli_cached
+from .qh_core import QhElement
 
 
 def _elementary_upto(F: FieldCtx, values: Sequence, i: int) -> list:
@@ -115,11 +116,11 @@ class EvContext:
         big_n = distinct * (1 + self.xi_index)
         if p == 0:
             if not isinstance(base, RationalField):
-                raise ValueError("characteristic-0 evaluation starts from Q")
+                raise ValueError(f"characteristic-0 evaluation starts from Q, not {base.label}")
             self.field = cyclotomic_field(big_n)
         else:
             if not isinstance(base, PrimeField):
-                raise ValueError("positive-characteristic evaluation starts from GF(p)")
+                raise ValueError(f"positive-characteristic evaluation starts from GF(p), not {base.label}")
             self.field = make_extension(p, multiplicative_order(p, big_n))
         K = self.field
         self.distinct_root_count = distinct
@@ -190,10 +191,11 @@ def ev_map(ev: EvContext, J: AdmissibleMultiset, element: QhElement):
         raise ValueError(f"element over {element.field.label}, evaluation from {ev.base.label}")
     K = ev.field
     rows = ev._power_rows(J, ev.ctx.cols)
+    expansion = element.engine.expansion
     weights: dict[tuple[int, ...], int] = {}
-    for (diagram, _m), c in element._int_terms():
-        # the terms are box-checked by QhElement, so the cached table is read as is
-        for exps, g in _giambelli_cached(ev.ctx.k, diagram):
+    for code, c in element.codes.items():
+        # q -> 1, so a code's q-power is dropped; the engine keeps each column expansion
+        for exps, _, g in expansion(code, 0):
             weights[exps] = weights.get(exps, 0) + c * g
     # rows[0][0] = x_1^0 = 1 stands for the empty monomial
     total: dict[int, object] = {}

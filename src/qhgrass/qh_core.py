@@ -22,9 +22,11 @@ engine per context computes and keeps them on integer codes. A diagram gets
 a dense index when it is first seen, so the box is never enumerated (Gr(2,
 100003) works), and a code idx + m * 2^32 stands for q^m * sigma_idx; m may
 be negative. The engine keeps the constants of each unordered pair of
-indices, one Pieri step table per route and j, and the chains x^e * sigma_b
-shared by every product whose Giambelli expansion reaches them; a product
-is the sum of coefficient times chain over its Giambelli monomials. After
+indices, one Pieri step table per route and j, the Giambelli expansion of
+each index per route (giambelli_expand and presentation.ev_map read the
+column ones; nothing else keeps one), and the chains x^e * sigma_b shared
+by every product whose Giambelli expansion reaches them; a product is the
+sum of coefficient times chain over its Giambelli monomials. After
 a collection the garbage collector no longer tracks these int-only tuples
 and dicts; it always tracks a diagram, a tuple subclass, and every tuple
 that holds one.
@@ -110,12 +112,8 @@ class QhElement:
     @property
     def terms(self) -> dict[TermKey, object]:
         """{(diagram, q-power): coefficient}, a new dict built on every call."""
-        return self.field._drop_ints(self._int_terms(), self.den)
-
-    def _int_terms(self):
-        """((diagram, q-power), integer coordinates) per term, over self.den."""
         codes = self.codes
-        return zip(map(self.engine.keys.__getitem__, codes), codes.values())
+        return self.field._drop_ints(zip(map(self.engine.keys.__getitem__, codes), codes.values()), self.den)
 
     def __reduce__(self):
         return QhElement, (self.ctx, self.field, self.terms)
@@ -320,8 +318,8 @@ def q_shift(element: QhElement, m: int) -> QhElement:
 # Giambelli expansion and general products
 
 
-@lru_cache(maxsize=None)
-def _giambelli_cached(k: int, diagram: YoungDiagram) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _giambelli(k: int, diagram: YoungDiagram) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The column Giambelli determinant over x_1..x_k as sorted (exponents, coefficient) pairs."""
     conj = diagram.conjugate()
     m = diagram.width
 
@@ -358,11 +356,11 @@ def _giambelli_cached(k: int, diagram: YoungDiagram) -> tuple[tuple[tuple[int, .
 def giambelli_expand(ctx: GrContext, diagram: YoungDiagram) -> dict[tuple[int, ...], int]:
     """sigma_D as an integer polynomial in x_1..x_k (dual Jacobi-Trudi determinant).
 
-    Keys are exponent tuples (a_1..a_k) meaning x_1^a_1 * ... * x_k^a_k.
+    Keys are exponent tuples (a_1..a_k) meaning x_1^a_1 * ... * x_k^a_k, as the
+    context's product engine keeps them; ValueError for a diagram outside the box.
     """
-    if not diagram.fits(ctx.k, ctx.cols):
-        raise ValueError(f"{diagram!r} does not fit in {ctx}")
-    return dict(_giambelli_cached(ctx.k, YoungDiagram(diagram)))
+    engine = _engine(ctx)
+    return {exps: g for exps, _, g in engine.expansion(engine.lookup(diagram), 0)}
 
 
 _Q = 1 << 32  # a code is idx + m * _Q: the diagram of index idx times q^m
@@ -420,7 +418,7 @@ class _ProductEngine:
         self.choice: list[tuple[int, int, int]] = []
         self.keys = _KeyTable(self.diagrams)
         self.steps: dict[int, dict[int, tuple[int, ...]]] = {}
-        self.monomials: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+        self.monomials: dict[int, tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]] = {}
         self.chains: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
         self.pairs: dict[int, tuple[int, ...]] = {}
         self.reduced: dict[int, int] = {}
@@ -491,27 +489,25 @@ class _ProductEngine:
         by_rows = self.choice[a][2]
         acc: dict[int, int] = {}
         get = acc.get
-        for seq, g in self._monomials(a, by_rows):
+        for _, seq, g in self.expansion(a, by_rows):
             for code, c in self._chain(b, by_rows, seq).items():
                 acc[code] = get(code, 0) + g * c
         return tuple([x for term in acc.items() if term[1] for x in term])
 
-    def _monomials(self, a: int, by_rows: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The Giambelli monomials of index a, each as its sequence of Pieri steps.
+    def expansion(self, code: int, by_rows: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+        """The Giambelli monomials of the diagram of a code, its q-power aside,
+        as (exponents, Pieri steps, coefficient), kept per index and route.
 
         x_1^e_1 ... x_r^e_r is the step x_r applied e_r times, then x_(r-1),
         and so on down to x_1. The row determinant of D in Gr(k, n) is the
-        column one of D' in Gr(n-k, n)."""
-        key = a << 1 | by_rows
-        monomials = self.monomials.get(key)
+        column one of D' in Gr(n-k, n), over h_1..h_(n-k)."""
+        i = code & _IDX
+        monomials = self.monomials.get(i << 1 | by_rows)
         if monomials is None:
-            d = self.diagrams[a]
-            if by_rows:
-                expansion = _giambelli_cached(self.n - self.k, d.conjugate())
-            else:
-                expansion = _giambelli_cached(self.k, d)
-            monomials = self.monomials[key] = tuple(
-                (tuple([v for v in range(len(exps), 0, -1) for _ in range(exps[v - 1])]), g)
+            d = self.diagrams[i]
+            expansion = _giambelli(self.n - self.k, d.conjugate()) if by_rows else _giambelli(self.k, d)
+            monomials = self.monomials[i << 1 | by_rows] = tuple(
+                (exps, tuple([v for v in range(len(exps), 0, -1) for _ in range(exps[v - 1])]), g)
                 for exps, g in expansion
             )
         return monomials
@@ -619,7 +615,7 @@ def quantum_product(a: QhElement, b: QhElement) -> QhElement:
 # unicode letter; coefficients print before the q-power.
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>-?\d+(?:/\d+)?)\*)?(?P<q>q(?:\^(?P<qpow>-?\d+))?\*)?(?:σ|s)\[(?P<rows>[-0-9,]*)\]$"
+    r"^(?:(?P<coeff>-?\d+(?:/\d+)?)\*)?(?P<q>q(?:\^(?P<qpow>-?\d+))?\*)?(?:σ|s)\[(?P<rows>-|\d+(?:,\d+)*|)\]$"
 )
 
 
@@ -652,6 +648,8 @@ def parse_element(ctx: GrContext, field: FieldCtx, text: str) -> QhElement:
         return QhElement.zero(ctx, field)
     for raw in body.split("+"):
         term = raw.strip().replace(" ", "")
+        if not term:
+            raise ValueError(f"element {text.strip()!r} has an empty term")
         negate = False
         while term.startswith("-") and not _TERM_RE.match(term):
             negate = not negate
@@ -675,7 +673,12 @@ def parse_element(ctx: GrContext, field: FieldCtx, text: str) -> QhElement:
         if negate:
             coeff = field.neg(coeff)
         qpow = 0 if match.group("q") is None else int(match.group("qpow") or 1)
-        key = (YoungDiagram.from_text(match.group("rows")), qpow)
-        # zero sums are kept, so QhElement box-checks every term before dropping them
+        try:
+            diagram = YoungDiagram.from_text(match.group("rows"))
+            if not diagram.fits(ctx.k, ctx.cols):  # checked here, so the error names its term
+                raise ValueError(f"{diagram!r} does not fit in {ctx}")
+        except ValueError as exc:
+            raise ValueError(f"element term {raw.strip()!r}: {exc}") from None
+        key = (diagram, qpow)
         acc[key] = field.add(acc[key], coeff) if key in acc else coeff
     return QhElement(ctx, field, acc)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 
 
@@ -161,14 +162,13 @@ def sympy_charpoly_reduced(entries, p: int = 0, modulus=None):
 
 
 def sympy_is_irreducible_q(coeffs) -> bool:
+    """Whether sympy factors the polynomial (coefficients low degree first)
+    over Q into one nonconstant factor of multiplicity 1. It is built as a
+    Poly from its coefficients, with no symbolic expression."""
     import sympy
 
-    x = sympy.symbols("x")
-    expr = sum(sympy.Rational(str(c)) * x**i for i, c in enumerate(coeffs))
-    factored = sympy.factor_list(expr)
-    nontrivial = [f for f, mult in factored[1] if sympy.Poly(f, x).degree() >= 1]
-    total_mult = sum(mult for f, mult in factored[1] if sympy.Poly(f, x).degree() >= 1)
-    return len(nontrivial) == 1 and total_mult == 1
+    poly = sympy.Poly([sympy.Rational(str(c)) for c in reversed(coeffs)], sympy.symbols("x"), domain="QQ")
+    return [mult for f, mult in poly.factor_list()[1] if f.degree() >= 1] == [1]
 
 
 def sympy_min_poly_is_minimal(rows, coeffs, p: int = 0, modulus=None) -> bool:
@@ -366,8 +366,7 @@ def sympy_cyclotomic(n: int) -> list[int]:
     """Coefficients of the n-th cyclotomic polynomial, low degree first."""
     import sympy
 
-    x = sympy.symbols("x")
-    return [int(v) for v in reversed(sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs())]
+    return [int(v) for v in reversed(sympy.cyclotomic_poly(n, sympy.symbols("x"), polys=True).all_coeffs())]
 
 
 def sympy_symmetric_determinant(entries, size, symbols):
@@ -405,14 +404,19 @@ def _padded(rows, k):
 
 
 @functools.lru_cache(maxsize=None)
-def _sorted_box(k: int, cols: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(box_partitions(k, cols)))
+def _box_by_size(k: int, cols: int) -> dict[int, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+    """{size: ((rows, rows padded to k), ...)} over every diagram of the box,
+    built once per box, each size's diagrams in sorted order."""
+    by_size: dict = {}
+    for mu in sorted(box_partitions(k, cols)):
+        by_size.setdefault(sum(mu), []).append((mu, _padded(mu, k)))
+    return {size: tuple(diagrams) for size, diagrams in by_size.items()}
 
 
 @functools.lru_cache(maxsize=None)
 def column_pieri_terms(k: int, cols: int, rows: tuple[int, ...], j: int):
     """x_j * sigma_rows in Gr(k, k+cols) as ((mu, q-power), ...), by testing
-    every diagram of the box.
+    every diagram of the box that has the size of a term.
 
     Classical terms: mu / rows is a vertical strip of j boxes. q-terms: rows
     has a full top row, and nu_i = rows_{i+1} or rows_{i+1} - 1 with nu_k = 0
@@ -421,18 +425,11 @@ def column_pieri_terms(k: int, cols: int, rows: tuple[int, ...], j: int):
     n = k + cols
     lam = _padded(rows, k)
     size = sum(lam) + j
-    out = []
-    for mu in _sorted_box(k, cols):
-        m = _padded(mu, k)
-        if sum(m) == size and all(0 <= a - b <= 1 for a, b in zip(m, lam)):
-            out.append((mu, 0))
-        if (
-            lam[0] == cols
-            and sum(m) == size - n
-            and m[-1] == 0
-            and all(0 <= a - b <= 1 for a, b in zip(lam[1:], m))
-        ):
-            out.append((mu, 1))
+    box = _box_by_size(k, cols)
+    # a strip: every row difference is 0 or 1
+    out = [(mu, 0) for mu, m in box.get(size, ()) if set(map(operator.sub, m, lam)) <= {0, 1}]
+    if lam[0] == cols:
+        out += [(nu, 1) for nu, m in box.get(size - n, ()) if not m[-1] and set(map(operator.sub, lam[1:], m)) <= {0, 1}]
     return tuple(out)
 
 
@@ -464,18 +461,25 @@ def column_giambelli(k: int, rows: tuple[int, ...]) -> tuple[tuple[tuple[int, ..
 
 
 @functools.lru_cache(maxsize=None)
-def _monomial_times(k: int, cols: int, rows: tuple[int, ...], exps: tuple[int, ...]):
-    """x^exps * sigma_rows as ((mu, q-power), coeff) pairs: one Pieri step by the
-    first variable present, then the rest of the monomial on each term."""
-    if not any(exps):
+def _monomial_times(k: int, cols: int, rows: tuple[int, ...], variables: tuple[int, ...]):
+    """x_v1 * x_v2 * ... * sigma_rows for variables (v1, v2, ...), as ((mu,
+    q-power), coeff) pairs: one Pieri step by v1, then the rest on each term."""
+    if not variables:
         return (((rows, 0), 1),)
-    i = next(idx for idx, e in enumerate(exps) if e)
-    rest = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
     acc: dict = {}
-    for mu, dq in column_pieri_terms(k, cols, rows, i + 1):
-        for (nu, m), c in _monomial_times(k, cols, mu, rest):
+    for mu, dq in column_pieri_terms(k, cols, rows, variables[0]):
+        for (nu, m), c in _monomial_times(k, cols, mu, variables[1:]):
             acc[(nu, m + dq)] = acc.get((nu, m + dq), 0) + c
     return tuple(acc.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _giambelli_variables(k: int, rows: tuple[int, ...]):
+    """column_giambelli(k, rows) with each monomial x^exps as its variables,
+    x_1 e_1 times, then x_2 e_2 times, and so on."""
+    return tuple(
+        (tuple(v for v, e in enumerate(exps, 1) for _ in range(e)), coeff) for exps, coeff in column_giambelli(k, rows)
+    )
 
 
 def column_expansion_product(k: int, n: int, first, second) -> dict:
@@ -483,8 +487,9 @@ def column_expansion_product(k: int, n: int, first, second) -> dict:
     `first` (always the first factor) and iterated column Pieri steps on
     `second`: {(rows, q-power): coeff}."""
     acc: dict = {}
-    for exps, coeff in column_giambelli(k, tuple(first)):
-        for key, c in _monomial_times(k, n - k, tuple(second), exps):
+    second = tuple(second)
+    for variables, coeff in _giambelli_variables(k, tuple(first)):
+        for key, c in _monomial_times(k, n - k, second, variables):
             acc[key] = acc.get(key, 0) + coeff * c
     return {key: c for key, c in acc.items() if c}
 
@@ -509,6 +514,24 @@ def naive_quantum_product(a, b) -> dict:
                 else:
                     acc[key] = new
     return acc
+
+
+def per_column_mult_matrix(element, degree: int):
+    """mult_matrix by one quantum_product per basis class: column j of the
+    matrix of b -> element * b on graded_basis(ctx, degree) is the product
+    with the j-th basis class, read through `terms`. Rows of field elements."""
+    from qhgrass.diagram import graded_basis
+    from qhgrass.qh_core import QhElement, quantum_product
+
+    ctx, F = element.ctx, element.field
+    basis = graded_basis(ctx, degree)
+    index = {tuple(entry): i for i, entry in enumerate(basis)}
+    rows = [[F.zero()] * len(basis) for _ in basis]
+    for j, (diagram, m) in enumerate(basis):
+        image = quantum_product(element, QhElement.schubert(ctx, F, diagram, m))
+        for key, coeff in image.terms.items():
+            rows[index[key]][j] = coeff
+    return tuple(tuple(row) for row in rows)
 
 
 def cross_multiplied_is_singular(M):

@@ -271,34 +271,68 @@ _BAD_FIELDS = ["GF(4)", "GF(2^0)", "GF(9^2)", "GF(6^2)", "GF(1)", "GF(0)", "GF(-
 _BAD_ELEMENTS = ["σ[1,2]", "s[2,3]", "σ[1,1,2]", "1.5*σ[1]", "σ[1.0]", "0.5*q*σ[1]", "1e5*σ[1]",
                  "σ[1", "σ1]", "σ[[1]]", "σ[1]]", "(σ[1]", "σ[[", "1/0*σ[1]", "σ[1]+3/0*σ[2]",
                  "σ[9]", "σ[1,1,1,1]", "σ[-1]", "σ[a]", "q^x*σ[1]", "+", "**σ[1]", "σ[1,]", "1/2/3*σ[1]"]
-# (field, term): a denominator that is zero in the field
+# (field, element): a denominator that is zero in the field
 _ZERO_IN_FIELD = [("GF(3)", "1/3*σ[1]"), ("GF(2^2)", "1/2*σ[1]"), ("GF(7)", "2/14*σ[2]"),
                   ("GF(3^2)", "q*σ[1]+1/6*σ[2]")]
+# the malformed term of an element that has a well-formed one too
+_BAD_TERM = {"σ[1]+3/0*σ[2]": "3/0*σ[2]", "q*σ[1]+1/6*σ[2]": "1/6*σ[2]"}
 _BAD_SEEDS = [["--seed", "x"], ["--seed", "1.5"], ["--seed"], ["--seed", ""], ["--seed", "0x10"]]
 
 
 def _malformed_calls(rng, count):
-    """count seeded argument lists, each malformed in one place. The gc calls
-    fail in argument parsing, before the numpy import."""
+    """count seeded (argument list, bad texts) pairs, each call malformed in
+    one place. The bad texts name that place: the malformed argument, the
+    malformed term of an element, or "k=..." and "n=..." for a bad size
+    pair. The gc calls fail in argument parsing, before the numpy import."""
+
+    def call(*parts):
+        # a part is one well-formed argument or a pair (arguments, bad texts)
+        argv, bad = [], ()
+        for part in parts:
+            if isinstance(part, str):
+                argv.append(part)
+            else:
+                argv += part[0]
+                bad += part[1]
+        return argv, bad
+
+    def one(choices):
+        text = rng.choice(choices)
+        return [text], (text,)
+
+    def sizes():
+        k, n = rng.choice(_BAD_SIZES)
+        return [k, n], (f"k={k}", f"n={n}")
+
+    def element(e):
+        return (_BAD_TERM.get(e, e),)
+
+    def bad_and_good_element():
+        e = rng.choice(_BAD_ELEMENTS)
+        return rng.sample([e, "σ[2,1]"], 2), element(e)
+
+    def zero_in_field():
+        spec, e = rng.choice(_ZERO_IN_FIELD)
+        return [spec, e], element(e)
+
     makers = [
-        lambda: ["product", *rng.choice(_BAD_SIZES), "Q", "σ[1]", "σ[1]"],
-        lambda: ["product", "2", "5", rng.choice(_BAD_FIELDS), "σ[1]", "σ[1]"],
-        lambda: ["product", "3", "7", rng.choice(["Q", "GF(2)", "GF(3^2)"]),
-                 *rng.sample([rng.choice(_BAD_ELEMENTS), "σ[2,1]"], 2)],
-        lambda: ["product", "2", "5", *rng.choice(_ZERO_IN_FIELD), "σ[1]"],
-        lambda: ["pieri", "2", "5", "Q", rng.choice(["-1", "0", "3", "x", "1.0"]), "σ[1]"],
-        lambda: ["pieri", "2", "5", "GF(7)", "1", rng.choice(_BAD_ELEMENTS)],
-        lambda: ["matrix", rng.choice(["2", "-1", "0", "x", ""]), "Q"],
-        lambda: ["matrix", "7", rng.choice(_BAD_FIELDS)],
-        lambda: ["classify", *rng.choice(_BAD_SIZES), "3"],
-        lambda: ["classify", "2", "7", rng.choice(["x", "4", "-3", "1", "2.5", "9", ""])],
-        lambda: ["orbits", rng.choice(["0", "-4", "x"]), "3"],
-        lambda: ["evcheck", "2", "5", "Q", *rng.choice(_BAD_SEEDS)],
-        lambda: ["evcheck", *rng.choice(_BAD_SIZES), rng.choice(["Q", "GF(3)"])],
-        lambda: ["evcheck", "2", "5", rng.choice(_BAD_FIELDS + ["GF(2^2)"])],
-        lambda: ["gc", "map", "2", "5", *rng.choice(_BAD_SEEDS)],
-        lambda: ["gc", rng.choice(["map", "critical"]), rng.choice(["x", "2.5"]), "5"],
-        lambda: rng.choice([["bogus"], ["product", "3"], ["classify"], ["gc"], ["orbits", "5"]]),
+        lambda: call("product", sizes(), "Q", "σ[1]", "σ[1]"),
+        lambda: call("product", "2", "5", one(_BAD_FIELDS), "σ[1]", "σ[1]"),
+        lambda: call("product", "3", "7", rng.choice(["Q", "GF(2)", "GF(3^2)"]), bad_and_good_element()),
+        lambda: call("product", "2", "5", zero_in_field(), "σ[1]"),
+        lambda: call("pieri", "2", "5", "Q", one(["-1", "0", "3", "x", "1.0"]), "σ[1]"),
+        lambda: call("pieri", "2", "5", "GF(7)", "1", one(_BAD_ELEMENTS)),
+        lambda: call("matrix", one(["2", "-1", "0", "x", ""]), "Q"),
+        lambda: call("matrix", "7", one(_BAD_FIELDS)),
+        lambda: call("classify", sizes(), "3"),
+        lambda: call("classify", "2", "7", one(["x", "4", "-3", "1", "2.5", "9", ""])),
+        lambda: call("orbits", one(["0", "-4", "x"]), "3"),
+        lambda: call("evcheck", "2", "5", "Q", (rng.choice(_BAD_SEEDS), ())),
+        lambda: call("evcheck", sizes(), rng.choice(["Q", "GF(3)"])),
+        lambda: call("evcheck", "2", "5", one(_BAD_FIELDS + ["GF(2^2)"])),
+        lambda: call("gc", "map", "2", "5", (rng.choice(_BAD_SEEDS), ())),
+        lambda: call("gc", rng.choice(["map", "critical"]), one(["x", "2.5"]), "5"),
+        lambda: (rng.choice([["bogus"], ["product", "3"], ["classify"], ["gc"], ["orbits", "5"]]), ()),
     ]
     return [rng.choice(makers)() for _ in range(count)]
 
@@ -306,9 +340,10 @@ def _malformed_calls(rng, count):
 def test_malformed_calls_fail_fast_with_one_error_line(capsys):
     """200 seeded malformed calls: bad k or n, field specs, element strings,
     characteristics and seeds. Each exits 1 (usage, argparse's usage lines
-    then one error line) or 2 (one line "error: ..." and no stdout), raises
-    nothing and takes under 0.1 s."""
-    for argv in _malformed_calls(random.Random(2910), 200):
+    then one error line) or 2 (one line "error: ..." that contains each bad
+    text of the call, and no stdout), raises nothing and takes under 0.1 s."""
+    codes = []
+    for argv, bad in _malformed_calls(random.Random(2910), 200):
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start
@@ -318,9 +353,33 @@ def test_malformed_calls_fail_fast_with_one_error_line(capsys):
         assert "Traceback" not in err, argv
         if code == 2:
             assert out == "" and len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+            assert all(text in lines[0] for text in bad), (argv, bad, err)
         else:
             assert lines and lines[-1].startswith("qhgrass") and ": error: " in lines[-1], (argv, err)
         assert elapsed < 0.1, (argv, elapsed)
+        codes.append(code)
+    assert codes.count(2) > 100
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("product", "2", "5", "Q", "σ[1,]", "σ[1]"), "error: cannot parse element term 'σ[1,]'\n"),
+        (("product", "2", "5", "GF()", "σ[1]", "σ[1]"), "error: cannot parse field spec 'GF()'\n"),
+        (("classify", "2", "5", "x"), "error: characteristic must be 0 or a prime, got 'x'\n"),
+        (("product", "2", "5", "GF(4)", "σ[1]", "σ[1]"), "error: field spec 'GF(4)': 4 is not prime\n"),
+        (("product", "3", "7", "Q", "σ[1,1,2]", "σ[1]"),
+         "error: element term 'σ[1,1,2]': rows not weakly decreasing: (1, 1, 2)\n"),
+        (("pieri", "2", "5", "Q", "1", "σ[2]+0*σ[4]"),
+         "error: element term '0*σ[4]': YoungDiagram(4) does not fit in GrContext(k=2, n=5)\n"),
+        (("product", "2", "5", "Q", "+", "σ[1]"), "error: element '+' has an empty term\n"),
+        (("classify", "5", "2", "3"), "error: need 1 <= k <= n, got k=5, n=2\n"),
+    ],
+    ids=["rows", "field-spec", "char", "field-order", "decreasing", "box", "empty-term", "sizes"],
+)
+def test_input_errors_name_their_argument(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message)
 
 
 # sha256 of the stdout of each command, recorded with the earlier exact layers

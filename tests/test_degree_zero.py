@@ -22,7 +22,7 @@ from qhgrass.exactfield import (
 )
 from qhgrass.degree_zero import (
     SearchBudgetError,
-    _qh0_int_matrices,
+    _int_matrices,
     charpoly_identity_holds,
     classify,
     closed_form_charpoly,
@@ -43,6 +43,7 @@ from qhgrass.qh_core import QhElement, q_shift, special_class
 from oracles import (
     determinant,
     int_poly,
+    per_column_mult_matrix,
     sequential_distinct_degree_parts,
     sympy_is_irreducible_q,
     units_from_powers,
@@ -443,17 +444,28 @@ def test_zero_divisor_witness_is_genuine():
         assert F.is_zero(determinant(mult_matrix(element, 0))), (k, n, spec)
 
 
-@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(2^2)"])
+@pytest.mark.parametrize("spec", ["Q", "GF(2)", "GF(3)", "GF(2^2)"])
 def test_integer_qh0_matrices_match_mult_matrix(spec):
-    """The search's integer basis matrices, mapped into F, are the
-    mult_matrix of each basis class over F."""
+    """The sparse integer builder against the per-column oracle (one
+    quantum_product per basis class, read through terms). The search's basis
+    matrices, mapped into F, are the oracle's matrix of each basis class. So
+    is mult_matrix, and mult_matrix of a seeded degree-0 combination of them
+    on every graded piece, degrees 0..n-1, matches the oracle too."""
     F = parse_field(spec)
+    rng = random.Random(f"builder {spec}")
     boxes = [(2, n) for n in range(4, 14)] + [(3, n) for n in range(6, 10)]
     for k, n in boxes:
         ctx = GrContext(k, n)
-        for (d, m), B in zip(qh0_basis(ctx), _qh0_int_matrices(ctx), strict=True):
-            want = mult_matrix(QhElement.schubert(ctx, F, d, m), 0).rows
-            assert tuple(tuple(F.from_int(b) for b in row) for row in B) == want, (k, n, d, m)
+        basis = qh0_basis(ctx)
+        for (d, m), B in zip(basis, _int_matrices(ctx, basis, basis), strict=True):
+            element = QhElement.schubert(ctx, F, d, m)
+            want = per_column_mult_matrix(element, 0)
+            got = tuple(tuple(F.from_int(B.get((i, j), 0)) for j in range(len(basis))) for i in range(len(basis)))
+            assert got == want, (k, n, d, m)
+            assert mult_matrix(element, 0).rows == want, (k, n, d, m)
+        element = QhElement(ctx, F, {key: F.random_element(rng) for key in basis})
+        for degree in range(n):
+            assert mult_matrix(element, degree).rows == per_column_mult_matrix(element, degree), (k, n, degree)
 
 
 def test_classify_examples():

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from qhgrass import qh_core
 from qhgrass.diagram import GrContext, YoungDiagram, enumerate_diagrams
 from qhgrass.exactfield import QQ, cyclotomic_field, make_extension, prime_field
 from qhgrass.presentation import (
@@ -561,3 +562,36 @@ def test_ideal_vanishing_values_against_naive_complete(k, n, base):
         assert [c["value"] for c in report["checks"]] == [K.element_to_str(v) for v in want]
         assert report["all_ok"] == all(K.is_zero(v) for v in want)
     assert not verify_ideal_vanishing(ev, multisets[-1])["all_ok"]
+
+
+@pytest.mark.parametrize("k,n,base", [(3, 7, QQ), (2, 9, prime_field(3)), (4, 8, prime_field(2))])
+def test_giambelli_expansions_from_a_cold_engine_match_a_warm_one(k, n, base):
+    """ev_map and giambelli_expand read the Giambelli expansions that the
+    product engine keeps, so both give the same values after the engines are
+    dropped (qh_core._ENGINES cleared) as before: on elements built anew on
+    the cold engine and on those still holding the warm one. A diagram
+    outside the box raises ValueError, warm or cold."""
+    ctx = GrContext(k, n)
+    ev = EvContext(ctx, base)
+    diagrams = enumerate_diagrams(ctx)
+    multisets = admissible_multisets(ev.field, k, n)[:6]
+    rng = random.Random(f"cold {k} {n}")
+    keys = [(rng.choice(diagrams), rng.randint(-1, 1)) for _ in range(30)]
+    outside = [YoungDiagram((n - k + 1,)), YoungDiagram((1,) * (k + 1))]
+
+    def expansions_and_values():
+        expansions = [giambelli_expand(ctx, d) for d in diagrams]
+        elements = [QhElement(ctx, base, {keys[i]: base.one(), keys[i + 1]: base.from_int(2)}) for i in range(29)]
+        elements += [QhElement.schubert(ctx, base, d) for d in diagrams]
+        for d in outside:
+            with pytest.raises(ValueError, match="does not fit"):
+                giambelli_expand(ctx, d)
+        return expansions, elements, [[ev_map(ev, J, e) for J in multisets] for e in elements]
+
+    warm = expansions_and_values()
+    assert expansions_and_values()[::2] == warm[::2]
+    qh_core._ENGINES.clear()
+    cold = expansions_and_values()
+    assert cold[0] == warm[0] and cold[2] == warm[2]
+    assert cold[1][0].engine is not warm[1][0].engine
+    assert [[ev_map(ev, J, e) for J in multisets] for e in warm[1]] == warm[2]

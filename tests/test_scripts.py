@@ -80,11 +80,12 @@ def test_gc_experiments_rows_and_reports(monkeypatch, capsys, tmp_path, quaterni
 
 def product_table_digest(k, n):
     """The sha256 of the Gr(k, n) table as the script's docstring says:
-    compact JSON of [a, b, sorted terms] per ordered pair."""
+    compact JSON of [a, b, sorted terms] per ordered pair. Tuples, diagrams
+    among them, sort as lists do and dump as JSON arrays."""
     ctx = GrContext(k, n)
     diagrams = enumerate_diagrams(ctx)
     table = [
-        [list(a), list(b), sorted([list(d), m, c] for (d, m), c in schubert_product(ctx, a, b).items())]
+        [a, b, sorted((d, m, c) for (d, m), c in schubert_product(ctx, a, b).items())]
         for a in diagrams
         for b in diagrams
     ]
@@ -119,31 +120,39 @@ def test_product_table_digests_are_pinned(k, n, digest):
 
 
 def test_workcount_is_deterministic_and_keeps_its_schema():
-    """Two processes under different hash seeds print the same document for a
-    tiny job counted twice on one tree, and the second tree's ratios are 1.
-    The schema is checked, not the counts, so a change of the work does not
-    have to re-record anything here."""
-    root = SCRIPTS.parent
-    argv = [sys.executable, str(WORKCOUNT), "--workload", "product-reads", "--seed", "3", "--tiny"]
-    argv += ["--tree", str(root), "--tree", str(root)]
-    outs = [
-        subprocess.run(
-            argv, env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True, text=True, timeout=120
-        ).stdout
-        for seed in ("0", "12345")
-    ]
-    assert outs[0] == outs[1]
-    report = json.loads(outs[0])
-    assert (report["workload"], report["seed"], report["tiny"]) == ("product-reads", 3, True)
-    first, second = report["trees"]
-    assert first == second
-    assert set(first) == {"tree", "calls", "qhgrass_calls", "modules", "fractions", "field_ops", "top"}
-    assert first["calls"] > first["qhgrass_calls"] == sum(first["modules"].values()) > 0
-    assert {"qh_core", "exactfield", "diagram"} <= set(first["modules"])
-    assert set(first["field_ops"]) == {"mul", "add"} and first["fractions"] > 0
-    top = [(entry["calls"], entry["function"]) for entry in first["top"]]
-    assert len(top) == 20 and top == sorted(top, key=lambda entry: (-entry[0], entry[1]))
-    assert not any(" at 0x" in function for _, function in top)
-    (ratios,) = report["ratios"]
-    assert ratios["calls"] == ratios["qhgrass_calls"] == ratios["fractions"] == 1
-    assert set(ratios["modules"].values()) == {1}
+    """Tiny product-reads, degree-zero and ev-maps jobs, each counted on one
+    tree in three fresh processes, each under its own random hash seed
+    (PYTHONHASHSEED unset): the three counts of a job are equal and the later
+    trees' ratios are 1. Code objects that share a (file, line, name) label,
+    such as two comprehensions on one line, are summed, so which of them the
+    profiler lists first does not matter. The schema is checked, not the
+    counts, so a change of the work does not have to re-record anything here."""
+    root = str(SCRIPTS.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONHASHSEED"}
+    modules = {"product-reads": "qh_core", "degree-zero": "degree_zero", "ev-maps": "presentation"}
+    runs = {
+        workload: subprocess.Popen(
+            [sys.executable, str(WORKCOUNT), "--workload", workload, "--seed", "3", "--tiny", *["--tree", root] * 3],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for workload in modules
+    }
+    for workload, run in runs.items():
+        out, _ = run.communicate(timeout=120)
+        assert run.returncode == 0, workload
+        report = json.loads(out)
+        assert (report["workload"], report["seed"], report["tiny"]) == (workload, 3, True)
+        first, *later = report["trees"]
+        assert later == [first, first], workload
+        assert set(first) == {"tree", "calls", "qhgrass_calls", "modules", "fractions", "field_ops", "top"}
+        assert first["calls"] > first["qhgrass_calls"] == sum(first["modules"].values()) > 0
+        assert {modules[workload], "exactfield", "diagram"} <= set(first["modules"])
+        assert set(first["field_ops"]) == {"mul", "add"} and first["fractions"] > 0
+        top = [(entry["calls"], entry["function"]) for entry in first["top"]]
+        assert len(top) == 20 and top == sorted(top, key=lambda entry: (-entry[0], entry[1]))
+        assert not any(" at 0x" in function for _, function in top)
+        for ratios in report["ratios"]:
+            assert ratios["calls"] == ratios["qhgrass_calls"] == ratios["fractions"] == 1
+            assert set(ratios["modules"].values()) == {1}
