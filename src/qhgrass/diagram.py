@@ -10,7 +10,6 @@ these bases are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import index, lt
 from typing import Iterator, NamedTuple
 
@@ -106,7 +105,6 @@ def _partitions_of(size: int, rows: int, maximum: int) -> Iterator[tuple[int, ..
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def enumerate_diagrams(ctx: GrContext) -> tuple[YoungDiagram, ...]:
     """All diagrams in the k x (n-k) rectangle in canonical order: sizes
     ascending, each listed in descending-lexicographic order."""

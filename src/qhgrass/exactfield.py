@@ -20,6 +20,14 @@ mul and inv are lookups (Huber, Some comments on Zech's logarithms, 1990).
 The cap keeps that build to a few milliseconds: GF(2^9) takes about 6 ms,
 GF(13^4) would take about 0.13 s and GF(2^16) about 1 s.
 
+make_extension(p, m) takes the first irreducible monic modulus of degree m
+in the order of ExtensionField.elements (the constant term varying fastest),
+and multiplicative_generator the first generator in that order. Neither
+tests a candidate it can rule out: the binomials x^m + c when none can be
+irreducible, and the constants of a proper extension, whose orders divide
+p - 1. So a large p costs no scan of p candidates. A degree above
+MAX_EXTENSION_DEGREE raises DegreeLimitError before any scan.
+
 Every field lifts a list of elements to integer coordinates over one common
 denominator (_lift_ints) and maps integer combinations of them back, one
 conversion per result (_drop_ints): the int itself over GF(p), numerators
@@ -91,6 +99,11 @@ NEG_INF = float("-inf")
 
 # GF(p^m) of at most this order multiplies and inverts by log tables
 TABLE_CAP = 512
+
+# make_extension refuses a degree m above this with DegreeLimitError. The scan
+# grows with m: at m = 512, GF(2^m) takes 2.7 s and GF(3^m) 20 s on a 2-core
+# host; the tests and the benchmark build no degree above 16
+MAX_EXTENSION_DEGREE = 512
 
 # array typecodes by item size: Kronecker slots of 1, 2, 4 or 8 bytes
 _ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
@@ -608,8 +621,7 @@ class ExtensionField(FieldCtx):
             raise FieldError(f"{self.label} is not finite")
         # t^0 varies fastest, as in make_extension's scan; multiplicative_generator
         # and the zero-divisor witnesses depend on this order
-        for digits in itertools.product(range(self.base.order), repeat=self.degree):
-            yield digits[::-1]
+        yield from _residue_tuples(self.base.order, self.degree)
 
     def random_element(self, rng):
         return tuple(self.base.random_element(rng) for _ in range(self.degree))
@@ -941,6 +953,27 @@ def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 # field constructors
 
 
+def _residue_tuples(p: int, m: int, constants: bool = True) -> Iterator[tuple[int, ...]]:
+    """Every m-tuple of residues mod p, low place first, the first place
+    varying fastest; without the p tuples that are 0 past the first place
+    when constants is false (m >= 2). Places 1..m-1 count as an odometer:
+    itertools.product would hold range(p) as a tuple, p ints."""
+    high = [0] * (m - 1)
+    if not constants:
+        high[0] = 1
+    while True:
+        rest = tuple(high)
+        for c in range(p):
+            yield (c, *rest)
+        for i in range(m - 1):  # one more, place 1 first
+            high[i] += 1
+            if high[i] < p:
+                break
+            high[i] = 0
+        else:
+            return
+
+
 @lru_cache(maxsize=None)
 def make_extension(p: int, m: int) -> FieldCtx:
     """Deterministic field of order p^m; first irreducible modulus in a fixed scan."""
@@ -948,12 +981,17 @@ def make_extension(p: int, m: int) -> FieldCtx:
         raise FieldError(f"{p} is not prime")
     if m < 1:
         raise FieldError("extension degree must be >= 1")
+    if m > MAX_EXTENSION_DEGREE:
+        raise DegreeLimitError(f"extension degree {m} above the supported bound {MAX_EXTENSION_DEGREE}")
     base = prime_field(p)
     if m == 1:
         return base
-    # t^0 varies fastest, as in ExtensionField.elements
-    for digits in itertools.product(range(p), repeat=m):
-        candidate = Poly(base, digits[::-1] + (1,))
+    # x^m - a is reducible for every a when a prime r | m has r ∤ p - 1, or when
+    # 4 | m and p = 3 mod 4 (Lidl and Niederreiter, Finite Fields, Thm 3.75), so
+    # the scan skips the binomials x^m + c then
+    binomials = all((p - 1) % r == 0 for r in factorize(m)) and (m % 4 != 0 or p % 4 == 1)
+    for coeffs in _residue_tuples(p, m, binomials):
+        candidate = Poly(base, coeffs + (1,))
         if is_irreducible(base, candidate):
             return ExtensionField(base, candidate.coeffs, label=f"GF({p}^{m})")
     raise FieldError("no irreducible modulus found")  # pragma: no cover
@@ -986,7 +1024,7 @@ def parse_field(text: str) -> FieldCtx:
         try:
             return make_extension(int(p_str), int(m_str) if caret else 1)
         except FieldError as exc:
-            raise FieldError(f"field spec {text!r}: {exc}") from None
+            raise type(exc)(f"field spec {text!r}: {exc}") from None  # a DegreeLimitError stays one
         except ValueError:  # p or m not an integer
             pass
     raise FieldError(f"cannot parse field spec {text!r}")
@@ -1006,7 +1044,10 @@ def multiplicative_generator(F: FieldCtx) -> Element:
     q1 = F.order - 1
     prime_divs = list(factorize(q1)) if q1 > 1 else []
     one = F.one()
-    for g in F.elements():
+    candidates = F.elements()
+    if isinstance(F, ExtensionField):  # the order of a constant divides p - 1 < q1
+        candidates = _residue_tuples(F.characteristic, F.degree, constants=False)
+    for g in candidates:
         if F.is_zero(g):
             continue
         if all(F.pow(g, q1 // r) != one for r in prime_divs):

@@ -3,7 +3,6 @@ cyclotomic polynomials by exact division by binomials x^d - 1 alone."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, isqrt
 from operator import sub
 
@@ -118,7 +117,6 @@ def order_dividing(a: int, n: int, multiple: int) -> int:
     return order
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, low degree first.
 

@@ -29,7 +29,10 @@ by every product whose Giambelli expansion reaches them; a product is the
 sum of coefficient times chain over its Giambelli monomials. After
 a collection the garbage collector no longer tracks these int-only tuples
 and dicts; it always tracks a diagram, a tuple subclass, and every tuple
-that holds one.
+that holds one. Every other table memoizes one way, as a _Memo: a dict that
+stores fill(key) on the first lookup of a key, so a hit is a plain dict
+read. The engines per (k, n), each engine's code -> (diagram, q-power) keys
+and shift tables, and the minors of one Giambelli determinant are _Memo.
 
 Only pairs inside a (k-1) x (n-k) box reach Giambelli and Pieri. The
 product by the full column sigma_(1^k) = e_k is the cyclic shift S of the
@@ -61,10 +64,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from functools import lru_cache
+from functools import partial
 from math import lcm
 from operator import add, index, sub
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .diagram import EMPTY, GrContext, YoungDiagram, column_diagram
 from .exactfield import FieldCtx
@@ -323,10 +326,10 @@ def _giambelli(k: int, diagram: YoungDiagram) -> tuple[tuple[tuple[int, ...], in
     conj = diagram.conjugate()
     m = diagram.width
 
-    # Laplace expansion of det(x_{conj[i]-i+j}) along its rows; minor(i, mask)
+    # Laplace expansion of det(x_{conj[i]-i+j}) along its rows; minors[i, mask]
     # is the minor on rows i.. and the columns in mask, as {exponents: coeff}
-    @lru_cache(maxsize=None)
-    def minor(i: int, mask: int) -> dict[tuple[int, ...], int]:
+    def minor(key: tuple[int, int]) -> dict[tuple[int, ...], int]:
+        i, mask = key
         if i == m:
             return {(0,) * k: 1}
         acc: dict[tuple[int, ...], int] = {}
@@ -337,7 +340,7 @@ def _giambelli(k: int, diagram: YoungDiagram) -> tuple[tuple[tuple[int, ...], in
             v = conj[i] - i + j
             if 0 <= v <= k:
                 # add sign * x_v * minor, where x_0 = 1
-                for exps, c in minor(i + 1, mask & ~(1 << j)).items():
+                for exps, c in minors[i + 1, mask & ~(1 << j)].items():
                     if v:
                         exps = exps[: v - 1] + (exps[v - 1] + 1,) + exps[v:]
                     new = acc.get(exps, 0) + sign * c
@@ -348,9 +351,8 @@ def _giambelli(k: int, diagram: YoungDiagram) -> tuple[tuple[tuple[int, ...], in
             sign = -sign
         return acc
 
-    result = minor(0, (1 << m) - 1)
-    minor.cache_clear()
-    return tuple(sorted(result.items()))
+    minors = _Memo(minor)
+    return tuple(sorted(minors[0, (1 << m) - 1].items()))
 
 
 def giambelli_expand(ctx: GrContext, diagram: YoungDiagram) -> dict[tuple[int, ...], int]:
@@ -367,18 +369,19 @@ _Q = 1 << 32  # a code is idx + m * _Q: the diagram of index idx times q^m
 _IDX = _Q - 1
 
 
-class _KeyTable(dict):
-    """code -> (diagram, q-power), each key built on its first lookup."""
+class _Memo(dict):
+    """key -> fill(key), each value filled on its first lookup; a hit is a
+    plain C-level dict read."""
 
-    __slots__ = ("diagrams",)
+    __slots__ = ("fill",)
 
-    def __init__(self, diagrams: list[YoungDiagram]):
+    def __init__(self, fill: Callable):
         super().__init__()
-        self.diagrams = diagrams
+        self.fill = fill
 
-    def __missing__(self, code: int) -> TermKey:
-        key = self[code] = (self.diagrams[code & _IDX], code >> 32)
-        return key
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 class _ProductEngine:
@@ -393,16 +396,19 @@ class _ProductEngine:
     its targets under h_j (the row route) or e_j (the column route) by the
     one particle rule, _pieri, one table per route and j. A chain is x^e *
     sigma_b, keyed on b, the route and the sequence of Pieri steps that forms
-    x^e; it is built by one step from the chain with one step fewer, and
-    every product that expands into it shares it.
+    x^e; it is one Pieri step on the chain of the sequence without its last
+    step, and every product that expands into it shares it.
 
     A pair fills through its reduced pair: `reduced` maps an index i to
     s << 32 | i', where sigma_i = S^s(sigma_i') and i' has last row 0, and
-    `rotations` holds one _Rotation (code -> code of S^t, every particle
-    moved t steps) per shift t. Only a pair of two reduced indices runs
-    _constants, the one Giambelli/Pieri computation; any other is its
-    reduced pair with every code moved by S^(s_i + s_j), a C-level map over
-    the codes.
+    `rotations` holds one code -> code table of S^t per shift t (_rotate).
+    Only a pair of two reduced indices runs _constants, the one
+    Giambelli/Pieri computation; any other is its reduced pair with every
+    code moved by S^(s_i + s_j), a C-level map over the codes.
+
+    The int-only stores (pairs, reduced, chains, steps, monomials) are plain
+    dicts, filled by a get and a set, so the collector can untrack them; the
+    keys and the rotation tables are _Memo.
     """
 
     __slots__ = (
@@ -416,13 +422,13 @@ class _ProductEngine:
         self.index: dict[YoungDiagram, int] = {}
         # per index: (order, size, by_rows) of its cheaper Giambelli determinant
         self.choice: list[tuple[int, int, int]] = []
-        self.keys = _KeyTable(self.diagrams)
+        self.keys: _Memo = _Memo(lambda code: (self.diagrams[code & _IDX], code >> 32))
         self.steps: dict[int, dict[int, tuple[int, ...]]] = {}
         self.monomials: dict[int, tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]] = {}
         self.chains: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
         self.pairs: dict[int, tuple[int, ...]] = {}
         self.reduced: dict[int, int] = {}
-        self.rotations: dict[int, _Rotation] = {}
+        self.rotations: _Memo = _Memo(lambda t: _Memo(partial(self._rotate, t)))
 
     def intern(self, d: YoungDiagram) -> int:
         """The index of a diagram in the box, given it on first sight."""
@@ -464,7 +470,7 @@ class _ProductEngine:
             return self._constants(i, j)
         constants = self.pair(ri & _IDX, rj & _IDX)
         shifted = list(constants)  # codes and coefficients alternate; shift the codes
-        shifted[::2] = map(self._rotation(t).__getitem__, constants[::2])
+        shifted[::2] = map(self.rotations[t].__getitem__, constants[::2])
         return tuple(shifted)
 
     def _reduce(self, i: int) -> int:
@@ -477,11 +483,13 @@ class _ProductEngine:
             r = self.reduced[i] = s << 32 | (self.intern(YoungDiagram([x - s for x in d])) if s else i)
         return r
 
-    def _rotation(self, t: int) -> "_Rotation":
-        table = self.rotations.get(t)
-        if table is None:
-            table = self.rotations[t] = _Rotation(self, t)
-        return table
+    def _rotate(self, t: int, code: int) -> int:
+        """The code of S^t(code), S = sigma_(1^k) = e_k in the particle rule of
+        _pieri: every particle moves one step, and each that passes n gives
+        one q, so S^n = q^k and S^t = q^(k * (t // n)) S^(t mod n)."""
+        turns, t = divmod(t, self.n)
+        moved, q = _placed(self.n, [x + t for x in _positions(self.k, self.diagrams[code & _IDX])])
+        return self.intern(moved) + ((code >> 32) + q + self.k * turns) * _Q
 
     def _constants(self, i: int, j: int) -> tuple[int, ...]:
         # expand the factor whose cheaper determinant has the smaller (order, |D|)
@@ -513,19 +521,15 @@ class _ProductEngine:
         return monomials
 
     def _chain(self, b: int, by_rows: int, seq: tuple[int, ...]) -> dict[int, int]:
-        """x^e * sigma_b as {code: coeff}, for the monomial x^e with step sequence seq."""
-        chains = self.chains
-        base = b << 1 | by_rows
-        chain = chains.get((base, seq))
-        if chain is not None:
-            return chain
-        # the longest cached prefix, then one step per missing factor
-        t = len(seq) - 1
-        while t > 0 and (base, seq[:t]) not in chains:
-            t -= 1
-        chain = chains[(base, seq[:t])] if t > 0 else {b: 1}
-        for t in range(max(t, 0), len(seq)):
-            chain = chains[(base, seq[: t + 1])] = self._step(by_rows, seq[t], chain)
+        """x^e * sigma_b as {code: coeff}, for the monomial x^e with step
+        sequence seq: one Pieri step on the chain of seq[:-1], and {b: 1} for
+        no step."""
+        if not seq:
+            return {b: 1}
+        key = (b << 1 | by_rows, seq)
+        chain = self.chains.get(key)
+        if chain is None:
+            chain = self.chains[key] = self._step(by_rows, seq[-1], self._chain(b, by_rows, seq[:-1]))
         return chain
 
     def _step(self, by_rows: int, j: int, terms: dict[int, int]) -> dict[int, int]:
@@ -548,37 +552,11 @@ class _ProductEngine:
         return acc
 
 
-class _Rotation(dict):
-    """code -> code of S^t, the quantum product by sigma_(1^k) applied t times.
-
-    S is e_k in the particle rule of _pieri: every particle moves one step,
-    and each that passes n gives one q, so S^n = q^k and S^t = q^(k * (t //
-    n)) S^(t mod n). An entry is computed on its first lookup."""
-
-    __slots__ = ("engine", "t")
-
-    def __init__(self, engine: _ProductEngine, t: int):
-        super().__init__()
-        self.engine, self.t = engine, t
-
-    def __missing__(self, code: int) -> int:
-        engine = self.engine
-        k, n = engine.k, engine.n
-        turns, t = divmod(self.t, n)
-        moved, q = _placed(n, [x + t for x in _positions(k, engine.diagrams[code & _IDX])])
-        image = self[code] = engine.intern(moved) + ((code >> 32) + q + k * turns) * _Q
-        return image
-
-
-_ENGINES: dict[tuple[int, int], _ProductEngine] = {}
+_ENGINES: _Memo = _Memo(lambda key: _ProductEngine(*key))
 
 
 def _engine(ctx: GrContext) -> _ProductEngine:
-    key = (ctx.k, ctx.n)
-    engine = _ENGINES.get(key)
-    if engine is None:
-        engine = _ENGINES[key] = _ProductEngine(*key)
-    return engine
+    return _ENGINES[ctx.k, ctx.n]
 
 
 def schubert_product(ctx: GrContext, first: YoungDiagram, second: YoungDiagram) -> dict[TermKey, int]:

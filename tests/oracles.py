@@ -304,6 +304,48 @@ def sympy_irreducibles_mod_p(p: int, degrees, rng) -> list[tuple[int, ...]]:
     return chosen
 
 
+def first_irreducible_by_full_scan(p: int, m: int) -> tuple[int, ...]:
+    """The first monic irreducible of degree m over GF(p), as coefficients low
+    degree first, with the m low coefficients counted as base-p digits, the
+    constant term the lowest: every candidate, binomials included, tested by
+    sympy's gf_irreducible_p."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    for count in itertools.count():
+        coeffs = tuple(count // p**i % p for i in range(m)) + (1,)
+        if gf_irreducible_p([ZZ(c) for c in reversed(coeffs)], p, ZZ):
+            return coeffs
+
+
+def first_generator_by_powers(p: int, modulus) -> tuple[int, ...]:
+    """The first element of GF(p)[t]/(modulus), in the order of
+    first_irreducible_by_full_scan and constants included, whose powers meet
+    1 only after all p^m - 1 nonzero elements; each power is one schoolbook
+    product reduced by the monic modulus."""
+    m = len(modulus) - 1
+    one = (1,) + (0,) * (m - 1)
+
+    def times(a, b):
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for d in range(2 * m - 2, m - 1, -1):  # x^d = x^(d-m) * (x^m - modulus)
+            for i, c in enumerate(modulus):
+                prod[d - m + i] -= prod[d] * c
+        return tuple(v % p for v in prod[:m])
+
+    for count in range(1, p**m):
+        g = power = tuple(count // p**i % p for i in range(m))
+        steps = 1
+        while power != one:
+            power, steps = times(power, g), steps + 1
+        if steps == p**m - 1:
+            return g
+    raise AssertionError("no generator")
+
+
 def sympy_ddf(coeffs, p: int) -> list[tuple[int, tuple[int, ...]]]:
     """Distinct-degree split of a monic squarefree polynomial over GF(p) by
     sympy's gf_ddf_zassenhaus: (d, the product of the degree-d irreducible

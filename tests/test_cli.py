@@ -267,7 +267,8 @@ def test_zero_or_cancelled_term_outside_the_box(capsys, argv):
 _BAD_SIZES = [("0", "5"), ("-1", "5"), ("6", "5"), ("2", "0"), ("2", "-3"), ("3", "2"),
               ("2.5", "5"), ("x", "5"), ("2", ""), ("2", "1e3")]
 _BAD_FIELDS = ["GF(4)", "GF(2^0)", "GF(9^2)", "GF(6^2)", "GF(1)", "GF(0)", "GF(-3)", "GF(2^-1)",
-               "GF(", "GF()", "GF(2^)", "GF(2^x)", "GF(p)", "F7", "Q(", "Z", "", "GF(2)^2"]
+               "GF(", "GF()", "GF(2^)", "GF(2^x)", "GF(p)", "F7", "Q(", "Z", "", "GF(2)^2",
+               "GF(2^99999999)", "GF(7^513)"]
 _BAD_ELEMENTS = ["σ[1,2]", "s[2,3]", "σ[1,1,2]", "1.5*σ[1]", "σ[1.0]", "0.5*q*σ[1]", "1e5*σ[1]",
                  "σ[1", "σ1]", "σ[[1]]", "σ[1]]", "(σ[1]", "σ[[", "1/0*σ[1]", "σ[1]+3/0*σ[2]",
                  "σ[9]", "σ[1,1,1,1]", "σ[-1]", "σ[a]", "q^x*σ[1]", "+", "**σ[1]", "σ[1,]", "1/2/3*σ[1]"]
@@ -374,8 +375,10 @@ def test_malformed_calls_fail_fast_with_one_error_line(capsys):
          "error: element term '0*σ[4]': YoungDiagram(4) does not fit in GrContext(k=2, n=5)\n"),
         (("product", "2", "5", "Q", "+", "σ[1]"), "error: element '+' has an empty term\n"),
         (("classify", "5", "2", "3"), "error: need 1 <= k <= n, got k=5, n=2\n"),
+        (("product", "2", "5", "GF(2^99999999)", "σ[1]", "σ[1]"),
+         "error: field spec 'GF(2^99999999)': extension degree 99999999 above the supported bound 512\n"),
     ],
-    ids=["rows", "field-spec", "char", "field-order", "decreasing", "box", "empty-term", "sizes"],
+    ids=["rows", "field-spec", "char", "field-order", "decreasing", "box", "empty-term", "sizes", "field-degree"],
 )
 def test_input_errors_name_their_argument(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -420,6 +423,11 @@ _STDOUT_SHA256 = {
     # the standing large-n baseline: 600 columns of Gr(2,1200) products read
     # through terms, about 3 s
     ("matrix", "1200", "GF(2)"): "ccac43472b4fa95f5a1c6e6a3653e3ddbcffcb085c23dcd68e0e5be45ed7bdbc",
+    # recorded while make_extension and multiplicative_generator still tested
+    # every binomial and every constant: a GF(10007^4) splitting field, and
+    # GF(2^10), above TABLE_CAP, on the integer kernel
+    ("evcheck", "2", "5", "GF(10007)"): "57bce569a9af24071a20ff4c3a9dacf5571ce7fc8276101cf325064fcf336104",
+    ("evcheck", "2", "11", "GF(2)"): "608dc41b25f1cc821565eaaf2b64d4dea273f32eedac7230faf2d7d9e02d5a1e",
 }
 
 

@@ -34,6 +34,8 @@ from qhgrass.numberth import cyclotomic_polynomial, multiplicative_order
 from oracles import (
     cross_multiplied_is_singular,
     determinant,
+    first_generator_by_powers,
+    first_irreducible_by_full_scan,
     int_poly,
     gf_irreducible_by_trial_division,
     sequential_distinct_degree_parts,
@@ -308,6 +310,55 @@ def test_make_extension_modulus_is_the_first_irreducible(p, m):
     for earlier in range(position):
         digits = [earlier // p**i % p for i in range(m)]
         assert not gf_irreducible_by_trial_division(p, digits + [1]), digits
+
+
+# every GF(p^m) with p <= 13, m >= 2 and p^m <= 2197; make_extension skips the
+# binomials for p = 2, p = 3, (5, 3) and (11, 3), and scans them for the rest
+_SCANNED_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 12) if p**m <= 2197]
+
+
+@pytest.mark.parametrize("p,m", _SCANNED_FIELDS)
+def test_modulus_and_generator_match_the_full_scan(p, m):
+    """make_extension skips the binomials x^m + c when none can be
+    irreducible, and multiplicative_generator skips the constants; neither
+    may change the first hit of the scan over every candidate."""
+    F = make_extension(p, m)
+    assert F.modulus == first_irreducible_by_full_scan(p, m)
+    assert multiplicative_generator(F) == first_generator_by_powers(p, F.modulus)
+
+
+def test_a_large_prime_extension_scans_a_few_candidates(monkeypatch):
+    """GF(100003^4): 100003 = 3 mod 4, so no x^4 + c is irreducible, and no
+    constant generates. A scan through the p binomials or the p constants
+    fails here after 40 irreducibility tests or 100 powers."""
+    real = exactfield.is_irreducible
+    tests = []
+
+    def counted_is_irreducible(F, f):
+        tests.append(f)
+        assert len(tests) <= 40, "make_extension tested more than 40 candidates"
+        return real(F, f)
+
+    monkeypatch.setattr(exactfield, "is_irreducible", counted_is_irreducible)
+    F = make_extension.__wrapped__(100003, 4)  # not the cached field: its scan runs here
+    assert F.modulus == (7, 1, 0, 0, 1)
+    powers = []
+
+    def counted_pow(a, exponent):
+        powers.append(a)
+        assert len(powers) <= 100, "multiplicative_generator took more than 100 powers"
+        return ExtensionField.pow(F, a, exponent)
+
+    monkeypatch.setattr(F, "pow", counted_pow)
+    assert multiplicative_generator(F) == (0, 1, 0, 0)
+
+
+def test_make_extension_refuses_a_degree_above_the_bound():
+    bound = exactfield.MAX_EXTENSION_DEGREE
+    with pytest.raises(exactfield.DegreeLimitError, match=f"extension degree {bound + 1} above the supported bound {bound}"):
+        make_extension(2, bound + 1)
+    with pytest.raises(exactfield.DegreeLimitError, match="'GF\\(2\\^99999999\\)'"):
+        parse_field("GF(2^99999999)")
 
 
 def test_extension_determinism():

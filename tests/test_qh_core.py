@@ -571,11 +571,11 @@ def test_rotation_is_repeated_column_pieri(cold_caches, family):
             image, q = rows, 0
             for t in range(max(n, 2 * cols) + 1):
                 for m in (-1, 0, 1):
-                    got = engine._rotation(t)[code + m * Q] if t else code + m * Q
+                    got = engine.rotations[t][code + m * Q] if t else code + m * Q
                     assert engine.keys[got] == (image, q + m), (k, n, rows, t, m)
                 ((image, dq),) = column_pieri_terms(k, cols, image, k)
                 q += dq
-            assert engine._rotation(n)[code] == code + k * Q
+            assert engine.rotations[n][code] == code + k * Q
 
 
 @pytest.mark.parametrize("label,sign", [("Q", -1), ("GF(2)", 1), ("GF(2^3)", 1), ("Q(zeta8)", -1)])
