@@ -73,7 +73,6 @@ from .degree_zero import (
     orbit_sizes,
     qh0_basis,
     standard_degree_zero_element,
-    zero_divisor_search,
 )
 
 _GELFAND_CETLIN_NAMES = frozenset({

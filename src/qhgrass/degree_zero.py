@@ -9,8 +9,8 @@ in (Z/nZ)^x; for even n the ring splits into one field summand per orbit
 of x -> p*x on the inverse pairs of n-th roots of unity. classify holds
 the graded-field rule and reports a finite bound, infiniteness, or
 "unknown" for the spectral diameter; is_graded_field cross-checks that
-rule against the charpoly and unit-group routes and, on small examples,
-an exhaustive zero-divisor search.
+rule against the charpoly and unit-group routes and, over small finite
+fields, a Frobenius field test of QH^0 itself.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from .diagram import GradedBasisElement, GrContext, YoungDiagram, graded_basis
 from .exactfield import (
     QQ,
     DegreeLimitError,
-    ExtensionField,
     FieldCtx,
-    FieldError,
     Poly,
     PrimeField,
     RationalField,
@@ -45,10 +43,6 @@ from .qh_core import QhElement, pieri_multiply, q_shift, schubert_product
 # Gr(2, 131) over Q (ell = 65) must still fail: perfbench/gate.py KNOWN_FAILURES
 # and perfbench/test_perfbench.py::test_tiny_run_of_each_workload pin it
 RATIONAL_DEGREE_LIMIT = 64
-
-
-class SearchBudgetError(RuntimeError):
-    """Exhaustive search would exceed the configured budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -257,131 +251,61 @@ def orbit_sizes(n: int, p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive zero-divisor oracle
+# Frobenius field test
 
 
-def _mult_block(F: FieldCtx, c) -> list[list[int]]:
-    """The m x m matrix over GF(p) of x -> c*x on the basis 1, t, ..., t^(m-1)
-    of GF(p^m); [[c]] over GF(p)."""
-    if not isinstance(F, ExtensionField):
-        return [[c]]
-    columns, x = [], c
-    for _ in range(F.degree):
-        columns.append(x)
-        x = F.mul(x, F.gen())
-    return [list(row) for row in zip(*columns)]
-
-
-def _gf_p_rows(p: int, blocks) -> list:
-    """Rows over GF(p) of the block matrix whose (i, j) block is blocks[i][j].
-
-    Over GF(2) a row is one int with bit s set where entry s is 1, else a
-    list of ints in [0, p). Replacing each entry a of a matrix over GF(p^m)
-    by _mult_block(a) keeps singularity: the expanded determinant is the norm
-    of the original one (Lidl and Niederreiter, Finite Fields, ch. 2).
-    """
-    rows = []
-    for block_row in blocks:
-        for r in range(len(block_row[0])):
-            coords = [x % p for block in block_row for x in block[r]]
-            rows.append(sum(1 << s for s, x in enumerate(coords) if x) if p == 2 else coords)
-    return rows
-
-
-def _is_singular_mod_p(p: int, rows: list) -> bool:
-    """Whether a square matrix over GF(p), in rows shaped as _gf_p_rows
-    builds them (odd-p entries in [0, p)), is singular.
-
-    Over GF(2) each pivot row is XORed into every other row that has its
-    lowest set bit, so no two pivots share a leading bit and only a zero
-    row can end the elimination early. For odd p, the first row with a
-    nonzero first entry a is scaled by pow(a, -1, p), cleared from the
-    others, and the first column dropped. The given rows are not changed.
-    """
-    rows = list(rows)
-    if p == 2:
-        while rows:
-            top = rows.pop()
-            if not top:
-                return True
-            low = top & -top
-            rows = [r ^ top if r & low else r for r in rows]
-        return False
-    while rows:
-        for i, r in enumerate(rows):
-            if r[0]:
-                break
-        else:
-            return True
+def _rank_mod_p(p: int, rows: list[list[int]]) -> int:
+    """Rank over GF(p) of a matrix given as rows of ints, by elimination: the
+    first row with a nonzero first entry a is scaled by pow(a, -1, p),
+    cleared from the others, and the first column dropped."""
+    rows = [[a % p for a in r] for r in rows]
+    rank = 0
+    while rows and rows[0]:
+        i = next((i for i, r in enumerate(rows) if r[0]), None)
+        if i is None:
+            rows = [r[1:] for r in rows]
+            continue
         top = rows.pop(i)
         inv = pow(top[0], -1, p)
         tail = [a * inv % p for a in top[1:]]
         rows = [[(a - r[0] * b) % p for a, b in zip(r[1:], tail)] if r[0] else r[1:] for r in rows]
-    return False
+        rank += 1
+    return rank
 
 
-def zero_divisor_search(ctx: GrContext, F: FieldCtx, limit: int = 10**6):
-    """Exhaustively test every nonzero degree-0 class for zero divisors.
-
-    Returns (found, witness_coefficients). Scaling a class does not change
-    whether it is a zero divisor, so only vectors with first nonzero
-    coordinate 1 are enumerated, in itertools.product order after that 1.
-    The integer basis matrices B_t come from _int_matrices, as mult_matrix's
-    do, once per call, and each c*B_t is expanded once into rows over the
-    prime field (_gf_p_rows, each entry b a block b*R(c)). Each candidate's
-    rows are its prefix's rows plus one of those, an XOR of bit masks over
-    GF(2^m) and a sum mod p otherwise, and a candidate is a zero divisor
-    exactly when its rows are singular (_is_singular_mod_p).
-    """
-    if F.order is None:
-        raise FieldError("exhaustive zero-divisor search needs a finite field")
+def _is_field_mod_p(ctx: GrContext, p: int) -> bool:
+    """Whether QH^0 over GF(p) is a field (Berlekamp, Bell Syst. Tech. J. 1967):
+    a -> a^p is GF(p)-linear on a finite commutative GF(p)-algebra, injective
+    exactly when it has no nonzero nilpotent, and fixes one copy of GF(p) per
+    local factor. So the Frobenius matrix, column j the p-th power of the j-th
+    basis class by square-and-multiply on _int_matrices mod p, must be
+    invertible and fix a one-dimensional space."""
     basis = qh0_basis(ctx)
     dim = len(basis)
-    if F.order**dim > limit:
-        raise SearchBudgetError(
-            f"|F|^dim = {F.order}^{dim} exceeds the search limit {limit}"
-        )
-    # dense, since every entry is read once per scalar
-    sparse = _int_matrices(ctx, basis, basis)
-    matrices = [[[B.get((i, j), 0) for j in range(dim)] for i in range(dim)] for B in sparse]
-    p = F.characteristic
-    scalars = list(F.elements())
-    one = scalars.index(F.one())
-    values = {b for B in matrices for row in B for b in row}
-    # scaled[t][s] = rows over GF(p) of scalars[s] * B_t; None for the zero scalar
-    scaled = [[None] * len(scalars) for _ in matrices]
-    for s, c in enumerate(scalars):
-        if F.is_zero(c):
-            continue
-        block = _mult_block(F, c)
-        times = {b: [[b * x for x in r] for r in block] for b in values}
-        for t, B in enumerate(matrices):
-            scaled[t][s] = _gf_p_rows(p, [[times[b] for b in row] for row in B])
+    matrices = _int_matrices(ctx, basis, basis)
 
-    if p == 2:
-        def add(x, y):
-            return [a ^ b for a, b in zip(x, y)]
-    else:
-        def add(x, y):
-            return [[(a + b) % p for a, b in zip(r, s)] for r, s in zip(x, y)]
+    def times(a, b):
+        out = [0] * dim
+        for c, B in zip(a, matrices):
+            if c:
+                for (i, j), v in B.items():
+                    out[i] += c * v * b[j]
+        return [x % p for x in out]
 
-    # depth-first in itertools.product order over the coordinates after the
-    # leading 1; each node adds one scaled basis matrix to its prefix sum
-    def walk(t, acc, coeffs):
-        if t == dim:
-            return _is_singular_mod_p(p, acc)
-        for c, rows in zip(scalars, scaled[t]):
-            coeffs.append(c)
-            if walk(t + 1, acc if rows is None else add(acc, rows), coeffs):
-                return True
-            coeffs.pop()
-        return False
+    def frobenius(a):
+        result, e = None, p
+        while True:
+            if e & 1:
+                result = a if result is None else times(result, a)
+            e >>= 1
+            if not e:
+                return result
+            a = times(a, a)
 
-    for lead in range(dim):
-        coeffs = [F.zero()] * lead + [F.one()]
-        if walk(lead + 1, scaled[lead][one], coeffs):
-            return True, coeffs
-    return False, None
+    # ranks of the transposes, which are the ranks of the matrices
+    columns = [frobenius([int(i == j) for i in range(dim)]) for j in range(dim)]
+    shifted = [[a - (i == j) for i, a in enumerate(col)] for j, col in enumerate(columns)]
+    return _rank_mod_p(p, columns) == dim and _rank_mod_p(p, shifted) == dim - 1
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +327,13 @@ def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> Gr
     The "rule" route is classify(k, n, char F).is_graded_field, recorded
     over Q and GF(p). For k = 2 and odd n the routes add irreducibility of
     the closed-form characteristic polynomial pi over F and, over GF(p^m),
-    the unit-group criterion for |F|; the exhaustive zero-divisor oracle
-    runs when |F|^dim QH^0 <= brute_limit. The verdict is the charpoly
-    route, else the search, else the rule (noted "rule-only"); routes that
-    disagree raise RuntimeError.
+    the unit-group criterion for |F|. The "zero_divisor_search" route over
+    GF(p^m) holds when QH^0 over GF(p) is a field (_is_field_mod_p) and
+    gcd(dim QH^0, m) = 1, as GF(p^dim) over GF(p^m) splits into gcd(dim, m)
+    fields (Thm 3.46, as for pi below). brute_limit only decides whether it
+    is reported: when |F|^dim QH^0 <= brute_limit, as for the exhaustive
+    search it replaced. The verdict is the charpoly route, else that route,
+    else the rule (noted "rule-only"); routes that disagree raise RuntimeError.
 
     Over Q the route needs no factorizer. For odd n = 2 ell + 1,
     charpoly_identity_holds checks x^ell pi(-x - 1/x) = (x^n - 1)/(x - 1),
@@ -426,6 +353,7 @@ def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> Gr
     k, n = ctx.k, ctx.n
     kk = min(k, n - k)
     p = F.characteristic
+    m = 1 if F.order in (None, p) else F.degree  # |F| = p^m over GF(p^m)
     rule = classify(k, n, p).is_graded_field
     check = GradedFieldCheck(is_field=rule)
 
@@ -453,9 +381,9 @@ def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> Gr
                 raise RuntimeError(f"pi of Gr(2,{n}) fails the Laurent identity")
             check.routes["charpoly_irreducible"] = is_prime(n)
         else:
-            # GF(p) and GF(p^m): pi over GF(p) and the gcd rule of the docstring
-            # (m = 1 for GF(p)); is_irreducible refuses Q(zeta_N) with FieldError
-            base, m = (F, 1) if F.order in (None, p) else (F.base, F.degree)
+            # GF(p) and GF(p^m): pi over GF(p) and the gcd rule of the docstring;
+            # is_irreducible refuses Q(zeta_N) with FieldError
+            base = F if m == 1 else F.base
             pi = char_poly(base, closed_form_matrix(n, base))
             check.routes["charpoly_irreducible"] = (
                 is_irreducible(base, pi) and gcd(int(pi.degree), m) == 1
@@ -465,9 +393,9 @@ def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> Gr
             if m > 1 and gcd(F.order, n) == 1:
                 check.routes["units_closure"] = is_prime(n) and generates_units(F.order % n, n)
 
-    if F.order is not None and F.order ** len(qh0_basis(ctx)) <= brute_limit:
-        found, _ = zero_divisor_search(ctx, F, limit=brute_limit)
-        check.routes["zero_divisor_search"] = not found
+    dim = len(qh0_basis(ctx))
+    if F.order is not None and F.order**dim <= brute_limit:
+        check.routes["zero_divisor_search"] = gcd(dim, m) == 1 and _is_field_mod_p(ctx, p)
 
     for route in ("charpoly_irreducible", "zero_divisor_search"):
         if route in check.routes:

@@ -48,10 +48,10 @@ through it, and none of their code tests the shape of a coordinate.
 
 A Poly over GF(p) keeps its coefficients in [0, p) and multiplies them by
 Kronecker substitution where a product coefficient over Z fits in 8 bytes
-(per element otherwise). Remainders by a fixed modulus g, in pow_mod and the
-distinct-degree split, go through a _PrimeReducer: the inverse of g
-reversed, found once by Newton iteration, makes each remainder two products
-and O(deg g) list work. One-off divisions and Euclid steps, whose quotients
+(per element otherwise). Remainders by a fixed modulus g, in the powers
+and products of the distinct-degree split, go through a _PrimeReducer: the
+inverse of g reversed, found once by Newton iteration, makes each remainder
+two products and O(deg g) list work. One-off divisions and Euclid steps, whose quotients
 are short, divide by int accumulation (_prime_divmod); poly_gcd keeps int
 lists until it builds its one monic result. Other fields, and subclasses
 that may override arithmetic, work per element. char_poly reduces a matrix
@@ -60,9 +60,8 @@ ints over Q and GF(p) (not their subclasses). min_poly reuses that
 reduction: a Hessenberg matrix with no zero on its subdiagonal is
 nonderogatory, so its minimal polynomial is its monic characteristic
 polynomial, and only a matrix whose reduced form has a zero there goes to
-the Krylov lcm. SquareMatrix has no singularity test: the only one is in
-degree_zero's zero-divisor search, which eliminates on rows over the prime
-field with each GF(p^m) entry expanded into a block over GF(p). char_poly,
+the Krylov lcm. SquareMatrix has no singularity test; degree_zero's
+Frobenius field test takes ranks of int matrices over GF(p). char_poly,
 min_poly, is_irreducible and distinct_degree_profile raise FieldError when
 the matrix or polynomial is over a field other than the one they are given.
 
@@ -779,11 +778,6 @@ class Poly:
         return Poly(
             F, [F.mul(F.from_int(i), c) for i, c in enumerate(self.coeffs)][1:]
         )
-
-    def pow_mod(self, exponent: int, modulus: "Poly") -> "Poly":
-        if exponent < 0:
-            raise FieldError("negative exponent in pow_mod")
-        return _pow_rem(self % modulus, exponent, _remainder_by(modulus))
 
     def to_text(self) -> str:
         return _poly_text(self.field, self.coeffs, "x")

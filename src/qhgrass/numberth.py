@@ -16,6 +16,17 @@ class PrimalityUnprovenError(ArithmeticError):
     """n >= PSI_13 passed every strong test, which does not prove it prime."""
 
 
+# Pollard rho steps one factorize call may take, about sqrt(f) for a smallest
+# prime factor f; the most in the tests and the benchmark is 188,312 (psi_12).
+# A step takes 1.4 us on a 27-digit n and 13 us on a 228-digit one (2-core
+# x86-64, Python 3.11), so the budget runs out in about 1.5 s and 14 s.
+FACTOR_BUDGET = 1 << 20
+
+
+class FactoringBudgetError(ArithmeticError):
+    """factorize ran out of its FACTOR_BUDGET Pollard rho steps."""
+
+
 def is_prime(n: int) -> bool:
     """Strong (Miller-Rabin) tests to the 13 prime bases 2..41.
 
@@ -50,27 +61,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    # n odd composite, not a prime power of a small prime
-    if n % 2 == 0:
-        return 2
+def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
+    """A proper factor of n, an odd composite that is not a perfect square,
+    and the steps left of budget; FactoringBudgetError once none are left."""
     for c in range(1, 50):
         x = y = 2
         d = 1
         while d == 1:
+            if not budget:
+                raise FactoringBudgetError(
+                    f"no factor of {n} found within {FACTOR_BUDGET} Pollard rho steps"
+                )
+            budget -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = gcd(abs(x - y), n)
         if d != n:
-            return d
+            return d, budget
     raise ArithmeticError(f"rho failed to split {n}")
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: exponent}."""
+    """Prime factorization as {prime: exponent}, within FACTOR_BUDGET
+    Pollard rho steps in all (FactoringBudgetError past them)."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
+    budget = FACTOR_BUDGET
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
@@ -88,7 +105,7 @@ def factorize(n: int) -> dict[int, int]:
         if r * r == m:
             stack.extend([r, r])
             continue
-        d = _pollard_rho(m)
+        d, budget = _pollard_rho(m, budget)
         stack.extend([d, m // d])
     return out
 

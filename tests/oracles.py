@@ -161,6 +161,15 @@ def sympy_charpoly_reduced(entries, p: int = 0, modulus=None):
     return out
 
 
+def sympy_rank_mod_p(rows, p: int) -> int:
+    """Rank over GF(p) of a matrix of ints, by sympy's DomainMatrix."""
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    K = GF(p)
+    return DomainMatrix([[K(a) for a in row] for row in rows], (len(rows), len(rows[0])), K).rank()
+
+
 def sympy_is_irreducible_q(coeffs) -> bool:
     """Whether sympy factors the polynomial (coefficients low degree first)
     over Q into one nonconstant factor of multiplicity 1. It is built as a
@@ -374,8 +383,9 @@ def sequential_distinct_degree_parts(F, f) -> list:
     """The per-degree distinct-degree split of a monic squarefree f over
     GF(q): [(d, the product of the degree-d irreducible factors of f)] for each
     d that has factors, d ascending, from one Frobenius step and one gcd per
-    degree. x^(q^d) is carried mod the part not yet split off; once 2d
-    exceeds its degree, that part is one irreducible factor.
+    degree. x^(q^d) is carried mod the part not yet split off, raised to the
+    q-th power by its own square-and-multiply on %; once 2d exceeds its
+    degree, that part is one irreducible factor.
 
     Over GF(p) it runs over _per_element_prime_field(p), so it checks the
     blocked split and the GF(p) kernels together; its parts compare equal to
@@ -385,6 +395,17 @@ def sequential_distinct_degree_parts(F, f) -> list:
     if type(F) is PrimeField:
         F = _per_element_prime_field(F.p)
         f = Poly(F, f.coeffs)
+
+    def frobenius(w, g):  # w^q mod g by square-and-multiply with %
+        result, e = Poly.one(F), F.order
+        while e:
+            if e & 1:
+                result = result * w % g
+            e >>= 1
+            if e:
+                w = w * w % g
+        return result
+
     x = Poly.x(F)
     g = f
     w = x % g
@@ -395,7 +416,7 @@ def sequential_distinct_degree_parts(F, f) -> list:
         if 2 * d > g.degree:
             parts.append((int(g.degree), g))
             break
-        w = w.pow_mod(F.order, g)
+        w = frobenius(w, g)
         h = poly_gcd(g, w - x)
         if h.degree > 0:
             parts.append((d, h))
@@ -574,6 +595,139 @@ def per_column_mult_matrix(element, degree: int):
         for key, coeff in image.terms.items():
             rows[index[key]][j] = coeff
     return tuple(tuple(row) for row in rows)
+
+
+class SearchBudgetError(RuntimeError):
+    """Exhaustive search would exceed the configured budget."""
+
+
+def _mult_block(F: FieldCtx, c) -> list[list[int]]:
+    """The m x m matrix over GF(p) of x -> c*x on the basis 1, t, ..., t^(m-1)
+    of GF(p^m); [[c]] over GF(p)."""
+    from qhgrass.exactfield import ExtensionField
+
+    if not isinstance(F, ExtensionField):
+        return [[c]]
+    columns, x = [], c
+    for _ in range(F.degree):
+        columns.append(x)
+        x = F.mul(x, F.gen())
+    return [list(row) for row in zip(*columns)]
+
+
+def _gf_p_rows(p: int, blocks) -> list:
+    """Rows over GF(p) of the block matrix whose (i, j) block is blocks[i][j].
+
+    Over GF(2) a row is one int with bit s set where entry s is 1, else a
+    list of ints in [0, p). Replacing each entry a of a matrix over GF(p^m)
+    by _mult_block(a) keeps singularity: the expanded determinant is the norm
+    of the original one (Lidl and Niederreiter, Finite Fields, ch. 2).
+    """
+    rows = []
+    for block_row in blocks:
+        for r in range(len(block_row[0])):
+            coords = [x % p for block in block_row for x in block[r]]
+            rows.append(sum(1 << s for s, x in enumerate(coords) if x) if p == 2 else coords)
+    return rows
+
+
+def _is_singular_mod_p(p: int, rows: list) -> bool:
+    """Whether a square matrix over GF(p), in rows shaped as _gf_p_rows
+    builds them (odd-p entries in [0, p)), is singular.
+
+    Over GF(2) each pivot row is XORed into every other row that has its
+    lowest set bit, so no two pivots share a leading bit and only a zero
+    row can end the elimination early. For odd p, the first row with a
+    nonzero first entry a is scaled by pow(a, -1, p), cleared from the
+    others, and the first column dropped. The given rows are not changed.
+    """
+    rows = list(rows)
+    if p == 2:
+        while rows:
+            top = rows.pop()
+            if not top:
+                return True
+            low = top & -top
+            rows = [r ^ top if r & low else r for r in rows]
+        return False
+    while rows:
+        for i, r in enumerate(rows):
+            if r[0]:
+                break
+        else:
+            return True
+        top = rows.pop(i)
+        inv = pow(top[0], -1, p)
+        tail = [a * inv % p for a in top[1:]]
+        rows = [[(a - r[0] * b) % p for a, b in zip(r[1:], tail)] if r[0] else r[1:] for r in rows]
+    return False
+
+
+def zero_divisor_search(ctx: GrContext, F: FieldCtx, limit: int = 10**6):
+    """Exhaustively test every nonzero degree-0 class for zero divisors.
+
+    Returns (found, witness_coefficients). Scaling a class does not change
+    whether it is a zero divisor, so only vectors with first nonzero
+    coordinate 1 are enumerated, in itertools.product order after that 1.
+    The integer basis matrices B_t come from _int_matrices, as mult_matrix's
+    do, once per call, and each c*B_t is expanded once into rows over the
+    prime field (_gf_p_rows, each entry b a block b*R(c)). Each candidate's
+    rows are its prefix's rows plus one of those, an XOR of bit masks over
+    GF(2^m) and a sum mod p otherwise, and a candidate is a zero divisor
+    exactly when its rows are singular (_is_singular_mod_p).
+    """
+    from qhgrass.degree_zero import _int_matrices, qh0_basis
+    from qhgrass.exactfield import FieldError
+
+    if F.order is None:
+        raise FieldError("exhaustive zero-divisor search needs a finite field")
+    basis = qh0_basis(ctx)
+    dim = len(basis)
+    if F.order**dim > limit:
+        raise SearchBudgetError(
+            f"|F|^dim = {F.order}^{dim} exceeds the search limit {limit}"
+        )
+    # dense, since every entry is read once per scalar
+    sparse = _int_matrices(ctx, basis, basis)
+    matrices = [[[B.get((i, j), 0) for j in range(dim)] for i in range(dim)] for B in sparse]
+    p = F.characteristic
+    scalars = list(F.elements())
+    one = scalars.index(F.one())
+    values = {b for B in matrices for row in B for b in row}
+    # scaled[t][s] = rows over GF(p) of scalars[s] * B_t; None for the zero scalar
+    scaled = [[None] * len(scalars) for _ in matrices]
+    for s, c in enumerate(scalars):
+        if F.is_zero(c):
+            continue
+        block = _mult_block(F, c)
+        times = {b: [[b * x for x in r] for r in block] for b in values}
+        for t, B in enumerate(matrices):
+            scaled[t][s] = _gf_p_rows(p, [[times[b] for b in row] for row in B])
+
+    if p == 2:
+        def add(x, y):
+            return [a ^ b for a, b in zip(x, y)]
+    else:
+        def add(x, y):
+            return [[(a + b) % p for a, b in zip(r, s)] for r, s in zip(x, y)]
+
+    # depth-first in itertools.product order over the coordinates after the
+    # leading 1; each node adds one scaled basis matrix to its prefix sum
+    def walk(t, acc, coeffs):
+        if t == dim:
+            return _is_singular_mod_p(p, acc)
+        for c, rows in zip(scalars, scaled[t]):
+            coeffs.append(c)
+            if walk(t + 1, acc if rows is None else add(acc, rows), coeffs):
+                return True
+            coeffs.pop()
+        return False
+
+    for lead in range(dim):
+        coeffs = [F.zero()] * lead + [F.one()]
+        if walk(lead + 1, scaled[lead][one], coeffs):
+            return True, coeffs
+    return False, None
 
 
 def cross_multiplied_is_singular(M):

@@ -32,7 +32,6 @@ from qhgrass.degree_zero import (
     orbit_decomposition,
     qh0_basis,
     standard_degree_zero_element,
-    zero_divisor_search,
 )
 from qhgrass.gelfand_cetlin import critical_point, gc_map, quaternionic_frame, random_frame
 from qhgrass.presentation import EvContext, admissible_multisets, ev_map, verify_ideal_vanishing
@@ -45,7 +44,7 @@ from qhgrass.qh_core import (
     quantum_product,
 )
 
-from oracles import gc_potential, int_poly, newton_critical_point
+from oracles import gc_potential, int_poly, newton_critical_point, zero_divisor_search
 
 
 def report(number: int, title: str, detail: str = ""):
@@ -203,6 +202,9 @@ def test_criterion_09_zero_divisor_oracle_agreement():
                 found, _ = zero_divisor_search(ctx, prime_field(p), limit=10**6)
                 rule = classify(k, n, p).is_graded_field
                 assert rule == (not found), (k, n, p)
+                if k >= 2:  # k = 1 takes the rank-one route
+                    route = is_graded_field(ctx, prime_field(p)).routes["zero_divisor_search"]
+                    assert route is (not found), (k, n, p)
                 cells += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0

@@ -105,6 +105,20 @@ def test_classify_unproven_cofactor(capsys):
     assert code == 2 and out == "" and "not proven prime" in err
 
 
+def test_evcheck_past_the_factoring_budget(capsys, monkeypatch):
+    """GF((2^61 - 1)^16), the splitting field of Gr(1, 17), needs a
+    generator, and so the factors of p^16 - 1, which Pollard rho does not
+    find within the budget: one error line and exit 2. The budget is cut to
+    10^4 steps here; at FACTOR_BUDGET the command exits the same way."""
+    from qhgrass import numberth
+
+    monkeypatch.setattr(numberth, "FACTOR_BUDGET", 10**4)
+    code, out, err = run(capsys, "evcheck", "1", "17", "GF(2305843009213693951)", "--pairs", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no factor of ") and err.endswith(" within 10000 Pollard rho steps\n")
+    assert err.count("\n") == 1
+
+
 def test_orbits_command(capsys):
     code, out, _ = run(capsys, "orbits", "10", "7")
     assert code == 0

@@ -21,8 +21,8 @@ from qhgrass.exactfield import (
     prime_field,
 )
 from qhgrass.degree_zero import (
-    SearchBudgetError,
     _int_matrices,
+    _rank_mod_p,
     charpoly_identity_holds,
     classify,
     closed_form_charpoly,
@@ -34,19 +34,21 @@ from qhgrass.degree_zero import (
     orbit_sizes,
     qh0_basis,
     standard_degree_zero_element,
-    zero_divisor_search,
 )
 from qhgrass import qh_core
 from qhgrass.numberth import is_prime
 from qhgrass.qh_core import QhElement, q_shift, special_class
 
 from oracles import (
+    SearchBudgetError,
     determinant,
     int_poly,
     per_column_mult_matrix,
     sequential_distinct_degree_parts,
     sympy_is_irreducible_q,
+    sympy_rank_mod_p,
     units_from_powers,
+    zero_divisor_search,
 )
 
 
@@ -598,6 +600,51 @@ def test_zero_divisor_search_witnesses_recorded(spec):
         found, witness = zero_divisor_search(GrContext(2, n), F)
         want = _ZERO_DIVISOR_WITNESSES[(spec, n)]
         assert (found, witness) == (want is not None, want), (spec, n)
+        assert is_graded_field(GrContext(2, n), F).routes["zero_divisor_search"] is (not found), (spec, n)
+
+
+def test_rank_mod_p_against_sympy():
+    """The Frobenius test's rank kernel against sympy over GF(2), GF(3) and
+    GF(7): seeded products of an s x r and an r x s int matrix, of rank at
+    most r, with entries of either sign and, in every third, a zero first
+    column, so that a column without a pivot is dropped."""
+    rng = random.Random(3301)
+    seen = set()
+    for p in (2, 3, 7):
+        for trial in range(60):
+            s = rng.randint(1, 7)
+            r = rng.randint(1, s)
+            a = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(s)]
+            b = [[rng.randint(-9, 9) for _ in range(s)] for _ in range(r)]
+            rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+            if trial % 3 == 0:
+                rows = [[0] + row[1:] for row in rows]
+            want = sympy_rank_mod_p(rows, p)
+            assert _rank_mod_p(p, rows) == want, (p, rows)
+            seen.add(want == s)
+    assert seen == {True, False}
+
+
+def test_zero_divisor_route_against_the_search_on_extension_fields():
+    """The route decides QH^0 over GF(p^m) by the Frobenius matrix over GF(p)
+    and gcd(dim, m); the exhaustive search enumerates QH^0 over GF(p^m)
+    itself. Every k with min(k, n - k) >= 2 and n <= 13, wherever
+    |F|^dim <= 10^6, which takes in Gr(3, 6), Gr(3, 7) and Gr(3, 8) and their
+    duals."""
+    seen, big_k = set(), 0
+    for spec in ["GF(2^2)", "GF(2^3)", "GF(3^2)", "GF(5^2)"]:
+        F = parse_field(spec)
+        for n in range(4, 14):
+            for k in range(2, n - 1):
+                ctx = GrContext(k, n)
+                if F.order ** len(qh0_basis(ctx)) > 10**6:
+                    continue
+                found, _ = zero_divisor_search(ctx, F)
+                route = is_graded_field(ctx, F).routes["zero_divisor_search"]
+                assert route is (not found), (k, n, spec)
+                seen.add(route)
+                big_k += min(k, n - k) >= 3
+    assert seen == {True, False} and big_k == 12
 
 
 @pytest.mark.parametrize("spec", ["GF(2^2)", "GF(2^3)", "GF(3^2)", "GF(5^2)"])

@@ -28,10 +28,13 @@ from qhgrass.exactfield import (
 )
 
 from qhgrass import exactfield
-from qhgrass.degree_zero import _gf_p_rows, _is_singular_mod_p, _mult_block, closed_form_matrix
+from qhgrass.degree_zero import closed_form_matrix
 from qhgrass.numberth import cyclotomic_polynomial, multiplicative_order
 
 from oracles import (
+    _gf_p_rows,
+    _is_singular_mod_p,
+    _mult_block,
     cross_multiplied_is_singular,
     determinant,
     first_generator_by_powers,
@@ -930,7 +933,7 @@ def test_pow_mod_squares_only_while_bits_remain(monkeypatch):
     monkeypatch.setattr(Poly, "__mul__", counting)
     for e in range(1, 41):
         calls.clear()
-        x.pow_mod(e, f)
+        exactfield._pow_rem(x % f, e, exactfield._remainder_by(f))
         assert len(calls) == e.bit_length() - 1 + bin(e).count("1"), e
 
 
@@ -941,7 +944,7 @@ def test_pow_mod_against_repeated_multiplication(F):
     g = Poly(F, [F.random_element(rng) for _ in range(7)])
     power = Poly.one(F) % f
     for e in range(41):
-        assert g.pow_mod(e, f) == power, e
+        assert exactfield._pow_rem(g % f, e, exactfield._remainder_by(f)) == power, e
         power = (power * g) % f
 
 
@@ -1005,7 +1008,7 @@ def _prime_kernel_pairs(p, rng):
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_prime_field_poly_kernels_against_sympy(p):
-    """*, divmod, poly_gcd and pow_mod over GF(p), which run on the Kronecker
+    """*, divmod, poly_gcd and _pow_rem over GF(p), which run on the Kronecker
     and int-division kernels, against sympy; every coefficient is an int in
     [0, p), and the product also equals the schoolbook one of the generic path."""
     F = prime_field(p)
@@ -1014,7 +1017,8 @@ def test_prime_field_poly_kernels_against_sympy(p):
         exponent = rng.choice([0, 1, 2, p, rng.randrange(3 * p)])
         fa, fb = Poly(F, a), Poly(F, b)
         q, r = divmod(fa, fb)
-        got = [fa * fb, q, r, poly_gcd(fa, fb), fa.pow_mod(exponent, fb)]
+        power = exactfield._pow_rem(fa % fb, exponent, exactfield._remainder_by(fb))
+        got = [fa * fb, q, r, poly_gcd(fa, fb), power]
         assert [list(g.coeffs) for g in got] == list(sympy_gf_ops(a, b, p, exponent)), (a, b, exponent)
         for g in got:
             assert all(type(c) is int and 0 <= c < p for c in g.coeffs)
@@ -1063,7 +1067,7 @@ def test_blocked_split_over_gf4_against_the_sequential_split():
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_prime_reducer_against_sympy(p):
-    """Remainders by the Newton reducer and pow_mod, against sympy, for
+    """Remainders by the Newton reducer and _pow_rem, against sympy, for
     moduli of degree 1, 2 and more: inputs shorter than the modulus, products
     of two remainders, and longer inputs, which _prime_divmod divides."""
     F = prime_field(p)
@@ -1079,7 +1083,8 @@ def test_prime_reducer_against_sympy(p):
             got = reduce(Poly(F, a))
             assert list(got.coeffs) == rem, (n, length)
             assert all(type(c) is int and 0 <= c < p for c in got.coeffs)
-            assert list(Poly(F, a).pow_mod(exponent, Poly(F, b)).coeffs) == power, (n, length, exponent)
+            got = exactfield._pow_rem(Poly(F, a) % Poly(F, b), exponent, reduce)
+            assert list(got.coeffs) == power, (n, length, exponent)
 
 
 def test_prime_field_poly_reduces_its_coefficients():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from qhgrass.numberth import PSI_13, PrimalityUnprovenError, factorize, is_prime
+from qhgrass import numberth
+from qhgrass.numberth import PSI_13, FactoringBudgetError, PrimalityUnprovenError, factorize, is_prime
 
 # psi_t: the smallest strong pseudoprime to all of the first t prime bases
 # (Jaeschke 1993; Sorenson and Webster, Math. Comp. 2017)
@@ -64,6 +65,57 @@ def test_factorize_unproven_cofactor_raises():
     # factorize proves each cofactor prime, so one above the bound stops it
     with pytest.raises(PrimalityUnprovenError):
         factorize(2 * (2**89 - 1))
+
+
+def test_factorize_against_sympy_on_semiprimes_and_carmichael_numbers():
+    """Semiprimes of seeded random primes below about 10^8, their products with
+    small primes and squares, and the Chernick Carmichael numbers
+    (6k+1)(12k+1)(18k+1) below 10^12, against sympy's factorint."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1303)
+    cases = []
+    for _ in range(30):
+        p = sympy.nextprime(rng.randrange(10**3, 10**8))
+        q = sympy.nextprime(rng.randrange(10**3, 10**8))
+        cases += [p * q, 41 * 43 * p * q, p * p * q]
+    carmichael = 0
+    for k in range(1, 600):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(sympy.isprime(f) for f in factors):
+            cases.append(factors[0] * factors[1] * factors[2])
+            carmichael += 1
+    assert carmichael >= 10
+    for n in cases:
+        assert factorize(n) == sympy.factorint(n), n
+
+
+def test_factorize_budget_bounds_the_rho_steps_of_one_call(monkeypatch):
+    """FACTOR_BUDGET bounds the Pollard rho steps of one factorize call,
+    summed over the cofactors it splits: a product of three primes near 10^6
+    takes two rho calls, and one step fewer than they take in all raises."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1307)
+    n = 1
+    for _ in range(3):
+        n *= sympy.nextprime(rng.randrange(10**6, 10**7))
+    steps = []
+    rho = numberth._pollard_rho
+
+    def counting(m, budget):
+        d, left = rho(m, budget)
+        steps.append(budget - left)
+        return d, left
+
+    monkeypatch.setattr(numberth, "_pollard_rho", counting)
+    assert factorize(n) == sympy.factorint(n)
+    assert len(steps) == 2
+    total = sum(steps)
+    monkeypatch.setattr(numberth, "FACTOR_BUDGET", total)
+    assert factorize(n) == sympy.factorint(n)
+    monkeypatch.setattr(numberth, "FACTOR_BUDGET", total - 1)
+    with pytest.raises(FactoringBudgetError, match=f"within {total - 1} Pollard rho steps"):
+        factorize(n)
+    assert issubclass(FactoringBudgetError, ArithmeticError)
 
 
 def test_is_prime_against_sympy_on_seeded_hard_inputs():
