@@ -10,13 +10,16 @@ of x -> p*x on the inverse pairs of n-th roots of unity. classify holds
 the graded-field rule and reports a finite bound, infiniteness, or
 "unknown" for the spectral diameter; is_graded_field cross-checks that
 rule against the charpoly and unit-group routes and, over small finite
-fields, a Frobenius field test of QH^0 itself.
+fields, a Frobenius field test of QH^0 itself: the minimal polynomial of
+a -> a^p on QH^0 over GF(p) is x^dim - 1 exactly when QH^0 is a field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import gcd, lcm
+from functools import reduce
+from math import comb, gcd, lcm
+from operator import mul
 
 from .diagram import GradedBasisElement, GrContext, YoungDiagram, graded_basis
 from .exactfield import (
@@ -29,6 +32,8 @@ from .exactfield import (
     SquareMatrix,
     char_poly,
     is_irreducible,
+    min_poly,
+    prime_field,
 )
 from .numberth import (
     euler_phi,
@@ -44,6 +49,11 @@ from .qh_core import QhElement, pieri_multiply, q_shift, schubert_product
 # and perfbench/test_perfbench.py::test_tiny_run_of_each_workload pin it
 RATIONAL_DEGREE_LIMIT = 64
 
+# is_graded_field reports its "zero_divisor_search" route when |F|^dim QH^0 is
+# at most this, the bound of the exhaustive search the route replaced; the
+# is_graded_field digest in perfbench/digests.json pins which cells report it
+_ZERO_DIVISOR_ROUTE_LIMIT = 10**6
+
 
 # ---------------------------------------------------------------------------
 # degree-zero basis and multiplication operators
@@ -52,6 +62,15 @@ RATIONAL_DEGREE_LIMIT = 64
 def qh0_basis(ctx: GrContext) -> tuple[GradedBasisElement, ...]:
     """Basis of QH^0: pairs (D, -|D|/n) over diagrams of size divisible by n."""
     return graded_basis(ctx, 0)
+
+
+def _qh0_dim(ctx: GrContext) -> int:
+    """len(qh0_basis(ctx)) without the basis: by cyclic sieving (Reiner, Stanton
+    and White 2004), the number of rotation orbits of k-subsets of Z/n,
+    (1/n) sum over d | gcd(k, n) of phi(d) C(n/d, k/d)."""
+    k, n = ctx.k, ctx.n
+    g = gcd(k, n)
+    return sum(euler_phi(d) * comb(n // d, k // d) for d in range(1, g + 1) if g % d == 0) // n
 
 
 def standard_degree_zero_element(ctx: GrContext, field: FieldCtx) -> QhElement:
@@ -254,58 +273,23 @@ def orbit_sizes(n: int, p: int) -> list[int]:
 # Frobenius field test
 
 
-def _rank_mod_p(p: int, rows: list[list[int]]) -> int:
-    """Rank over GF(p) of a matrix given as rows of ints, by elimination: the
-    first row with a nonzero first entry a is scaled by pow(a, -1, p),
-    cleared from the others, and the first column dropped."""
-    rows = [[a % p for a in r] for r in rows]
-    rank = 0
-    while rows and rows[0]:
-        i = next((i for i, r in enumerate(rows) if r[0]), None)
-        if i is None:
-            rows = [r[1:] for r in rows]
-            continue
-        top = rows.pop(i)
-        inv = pow(top[0], -1, p)
-        tail = [a * inv % p for a in top[1:]]
-        rows = [[(a - r[0] * b) % p for a, b in zip(r[1:], tail)] if r[0] else r[1:] for r in rows]
-        rank += 1
-    return rank
-
-
 def _is_field_mod_p(ctx: GrContext, p: int) -> bool:
-    """Whether QH^0 over GF(p) is a field (Berlekamp, Bell Syst. Tech. J. 1967):
-    a -> a^p is GF(p)-linear on a finite commutative GF(p)-algebra, injective
-    exactly when it has no nonzero nilpotent, and fixes one copy of GF(p) per
-    local factor. So the Frobenius matrix, column j the p-th power of the j-th
-    basis class by square-and-multiply on _int_matrices mod p, must be
-    invertible and fix a one-dimensional space."""
+    """Whether QH^0 over GF(p) is a field (Berlekamp, Bell Syst. Tech. J. 1967).
+
+    a -> a^p is GF(p)-linear on QH^0; column j of its matrix Fr is the p-th
+    power of the j-th basis class, p - 1 quantum products over GF(p). QH^0 is
+    a field exactly when min_poly(Fr) = x^dim - 1. x does not divide that,
+    so Fr is injective, QH^0 has no nonzero nilpotent and is a product of
+    fields GF(p^d_i), on which min_poly(Fr) is the lcm of the x^d_i - 1.
+    They share the factor x - 1, so the lcm has degree dim only for one
+    factor; on GF(p^dim) itself the p-th power has order dim, and its
+    minimal polynomial is x^dim - 1.
+    """
+    F = prime_field(p)
     basis = qh0_basis(ctx)
-    dim = len(basis)
-    matrices = _int_matrices(ctx, basis, basis)
-
-    def times(a, b):
-        out = [0] * dim
-        for c, B in zip(a, matrices):
-            if c:
-                for (i, j), v in B.items():
-                    out[i] += c * v * b[j]
-        return [x % p for x in out]
-
-    def frobenius(a):
-        result, e = None, p
-        while True:
-            if e & 1:
-                result = a if result is None else times(result, a)
-            e >>= 1
-            if not e:
-                return result
-            a = times(a, a)
-
-    # ranks of the transposes, which are the ranks of the matrices
-    columns = [frobenius([int(i == j) for i in range(dim)]) for j in range(dim)]
-    shifted = [[a - (i == j) for i, a in enumerate(col)] for j, col in enumerate(columns)]
-    return _rank_mod_p(p, columns) == dim and _rank_mod_p(p, shifted) == dim - 1
+    powers = [reduce(mul, [QhElement.schubert(ctx, F, *b)] * p).terms for b in basis]
+    frobenius = SquareMatrix(F, [[power.get(key, F.zero()) for power in powers] for key in basis])
+    return min_poly(F, frobenius) == Poly(F, [-1] + [0] * (len(basis) - 1) + [1])
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +305,7 @@ class GradedFieldCheck:
     notes: list[str] = dc_field(default_factory=list)
 
 
-def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> GradedFieldCheck:
+def is_graded_field(ctx: GrContext, F: FieldCtx) -> GradedFieldCheck:
     """Decide whether QH^*(Gr(k,n); F) is a graded field, with evidence.
 
     The "rule" route is classify(k, n, char F).is_graded_field, recorded
@@ -330,10 +314,11 @@ def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> Gr
     the unit-group criterion for |F|. The "zero_divisor_search" route over
     GF(p^m) holds when QH^0 over GF(p) is a field (_is_field_mod_p) and
     gcd(dim QH^0, m) = 1, as GF(p^dim) over GF(p^m) splits into gcd(dim, m)
-    fields (Thm 3.46, as for pi below). brute_limit only decides whether it
-    is reported: when |F|^dim QH^0 <= brute_limit, as for the exhaustive
-    search it replaced. The verdict is the charpoly route, else that route,
-    else the rule (noted "rule-only"); routes that disagree raise RuntimeError.
+    fields (Thm 3.46, as for pi below). It is reported when |F|^dim QH^0 is
+    at most _ZERO_DIVISOR_ROUTE_LIMIT; dim comes from _qh0_dim, so no other
+    case lists a basis of QH^0. The verdict is the charpoly route, else that
+    route, else the rule (noted "rule-only"); routes that disagree raise
+    RuntimeError.
 
     Over Q the route needs no factorizer. For odd n = 2 ell + 1,
     charpoly_identity_holds checks x^ell pi(-x - 1/x) = (x^n - 1)/(x - 1),
@@ -393,8 +378,10 @@ def is_graded_field(ctx: GrContext, F: FieldCtx, brute_limit: int = 10**6) -> Gr
             if m > 1 and gcd(F.order, n) == 1:
                 check.routes["units_closure"] = is_prime(n) and generates_units(F.order % n, n)
 
-    dim = len(qh0_basis(ctx))
-    if F.order is not None and F.order**dim <= brute_limit:
+    # |F| >= 2, so a dim past the limit's bit length is over it without the power
+    dim = _qh0_dim(ctx)
+    limit = _ZERO_DIVISOR_ROUTE_LIMIT
+    if F.order is not None and dim < limit.bit_length() and F.order**dim <= limit:
         check.routes["zero_divisor_search"] = gcd(dim, m) == 1 and _is_field_mod_p(ctx, p)
 
     for route in ("charpoly_irreducible", "zero_divisor_search"):
@@ -419,6 +406,8 @@ class Diameter:
 
     @classmethod
     def finite(cls, bound: int) -> "Diameter":
+        """Diameter at most bound; classify passes the paper's floor(2k(n-k)/n),
+        without derivation, and the tests check only that arithmetic."""
         return cls("finite", bound)
 
     @classmethod
@@ -471,6 +460,9 @@ def classify(k: int, n: int, char_spec: int) -> ClassifierVerdict:
     x -> p*x on the inverse pairs mod n, with field_dims their sizes in
     increasing order, as orbit_sizes(n, p) computes them from the divisors
     of n without listing the orbits.
+
+    A graded field gets the finite diameter bound floor(2k(n-k)/n) of the
+    paper, reported without derivation; the tests pin only its arithmetic.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")

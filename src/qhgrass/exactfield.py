@@ -61,9 +61,10 @@ reduction: a Hessenberg matrix with no zero on its subdiagonal is
 nonderogatory, so its minimal polynomial is its monic characteristic
 polynomial, and only a matrix whose reduced form has a zero there goes to
 the Krylov lcm. SquareMatrix has no singularity test; degree_zero's
-Frobenius field test takes ranks of int matrices over GF(p). char_poly,
-min_poly, is_irreducible and distinct_degree_profile raise FieldError when
-the matrix or polynomial is over a field other than the one they are given.
+Frobenius field test compares the min_poly of its Frobenius matrix over
+GF(p) with x^dim - 1. char_poly, min_poly, is_irreducible and
+distinct_degree_profile raise FieldError when the matrix or polynomial is
+over a field other than the one they are given.
 
 Over a finite field, is_irreducible and distinct_degree_profile share one
 distinct-degree split, which takes one gcd per block of SPLIT_BLOCK degrees

@@ -161,15 +161,6 @@ def sympy_charpoly_reduced(entries, p: int = 0, modulus=None):
     return out
 
 
-def sympy_rank_mod_p(rows, p: int) -> int:
-    """Rank over GF(p) of a matrix of ints, by sympy's DomainMatrix."""
-    from sympy import GF
-    from sympy.polys.matrices import DomainMatrix
-
-    K = GF(p)
-    return DomainMatrix([[K(a) for a in row] for row in rows], (len(rows), len(rows[0])), K).rank()
-
-
 def sympy_is_irreducible_q(coeffs) -> bool:
     """Whether sympy factors the polynomial (coefficients low degree first)
     over Q into one nonconstant factor of multiplicity 1. It is built as a

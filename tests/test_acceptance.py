@@ -110,7 +110,7 @@ def test_criterion_05_equivalence_battery():
             if p == n:
                 continue
             F = prime_field(p)
-            field_test = is_graded_field(ctx, F, brute_limit=3000)
+            field_test = is_graded_field(ctx, F)
             # pi over Q reduced mod p, not the charpoly over F that is_graded_field takes
             pi = int_poly(F, [int(c) for c in closed_form_charpoly(n).coeffs])
             irreducible = is_irreducible(F, pi)

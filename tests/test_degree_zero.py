@@ -22,7 +22,8 @@ from qhgrass.exactfield import (
 )
 from qhgrass.degree_zero import (
     _int_matrices,
-    _rank_mod_p,
+    _is_field_mod_p,
+    _qh0_dim,
     charpoly_identity_holds,
     classify,
     closed_form_charpoly,
@@ -46,7 +47,6 @@ from oracles import (
     per_column_mult_matrix,
     sequential_distinct_degree_parts,
     sympy_is_irreducible_q,
-    sympy_rank_mod_p,
     units_from_powers,
     zero_divisor_search,
 )
@@ -376,7 +376,7 @@ def test_is_graded_field_p_divides_composite_n():
 def test_is_graded_field_extension_field():
     """Gr(2,13) is a graded field over GF(2) but not over GF(4)."""
     assert is_graded_field(GrContext(2, 13), prime_field(2)).is_field
-    check4 = is_graded_field(GrContext(2, 13), make_extension(2, 2), brute_limit=10**8)
+    check4 = is_graded_field(GrContext(2, 13), make_extension(2, 2))
     assert not check4.is_field
     assert check4.routes["charpoly_irreducible"] is False
 
@@ -392,35 +392,35 @@ P_DIVIDES_N = "p | n composite: charpoly route skipped, oracle only"
 
 
 GRADED_FIELD_BRANCHES = [
-    (1, 6, "GF(3)", 10**6, True, [("rule", True)], ["rank-one degree pieces: k = 1 (or its dual)"]),
-    (3, 3, "GF(2)", 10**6, True, [("rule", True)], ["k = n: Gr(n, n) is a point"]),
-    (2, 7, "GF(2^2)", 10**6, True,
+    (1, 6, "GF(3)", True, [("rule", True)], ["rank-one degree pieces: k = 1 (or its dual)"]),
+    (3, 3, "GF(2)", True, [("rule", True)], ["k = n: Gr(n, n) is a point"]),
+    (2, 7, "GF(2^2)", True,
      [("charpoly_irreducible", True), ("units_closure", True), ("zero_divisor_search", True)], []),
-    (2, 13, "GF(2)", 10**6, True,
+    (2, 13, "GF(2)", True,
      [("rule", True), ("charpoly_irreducible", True), ("zero_divisor_search", True)], []),
-    (2, 5, "GF(5)", 10**6, False, [("rule", False), ("zero_divisor_search", False)], [N_EQUALS_P]),
-    (2, 9, "GF(3)", 10**6, False, [("rule", False), ("zero_divisor_search", False)], [P_DIVIDES_N]),
-    (2, 10, "GF(7)", 10**6, False, [("rule", False), ("zero_divisor_search", False)], []),
-    (2, 61, "GF(2^2)", 10**6, False, [("charpoly_irreducible", False), ("units_closure", False)], []),
-    (2, 12, "GF(2^2)", 4000, False, [], ["rule-only"]),
-    (3, 7, "Q", 10**6, False, [("rule", False)], ["rule-only"]),
-    (2, 9, "Q", 10**6, False, [("rule", False), ("charpoly_irreducible", False)], []),
-    (5, 7, "GF(2)", 10**6, True,
+    (2, 5, "GF(5)", False, [("rule", False), ("zero_divisor_search", False)], [N_EQUALS_P]),
+    (2, 9, "GF(3)", False, [("rule", False), ("zero_divisor_search", False)], [P_DIVIDES_N]),
+    (2, 10, "GF(7)", False, [("rule", False), ("zero_divisor_search", False)], []),
+    (2, 61, "GF(2^2)", False, [("charpoly_irreducible", False), ("units_closure", False)], []),
+    (2, 22, "GF(2^2)", False, [], ["rule-only"]),  # 4^11 > 10^6: no field test
+    (3, 7, "Q", False, [("rule", False)], ["rule-only"]),
+    (2, 9, "Q", False, [("rule", False), ("charpoly_irreducible", False)], []),
+    (5, 7, "GF(2)", True,
      [("rule", True), ("charpoly_irreducible", True), ("zero_divisor_search", True)], []),
-    (2, 25, "GF(5^2)", 10**6, False, [], [P_DIVIDES_N, "rule-only"]),
-    (3, 6, "GF(2)", 10**6, False, [("rule", False), ("zero_divisor_search", False)], []),
+    (2, 25, "GF(5^2)", False, [], [P_DIVIDES_N, "rule-only"]),
+    (3, 6, "GF(2)", False, [("rule", False), ("zero_divisor_search", False)], []),
 ]
 
 
 @pytest.mark.parametrize(
-    "k,n,spec,limit,is_field,routes,notes",
+    "k,n,spec,is_field,routes,notes",
     GRADED_FIELD_BRANCHES,
     ids=[f"Gr({k},{n})-{spec}" for k, n, spec, *_ in GRADED_FIELD_BRANCHES],
 )
-def test_is_graded_field_every_branch(k, n, spec, limit, is_field, routes, notes):
+def test_is_graded_field_every_branch(k, n, spec, is_field, routes, notes):
     """Verdict, routes in insertion order, and notes; perfbench/digests.json
     pins the routes of is_graded_field, key order included."""
-    check = is_graded_field(GrContext(k, n), parse_field(spec), brute_limit=limit)
+    check = is_graded_field(GrContext(k, n), parse_field(spec))
     assert (check.is_field, list(check.routes.items()), check.notes) == (is_field, routes, notes)
 
 
@@ -529,7 +529,7 @@ def test_rule_consistency_routes_never_disagree():
         n = rng.randint(3, 14)
         k = rng.randint(1, n)
         p = rng.choice([2, 3, 5, 7])
-        is_graded_field(GrContext(k, n), prime_field(p), brute_limit=4000)
+        is_graded_field(GrContext(k, n), prime_field(p))
 
 
 # (field, n) -> the witness zero_divisor_search returned for Gr(2, n) before
@@ -603,28 +603,6 @@ def test_zero_divisor_search_witnesses_recorded(spec):
         assert is_graded_field(GrContext(2, n), F).routes["zero_divisor_search"] is (not found), (spec, n)
 
 
-def test_rank_mod_p_against_sympy():
-    """The Frobenius test's rank kernel against sympy over GF(2), GF(3) and
-    GF(7): seeded products of an s x r and an r x s int matrix, of rank at
-    most r, with entries of either sign and, in every third, a zero first
-    column, so that a column without a pivot is dropped."""
-    rng = random.Random(3301)
-    seen = set()
-    for p in (2, 3, 7):
-        for trial in range(60):
-            s = rng.randint(1, 7)
-            r = rng.randint(1, s)
-            a = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(s)]
-            b = [[rng.randint(-9, 9) for _ in range(s)] for _ in range(r)]
-            rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-            if trial % 3 == 0:
-                rows = [[0] + row[1:] for row in rows]
-            want = sympy_rank_mod_p(rows, p)
-            assert _rank_mod_p(p, rows) == want, (p, rows)
-            seen.add(want == s)
-    assert seen == {True, False}
-
-
 def test_zero_divisor_route_against_the_search_on_extension_fields():
     """The route decides QH^0 over GF(p^m) by the Frobenius matrix over GF(p)
     and gcd(dim, m); the exhaustive search enumerates QH^0 over GF(p^m)
@@ -647,6 +625,47 @@ def test_zero_divisor_route_against_the_search_on_extension_fields():
     assert seen == {True, False} and big_k == 12
 
 
+def test_frobenius_criterion_is_the_minimal_polynomial():
+    """QH^0 of Gr(2, 17) over GF(2) is GF(2^4) x GF(2^4): the Frobenius
+    matrix has characteristic polynomial x^8 + 1 = x^8 - 1 but minimal
+    polynomial x^4 + 1, so only the minimal polynomial tells it from a field.
+    The exhaustive search over its 256 elements agrees."""
+    ctx, F = GrContext(2, 17), prime_field(2)
+    assert classify(2, 17, 2).field_dims == [4, 4]
+    basis = qh0_basis(ctx)
+    squares = [(c * c).terms for c in (QhElement.schubert(ctx, F, *b) for b in basis)]
+    frobenius = SquareMatrix(F, [[sq.get(key, 0) for sq in squares] for key in basis])
+    assert char_poly(F, frobenius) == int_poly(F, [1] + [0] * 7 + [1])
+    assert min_poly(F, frobenius) == int_poly(F, [1, 0, 0, 0, 1])
+    assert not _is_field_mod_p(ctx, 2)
+    found, _ = zero_divisor_search(ctx, F)
+    assert found and is_graded_field(ctx, F).routes["zero_divisor_search"] is False
+
+
+def test_qh0_dim_closed_form_counts_the_basis():
+    for n in range(1, 17):
+        for k in range(1, n + 1):
+            assert _qh0_dim(GrContext(k, n)) == len(qh0_basis(GrContext(k, n))), (k, n)
+
+
+def test_is_graded_field_lists_no_basis_past_the_route_limit(monkeypatch):
+    """Over Q, and over a finite field with |F|^dim QH^0 above 10^6, the
+    verdict needs no basis of QH^0: Gr(10, 30) has dim 1,001,603, and
+    Gr(2, 41) over GF(2) has 2^20. Gr(2, 39) over GF(2), at 2^19, still
+    reports the field test."""
+    import qhgrass.degree_zero as dz
+
+    assert is_graded_field(GrContext(2, 39), prime_field(2)).routes["zero_divisor_search"] is False
+
+    def unreachable(ctx):
+        raise AssertionError(f"QH^0 of Gr({ctx.k},{ctx.n}) listed")
+
+    monkeypatch.setattr(dz, "qh0_basis", unreachable)
+    for k, n, F in [(10, 30, QQ), (10, 30, prime_field(2)), (2, 41, prime_field(2))]:
+        check = is_graded_field(GrContext(k, n), F)
+        assert "zero_divisor_search" not in check.routes and not check.is_field, (k, n, F.label)
+
+
 @pytest.mark.parametrize("spec", ["GF(2^2)", "GF(2^3)", "GF(3^2)", "GF(5^2)"])
 def test_extension_charpoly_route_against_rabin_over_the_extension(spec):
     """Over GF(p^m) the route tests pi over GF(p) and the gcd of its degree
@@ -657,7 +676,7 @@ def test_extension_charpoly_route_against_rabin_over_the_extension(spec):
     for n in range(5, 32, 2):
         if n % F.characteristic == 0:
             continue
-        check = is_graded_field(GrContext(2, n), F, brute_limit=0)
+        check = is_graded_field(GrContext(2, n), F)
         want = is_irreducible(F, char_poly(F, closed_form_matrix(n, F)))
         assert check.routes["charpoly_irreducible"] == want, (spec, n)
         seen.add(want)
