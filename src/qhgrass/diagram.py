@@ -5,6 +5,18 @@ rectangle. The canonical ordering used everywhere downstream is (size,
 descending-lexicographic rows), so that within each graded piece the
 diagrams are listed by increasing second-row length; all matrices built on
 these bases are reproducible bit for bit.
+
+YoungDiagram interns its checked diagrams: the constructor turns its rows
+into a key by operator.index (so a float or str row raises TypeError before
+any lookup) and returns the diagram that key already names. Only a miss runs
+the full check, _checked_rows, and only rows that pass it enter the table, so
+[2, 1, 0] and [2, 1] give the one diagram (2, 1). Equal diagrams are then
+mostly one object, and rows seen before, such as the Pieri targets of
+qh_core._placed, cost one dict hit. The table is the module dict _INTERNED,
+cleared whenever its keys would hold more than INTERN_CAP rows in all (a key
+counts its length plus one), so a long row tuple cannot pin memory; only
+YoungDiagram itself is interned, not a subclass. A diagram carries no
+__dict__ (__slots__ = ()), since an interned one is shared by every caller.
 """
 
 from __future__ import annotations
@@ -22,6 +34,11 @@ class GrContext:
     n: int
 
     def __post_init__(self):
+        # operator.index, as for diagram rows: GrContext(2.0, 5) would equal
+        # GrContext(2, 5) and share its product engine, so refuse it
+        if type(self.k) is not int or type(self.n) is not int:
+            object.__setattr__(self, "k", index(self.k))
+            object.__setattr__(self, "n", index(self.n))
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
 
@@ -31,22 +48,69 @@ class GrContext:
         return self.n - self.k
 
 
+# the intern table of YoungDiagram: its keys hold at most this many rows in
+# all, each key counted as its length plus one
+INTERN_CAP = 1 << 16
+
+_INTERNED: dict[tuple[int, ...], "YoungDiagram"] = {}
+_interned_rows = 0  # the keys of _INTERNED counted as INTERN_CAP counts them
+
+
+def _checked_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """rows with trailing zeros stripped; ValueError unless they are
+    nonnegative and weakly decreasing."""
+    end = len(rows)
+    while end and rows[end - 1] == 0:
+        end -= 1
+    rows = rows[:end]
+    if rows and rows[-1] < 0:
+        raise ValueError(f"negative row length in {rows}")
+    if any(map(lt, rows, rows[1:])):
+        raise ValueError(f"rows not weakly decreasing: {rows}")
+    return rows
+
+
+def _remember(key: tuple[int, ...], diagram: "YoungDiagram") -> None:
+    """Enter key -> diagram in the intern table, cleared first if key would
+    take it past INTERN_CAP; a key longer than the cap is not entered."""
+    global _interned_rows
+    cost = len(key) + 1
+    if cost > INTERN_CAP:
+        return
+    if _interned_rows + cost > INTERN_CAP:
+        _INTERNED.clear()
+        _interned_rows = 0
+    _INTERNED[key] = diagram
+    _interned_rows += cost
+
+
+def _intern(key: tuple[int, ...]) -> "YoungDiagram":
+    """The diagram of an int row tuple the intern table misses: checked, and
+    entered under its rows and under key."""
+    rows = _checked_rows(key)
+    diagram = _INTERNED.get(rows)
+    if diagram is None:
+        diagram = tuple.__new__(YoungDiagram, rows)
+        _remember(diagram, diagram)
+    if len(key) != len(rows):
+        _remember(key, diagram)
+    return diagram
+
+
 class YoungDiagram(tuple):
-    """Row lengths, weakly decreasing, trailing zeros stripped."""
+    """Row lengths, weakly decreasing, trailing zeros stripped; interned (see
+    the module docstring)."""
+
+    __slots__ = ()
 
     def __new__(cls, rows=()):
         # operator.index, not int: a float or str row raises TypeError
         # instead of being truncated to another diagram
-        rows = tuple(map(index, rows))
-        end = len(rows)
-        while end and rows[end - 1] == 0:
-            end -= 1
-        rows = rows[:end]
-        if rows and rows[-1] < 0:
-            raise ValueError(f"negative row length in {rows}")
-        if any(map(lt, rows, rows[1:])):
-            raise ValueError(f"rows not weakly decreasing: {rows}")
-        return tuple.__new__(cls, rows)
+        key = tuple(map(index, rows))
+        if cls is not YoungDiagram:
+            return tuple.__new__(cls, _checked_rows(key))
+        diagram = _INTERNED.get(key)
+        return _intern(key) if diagram is None else diagram
 
     @property
     def size(self) -> int:

@@ -44,20 +44,25 @@ sigma_nu') with nu' = nu - nu_k * 1^k. A pair with lambda_k = nu_k = 0 is
 computed; any other is read from its reduced pair, with S^t applied to the
 codes through one code -> code table per t, each entry moved by the same
 particle helpers once. On Gr(2, n) a reduced factor is one row, so each
-computed pair is one Pieri step.
+computed pair is one Pieri step. Each Pieri target and rotated place becomes
+a diagram through _placed, whose YoungDiagram call is a hit of the diagram
+intern table for rows seen before (most targets repeat), so only a new
+diagram runs the full check.
 
 A QhElement keeps its terms on these codes too, as {code: integer
 coordinates} over one denominator, in the canonical form of
 FieldCtx._canon_ints, and it keeps the engine whose codes they are. Its
-constructor takes (diagram, q-power) keys, checks each diagram once, when the
-engine first indexes it, and lifts each coefficient once
-(FieldCtx._lift_canon); `terms` turns codes and coordinates back into keys
-and field elements (FieldCtx._drop_ints). quantum_product works on integers
-only: it multiplies the coordinates of each pair of terms once
-(FieldCtx._mul_ints), adds constant times product per output code
-(FieldCtx._accumulate, whatever the coordinates' shape) over the product of
-the two denominators, and brings the sums to canonical form once; `+` and `-`
-accumulate too. No Fraction is built. ev_map reads the coordinates as kept.
+constructor takes (diagram, q-power) keys, reads each diagram's index from
+the engine (checking a diagram only when the engine first indexes it), and
+lifts each coefficient once (FieldCtx._lift_canon); `terms` turns codes and
+coordinates back into keys and field elements (FieldCtx._drop_ints).
+quantum_product works on integers only: it multiplies the coordinates of
+each pair of terms once (FieldCtx._mul_ints), adds constant times product
+per output code (FieldCtx._accumulate, whatever the coordinates' shape) over
+the product of the two denominators, and brings the sums to canonical form
+once (FieldCtx._canon_sums, which over GF(p^m) keeps a sum of one term as
+it is); `+` and `-` accumulate too. No Fraction is built. ev_map reads the
+coordinates as kept.
 """
 
 from __future__ import annotations
@@ -92,14 +97,15 @@ class QhElement:
     __slots__ = ("ctx", "field", "engine", "codes", "den")
 
     def __init__(self, ctx: GrContext, field: FieldCtx, terms: Mapping[TermKey, object] | None = None):
-        engine = _engine(ctx)
-        lookup = engine.lookup
+        engine = _ENGINES[ctx.k, ctx.n]
+        get = engine.index.get  # a diagram the engine has indexed is checked and in its box
         terms = terms or {}
         codes = []
         for diagram, m in terms:
             if not isinstance(diagram, YoungDiagram):
                 raise TypeError(f"term diagram must be a YoungDiagram, not {type(diagram).__name__}")
-            codes.append(lookup(diagram) + index(m) * _Q)
+            i = get(diagram)
+            codes.append((engine.lookup(diagram) if i is None else i) + index(m) * _Q)
         self.ctx, self.field, self.engine = ctx, field, engine
         self.codes, self.den = field._lift_canon(zip(codes, terms.values()))
 
@@ -151,7 +157,7 @@ class QhElement:
         for x in (self, other):
             for code, c in x.codes.items():
                 F._accumulate(acc, ((code, den // x.den),), c)
-        return QhElement._trusted(self, *F._canon_ints(acc.items(), den))
+        return QhElement._trusted(self, *F._canon_sums(acc, den))
 
     def __neg__(self):
         F, acc = self.field, {}
@@ -221,7 +227,9 @@ def _positions(k: int, d: YoungDiagram) -> list[int]:
 
 def _placed(n: int, moved: list[int]) -> tuple[YoungDiagram, int]:
     """(diagram, q-power) of particles at increasing places moved[i] < moved[0] + n;
-    each place past n turns once round the circle and gives one q."""
+    each place past n turns once round the circle and gives one q. The rows
+    keep their trailing zeros, under which the diagram intern table knows a
+    target seen before."""
     k = len(moved)
     w = bisect_right(moved, n)
     if w < k:
@@ -585,7 +593,7 @@ def quantum_product(a: QhElement, b: QhElement) -> QhElement:
             it = iter(pair(i, j))
             shift = s1 + s2
             accumulate(acc, zip(map(shift.__add__, it) if shift else it, it), mul(c1, c2))
-    return QhElement._trusted(a, *F._canon_ints(acc.items(), a.den * b.den))
+    return QhElement._trusted(a, *F._canon_sums(acc, a.den * b.den))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import comb
 
 import pytest
@@ -14,6 +16,11 @@ from qhgrass.diagram import (
     graded_basis,
 )
 
+from qhgrass import diagram as diagram_module
+from qhgrass import qh_core
+from qhgrass.exactfield import QQ
+from qhgrass.qh_core import QhElement, schubert_product
+
 from oracles import box_partitions, transpose_rows
 
 
@@ -23,6 +30,27 @@ def test_context_validation():
     with pytest.raises(ValueError):
         GrContext(4, 3)
     assert GrContext(2, 5).cols == 3
+
+
+def test_context_fields_are_exact_ints(monkeypatch):
+    """A float or str k or n is refused, as a float diagram row is: GrContext(2.0,
+    5) equals GrContext(2, 5), so its first product would build the engine of
+    (2, 5) with a float k and break every later product on Gr(2, 5)."""
+    monkeypatch.setattr(qh_core, "_ENGINES", qh_core._Memo(lambda key: qh_core._ProductEngine(*key)))
+    for k, n in ((2.0, 5), (2, 5.0), ("2", 5), (2, "5")):
+        with pytest.raises(TypeError):
+            schubert_product(GrContext(k, n), YoungDiagram((1,)), YoungDiagram((1,)))
+    assert schubert_product(GrContext(2, 5), YoungDiagram((1,)), YoungDiagram((1,))) == {
+        (YoungDiagram((2,)), 0): 1,
+        (YoungDiagram((1, 1)), 0): 1,
+    }
+
+    class Two:
+        def __index__(self):
+            return 2
+
+    ctx = GrContext(Two(), 5)
+    assert type(ctx.k) is int and ctx == GrContext(2, 5) and hash(ctx) == hash(GrContext(2, 5))
 
 
 def test_diagram_normalization_and_validation():
@@ -38,6 +66,72 @@ def test_diagram_rejects_non_integral_rows():
     for rows in ([1.5, 0.9], [2.0], "21"):
         with pytest.raises(TypeError):
             YoungDiagram(rows)
+
+
+def test_diagrams_are_interned_by_their_int_rows():
+    d = YoungDiagram([2, 1])
+    assert YoungDiagram([2, 1, 0]) is d and YoungDiagram((2, 1, 0, 0)) is d and YoungDiagram(d) is d
+    # the key is built by operator.index, so an interned diagram does not
+    # answer rows that only compare equal to its own
+    for rows in ([2.0, 1.0], "21", [2, 1.0], (2.0, 1, 0)):
+        with pytest.raises(TypeError):
+            YoungDiagram(rows)
+    assert YoungDiagram((3, 1)) is not YoungDiagram((3,))
+
+
+def test_rejected_rows_raise_every_time_and_never_enter_the_table():
+    for bad in ((1, 2), [2, -1], (0, 1), (3, 1, 2, 0)):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                YoungDiagram(bad)
+        assert tuple(bad) not in diagram_module._INTERNED
+    assert all(list(d) == sorted(d, reverse=True) and (not d or d[-1] > 0) for d in diagram_module._INTERNED.values())
+
+
+def test_intern_table_stays_within_its_cap(monkeypatch):
+    cap = 12
+    monkeypatch.setattr(diagram_module, "INTERN_CAP", cap)
+    monkeypatch.setattr(diagram_module, "_INTERNED", {})
+    monkeypatch.setattr(diagram_module, "_interned_rows", 0)
+    table_rows = []
+    for rows in sorted(box_partitions(3, 3)) * 2 + [(1, 0, 0, 0), (2, 2, 0, 0, 0, 0)]:
+        assert YoungDiagram(rows) == tuple(r for r in rows if r)
+        keys = diagram_module._INTERNED
+        table_rows.append(sum(len(key) + 1 for key in keys))
+        assert table_rows[-1] == diagram_module._interned_rows <= cap
+    assert max(table_rows) > cap // 2  # the table did fill, and was cleared
+    two_one = YoungDiagram((2, 1))
+    before = dict(diagram_module._INTERNED)
+    long_key = (2, 1) + (0,) * cap  # longer than the cap: answered, never entered, nothing cleared
+    assert YoungDiagram(long_key) is two_one and long_key not in diagram_module._INTERNED
+    assert before.items() <= diagram_module._INTERNED.items()
+
+
+def test_an_interned_diagram_is_still_checked_against_the_box():
+    """Interning checks the rows, not the box: sigma_(4) indexed on Gr(2, 7)
+    is still refused on Gr(2, 5)."""
+    four = YoungDiagram((4,))
+    assert schubert_product(GrContext(2, 7), four, YoungDiagram((1,)))
+    small = GrContext(2, 5)
+    with pytest.raises(ValueError):
+        schubert_product(small, four, YoungDiagram((1,)))
+    with pytest.raises(ValueError):
+        schubert_product(small, [4, 0], [1])
+    with pytest.raises(ValueError):
+        QhElement(small, QQ, {(four, 0): QQ.one()})
+    with pytest.raises(ValueError):
+        qh_core._engine(small).lookup(four)
+
+
+def test_diagrams_have_no_dict_and_survive_pickle_and_copy():
+    d = YoungDiagram((3, 1, 1))
+    assert not hasattr(d, "__dict__")
+    with pytest.raises(AttributeError):
+        d.note = 1
+    for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert twin == d and type(twin) is YoungDiagram and twin is d
+    empty = pickle.loads(pickle.dumps(EMPTY))
+    assert empty == EMPTY and type(empty) is YoungDiagram
 
 
 def test_enumerate_counts():

@@ -29,6 +29,8 @@ from qhgrass.exactfield import (
 
 from qhgrass import exactfield
 from qhgrass.degree_zero import closed_form_matrix
+from qhgrass.diagram import GrContext, YoungDiagram, enumerate_diagrams
+from qhgrass.qh_core import QhElement, quantum_product, schubert_product
 from qhgrass.numberth import cyclotomic_polynomial, multiplicative_order
 
 from oracles import (
@@ -627,6 +629,83 @@ def test_rational_inverse_and_quotient_are_fractions():
     monic = Poly(QQ, [1, 0, 2]).monic()
     assert monic.coeffs == (Fraction(1, 2), Fraction(0), Fraction(1))
     assert all(type(c) is Fraction for c in monic.coeffs)
+
+
+def test_rational_quotient_equals_fraction_on_every_operand_type():
+    """QQ.div divides two Fractions through their integer ratios and sends any
+    other pair to Fraction(a, b): the same value and exact type either way."""
+    rng = random.Random(35)
+    ints = [1, -1, 7, -12, 10**30 + 7] + [rng.randint(-10**6, 10**6) or 1 for _ in range(12)]
+    fractions = [Fraction(3, 4), Fraction(-10**20, 3), QQ.from_int(6), QQ.one()]
+    fractions += [Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99)) for _ in range(12)]
+    values = ints + fractions + [0, Fraction(0)]
+    for a in values:
+        for b in values[:-2]:
+            got = QQ.div(a, b)
+            assert got == Fraction(a, b) and type(got) is Fraction, (a, b)
+    for a in (Fraction(3, 4), 5, 0, Fraction(0)):
+        for zero in (0, Fraction(0), QQ.zero(), 0.0):
+            with pytest.raises(ZeroDivisionError):
+                QQ.div(a, zero)
+    for a, b in ((2.5, Fraction(1, 2)), (Fraction(1, 2), 2.5), (1.0, 2), (3, 0.5), (Fraction(1, 3), "2")):
+        with pytest.raises(TypeError):
+            QQ.div(a, b)
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 3), (7, 2), (13, 3)])
+def test_extension_products_keep_single_terms_and_equal_the_generic_form(p, m, monkeypatch):
+    """quantum_product over GF(p^m) keeps an output entry of one term with
+    N = 1 as mul returned it (_canon_sums); its codes and den equal those of
+    the generic _canon_ints on the same sums, and each coefficient equals the
+    sum, by F.mul and F.add, of N * a_i * b_j over the schubert_product
+    constants. The seeded products reach entries of one term, entries whose
+    terms cancel, and constants N > 1. GF(13^3) is above TABLE_CAP."""
+    F = make_extension(p, m)
+    ctx = GrContext(3, 6)
+    diagrams = enumerate_diagrams(ctx)
+    rng = random.Random(100 * p + m)
+
+    def element(size):
+        terms = {}
+        while len(terms) < size:
+            c = F.random_element(rng)
+            if not F.is_zero(c):
+                terms[rng.choice(diagrams), rng.randrange(2)] = c
+        return QhElement(ctx, F, terms)
+
+    pairs = [(element(rng.randint(1, 4)), element(rng.randint(1, 4))) for _ in range(60)]
+    x = element(3)
+    pairs.append((x, x))  # every cross term twice
+    # sigma_1 * (sigma_2 - sigma_11) = sigma_3 - sigma_111: sigma_21 cancels
+    one, two, column = (YoungDiagram(rows) for rows in ((1,), (2,), (1, 1)))
+    difference = QhElement(ctx, F, {(two, 0): F.one(), (column, 0): F.neg(F.one())})
+    pairs.append((QhElement(ctx, F, {(one, 0): F.one()}), difference))
+    fast = [quantum_product(a, b) for a, b in pairs]
+    monkeypatch.setattr(F, "_canon_sums", lambda acc, d: F._canon_ints(acc.items(), d))
+    kinds = set()
+    for (a, b), got in zip(pairs, fast):
+        generic = quantum_product(a, b)
+        assert got.codes == generic.codes and got.den == generic.den == 1
+        assert all(type(v) is tuple and len(v) == m and all(0 <= c < p for c in v) for v in got.codes.values())
+        parts: dict = {}
+        for (da, ma), ca in a.terms.items():
+            for (db, mb), cb in b.terms.items():
+                for (d, mq), N in schubert_product(ctx, da, db).items():
+                    parts.setdefault((d, mq + ma + mb), []).append((N, F.mul(ca, cb)))
+        terms = got.terms
+        for key, contributions in parts.items():
+            want = F.zero()
+            for N, c in contributions:
+                want = F.add(want, F.mul(F.from_int(N), c))
+            assert terms.get(key, F.zero()) == want
+            if len(contributions) == 1 and contributions[0][0] == 1:
+                kinds.add("one term, N = 1")
+            if F.is_zero(want):
+                kinds.add("cancels")
+            if any(N > 1 for N, _ in contributions):
+                kinds.add("N > 1")
+        assert set(terms) <= set(parts)
+    assert kinds == {"one term, N = 1", "cancels", "N > 1"}
 
 
 def test_min_poly_examples():
