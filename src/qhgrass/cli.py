@@ -2,8 +2,9 @@
 
 Subcommands: product, pieri, matrix, classify, orbits, evcheck, gc map,
 gc critical, selftest. Machine-readable output is JSON (--json where it is
-not the default). Exit codes: 0 success, 1 usage error, 2 computation
-error, 3 selftest failure.
+not the default). Exit codes: 0 success, 1 usage error or output into a
+closed pipe (nothing is printed to stderr then), 2 computation error, 3
+selftest failure.
 
 Only the two gc subcommands import the numpy-backed Gelfand-Cetlin module,
 so the exact subcommands start without numpy.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -281,10 +283,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so the flush at exit
+        # writes what is left nowhere instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, FieldError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

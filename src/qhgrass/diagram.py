@@ -14,9 +14,9 @@ the full check, _checked_rows, and only rows that pass it enter the table, so
 mostly one object, and rows seen before, such as the Pieri targets of
 qh_core._placed, cost one dict hit. The table is the module dict _INTERNED,
 cleared whenever its keys would hold more than INTERN_CAP rows in all (a key
-counts its length plus one), so a long row tuple cannot pin memory; only
-YoungDiagram itself is interned, not a subclass. A diagram carries no
-__dict__ (__slots__ = ()), since an interned one is shared by every caller.
+counts its length plus one), so a long row tuple cannot pin memory. A
+diagram carries no __dict__ (__slots__ = ()), since an interned one is
+shared by every caller.
 """
 
 from __future__ import annotations
@@ -107,8 +107,6 @@ class YoungDiagram(tuple):
         # operator.index, not int: a float or str row raises TypeError
         # instead of being truncated to another diagram
         key = tuple(map(index, rows))
-        if cls is not YoungDiagram:
-            return tuple.__new__(cls, _checked_rows(key))
         diagram = _INTERNED.get(key)
         return _intern(key) if diagram is None else diagram
 

@@ -44,11 +44,14 @@ int product over Q, the bare kernel over Q(zeta_N), mul elsewhere), and
 their denominators multiply; _accumulate adds N times one coordinate value
 to a dict's sum at each (key, N), unreduced: ints in FieldCtx, new lists that
 never change a value given in ExtensionField. qh_core and presentation sum
-through it, and none of their code tests the shape of a coordinate.
-_canon_sums is _canon_ints on such a dict when every value summed was
-canonical coords of a nonzero element or a product of two, as in qh_core:
-over GF(p^m) a value taken once, still the tuple given, is kept as it is,
-with no reduction and no zero test.
+through it, and none of their code tests the shape of a coordinate; every
+sum they form ends in _canon_ints. Over GF(p^m) the layer keeps one
+invariant: a coordinate tuple is always a reduced residue (mul, _lift_canon
+and _canon_ints return nothing else), and only _accumulate's lists are
+unreduced. So _canon_ints keeps a tuple as given, with no reduction and no
+zero test, and reduces and zero-tests a list. Every field sets
+characteristic, 0 or p, once as a plain attribute; ExtensionField branches
+on it between GF(p^m) and Q(zeta_N).
 
 A Poly over GF(p) keeps its coefficients in [0, p) and multiplies them by
 Kronecker substitution where a product coefficient over Z fits in 8 bytes
@@ -130,10 +133,8 @@ class FieldCtx:
 
     label = "?"
     order: int | None = None  # None for infinite fields
-
-    @property
-    def characteristic(self) -> int:
-        raise NotImplementedError
+    characteristic: int  # set once per field: 0 or p
+    # every concrete field also defines sub, is_zero and _mul_ints
 
     def zero(self) -> Element:
         raise NotImplementedError
@@ -153,14 +154,8 @@ class FieldCtx:
     def inv(self, a) -> Element:
         raise NotImplementedError
 
-    def sub(self, a, b) -> Element:
-        return self.add(a, self.neg(b))
-
     def div(self, a, b) -> Element:
         return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero()
 
     def from_int(self, value: int) -> Element:
         raise NotImplementedError
@@ -188,26 +183,20 @@ class FieldCtx:
         the coords of _lift_ints over d: zeros left out, residues reduced mod
         p over a finite field (where d is 1), and over Q and Q(zeta_N) coords
         and d divided by their gcd. Coordinate sequences become tuples, so
-        two canonical forms are equal exactly when the values are. This
-        default serves the finite fields."""
+        two canonical forms are equal exactly when the values are. Over
+        GF(p^m) a tuple, a reduced residue by the module's invariant, is kept
+        as given, and only a list of _accumulate is reduced and zero-tested.
+        So a zero tuple given stays: presentation._complete_upto sums one once
+        when an h_r vanishes, and reads the sum only through .get(0, zero),
+        the same value. This default serves GF(p)."""
         return self._drop_ints(items, d), 1
 
-    def _mul_ints(self, a, b):
-        """The product of two integer coordinates of _lift_ints, as integer
-        coordinates over the product of their denominators; mul itself
-        except over Q (the int product) and Q(zeta_N) (the bare kernel)."""
-        return self.mul(a, b)
-
     def _accumulate(self, acc: dict, pairs: Iterable[tuple[Any, int]], v) -> None:
-        """acc[key] += N * v (0 if missing) per (key, N), on coords of _lift_ints, unreduced."""
+        """acc[key] += N * v (0 if missing) per (key, N), on coords of _lift_ints,
+        unreduced: the only coordinates not in canonical form, which _canon_ints
+        then brings to it."""
         for key, N in pairs:  # few pairs a call: acc.get is not worth binding
             acc[key] = acc.get(key, 0) + N * v
-
-    def _canon_sums(self, acc: dict, d: int) -> tuple[dict, int]:
-        """_canon_ints(acc.items(), d) for a dict filled by _accumulate whose
-        every v was the canonical coords of a nonzero element or the _mul_ints
-        product of two such, as in qh_core's products and sums."""
-        return self._canon_ints(acc.items(), d)
 
     def pow(self, a, exponent: int) -> Element:
         if exponent < 0:
@@ -239,10 +228,7 @@ class RationalField(FieldCtx):
 
     label = "Q"
     order = None
-
-    @property
-    def characteristic(self) -> int:
-        return 0
+    characteristic = 0
 
     def zero(self):
         return Fraction(0)
@@ -339,13 +325,8 @@ class PrimeField(FieldCtx):
     def __init__(self, p: int):
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
-        self.p = p
-        self.order = p
+        self.p = self.characteristic = self.order = p
         self.label = f"GF({p})"
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
 
     def zero(self):
         return 0
@@ -456,7 +437,7 @@ class ExtensionField(FieldCtx):
         self.label = label or f"{base.label}[t]/({_poly_text(base, modulus, 't')})"
         self.cyclotomic_order: int | None = None
         self._generator_cache: Element | None = None
-        self._p = p
+        self.characteristic = p
         # log and antilog tables (_tables), built on the first product or
         # inverse of a field of order <= TABLE_CAP; {} means no tables
         self._log: dict | None = None if self.order is not None and self.order <= TABLE_CAP else {}
@@ -467,10 +448,6 @@ class ExtensionField(FieldCtx):
         for _ in range(m - 1):
             self._reduce.append([c % p for c in row] if p else row)
             row = [c - row[-1] * d for c, d in zip([0] + row[:-1], ints)]
-
-    @property
-    def characteristic(self) -> int:
-        return self.base.characteristic
 
     def zero(self):
         return (self.base.zero(),) * self.degree
@@ -484,19 +461,19 @@ class ExtensionField(FieldCtx):
         return tuple(self.base.one() if i == 1 else z for i in range(self.degree))
 
     def add(self, a, b):
-        p = self._p
+        p = self.characteristic
         if p:
             return tuple([(x + y) % p for x, y in zip(a, b)])
         return tuple([x + y for x, y in zip(a, b)])
 
     def neg(self, a):
-        p = self._p
+        p = self.characteristic
         if p:
             return tuple([-x % p for x in a])
         return tuple([-x for x in a])
 
     def sub(self, a, b):
-        p = self._p
+        p = self.characteristic
         if p:
             return tuple([(x - y) % p for x, y in zip(a, b)])
         return tuple([x - y for x, y in zip(a, b)])
@@ -537,7 +514,7 @@ class ExtensionField(FieldCtx):
         return log
 
     def mul(self, a, b):
-        p = self._p
+        p = self.characteristic
         if not p:
             (a,), da = self._lift_ints((a,))
             (b,), db = self._lift_ints((b,))
@@ -555,14 +532,14 @@ class ExtensionField(FieldCtx):
         return tuple([c % p for c in self._kernel(a, b)])
 
     def _mul_ints(self, a, b):
-        return self.mul(a, b) if self._p else self._kernel(a, b)
+        return self.mul(a, b) if self.characteristic else self._kernel(a, b)
 
     def _accumulate(self, acc, pairs, v):
         """FieldCtx._accumulate on coordinate sequences. A key's first (key, 1)
         stores v itself, and every later hit, or a first N other than 1,
         stores a new list: v, and a value already in acc, may be shared. So a
-        tuple left in acc is one v taken once, which _canon_sums keeps as it is
-        over GF(p^m)."""
+        tuple left in acc is one v taken once, already canonical over GF(p^m),
+        and _canon_ints keeps it as it is; a list is a sum to reduce."""
         for key, N in pairs:
             old = acc.get(key)
             if old is None:
@@ -596,19 +573,19 @@ class ExtensionField(FieldCtx):
         return (self.base.from_int(value),) + (z,) * (self.degree - 1)
 
     def _lift_ints(self, values):
-        if self._p:
+        if self.characteristic:
             return values, 1
         d = lcm(*[c.denominator for v in values for c in v])
         return [[c.numerator * (d // c.denominator) for c in v] for v in values], d
 
     def _drop_ints(self, items, d):
-        p = self._p
+        p = self.characteristic
         if p:
             return {key: t for key, v in items if any(t := tuple([c % p for c in v]))}
         return {key: tuple([Fraction(c, d) for c in v]) for key, v in items if any(v)}
 
     def _lift_canon(self, items):
-        m, p = self.degree, self._p
+        m, p = self.degree, self.characteristic
         out = {}
         for key, v in items:
             if type(v) is not tuple or len(v) != m:
@@ -629,25 +606,19 @@ class ExtensionField(FieldCtx):
         coords, d = self._lift_ints(list(out.values()))
         return self._canon_ints(zip(out, coords), d)
 
-    def _canon_sums(self, acc, d):
-        # over GF(p^m) a tuple in acc is a reduced nonzero residue, mul's own
-        # result or canonical coords taken once (see _accumulate): most entries
-        # of a product, which need no reduction and no zero test
-        p = self._p
-        if not p:
-            return self._canon_ints(acc.items(), d)
-        out = {}
-        for key, v in acc.items():
-            if type(v) is not tuple:
-                v = tuple([c % p for c in v])
-                if not any(v):
-                    continue
-            out[key] = v
-        return out, 1
-
     def _canon_ints(self, items, d):
-        if self._p:
-            return super()._canon_ints(items, d)
+        p = self.characteristic
+        if p:
+            # a tuple is a reduced residue, kept as given: most entries of a
+            # product, mul's result or a coordinate taken once (see _accumulate)
+            out = {}
+            for key, v in items:
+                if type(v) is not tuple:
+                    v = tuple([c % p for c in v])
+                    if not any(v):
+                        continue
+                out[key] = v
+            return out, 1
         coords = {key: tuple(v) for key, v in items if any(v)}
         g = gcd(d, *itertools.chain.from_iterable(coords.values())) if d != 1 else 1
         if g != 1:

@@ -21,7 +21,8 @@ engine, forms the monomials with FieldCtx._mul_ints (the extension kernel
 over Q(zeta_N), the field product over GF(p) and GF(p^m)), adds them with
 their summed integer coefficients (FieldCtx._accumulate), and converts once.
 verify_ideal_vanishing runs the h_r recurrence on the same rows the same way,
-keeps each h_r canonical (FieldCtx._canon_ints) and converts each value once.
+ends each h_r's sum in FieldCtx._canon_ints, as qh_core ends its sums, and
+converts each value once.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ def _elementary_upto(F: FieldCtx, values: Sequence, i: int) -> list:
 def _complete_upto(F: FieldCtx, es: Sequence, i: int) -> list:
     """[h_0, ..., h_i] from [e_0, ..., e_k], by h_r = h_{r-1}e_1 - h_{r-2}e_2 + ...
     (E(-t)H(t) = 1), in integer coordinates by F._mul_ints and F._accumulate, each
-    h_r canonical (F._canon_ints, a reduced tuple F.mul takes over GF(p^m)); h_0 is es[0]."""
+    h_r's sum ended by F._canon_ints (a reduced tuple F.mul takes over GF(p^m));
+    h_0 is es[0]. Over GF(p^m) a vanishing h_r can come back as the zero tuple
+    that one product gave, which equals zero, the default read here."""
     k = len(es) - 1
     (zero,), _ = F._lift_ints([F.zero()])
     hs = [es[0]]

@@ -60,9 +60,9 @@ quantum_product works on integers only: it multiplies the coordinates of
 each pair of terms once (FieldCtx._mul_ints), adds constant times product
 per output code (FieldCtx._accumulate, whatever the coordinates' shape) over
 the product of the two denominators, and brings the sums to canonical form
-once (FieldCtx._canon_sums, which over GF(p^m) keeps a sum of one term as
-it is); `+` and `-` accumulate too. No Fraction is built. ev_map reads the
-coordinates as kept.
+once (FieldCtx._canon_ints, which over GF(p^m) keeps a sum of one term, still
+the reduced tuple mul gave, as it is). `+`, unary `-` and `scale` end in the
+same step. No Fraction is built. ev_map reads the coordinates as kept.
 """
 
 from __future__ import annotations
@@ -88,11 +88,13 @@ class QhElement:
     of FieldCtx._canon_ints: a reduced residue (tuple) over GF(p) (GF(p^m))
     with den 1; an int numerator (int tuple) over Q (Q(zeta_N)) with den > 0
     prime to all of them. So two elements are equal exactly when their codes
-    and dens are. The constructor takes {(diagram, q-power): coefficient},
-    refuses with TypeError a coefficient that is not a field element, and
-    lifts each once; `terms` gives that mapping back. Codes are indices in
-    the order the engine first saw each diagram, so an element keeps its
-    engine, and pickle and copy rebuild it from its terms."""
+    and dens are. quantum_product, `+`, unary `-` and `scale` each end
+    their integer sums in that one step. The constructor takes
+    {(diagram, q-power): coefficient}, refuses with TypeError a coefficient
+    that is not a field element, and lifts each once; `terms` gives that
+    mapping back. Codes are indices in the order the engine first saw each
+    diagram, so an element keeps its engine, and pickle and copy rebuild it
+    from its terms."""
 
     __slots__ = ("ctx", "field", "engine", "codes", "den")
 
@@ -157,7 +159,7 @@ class QhElement:
         for x in (self, other):
             for code, c in x.codes.items():
                 F._accumulate(acc, ((code, den // x.den),), c)
-        return QhElement._trusted(self, *F._canon_sums(acc, den))
+        return QhElement._trusted(self, *F._canon_ints(acc.items(), den))
 
     def __neg__(self):
         F, acc = self.field, {}
@@ -593,7 +595,7 @@ def quantum_product(a: QhElement, b: QhElement) -> QhElement:
             it = iter(pair(i, j))
             shift = s1 + s2
             accumulate(acc, zip(map(shift.__add__, it) if shift else it, it), mul(c1, c2))
-    return QhElement._trusted(a, *F._canon_sums(acc, a.den * b.den))
+    return QhElement._trusted(a, *F._canon_ints(acc.items(), a.den * b.den))
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,21 @@ def test_exact_commands_start_without_numpy():
     assert json.loads(done.stdout)["isGradedField"] is True
 
 
+def test_output_into_a_closed_pipe_exits_1_with_nothing_on_stderr():
+    """A reader that closes the pipe early, as `qhgrass orbits 100003 2 | head
+    -c 50` does, ends the command with exit code 1 and no traceback. The
+    output, about 690 kB, is larger than a pipe's buffer, so a write fails."""
+    src = str(Path(qhgrass.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "qhgrass.cli", "orbits", "100003", "2"]
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(50).startswith(b"1 orbits of")
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    assert code == 1 and err == b""
+
+
 def test_gc_map_csv_row_matches_json_values(capsys):
     code, out, _ = run(capsys, "gc", "map", "2", "4", "--seed", "3")
     assert code == 0

@@ -30,6 +30,7 @@ from qhgrass.exactfield import (
 from qhgrass import exactfield
 from qhgrass.degree_zero import closed_form_matrix
 from qhgrass.diagram import GrContext, YoungDiagram, enumerate_diagrams
+from qhgrass.presentation import AdmissibleMultiset, EvContext, admissible_multisets, verify_ideal_vanishing
 from qhgrass.qh_core import QhElement, quantum_product, schubert_product
 from qhgrass.numberth import cyclotomic_polynomial, multiplicative_order
 
@@ -37,6 +38,7 @@ from oracles import (
     _gf_p_rows,
     _is_singular_mod_p,
     _mult_block,
+    _per_element_prime_field,
     cross_multiplied_is_singular,
     determinant,
     first_generator_by_powers,
@@ -655,11 +657,12 @@ def test_rational_quotient_equals_fraction_on_every_operand_type():
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 3), (7, 2), (13, 3)])
 def test_extension_products_keep_single_terms_and_equal_the_generic_form(p, m, monkeypatch):
     """quantum_product over GF(p^m) keeps an output entry of one term with
-    N = 1 as mul returned it (_canon_sums); its codes and den equal those of
-    the generic _canon_ints on the same sums, and each coefficient equals the
-    sum, by F.mul and F.add, of N * a_i * b_j over the schubert_product
-    constants. The seeded products reach entries of one term, entries whose
-    terms cancel, and constants N > 1. GF(13^3) is above TABLE_CAP."""
+    N = 1 as mul returned it (_canon_ints keeps a tuple as given); its codes
+    and den equal those of a reference that reduces and zero-tests every sum
+    (_drop_ints), and each coefficient equals the sum, by F.mul and F.add,
+    of N * a_i * b_j over the schubert_product constants. The seeded
+    products reach entries of one term, entries whose terms cancel, and
+    constants N > 1. GF(13^3) is above TABLE_CAP."""
     F = make_extension(p, m)
     ctx = GrContext(3, 6)
     diagrams = enumerate_diagrams(ctx)
@@ -681,7 +684,7 @@ def test_extension_products_keep_single_terms_and_equal_the_generic_form(p, m, m
     difference = QhElement(ctx, F, {(two, 0): F.one(), (column, 0): F.neg(F.one())})
     pairs.append((QhElement(ctx, F, {(one, 0): F.one()}), difference))
     fast = [quantum_product(a, b) for a, b in pairs]
-    monkeypatch.setattr(F, "_canon_sums", lambda acc, d: F._canon_ints(acc.items(), d))
+    monkeypatch.setattr(F, "_canon_ints", lambda items, d: (F._drop_ints(items, d), 1))
     kinds = set()
     for (a, b), got in zip(pairs, fast):
         generic = quantum_product(a, b)
@@ -706,6 +709,97 @@ def test_extension_products_keep_single_terms_and_equal_the_generic_form(p, m, m
                 kinds.add("N > 1")
         assert set(terms) <= set(parts)
     assert kinds == {"one term, N = 1", "cancels", "N > 1"}
+
+
+CANON_FIELDS = {
+    "GF(2^3)": make_extension(2, 3),
+    "GF(13^3)": make_extension(13, 3),
+    "Q(zeta8)": cyclotomic_field(8),
+    "GF(7)": prime_field(7),
+    "Q": QQ,
+}
+
+
+def _reference_canon(F):
+    """A _canon_ints that reduces and zero-tests every value: the values
+    themselves as coordinates over 1, which QhElement.terms and
+    verify_ideal_vanishing read back to the same elements."""
+    return lambda items, d: (F._drop_ints(items, d), 1)
+
+
+@pytest.mark.parametrize("label", list(CANON_FIELDS))
+def test_every_element_sum_ends_in_the_one_canonical_step(label, monkeypatch):
+    """scale, -x, x + y, x - y and x - x end their integer sums in
+    _canon_ints, which over GF(p^m) keeps a tuple as given and reduces and
+    zero-tests a list. Each seeded result equals the reference that reduces
+    and zero-tests every value (over a finite field, code for code), and is
+    in the constructor's canonical form. GF(2^3) multiplies by log tables,
+    GF(13^3), above TABLE_CAP, by the integer kernel."""
+    F = CANON_FIELDS[label]
+    ctx = GrContext(3, 6)
+    diagrams = enumerate_diagrams(ctx)
+    rng = random.Random(f"one canonical step {label}")
+
+    def element():
+        size = rng.randint(0, 5)
+        return QhElement(ctx, F, {(rng.choice(diagrams), rng.randint(-1, 1)): F.random_element(rng) for _ in range(size)})
+
+    cases = []
+    for _ in range(40):
+        x = element()
+        y = element() - x if rng.random() < 0.5 else element()  # x + y then cancels x
+        c = rng.choice([F.zero(), F.one(), F.neg(F.one()), F.random_element(rng)])
+        cases.append((x, y, c))
+
+    def results(x, y, c):
+        return [x.scale(c), -x, x + y, x - y, x - x]
+
+    got = [results(*case) for case in cases]
+    for values in got:
+        for value in values:
+            canonical = QhElement(ctx, F, value.terms)
+            assert value.codes == canonical.codes and value.den == canonical.den
+        assert not values[-1] and values[-1].den == 1
+    monkeypatch.setattr(F, "_canon_ints", _reference_canon(F))
+    for case, values in zip(cases, got):
+        for value, want in zip(values, results(*case)):
+            assert value.terms == want.terms
+            if F.characteristic:
+                assert value.codes == want.codes and value.den == want.den == 1
+
+
+@pytest.mark.parametrize("k,n", [(3, 13), (4, 10)], ids=["GF(3^3)", "GF(3^4)"])
+def test_ideal_vanishing_reports_the_reference_values(k, n, monkeypatch):
+    """verify_ideal_vanishing ends each h_r's sum in _canon_ints; on every
+    admissible multiset, and on seeded tuples off the roots where the
+    generators do not vanish, it reports what the reference that reduces
+    and zero-tests every value reports."""
+    ev = EvContext(GrContext(k, n), prime_field(3))
+    K = ev.field
+    rng = random.Random(f"ideal vanishing {k} {n}")
+    on_roots = admissible_multisets(K, k, n)
+    off_roots = [AdmissibleMultiset(tuple(range(k)), tuple(K.random_element(rng) for _ in range(k))) for _ in range(8)]
+    on, off = ([verify_ideal_vanishing(ev, J) for J in multisets] for multisets in (on_roots, off_roots))
+    assert all(report["all_ok"] for report in on) and not all(report["all_ok"] for report in off)
+    monkeypatch.setattr(K, "_canon_ints", _reference_canon(K))
+    assert [verify_ideal_vanishing(ev, J) for J in on_roots] == on
+    assert [verify_ideal_vanishing(ev, J) for J in off_roots] == off
+
+
+def test_characteristic_is_read_the_same_on_every_field():
+    """characteristic, a plain attribute set once per field, is 0 over Q
+    and Q(zeta_N) and p over GF(p) and GF(p^m), on subclasses too."""
+
+    class SubQ(RationalField):
+        pass
+
+    fields = [
+        (QQ, 0), (SubQ(), 0), (cyclotomic_field(8), 0), (cyclotomic_field(14), 0),
+        (prime_field(7), 7), (_per_element_prime_field(5), 5), (make_extension(2, 3), 2),
+        (make_extension(13, 3), 13), (parse_field("GF(3^4)"), 3),
+    ]
+    for F, p in fields:
+        assert F.characteristic == p, F.label
 
 
 def test_min_poly_examples():
