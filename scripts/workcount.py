@@ -15,7 +15,8 @@ functions of those names) and the 20 functions with the most calls, as
 "file:line(name)" with file relative to the tree's src/ for qhgrass. Counts
 are cProfile's total calls, recursive ones included. No time is reported,
 so two runs of one tree print the same document. With two or more trees it
-adds each later tree's ratios to the first on the totals and modules.
+adds each later tree's ratios to the first on the totals and modules. What a
+profiled process writes to stderr is passed on to this script's stderr.
 
 Example:
     python scripts/workcount.py --workload product-reads --seed 7 --tree /tmp/parent --tree .
@@ -57,8 +58,8 @@ def profile_rows(tree: Path, workload: str, seed: int, tiny: bool) -> list:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(tree / "perfbench")])}
     argv = [sys.executable, "-c", _PROFILE_JOB, str(tree), workload, str(seed), "1" if tiny else "0"]
     done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    sys.stderr.write(done.stderr)  # warnings too, not only a failure's traceback
     if done.returncode:
-        sys.stderr.write(done.stderr)
         raise SystemExit(2)
     return json.loads(done.stdout)
 

@@ -81,32 +81,21 @@ def standard_degree_zero_element(ctx: GrContext, field: FieldCtx) -> QhElement:
     return QhElement.unit(ctx, field) - q_shift(pieri_multiply(v1, 2), -1)
 
 
-def _int_matrices(ctx: GrContext, classes, basis) -> list[dict[tuple[int, int], int]]:
-    """Per degree-0 class (diagram, q-power), its matrix on the basis of one
-    graded piece as {(row, column): structure constant} from schubert_product,
-    zeros left out; the same integers serve every field."""
-    index = {tuple(entry): i for i, entry in enumerate(basis)}
-    matrices = []
-    for d1, m1 in classes:
-        entries = {}
-        for j, (d2, m2) in enumerate(basis):
-            for (diagram, dm), coeff in schubert_product(ctx, d1, d2).items():
-                entries[index[(diagram, m1 + m2 + dm)], j] = coeff
-        matrices.append(entries)
-    return matrices
-
-
 def mult_matrix(element: QhElement, degree: int) -> SquareMatrix:
     """Matrix of b -> element * b on the canonical basis of the degree-d piece:
-    each term's coefficient times its sparse integer matrix (_int_matrices)."""
+    for each term, its coefficient times the integer structure constants of
+    schubert_product with every basis class, added at (row, column)."""
     if element.homogeneous_degree() != 0:
         raise ValueError("multiplication operator requires a homogeneous degree-0 class")
-    F, terms = element.field, element.terms
-    basis = graded_basis(element.ctx, degree)
+    ctx, F = element.ctx, element.field
+    basis = graded_basis(ctx, degree)
+    index = {tuple(entry): i for i, entry in enumerate(basis)}
     rows = [[F.zero()] * len(basis) for _ in basis]
-    for c, entries in zip(terms.values(), _int_matrices(element.ctx, terms, basis)):
-        for (i, j), b in entries.items():
-            rows[i][j] = F.add(rows[i][j], F.mul(c, F.from_int(b)))
+    for (d1, m1), c in element.terms.items():
+        for j, (d2, m2) in enumerate(basis):
+            for (diagram, dm), b in schubert_product(ctx, d1, d2).items():
+                i = index[(diagram, m1 + m2 + dm)]
+                rows[i][j] = F.add(rows[i][j], F.mul(c, F.from_int(b)))
     return SquareMatrix(F, rows)
 
 

@@ -66,8 +66,9 @@ to upper Hessenberg form once and runs the determinant recurrence on it, on
 ints over Q and GF(p) (not their subclasses). min_poly reuses that
 reduction: a Hessenberg matrix with no zero on its subdiagonal is
 nonderogatory, so its minimal polynomial is its monic characteristic
-polynomial, and only a matrix whose reduced form has a zero there goes to
-the Krylov lcm. SquareMatrix has no singularity test; degree_zero's
+polynomial. Where the reduced form has zeros there, they cut it into
+blocks, and the result is the lcm of one Krylov chain from the first unit
+vector of each block. SquareMatrix has no singularity test; degree_zero's
 Frobenius field test compares the min_poly of its Frobenius matrix over
 GF(p) with x^dim - 1. char_poly, min_poly, is_irreducible and
 distinct_degree_profile raise FieldError when the matrix or polynomial is
@@ -94,7 +95,7 @@ import random
 import sys
 from array import array
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -1126,17 +1127,6 @@ class SquareMatrix:
             and other.rows == self.rows
         )
 
-    def apply(self, vector: Sequence[Element]) -> list[Element]:
-        F = self.field
-        out = []
-        for row in self.rows:
-            acc = F.zero()
-            for a, b in zip(row, vector):
-                if not F.is_zero(a):
-                    acc = F.add(acc, F.mul(a, b))
-            out.append(acc)
-        return out
-
     def __repr__(self):
         body = "; ".join(
             " ".join(self.field.element_to_str(v) for v in row) for row in self.rows
@@ -1240,55 +1230,54 @@ def char_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
 def min_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
     """Monic minimal polynomial of M.
 
-    M is reduced to Hessenberg form H once. When no subdiagonal entry of H
-    is zero, H is unreduced, hence nonderogatory (e_1, He_1, ...,
-    H^(size-1) e_1 are independent), and its minimal polynomial is its
-    monic characteristic polynomial, read off the same H. Otherwise the
-    result is _krylov_min_poly(F, M).
+    M is reduced to Hessenberg form H once. Its blocks start at 0 and at
+    every i with H[i][i-1] zero. With one block, H is unreduced, hence
+    nonderogatory (e_0, He_0, ..., H^(size-1) e_0 are independent), and its
+    minimal polynomial is its monic characteristic polynomial, read off the
+    same H. Otherwise the result is the lcm over the block starts s of
+    _krylov_min_poly(F, H, s).
     """
     _require_field(F, M)
     h = _hessenberg(F, M)
-    if all(not F.is_zero(h[i][i - 1]) for i in range(1, M.size)):
+    starts = [0] + [i for i in range(1, M.size) if F.is_zero(h[i][i - 1])]
+    if len(starts) == 1:
         return _hessenberg_charpoly(F, h)
-    return _krylov_min_poly(F, M)
+    return reduce(poly_lcm, (_krylov_min_poly(F, h, s) for s in starts))
 
 
-def _krylov_min_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
-    """Monic minimal polynomial: the lcm over the unit vectors e of the
-    minimal polynomial of M at e, which is the minimal polynomial of M.
+def _krylov_min_poly(F: FieldCtx, h: list[list[Element]], seed: int) -> Poly:
+    """Monic minimal polynomial of the matrix with rows h at e_seed.
 
-    Each chain e, Me, M^2 e, ... is reduced against its own rows only, so
-    its first dependence gives the exact minimal polynomial at e. The seeds
-    stop early once the lcm has degree size.
+    The chain e, He, H^2 e, ... is reduced against its own rows only, so its
+    first dependence gives the exact minimal polynomial at e. For an upper
+    Hessenberg H, the lcm over the block starts s is the minimal polynomial
+    of H: inside a block, He_j is a nonzero multiple of e_(j+1) plus a
+    combination of e_0..e_j, so the chains from the block starts span the
+    whole space, and a polynomial that kills every e_s kills H.
     """
-    n = M.size
-    f = Poly.one(F)
-    for seed in range(n):
-        local: list[tuple[int, list[Element], Poly]] = []
-        vec = [F.zero()] * n
-        vec[seed] = F.one()
-        weight = Poly.one(F)
-        while True:
-            reduced = list(vec)
-            rel = weight
-            for piv, row, row_poly in local:
-                c = reduced[piv]
-                if not F.is_zero(c):
-                    reduced = [F.sub(a, F.mul(c, b)) for a, b in zip(reduced, row)]
-                    rel = rel - row_poly.scale(c)
-            pivot = next((i for i, c in enumerate(reduced) if not F.is_zero(c)), None)
-            if pivot is None:
-                f = poly_lcm(f, rel.monic())
-                break
-            inv = F.inv(reduced[pivot])
-            reduced = [F.mul(inv, c) for c in reduced]
-            rel = rel.scale(inv)
-            local.append((pivot, reduced, rel))
-            vec = M.apply(reduced)
-            weight = Poly.x(F) * rel
-        if f.degree == n:
-            break
-    return f
+    n = len(h)
+    local: list[tuple[int, list[Element], Poly]] = []
+    vec = [F.zero()] * n
+    vec[seed] = F.one()
+    weight = Poly.one(F)
+    while True:
+        reduced = list(vec)
+        rel = weight
+        for piv, row, row_poly in local:
+            c = reduced[piv]
+            if not F.is_zero(c):
+                reduced = [F.sub(a, F.mul(c, b)) for a, b in zip(reduced, row)]
+                rel = rel - row_poly.scale(c)
+        pivot = next((i for i, c in enumerate(reduced) if not F.is_zero(c)), None)
+        if pivot is None:
+            return rel.monic()
+        inv = F.inv(reduced[pivot])
+        reduced = [F.mul(inv, c) for c in reduced]
+        rel = rel.scale(inv)
+        local.append((pivot, reduced, rel))
+        support = [(j, c) for j, c in enumerate(reduced) if not F.is_zero(c)]
+        vec = [reduce(F.add, [F.mul(row[j], c) for j, c in support]) for row in h]
+        weight = Poly.x(F) * rel
 
 
 # ---------------------------------------------------------------------------

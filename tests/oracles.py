@@ -660,15 +660,17 @@ def zero_divisor_search(ctx: GrContext, F: FieldCtx, limit: int = 10**6):
     Returns (found, witness_coefficients). Scaling a class does not change
     whether it is a zero divisor, so only vectors with first nonzero
     coordinate 1 are enumerated, in itertools.product order after that 1.
-    The integer basis matrices B_t come from _int_matrices, as mult_matrix's
-    do, once per call, and each c*B_t is expanded once into rows over the
-    prime field (_gf_p_rows, each entry b a block b*R(c)). Each candidate's
+    The integer basis matrices B_t are mult_matrix of each basis class over
+    Q, whose entries are integers, built once per call, and each c*B_t is
+    expanded once into rows over the prime field (_gf_p_rows, each entry b
+    a block b*R(c)). Each candidate's
     rows are its prefix's rows plus one of those, an XOR of bit masks over
     GF(2^m) and a sum mod p otherwise, and a candidate is a zero divisor
     exactly when its rows are singular (_is_singular_mod_p).
     """
-    from qhgrass.degree_zero import _int_matrices, qh0_basis
-    from qhgrass.exactfield import FieldError
+    from qhgrass.degree_zero import mult_matrix, qh0_basis
+    from qhgrass.exactfield import QQ, FieldError
+    from qhgrass.qh_core import QhElement
 
     if F.order is None:
         raise FieldError("exhaustive zero-divisor search needs a finite field")
@@ -679,8 +681,10 @@ def zero_divisor_search(ctx: GrContext, F: FieldCtx, limit: int = 10**6):
             f"|F|^dim = {F.order}^{dim} exceeds the search limit {limit}"
         )
     # dense, since every entry is read once per scalar
-    sparse = _int_matrices(ctx, basis, basis)
-    matrices = [[[B.get((i, j), 0) for j in range(dim)] for i in range(dim)] for B in sparse]
+    matrices = [
+        [[int(b) for b in row] for row in mult_matrix(QhElement.schubert(ctx, QQ, d, m), 0).rows]
+        for d, m in basis
+    ]
     p = F.characteristic
     scalars = list(F.elements())
     one = scalars.index(F.one())

@@ -13,6 +13,10 @@ import pytest
 import qhgrass
 from qhgrass.cli import main
 
+# a child process runs in dev mode with ResourceWarning an error, as CI runs the
+# tests, so a file or pipe it leaves open shows on its stderr
+DEV_MODE = {"PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error::ResourceWarning"}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -190,7 +194,7 @@ def test_gc_critical_stdout_digest(capsys, k, n):
 def test_exact_commands_start_without_numpy():
     """Only the Gelfand-Cetlin layer imports numpy, and only when it is used."""
     src = str(Path(qhgrass.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, **DEV_MODE, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = (
         "import sys, qhgrass\n"
         "assert 'numpy' not in sys.modules, 'import qhgrass'\n"
@@ -200,6 +204,7 @@ def test_exact_commands_start_without_numpy():
     )
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    assert "ResourceWarning" not in done.stderr
     assert json.loads(done.stdout)["isGradedField"] is True
 
 
@@ -208,7 +213,7 @@ def test_output_into_a_closed_pipe_exits_1_with_nothing_on_stderr():
     -c 50` does, ends the command with exit code 1 and no traceback. The
     output, about 690 kB, is larger than a pipe's buffer, so a write fails."""
     src = str(Path(qhgrass.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, **DEV_MODE, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     command = [sys.executable, "-m", "qhgrass.cli", "orbits", "100003", "2"]
     with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.read(50).startswith(b"1 orbits of")

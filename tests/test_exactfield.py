@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from qhgrass.exactfield import (
     nth_roots_of_unity,
     parse_field,
     poly_gcd,
+    poly_lcm,
     prime_field,
 )
 
@@ -908,6 +910,12 @@ def _derogatory_rows(F, rng):
         for i, row in enumerate(b):
             rows[start + i][start : start + len(b)] = row
         start += len(b)
+    return _conjugated(F, rows, rng)
+
+
+def _conjugated(F, rows, rng):
+    """rows conjugated in place by 2 * size random shears I + c e_ij, c = +-1."""
+    size = len(rows)
     for _ in range(2 * size):
         i, j = rng.sample(range(size), 2)
         c = rng.choice([F.one(), F.neg(F.one())])
@@ -935,9 +943,66 @@ def test_min_poly_minimal_on_nonderogatory_and_derogatory_matrices(F, seed):
     if seed % 2:
         assert mp.degree < M.size
     assert sympy_min_poly_is_minimal(*_oracle_args(F, rows, mp.coeffs)), (rows, mp)
-    krylov = exactfield._krylov_min_poly(F, M)
+    krylov = _all_seeds_lcm(F, M)
     assert mp == krylov
     assert [type(c) for c in mp.coeffs] == [type(c) for c in krylov.coeffs]
+
+
+def _all_seeds_lcm(F, M):
+    """The lcm over every unit vector e of the minimal polynomial at e of
+    M's Hessenberg form, which is M's minimal polynomial."""
+    h = exactfield._hessenberg(F, M)
+    return reduce(poly_lcm, [exactfield._krylov_min_poly(F, h, s) for s in range(M.size)])
+
+
+def _block_triangular_rows(F, rng):
+    """Block upper-triangular matrix of size 2-7, conjugated by shears:
+    random diagonal blocks of sizes 1-3, one or two of them repeated, in a
+    random order, and above them each block pair coupled by random entries
+    with probability 1/2 (left zero otherwise, so most are derogatory)."""
+    while True:
+        distinct = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+        sizes = distinct + [rng.choice(distinct) for _ in range(rng.randint(1, 2))]
+        if sum(sizes) <= 7:
+            break
+    blocks = {s: [[_sample(F, rng) for _ in range(s)] for _ in range(s)] for s in sizes}
+    rng.shuffle(sizes)
+    starts = [sum(sizes[:b]) for b in range(len(sizes))]
+    rows = [[F.zero()] * sum(sizes) for _ in range(sum(sizes))]
+    for b, (start, s) in enumerate(zip(starts, sizes)):
+        for i, row in enumerate(blocks[s]):
+            rows[start + i][start : start + s] = row
+        for c in range(b + 1, len(sizes)):
+            if rng.random() < 0.5:
+                for i in range(s):
+                    rows[start + i][starts[c] : starts[c] + sizes[c]] = [_sample(F, rng) for _ in range(sizes[c])]
+    return _conjugated(F, rows, rng)
+
+
+# cells per field, 1000 in all, fewer where the sympy oracle is slower
+BLOCK_START_CELLS = {QQ: 400, prime_field(2): 250, prime_field(3): 200, make_extension(2, 2): 150}
+
+
+@pytest.mark.parametrize("F", BLOCK_START_CELLS, ids=lambda f: f.label)
+def test_min_poly_seeds_the_hessenberg_block_starts(F):
+    """Seeded block upper-triangular matrices with repeated diagonal blocks:
+    min_poly, which seeds only the block starts of the Hessenberg form,
+    equals the lcm over every unit vector on the same form, in value and
+    coefficient type, and is minimal by the sympy oracle. Most of the forms
+    have several blocks."""
+    rng = random.Random(f"block starts {F.label}")
+    cells = BLOCK_START_CELLS[F]
+    several = 0
+    for _ in range(cells):
+        rows = _block_triangular_rows(F, rng)
+        M = SquareMatrix(F, rows)
+        h = exactfield._hessenberg(F, M)
+        several += any(F.is_zero(h[i][i - 1]) for i in range(1, M.size))
+        mp, want = min_poly(F, M), _all_seeds_lcm(F, M)
+        assert mp == want, rows
+        assert [type(c) for c in mp.coeffs] == [type(c) for c in want.coeffs]
+        assert sympy_min_poly_is_minimal(*_oracle_args(F, rows, mp.coeffs)), (rows, mp)
+    assert several > cells // 2
 
 
 @pytest.mark.parametrize("F", MIN_POLY_FIELDS, ids=lambda f: f.label)
@@ -960,7 +1025,8 @@ def test_min_poly_of_the_closed_form_matrices_is_the_char_poly():
     for F in MIN_POLY_FIELDS:
         for n in (5, 8, 13, 30, 31):
             M = closed_form_matrix(n, F)
-            assert min_poly(F, M) == char_poly(F, M).monic() == exactfield._krylov_min_poly(F, M)
+            krylov = exactfield._krylov_min_poly(F, exactfield._hessenberg(F, M), 0)
+            assert min_poly(F, M) == char_poly(F, M).monic() == krylov
 
 
 def _kernel_is_singular(F, M):

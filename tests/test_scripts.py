@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -19,6 +20,9 @@ GC_EXPERIMENTS = SCRIPTS / "gc_experiments.py"
 PRODUCT_TABLE = SCRIPTS / "product_table.py"
 WORKCOUNT = SCRIPTS / "workcount.py"
 GRID_ARGS = ["--max-n", "60", "--chars", "0", "2", "3", "5", "7", "11", "13"]
+# a child process runs in dev mode with ResourceWarning an error, as CI runs the
+# tests, so a file or pipe it leaves open shows on its stderr
+DEV_MODE = {"PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error::ResourceWarning"}
 
 
 def run_script(monkeypatch, capsys, script, *argv):
@@ -128,20 +132,26 @@ def test_workcount_is_deterministic_and_keeps_its_schema():
     profiler lists first does not matter. The schema is checked, not the
     counts, so a change of the work does not have to re-record anything here."""
     root = str(SCRIPTS.parent)
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONHASHSEED"}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONHASHSEED"} | DEV_MODE
     modules = {"product-reads": "qh_core", "degree-zero": "degree_zero", "ev-maps": "presentation"}
-    runs = {
-        workload: subprocess.Popen(
-            [sys.executable, str(WORKCOUNT), "--workload", workload, "--seed", "3", "--tiny", *["--tree", root] * 3],
-            env=env,
-            stdout=subprocess.PIPE,
-            text=True,
-        )
-        for workload in modules
-    }
-    for workload, run in runs.items():
-        out, _ = run.communicate(timeout=120)
-        assert run.returncode == 0, workload
+    argv = [sys.executable, str(WORKCOUNT), "--seed", "3", "--tiny", *["--tree", root] * 3]
+    done = {}
+    # every child is waited on and its pipes closed before the first assertion
+    with contextlib.ExitStack() as stack:
+        runs = {
+            workload: stack.enter_context(
+                subprocess.Popen(
+                    [*argv, "--workload", workload], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+                )
+            )
+            for workload in modules
+        }
+        for workload, run in runs.items():
+            out, err = run.communicate(timeout=120)
+            done[workload] = run.returncode, out, err
+    for workload, (code, out, err) in done.items():
+        assert code == 0, (workload, err)
+        assert "ResourceWarning" not in err, workload
         report = json.loads(out)
         assert (report["workload"], report["seed"], report["tiny"]) == (workload, 3, True)
         first, *later = report["trees"]
