@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from math import comb, gcd, lcm
-from operator import mul
+from operator import index, mul
 
 from .diagram import GradedBasisElement, GrContext, YoungDiagram, graded_basis
 from .exactfield import (
     QQ,
+    BoundedMemo,
     DegreeLimitError,
     FieldCtx,
     Poly,
@@ -48,6 +49,11 @@ from .qh_core import QhElement, pieri_multiply, q_shift, schubert_product
 # Gr(2, 131) over Q (ell = 65) must still fail: perfbench/gate.py KNOWN_FAILURES
 # and perfbench/test_perfbench.py::test_tiny_run_of_each_workload pin it
 RATIONAL_DEGREE_LIMIT = 64
+
+# the closed_form_matrix memo: its matrices hold at most this many cells in all
+CLOSED_FORM_CAP = 1 << 16
+
+_CLOSED_FORMS = BoundedMemo()
 
 # is_graded_field reports its "zero_divisor_search" route when |F|^dim QH^0 is
 # at most this, the bound of the exhaustive search the route replaced; the
@@ -102,11 +108,23 @@ def mult_matrix(element: QhElement, degree: int) -> SquareMatrix:
 def closed_form_matrix(n: int, field: FieldCtx) -> SquareMatrix:
     """Tridiagonal matrix of the distinguished element on the degree n-2 piece.
 
-    Size floor((n-1)/2); +1 in the top-left corner, -1 on the off-diagonals,
-    and (for even n) +1 in the bottom-right corner as well.
+    Size (n-1)/2 for odd n and n/2 for even n; +1 in the top-left corner, -1
+    on the off-diagonals, and (for even n) +1 in the bottom-right corner as
+    well.
+
+    One matrix per (n, field object) is shared, with the reduction that
+    char_poly and min_poly keep on it, from the module memo _CLOSED_FORMS. It
+    is keyed on operator.index(n), so a non-integer n raises TypeError, and
+    on the field, and a hit over an equal but distinct field object is built
+    again. The memo is cleared whole when its matrices would hold more than
+    CLOSED_FORM_CAP cells in all, and a larger matrix is not kept.
     """
     if n < 3:
         raise ValueError(f"n >= 3 required, got n={n}")
+    key = (index(n), field)
+    kept = _CLOSED_FORMS.get(key)
+    if kept is not None and kept.field is field:
+        return kept
     size = (n - 1) // 2 if n % 2 == 1 else n // 2
     rows = [[0] * size for _ in range(size)]
     rows[0][0] = 1
@@ -115,7 +133,9 @@ def closed_form_matrix(n: int, field: FieldCtx) -> SquareMatrix:
         rows[i + 1][i] = -1
     if n % 2 == 0:
         rows[size - 1][size - 1] = 1
-    return SquareMatrix.from_int_rows(field, rows)
+    matrix = SquareMatrix.from_int_rows(field, rows)
+    _CLOSED_FORMS.keep(key, matrix, size * size, CLOSED_FORM_CAP)
+    return matrix
 
 
 def closed_form_charpoly(n: int) -> Poly:

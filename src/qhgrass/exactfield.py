@@ -68,7 +68,10 @@ reduction: a Hessenberg matrix with no zero on its subdiagonal is
 nonderogatory, so its minimal polynomial is its monic characteristic
 polynomial. Where the reduced form has zeros there, they cut it into
 blocks, and the result is the lcm of one Krylov chain from the first unit
-vector of each block. SquareMatrix has no singularity test; degree_zero's
+vector of each block. A SquareMatrix keeps that reduction, and the monic
+characteristic polynomial once it is computed, for the field object they
+were computed over, so char_poly and min_poly over that object reduce a
+matrix once. SquareMatrix has no singularity test; degree_zero's
 Frobenius field test compares the min_poly of its Frobenius matrix over
 GF(p) with x^dim - 1. char_poly, min_poly, is_irreducible and
 distinct_degree_profile raise FieldError when the matrix or polynomial is
@@ -77,7 +80,12 @@ over a field other than the one they are given.
 Over a finite field, is_irreducible and distinct_degree_profile share one
 distinct-degree split, which takes one gcd per block of SPLIT_BLOCK degrees
 and steps through a block only when that gcd is nontrivial: a squarefree f
-is irreducible when the first part of its split has degree deg f. There is
+is irreducible when the first part of its split has degree deg f. Both
+keep the degree profile of each monic squarefree f they have split
+completely in the module memo _SPLITS, keyed on the polynomial, so a repeat
+costs one lookup; the memo is a BoundedMemo, cleared whole when its keys
+would hold more than SPLIT_CAP coefficients, and an f with more is not
+kept. There is
 no factorizer over Q, and is_irreducible refuses characteristic 0 with
 FieldError. The one rational polynomial the package decides, pi of
 Gr(2, n), is decided in degree_zero.is_graded_field from the Laurent
@@ -115,6 +123,36 @@ MAX_EXTENSION_DEGREE = 512
 
 # array typecodes by item size: Kronecker slots of 1, 2, 4 or 8 bytes
 _ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+# the split memo of is_irreducible and distinct_degree_profile: its keys hold
+# at most this many polynomial coefficients in all
+SPLIT_CAP = 1 << 14
+
+
+class BoundedMemo(dict):
+    """A module memo whose entries cost at most a cap in all: it is cleared
+    whole when a new entry would pass the cap, and an entry costing more than
+    the cap is not kept. The caller passes the cap, a module constant, with
+    each entry."""
+
+    __slots__ = ("cost",)
+
+    def __init__(self):
+        super().__init__()
+        self.cost = 0
+
+    def keep(self, key, value, cost: int, cap: int) -> None:
+        if cost > cap:
+            return
+        if self.cost + cost > cap:
+            self.clear()
+            self.cost = 0
+        self[key] = value
+        self.cost += cost
+
+
+# monic squarefree f -> the degrees of its irreducible factors, ascending
+_SPLITS = BoundedMemo()
 
 
 class FieldError(ValueError):
@@ -714,7 +752,7 @@ class Poly:
         )
 
     def __hash__(self):
-        return hash((self.field.label, self.coeffs))
+        return hash((self.field, self.coeffs))
 
     def __add__(self, other):
         F = self.field
@@ -780,9 +818,12 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        """self over its leading coefficient; over a finite field, whose
+        coefficients are canonical, self itself when that is already one."""
+        F = self.field
+        if not self.coeffs or F.order is not None and self.coeffs[-1] == F.one():
             return self
-        return self.scale(self.field.inv(self.lc()))
+        return self.scale(F.inv(self.coeffs[-1]))
 
     def derivative(self) -> "Poly":
         F = self.field
@@ -1100,9 +1141,17 @@ def nth_roots_of_unity(F: FieldCtx, n: int) -> tuple[Element, ...]:
 
 
 class SquareMatrix:
-    """Dense square matrix over a field."""
+    """Dense square matrix over a field.
 
-    __slots__ = ("field", "size", "rows")
+    A matrix keeps its reduction: the first char_poly or min_poly over a field
+    object stores the Hessenberg form there, and the monic characteristic
+    polynomial once either needs it; later calls over the same object (is, not
+    ==) read them. Over another field object they are computed again and
+    replace the kept ones. The reduction lives as long as the matrix, and is
+    at most as large.
+    """
+
+    __slots__ = ("field", "size", "rows", "_reduced")
 
     def __init__(self, field: FieldCtx, rows: Sequence[Sequence[Element]]):
         rows = tuple(tuple(r) for r in rows)
@@ -1112,6 +1161,7 @@ class SquareMatrix:
         self.field = field
         self.size = size
         self.rows = rows
+        self._reduced = None  # [field object, Hessenberg rows, monic char poly or None]
 
     @classmethod
     def from_int_rows(cls, field, rows):
@@ -1215,33 +1265,52 @@ def _require_field(F: FieldCtx, obj) -> None:
         raise FieldError(f"{type(obj).__name__} over {obj.field.label}, asked over {F.label}")
 
 
+def _reduction(F: FieldCtx, M: SquareMatrix) -> list:
+    """The reduction M keeps for the field object F, computed on a miss."""
+    kept = M._reduced
+    if kept is None or kept[0] is not F:
+        kept = M._reduced = [F, _hessenberg(F, M), None]
+    return kept
+
+
+def _monic_char_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
+    """det(xI - M), read off the reduction M keeps for F."""
+    kept = _reduction(F, M)
+    if kept[2] is None:
+        kept[2] = _hessenberg_charpoly(F, kept[1])
+    return kept[2]
+
+
 def char_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
     """det(M - xI), computed by exact Hessenberg reduction over the field.
 
     Leading coefficient is (-1)^size (the det(M - xI) sign convention). The
     reduction is _hessenberg and the determinant of the reduced matrix is
-    _hessenberg_charpoly's recurrence, on ints over Q and GF(p).
+    _hessenberg_charpoly's recurrence, on ints over Q and GF(p). Both are
+    kept on M for the field object F (see SquareMatrix), so a repeat over F,
+    or a min_poly of a nonderogatory M, reads them.
     """
     _require_field(F, M)
-    monic = _hessenberg_charpoly(F, _hessenberg(F, M))  # det(xI - M)
+    monic = _monic_char_poly(F, M)
     return monic if M.size % 2 == 0 else -monic
 
 
 def min_poly(F: FieldCtx, M: SquareMatrix) -> Poly:
     """Monic minimal polynomial of M.
 
-    M is reduced to Hessenberg form H once. Its blocks start at 0 and at
+    M is reduced to Hessenberg form H once, and keeps H for the field object
+    F (see SquareMatrix), as char_poly does. Its blocks start at 0 and at
     every i with H[i][i-1] zero. With one block, H is unreduced, hence
     nonderogatory (e_0, He_0, ..., H^(size-1) e_0 are independent), and its
     minimal polynomial is its monic characteristic polynomial, read off the
-    same H. Otherwise the result is the lcm over the block starts s of
-    _krylov_min_poly(F, H, s).
+    same H and kept with it. Otherwise the result is the lcm over the block
+    starts s of _krylov_min_poly(F, H, s).
     """
     _require_field(F, M)
-    h = _hessenberg(F, M)
+    h = _reduction(F, M)[1]
     starts = [0] + [i for i in range(1, M.size) if F.is_zero(h[i][i - 1])]
     if len(starts) == 1:
-        return _hessenberg_charpoly(F, h)
+        return _monic_char_poly(F, M)
     return reduce(poly_lcm, (_krylov_min_poly(F, h, s) for s in starts))
 
 
@@ -1349,12 +1418,25 @@ def _distinct_degree_parts(F: FieldCtx, f: Poly) -> Iterator[tuple[int, Poly]]:
 
 def distinct_degree_profile(F: FieldCtx, f: Poly) -> list[int]:
     """Degrees (with multiplicity) of the irreducible factors of squarefree f,
-    ascending."""
+    ascending, as a new list.
+
+    The profile of monic f is kept in the split memo _SPLITS, keyed on the
+    polynomial (its field and coefficients) and shared with is_irreducible,
+    so a repeat costs one lookup. The memo is cleared whole when its keys
+    would hold more than SPLIT_CAP coefficients, and an f with more is not
+    kept.
+    """
     _require_field(F, f)
     f = f.monic()
-    if poly_gcd(f, f.derivative()).degree != 0:
-        raise FieldError("distinct-degree profile requires a squarefree polynomial")
-    return [d for d, h in _distinct_degree_parts(F, f) for _ in range(int(h.degree) // d)]
+    profile = _SPLITS.get(f)
+    if profile is None:
+        if poly_gcd(f, f.derivative()).degree != 0:
+            raise FieldError("distinct-degree profile requires a squarefree polynomial")
+        profile = tuple(
+            d for d, h in _distinct_degree_parts(F, f) for _ in range(int(h.degree) // d)
+        )
+        _SPLITS.keep(f, profile, len(f.coeffs), SPLIT_CAP)
+    return list(profile)
 
 
 def is_irreducible(F: FieldCtx, f: Poly) -> bool:
@@ -1365,6 +1447,10 @@ def is_irreducible(F: FieldCtx, f: Poly) -> bool:
     n/2 Frobenius steps and one gcd per SPLIT_BLOCK of them; a reducible f
     stops in the block of its smallest factor degree.
 
+    A monic f in the split memo (see distinct_degree_profile) is answered by
+    one lookup. A split that stopped early saw only the first part, so f's
+    profile is kept only when that part is f itself, (deg f,).
+
     Over Q and Q(zeta_N) it raises FieldError: degree_zero.is_graded_field
     decides the rational pi of Gr(2, n) from the Laurent identity instead.
     """
@@ -1374,6 +1460,12 @@ def is_irreducible(F: FieldCtx, f: Poly) -> bool:
     if F.order is None:
         raise FieldError(f"irreducibility is decided over finite fields only, not {F.label}")
     f = f.monic()
+    profile = _SPLITS.get(f)
+    if profile is not None:
+        return len(profile) == 1
     if poly_gcd(f, f.derivative()).degree != 0:
         return False
-    return next(_distinct_degree_parts(F, f))[0] == f.degree
+    if next(_distinct_degree_parts(F, f))[0] != f.degree:
+        return False
+    _SPLITS.keep(f, (int(f.degree),), len(f.coeffs), SPLIT_CAP)
+    return True

@@ -181,10 +181,10 @@ def sympy_min_poly_is_minimal(rows, coeffs, p: int = 0, modulus=None) -> bool:
     GF(p)[t]/(modulus) when modulus (low degree first) is given, see
     _min_poly_is_minimal_mod_p.
     """
-    import sympy
-
     if p:
         return _min_poly_is_minimal_mod_p(rows, coeffs, p, modulus)
+    import sympy
+
     x = sympy.symbols("x")
     M = sympy.Matrix(rows)
     mp = sympy.Poly(list(reversed([sympy.Rational(str(c)) for c in coeffs])), x)
@@ -202,57 +202,85 @@ def sympy_min_poly_is_minimal(rows, coeffs, p: int = 0, modulus=None) -> bool:
 
 
 def _min_poly_is_minimal_mod_p(rows, coeffs, p: int, modulus) -> bool:
-    """The finite-field case of sympy_min_poly_is_minimal. Entries and
-    coefficients are ints, or coefficient lists in t over the extension.
+    """The finite-field case of sympy_min_poly_is_minimal, on int lists mod p
+    with no sympy. Entries and coefficients are ints, or coefficient lists in
+    t over GF(p)[t]/(modulus) (low degree first; t itself over GF(p)).
+
     mp is minimal when it is monic, mp(M) = 0, and I, M, ..., M^(d-1) are
-    independent over the field, d = deg mp. Over GF(p^m) that independence
-    is rank m * d over GF(p) of the vectors t^j M^i, j < m, i < d, which
-    sympy's DomainMatrix computes. Entries are sympy polynomials in t over
-    GF(p), reduced by the modulus (by t over GF(p) itself)."""
-    import sympy
-    from sympy.polys.matrices import DomainMatrix
+    independent over the field, d = deg mp. Each element c becomes its m x m
+    matrix E(c) over GF(p), of multiplication by c on 1, t, ..., t^(m-1), and
+    M the block matrix B of the E(M[i][j]). That map is an injective ring map,
+    GF(p)-linear, so mp(M) = 0 exactly when the sum of the block-diagonal
+    E(c_i) times B^i is zero, and the independence is rank m * d over GF(p) of
+    the images of the t^s M^i, s < m, i < d, flattened."""
+    mod = [c % p for c in (modulus if modulus is not None else (0, 1))]
+    m = len(mod) - 1
+    lead_inv = pow(mod[-1], -1, p)
 
-    t = sympy.symbols("t")
-    mod = sympy.Poly(list(reversed(modulus if modulus is not None else (0, 1))), t, modulus=p)
-    m = mod.degree()
+    def residue(c):  # coordinates of c mod the modulus on 1, t, ..., t^(m-1)
+        a = [v % p for v in (c if isinstance(c, (list, tuple)) else [c])]
+        for top in range(len(a) - 1, m - 1, -1):
+            q = a[top] * lead_inv % p
+            for i, v in enumerate(mod):
+                a[top - m + i] = (a[top - m + i] - q * v) % p
+        return (a + [0] * m)[:m]
 
-    def elem(c):
-        c = list(c) if isinstance(c, (list, tuple)) else [c]
-        return sympy.Poly(list(reversed(c)), t, modulus=p).rem(mod)
+    def embed(c):  # E(c): column k holds the coordinates of c t^k
+        cols = [residue([0] * k + (list(c) if isinstance(c, (list, tuple)) else [c])) for k in range(m)]
+        return [[col[r] for col in cols] for r in range(m)]
 
-    def coords(e):
-        return [int(e.coeff_monomial(t**i)) % p for i in range(m)]
+    size = len(rows)
+    n = m * size
 
-    M = [[elem(c) for c in row] for row in rows]
-    size = len(M)
-    zero, one = elem(0), elem(1)
-    powers = [[[one if i == j else zero for j in range(size)] for i in range(size)]]
-    for _ in range(len(coeffs) - 1):
-        A = powers[-1]
-        powers.append(
-            [
-                [sum((A[i][l] * M[l][j] for l in range(size)), zero).rem(mod) for j in range(size)]
-                for i in range(size)
-            ]
-        )
-    cs = [elem(c) for c in coeffs]
-    if cs[-1] != one:
+    def block_diagonal(E):
+        out = [[0] * n for _ in range(n)]
+        for i in range(size):
+            for r in range(m):
+                out[i * m + r][i * m : (i + 1) * m] = E[r]
+        return out
+
+    def matmul(A, B):
+        cols = list(zip(*B))
+        return [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in A]
+
+    B = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            for r, E_row in enumerate(embed(c)):
+                B[i * m + r][j * m : (j + 1) * m] = E_row
+    if residue(coeffs[-1]) != [1] + [0] * (m - 1):
         return False
-    for i in range(size):
-        for j in range(size):
-            if not sum((c * P[i][j] for c, P in zip(cs, powers)), zero).rem(mod).is_zero:
-                return False
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for _ in range(len(coeffs) - 1):
+        powers.append(matmul(powers[-1], B))
+    total = [[0] * n for _ in range(n)]
+    for c, P in zip(coeffs, powers):
+        term = matmul(block_diagonal(embed(c)), P)
+        total = [[(a + b) % p for a, b in zip(x, y)] for x, y in zip(total, term)]
+    if any(any(row) for row in total):
+        return False
     d = len(coeffs) - 1
-    vectors = [
-        [v for row in P for e in row for v in coords((elem([0] * s + [1]) * e).rem(mod))]
-        for P in powers[:d]
-        for s in range(m)
-    ]
-    if not vectors:
-        return True
-    K = sympy.GF(p)
-    shape = (len(vectors), len(vectors[0]))
-    return DomainMatrix([[K(v) for v in vec] for vec in vectors], shape, K).rank() == m * d
+    t_powers = [block_diagonal(embed([0] * s + [1])) for s in range(m)]
+    vectors = [[v for row in matmul(T, P) for v in row] for P in powers[:d] for T in t_powers]
+    return _rank_mod_p(vectors, p) == m * d
+
+
+def _rank_mod_p(vectors, p: int) -> int:
+    """Rank over GF(p) of int vectors, by Gaussian elimination."""
+    rank, vectors = 0, [list(v) for v in vectors]
+    for col in range(len(vectors[0]) if vectors else 0):
+        pivot = next((r for r in range(rank, len(vectors)) if vectors[r][col] % p), None)
+        if pivot is None:
+            continue
+        vectors[rank], vectors[pivot] = vectors[pivot], vectors[rank]
+        inv = pow(vectors[rank][col], -1, p)
+        top = vectors[rank] = [v * inv % p for v in vectors[rank]]
+        for r in range(len(vectors)):
+            if r != rank and vectors[r][col] % p:
+                f = vectors[r][col]
+                vectors[r] = [(a - f * b) % p for a, b in zip(vectors[r], top)]
+        rank += 1
+    return rank
 
 
 def sympy_factors_mod_p(coeffs, p: int) -> list[tuple[int, ...]]:

@@ -8,8 +8,10 @@ import pytest
 from qhgrass.diagram import GrContext, YoungDiagram
 from qhgrass.exactfield import (
     QQ,
+    BoundedMemo,
     DegreeLimitError,
     Poly,
+    PrimeField,
     SquareMatrix,
     char_poly,
     distinct_degree_profile,
@@ -35,7 +37,7 @@ from qhgrass.degree_zero import (
     qh0_basis,
     standard_degree_zero_element,
 )
-from qhgrass import qh_core
+from qhgrass import degree_zero, qh_core
 from qhgrass.numberth import is_prime
 from qhgrass.qh_core import QhElement, q_shift, special_class
 
@@ -113,6 +115,52 @@ def test_matrix_agreement_even(n):
     ctx = GrContext(2, n)
     ring = mult_matrix(standard_degree_zero_element(ctx, QQ), n - 2)
     assert ring == closed_form_matrix(n, QQ)
+
+
+def _closed_form_rows(n):
+    """The closed-form matrix of n as ints, built here from its definition."""
+    size = (n - 1) // 2 if n % 2 else n // 2
+    rows = [[-int(abs(i - j) == 1) for j in range(size)] for i in range(size)]
+    rows[0][0] = 1
+    if n % 2 == 0:
+        rows[-1][-1] = 1
+    return rows
+
+
+def test_closed_form_memo_keys_on_an_integer_n_and_the_field_object():
+    """One shared matrix per (n, field object); 5.0 is not 5, GF(2) and GF(3)
+    stay apart, and an equal GF(3) that is another object gets its own."""
+    assert closed_form_matrix(5, QQ) is closed_form_matrix(5, QQ)
+    with pytest.raises(TypeError):
+        closed_form_matrix(5.0, QQ)
+    F2, F3, twin = prime_field(2), prime_field(3), PrimeField(3)
+    for n in (7, 8, 30):
+        a, b = closed_form_matrix(n, F2), closed_form_matrix(n, F3)
+        assert a.field is F2 and b.field is F3
+        assert a.rows == tuple(tuple(c % 2 for c in row) for row in _closed_form_rows(n))
+        assert b.rows == tuple(tuple(c % 3 for c in row) for row in _closed_form_rows(n))
+        assert closed_form_matrix(n, F2) is a and closed_form_matrix(n, F3) is b
+        c = closed_form_matrix(n, twin)
+        assert c.field is twin and c == b
+        assert closed_form_matrix(n, twin) is c
+
+
+def test_closed_form_memo_stays_under_its_cap(monkeypatch):
+    """With CLOSED_FORM_CAP at 100 cells, the kept matrices never hold more,
+    a matrix of more cells is built again on every call, and every matrix is
+    the closed form."""
+    cap = 100
+    monkeypatch.setattr(degree_zero, "CLOSED_FORM_CAP", cap)
+    monkeypatch.setattr(degree_zero, "_CLOSED_FORMS", BoundedMemo())
+    kept = set()
+    for n in range(3, 30):
+        for F in (QQ, prime_field(2)):
+            M = closed_form_matrix(n, F)
+            assert M == SquareMatrix.from_int_rows(F, _closed_form_rows(n))
+            assert (closed_form_matrix(n, F) is M) is (M.size**2 <= cap)
+            assert sum(m.size**2 for m in degree_zero._CLOSED_FORMS.values()) <= cap
+            kept.update(m.size for m in degree_zero._CLOSED_FORMS.values())
+    assert max(kept) ** 2 > cap // 2
 
 
 def test_closed_form_charpoly_examples():

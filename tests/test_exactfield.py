@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from qhgrass.exactfield import (
     ExtensionField,
     FieldError,
     Poly,
+    PrimeField,
     RationalField,
     SquareMatrix,
     UnsupportedCharacteristicError,
@@ -1141,6 +1143,162 @@ def test_distinct_degree_profile_over_gf4_is_the_order_of_4(n):
     d = multiplicative_order(4, n)
     assert distinct_degree_profile(F, f) == [d] * (int(f.degree) // d)
     assert is_irreducible(F, f) is (d == f.degree)
+
+
+def test_equal_polys_over_equal_fields_hash_alike():
+    """GF(2^2) from make_extension and the same field built by hand are equal
+    fields under different labels; x^2 + t x + 1 over each is one polynomial,
+    so the two hash alike and a set keeps one of them."""
+    A, B = make_extension(2, 2), ExtensionField(prime_field(2), (1, 1, 1))
+    assert A == B and A.label != B.label
+    a, b = (Poly(F, [F.one(), F.gen(), F.one()]) for F in (A, B))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+# the fields of the memo tests
+MEMO_FIELDS = [prime_field(p) for p in (2, 3, 5, 7)] + [make_extension(2, 2), make_extension(3, 2)]
+
+
+def _twin(F):
+    """A field equal to F that is another object."""
+    if isinstance(F, ExtensionField):
+        return ExtensionField(F.base, [int(c) for c in F.modulus])
+    return RationalField() if F.order is None else PrimeField(F.p)
+
+
+def _split_memo_polys(F, rng):
+    """pi of Gr(2, n) for n = 3..70 over F, then seeded polynomials of degree
+    1-24 with a random leading coefficient: single draws, products of two
+    (some with a repeated factor, so not squarefree) and squares."""
+    polys = [char_poly(F, closed_form_matrix(n, F)) for n in range(3, 71)]
+    elements = list(F.elements())
+    nonzero = elements[1:]
+
+    def draw(degree):
+        return Poly(F, [rng.choice(elements) for _ in range(degree)] + [rng.choice(nonzero)])
+
+    for _ in range(20):
+        a = draw(rng.randint(1, 12))
+        polys += [draw(rng.randint(1, 24)), a * draw(rng.randint(1, 12)), a * a]
+    return polys
+
+
+def _split_oracle(F, f):
+    """The profile of f over F, None when f is not squarefree. Where f has
+    its coefficients in GF(p), from sympy's factors mod p: over GF(p^m) an
+    irreducible factor of degree d over GF(p) splits into gcd(d, m) factors
+    of degree d / gcd(d, m) (Lidl and Niederreiter, Finite Fields, Thm 3.46).
+    Otherwise from the per-degree split."""
+    f = f.monic()
+    m = F.degree if isinstance(F, ExtensionField) else 1
+    if m == 1 or not any(c[1:] != (0,) * (m - 1) for c in f.coeffs):
+        factors = sympy_factors_mod_p([c if m == 1 else c[0] for c in f.coeffs], F.characteristic)
+        if len(set(factors)) < len(factors):
+            return None
+        degrees = [len(c) - 1 for c in factors]
+        return sorted(d // gcd(d, m) for d in degrees for _ in range(gcd(d, m)))
+    if poly_gcd(f, f.derivative()).degree != 0:
+        return None
+    return [d for d, h in sequential_distinct_degree_parts(F, f) for _ in range(int(h.degree) // d)]
+
+
+def _memo_answers(F, f, profile_first):
+    """[(is_irreducible, distinct_degree_profile or None)] through the split
+    memo, in the given order, asked twice; the two profiles are new lists."""
+    def profile():
+        try:
+            return distinct_degree_profile(F, f)
+        except FieldError:
+            return None
+
+    answers = []
+    for _ in range(2):
+        if profile_first:
+            prof = profile()
+            answers.append((is_irreducible(F, f), prof))
+        else:
+            irreducible = is_irreducible(F, f)
+            answers.append((irreducible, profile()))
+    assert answers[0][1] is None or answers[0][1] is not answers[1][1]
+    return answers
+
+
+@pytest.mark.parametrize("F", MEMO_FIELDS, ids=lambda f: f.label)
+def test_split_memo_answers_as_a_fresh_split_in_either_order(F, monkeypatch):
+    """is_irreducible and distinct_degree_profile, in either order, on a
+    cleared memo and then on a warm one, give the answers of the sympy
+    oracle and of a split that bypasses the memo; a reducible f that
+    is_irreducible met first must not leave its first part as its profile."""
+    polys = _split_memo_polys(F, random.Random(f"split memo {F.label}"))
+    want = [_split_oracle(F, f) for f in polys]
+    fresh = []
+    for f in polys:
+        g = f.monic()
+        if poly_gcd(g, g.derivative()).degree != 0:
+            fresh.append(None)
+        else:
+            fresh.append([d for d, h in exactfield._distinct_degree_parts(F, g) for _ in range(int(h.degree) // d)])
+    assert fresh == want
+    assert sum(w is not None and len(w) > 1 for w in want) > 20  # reducible squarefree cases
+    for profile_first in (False, True):
+        monkeypatch.setattr(exactfield, "_SPLITS", exactfield.BoundedMemo())
+        cold = [_memo_answers(F, f, profile_first) for f in polys]
+        warm = [_memo_answers(F, f, not profile_first) for f in polys]
+        for f, w, c, h in zip(polys, want, cold, warm):
+            expected = (w is not None and len(w) == 1, w)
+            assert c == h == [expected] * 2, (f, profile_first)
+
+
+@pytest.mark.parametrize("F", MEMO_FIELDS + [QQ], ids=lambda f: f.label)
+def test_kept_reduction_answers_as_a_fresh_matrix_in_either_order(F):
+    """char_poly and min_poly on one matrix, in either order and each asked
+    twice, equal the answers on a fresh copy: the closed-form matrices for
+    n = 3..70, derogatory direct sums and block triangular matrices. Over an
+    equal field that is another object, the answers are over that object,
+    and the answers over F are unchanged after them."""
+    rng = random.Random(f"kept reduction {F.label}")
+    matrices = [closed_form_matrix(n, F).rows for n in range(3, 71)]
+    matrices += [_derogatory_rows(F, rng) for _ in range(15)]
+    matrices += [_block_triangular_rows(F, rng) for _ in range(15)]
+    twin = _twin(F)
+    derogatory = 0
+    for rows in matrices:
+        want = {char_poly: char_poly(F, SquareMatrix(F, rows)), min_poly: min_poly(F, SquareMatrix(F, rows))}
+        derogatory += want[min_poly].degree < len(rows)
+        for first, second in ((char_poly, min_poly), (min_poly, char_poly)):
+            M = SquareMatrix(F, rows)
+            for f in (first, second, first, second):
+                got = f(F, M)
+                assert got == want[f] and got.field is F, (rows, f.__name__)
+            for f in (first, second):
+                got = f(twin, M)
+                assert got == want[f] and got.field is twin, (rows, f.__name__)
+            assert all(f(F, M).field is F for f in (first, second))
+    assert derogatory >= 20
+
+
+def test_split_memo_stays_under_its_cap(monkeypatch):
+    """With SPLIT_CAP at 40 coefficients, the memo's keys never hold more,
+    a polynomial of more coefficients is never kept, and every answer holds."""
+    cap = 40
+    monkeypatch.setattr(exactfield, "SPLIT_CAP", cap)
+    monkeypatch.setattr(exactfield, "_SPLITS", exactfield.BoundedMemo())
+    kept_sizes = set()
+    for F in (prime_field(2), prime_field(3)):
+        for n in range(3, 100):
+            if n % F.characteristic == 0:
+                continue
+            pi = char_poly(F, closed_form_matrix(n, F))
+            want = _split_oracle(F, pi)
+            for _ in range(2):
+                assert distinct_degree_profile(F, pi) == want, (F, n)
+                assert is_irreducible(F, pi) is (len(want) == 1), (F, n)
+                memo = exactfield._SPLITS
+                assert sum(len(f.coeffs) for f in memo) <= cap
+                assert (pi.monic() in memo) is (len(pi.coeffs) <= cap)
+                kept_sizes.update(len(f.coeffs) for f in memo)
+    assert max(kept_sizes) > cap // 2
 
 
 def test_cyclotomic_moduli_against_sympy():
